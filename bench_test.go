@@ -422,13 +422,12 @@ func benchFleetSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caaspe
 	return specs, opts
 }
 
-// benchFleet runs the shared fleet benchmark body under the given engine,
-// reporting tenant_minutes/s.
-func benchFleet(b *testing.B, tenants, minutes int, engine string) {
+// benchFleet runs the shared fleet benchmark body, reporting
+// tenant_minutes/s.
+func benchFleet(b *testing.B, tenants, minutes int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		specs, opts := benchFleetSpecs(b, tenants, minutes)
-		opts.Engine = engine
 		if _, err := caasper.RunFleet(specs, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -438,18 +437,12 @@ func benchFleet(b *testing.B, tenants, minutes int, engine string) {
 
 // BenchmarkFleetTick measures the fleet controller's steady tick cost at
 // 1000 tenants: one op replays a 1-hour horizon (60 000 tenant-minutes),
-// exercising the segment-batched observe phase and the sequential
-// arbitration phase.
+// exercising catch-up, decide and the sequential arbitration phase. The
+// workday traces are noisy (minute-length constant runs), so this bounds
+// the tick loop's overhead on its worst-case input rather than showing
+// its best case — see BenchmarkFleetMonth100k for that.
 func BenchmarkFleetTick(b *testing.B) {
-	benchFleet(b, 1000, 60, caasper.FleetEngineStepped)
-}
-
-// BenchmarkFleetTickEvents is BenchmarkFleetTick under the discrete-event
-// engine. The workday traces are noisy (minute-length constant runs), so
-// this bounds the event engine's overhead on its worst-case input rather
-// than showing its best case — see BenchmarkFleetMonth100k for that.
-func BenchmarkFleetTickEvents(b *testing.B) {
-	benchFleet(b, 1000, 60, caasper.FleetEngineEvents)
+	benchFleet(b, 1000, 60)
 }
 
 // BenchmarkFleetWeek1k is a headline scale demonstration: 1000 tenants
@@ -458,17 +451,7 @@ func BenchmarkFleetTickEvents(b *testing.B) {
 // state it stays bounded by the traces and per-tenant fixtures, not the
 // replay length.
 func BenchmarkFleetWeek1k(b *testing.B) {
-	benchFleet(b, 1000, 7*24*60, caasper.FleetEngineStepped)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(ms.Sys)/(1<<20), "heap_sys_MB")
-}
-
-// BenchmarkFleetWeek1kEvents is BenchmarkFleetWeek1k under the
-// discrete-event engine (same noisy-trace caveat as
-// BenchmarkFleetTickEvents).
-func BenchmarkFleetWeek1kEvents(b *testing.B) {
-	benchFleet(b, 1000, 7*24*60, caasper.FleetEngineEvents)
+	benchFleet(b, 1000, 7*24*60)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	b.ReportMetric(float64(ms.Sys)/(1<<20), "heap_sys_MB")
@@ -539,19 +522,16 @@ func benchMonthSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caaspe
 	return specs, opts
 }
 
-// BenchmarkFleetMonth100k is the discrete-event engine's headline: 100 000
-// tenants replayed over a full month (4.32 B tenant-minutes per op). The
-// stepped engine executes every tenant every minute; the event engine wakes
-// each tenant only around its two daily inflections and sleeps it through
-// the plateaus, so the month completes in well under a minute on one
-// machine. (The stepped engine on this configuration is ~2 orders of
-// magnitude slower — run it via `caasper-fleet -engine stepped` if you want
-// the direct comparison.)
+// BenchmarkFleetMonth100k is the discrete-event tick loop's headline:
+// 100 000 tenants replayed over a full month (4.32 B tenant-minutes per
+// op). A minute-stepped replay would execute every tenant every minute;
+// the tick loop wakes each tenant only around its two daily inflections
+// and sleeps it through the plateaus, so the month completes in well
+// under a minute on one machine.
 func BenchmarkFleetMonth100k(b *testing.B) {
 	const tenants, minutes = 100_000, 43_200
 	for i := 0; i < b.N; i++ {
 		specs, opts := benchMonthSpecs(b, tenants, minutes)
-		opts.Engine = caasper.FleetEngineEvents
 		if _, err := caasper.RunFleet(specs, opts); err != nil {
 			b.Fatal(err)
 		}
@@ -565,15 +545,14 @@ func BenchmarkFleetMonth100k(b *testing.B) {
 // BenchmarkFleetMonth10k is the core-scaling probe: the same month
 // workload at a tenth the tenants, small enough to repeat at several
 // -cpu values (scripts/bench.sh runs it at -cpu 1,4,8 and keeps each
-// GOMAXPROCS variant as its own row). Under the default Sharding auto
-// the 128 bench nodes split the fleet into node-disjoint shard groups
-// that run concurrently, so tenant_minutes/s should track cores until
-// the sequential merge becomes the bottleneck (Amdahl's ceiling).
+// GOMAXPROCS variant as its own row). Without an event sink the 128
+// bench nodes split the fleet into node-disjoint tenant groups that run
+// concurrently, so tenant_minutes/s should track cores until the largest
+// group bounds the run (Amdahl's ceiling).
 func BenchmarkFleetMonth10k(b *testing.B) {
 	const tenants, minutes = 10_000, 43_200
 	for i := 0; i < b.N; i++ {
 		specs, opts := benchMonthSpecs(b, tenants, minutes)
-		opts.Engine = caasper.FleetEngineEvents
 		if _, err := caasper.RunFleet(specs, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -496,25 +496,13 @@ type FleetResult = fleet.Result
 // FleetTenantResult is one tenant's outcome within a FleetResult.
 type FleetTenantResult = fleet.TenantResult
 
-// Fleet tick engines, for FleetOptions.Engine: the minute-stepped
-// reference engine (also selected by "") and the discrete-event engine,
-// which produces byte-identical results and event streams while scaling
-// with trace inflections and decision ticks instead of simulated minutes.
+// Fleet tick engine names, once accepted by FleetOptions.Engine.
+//
+// Deprecated: FleetOptions.Engine is ignored; every fleet run uses the one
+// discrete-event tick loop.
 const (
 	FleetEngineStepped = fleet.EngineStepped
 	FleetEngineEvents  = fleet.EngineEvents
-)
-
-// Fleet sharding modes, for FleetOptions.Sharding: the event engine's
-// shard-parallel mode (the default, also selected by "") partitions the
-// fleet into node-disjoint shard groups — tenants that can never contend
-// for the same node's capacity — and runs them concurrently, merging the
-// per-shard outputs back into the single-shard byte order afterwards.
-// FleetShardingOff forces the single-shard reference loop; results and
-// event streams are byte-identical either way.
-const (
-	FleetShardingAuto = fleet.ShardingAuto
-	FleetShardingOff  = fleet.ShardingOff
 )
 
 // DefaultFleetOptions returns the fleet defaults: 10-minute decisions,

@@ -9,7 +9,7 @@
 //	caasper-fleet -tenants 16 -minutes 240
 //	caasper-fleet -tenants 8 -recommender caasper,vpa -cluster small
 //	caasper-fleet -tenants 16 -minutes 240 -workers 8 -events fleet.ndjson
-//	caasper-fleet -tenants 100000 -minutes 43200 -engine events
+//	caasper-fleet -tenants 100000 -minutes 43200
 //	caasper-fleet -tenants 1000 -minutes 10080 -cpuprofile fleet.pprof
 //
 // Chaos runs inject deterministic faults into every tenant plus
@@ -64,9 +64,7 @@ func main() {
 		seed         = flag.Uint64("seed", 1, "workload seed base (tenant i uses seed+i)")
 		faultSpecStr = flag.String("faults", "", `fault-injection spec, e.g. "restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4" (times in minutes; empty: fault-free)`)
 		faultSeed    = flag.Uint64("fault-seed", 1, "fault-injection seed (same seed, same faults, byte-identical stream)")
-		engine       = flag.String("engine", "stepped", "tick engine: stepped (minute-by-minute reference) or events (discrete-event wake queue; byte-identical output)")
-		sharding     = flag.String("sharding", "auto", "events-engine shard parallelism: auto (run node-disjoint tenant groups concurrently) or off (single-shard reference loop; byte-identical output)")
-		resourceSpec = flag.String("resources", "", `resource-vector spec applied to every tenant, e.g. "ram=4-16,disk=5-40" or "ram=4-32,replicas=1-4" (a replicas range marks the tenants stateless for horizontal overflow; requires the stepped engine)`)
+		resourceSpec = flag.String("resources", "", `resource-vector spec applied to every tenant, e.g. "ram=4-16,disk=5-40" or "ram=4-32,replicas=1-4" (a replicas range marks the tenants stateless for horizontal overflow)`)
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the fleet run to this file")
 		target       = flag.String("target", "", "load-generator mode: replay traces against a caasper-serve URL instead of simulating")
@@ -175,8 +173,6 @@ func main() {
 	}
 	opts.FaultSpec = spec
 	opts.FaultSeed = *faultSeed
-	opts.Engine = *engine
-	opts.Sharding = *sharding
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -190,8 +186,8 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	fmt.Printf("fleet: %d tenants on the %s cluster (workloads %s; policies %s; %s engine)\n",
-		len(tenants), *clusterName, strings.Join(wnames, ","), strings.Join(rnames, ","), *engine)
+	fmt.Printf("fleet: %d tenants on the %s cluster (workloads %s; policies %s)\n",
+		len(tenants), *clusterName, strings.Join(wnames, ","), strings.Join(rnames, ","))
 	start := time.Now()
 	res, err := caasper.RunFleet(tenants, opts)
 	if err != nil {

@@ -41,6 +41,21 @@ func TestSentinelInvalidConfig(t *testing.T) {
 	if _, err := RunFleet(nil, fo); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("RunFleet(zero options): got %v, want errors.Is(ErrInvalidConfig)", err)
 	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*FleetOptions)
+	}{
+		{"negative core price", func(o *FleetOptions) { o.PricePerCorePeriod = -1 }},
+		{"negative RAM price", func(o *FleetOptions) { o.RAMPricePerGBPeriod = -0.25 }},
+		{"negative disk price", func(o *FleetOptions) { o.DiskPricePerGBPeriod = -0.02 }},
+		{"negative warm-up", func(o *FleetOptions) { o.WarmupMinutes = -10 }},
+	} {
+		o := DefaultFleetOptions()
+		tc.mutate(&o)
+		if err := o.Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("FleetOptions.Validate(%s): got %v, want errors.Is(ErrInvalidConfig)", tc.name, err)
+		}
+	}
 
 	if _, err := NewRecommenderByName("caasper", RecommenderSettings{}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("NewRecommenderByName(MaxCores=0): got %v, want errors.Is(ErrInvalidConfig)", err)

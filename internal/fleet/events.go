@@ -1,23 +1,25 @@
-// Discrete-event fleet engine (Options.Engine == EngineEvents).
+// The fleet's tick loop: a discrete-event engine.
 //
-// The stepped engine costs O(minutes × tenants): every tenant executes
-// every simulated minute even when nothing about it can change. But a
-// tenant's observable behaviour only changes at a handful of instants —
-// its decision ticks, its trace's inflection points (the starts of
-// constant-demand runs), and pressure-window boundaries of the fleet-level
-// fault injector. Between those instants the demand, the limit, the
-// observed usage and therefore every accumulator update are all constant,
-// which makes the in-between minutes pure arithmetic.
+// A minute-stepped replay costs O(minutes × tenants): every tenant would
+// execute every simulated minute even when nothing about it can change.
+// But a tenant's observable behaviour only changes at a handful of
+// instants — its decision ticks, its trace's inflection points (the
+// starts of constant-demand runs), and pressure-window boundaries of the
+// fleet-level fault injector. Between those instants the demand, the
+// limit, the observed usage and therefore every accumulator update are
+// all constant, which makes the in-between minutes pure arithmetic.
 //
-// This engine exploits that: a virtual clock jumps from decision tick to
-// decision tick through a binary-heap wake queue keyed on (minute, tenant
-// index). A tenant woken at tick d first catches up analytically — its
-// trace is walked run by run (trace.RunStarts), observation windows are
-// advanced with one bulk ring append per run (recommend.RunObserver),
-// accounting loops run as tight constant-operand sums (preserving the
-// stepped engine's exact float rounding), and billing advances whole
-// periods at a time (billing.Meter.RecordN). It then decides exactly as
-// the stepped engine would and computes its next wake-up:
+// The loop (shard.go) exploits that: a virtual clock jumps from decision
+// tick to decision tick through a binary-heap wake queue keyed on
+// (minute, tenant index). A tenant woken at tick d first catches up
+// analytically — its trace is walked run by run (trace.RunStarts, or a
+// scan of the values for traces whose runs do not compress), observation
+// windows are advanced with one bulk ring append per run
+// (recommend.RunObserver), accounting loops run as tight constant-operand
+// sums (preserving the per-minute replay's exact float rounding), and
+// billing advances whole periods at a time (billing.Meter.RecordN). It
+// then decides exactly as a per-minute replay would and computes its next
+// wake-up:
 //
 //   - a tenant that filed a proposal, or whose recommender cannot prove
 //     steadiness, wakes at the very next decision tick;
@@ -25,7 +27,9 @@
 //     SteadyObserving(u) — a saturated window of nothing but the current
 //     usage u, with a pure Recommend — provably re-decides "hold" at every
 //     tick until its demand next changes, so it sleeps until the first
-//     decision tick at or after its trace's next inflection point.
+//     decision tick at or after its trace's next inflection point;
+//   - a multi-resource tenant catches up minute by minute
+//     (observeMultiSegment) and never sleeps.
 //
 // Fault draws are (seed, kind, pod, time)-keyed and stateless, so skipped
 // minutes draw identically when caught up later: metrics-gap minutes are
@@ -33,15 +37,13 @@
 // tenants keep the bulk catch-up path between the minutes that actually
 // drop, and the fleet-level scheduling pressure advances one poll per
 // window (faults.Injector.AdvancePressure). Per-tenant fault events land
-// in the same per-tenant buffers the stepped engine uses, so the replayed
-// NDJSON stream is byte-identical, at every worker count.
+// in per-tenant buffers replayed after the loop, so the NDJSON stream is
+// byte-identical to a minute-stepped replay (the test oracle in
+// stepped_test.go), at every worker count.
 package fleet
 
 import (
-	"context"
-
 	"caasper/internal/faults"
-	"caasper/internal/parallel"
 	"caasper/internal/recommend"
 	"caasper/internal/trace"
 )
@@ -54,8 +56,8 @@ type wakeEntry struct {
 
 // wakeHeap is a binary min-heap of wake-ups ordered by (at, idx). The
 // secondary key makes same-tick pops emerge in ascending tenant order, so
-// the awake list needs no post-sort to match the stepped engine's
-// index-ordered walk.
+// the awake list needs no post-sort to match phase 2's index-ordered
+// walk.
 type wakeHeap []wakeEntry
 
 func wakeLess(a, b wakeEntry) bool {
@@ -102,9 +104,8 @@ func (h *wakeHeap) pop() wakeEntry {
 }
 
 // nextDecisionAt returns the first decision minute ≥ m within the horizon,
-// or −1 when the replay ends first — the same arithmetic the stepped
-// engine uses to bound its segments (first minute ≥ max(m, warmup) with
-// (minute − warmup) divisible by the cadence).
+// or −1 when the replay ends first: the first minute ≥ max(m, warmup)
+// with (minute − warmup) divisible by the cadence.
 func (s *runState) nextDecisionAt(m int) int {
 	nd := s.warmup
 	if m > s.warmup {
@@ -116,14 +117,21 @@ func (s *runState) nextDecisionAt(m int) int {
 	return nd
 }
 
-// prepEvents initializes the per-tenant event-engine state shared by the
-// single-shard and sharded loops.
-func (s *runState) prepEvents() {
+// prepTenants initializes the per-tenant tick-loop state.
+func (s *runState) prepTenants() {
 	// Trace run starts are shared: fleets commonly replay a few workload
 	// shapes across many tenants, so the inflection scan runs once per
 	// distinct trace, not once per tenant.
 	runsByTrace := make(map[*trace.Trace][]int32)
 	for _, t := range s.ts {
+		// The limit is cached on the tenant: chasing set → pod → spec is
+		// two dependent cache misses per wake at fleet scale, and only a
+		// phase-2 enactment — which requires a proposal from an awake
+		// tenant — can change it.
+		t.lim = t.set.CPULimit()
+		if t.mr != nil {
+			continue // minute-by-minute catch-up, never asleep
+		}
 		r, ok := runsByTrace[t.spec.Trace]
 		if !ok {
 			r = t.spec.Trace.RunStarts()
@@ -133,11 +141,6 @@ func (s *runState) prepEvents() {
 		t.gap = t.inj.Has(faults.MetricsGap)
 		t.bulk, _ = t.rec.(recommend.RunObserver)
 		t.steady, _ = t.rec.(recommend.SteadyObserver)
-		// The limit is cached on the tenant: chasing set → pod → spec is
-		// two dependent cache misses per wake at fleet scale, and only a
-		// phase-2 enactment — which requires a proposal from an awake
-		// tenant — can change it.
-		t.lim = t.set.CPULimit()
 	}
 }
 
@@ -145,7 +148,7 @@ func (s *runState) prepEvents() {
 // or −1 when the wakes diverge (or any tenant sleeps forever). When the
 // wake heap is empty, the awake list holds every live tenant, so a
 // uniform wake means the next tick's awake set is *this* list verbatim —
-// the tick loops skip the heap round-trip entirely. Noisy fleets, whose
+// the tick loop skips the heap round-trip entirely. Noisy fleets, whose
 // tenants can never prove steadiness and therefore all march tick to
 // tick in lockstep, spend their whole run on this path.
 func uniformWake(ts []*tenant, awake []int) int {
@@ -161,130 +164,6 @@ func uniformWake(ts []*tenant, awake []int) int {
 	return w
 }
 
-// runEvents is the discrete-event engine dispatcher: it preps the
-// per-tenant event state, then — unless Options.Sharding is off — splits
-// the fleet into node-disjoint shard groups and runs them concurrently
-// (shard.go). Fleets that form a single contention group (and one-tenant
-// fleets) fall through to the single-shard reference loop.
-func (s *runState) runEvents() error {
-	s.prepEvents()
-	if s.shard != ShardingOff {
-		if idxs, offsets := shardPartition(s.ts); len(offsets) > 2 {
-			return s.runEventsSharded(idxs, offsets)
-		}
-	}
-	return s.runEventsSingle()
-}
-
-// runEventsSingle is the single-shard discrete-event loop. See the file
-// comment for the design and the equivalence argument.
-func (s *runState) runEventsSingle() error {
-	ts := s.ts
-	ctx := context.Background()
-
-	var heap wakeHeap
-	if d0 := s.nextDecisionAt(0); d0 >= 0 {
-		// Every tenant's first wake is the first decision tick. Equal keys
-		// in index order are already a valid min-heap. Each tenant holds at
-		// most one pending wake, so the heap never outgrows this backing.
-		heap = make(wakeHeap, len(ts))
-		for i := range ts {
-			heap[i] = wakeEntry{at: int32(d0), idx: int32(i)}
-		}
-	}
-
-	// clock tracks fleet-level pressure coverage: windows overlapping
-	// [0, clock) have been polled, in order, exactly once.
-	clock := 0
-	pressure := 0.0
-	awake := make([]int, 0, len(ts))
-
-	for len(heap) > 0 {
-		d := int(heap[0].at)
-		awake = awake[:0]
-		for len(heap) > 0 && int(heap[0].at) == d {
-			awake = append(awake, int(heap.pop().idx))
-		}
-
-		for {
-			// Catch the fleet-level scheduling pressure up through the
-			// decision minute — one draw per window, same stream as the
-			// stepped engine's per-minute polling. Pressure edges for minutes
-			// ≤ d are emitted before this tick's phase-2 events, exactly as
-			// the stepped segment prologue interleaves them.
-			if s.finj != nil {
-				pressure = s.finj.AdvancePressure(int64(clock), int64(d+1))
-				s.cluster.SetPressure(pressure)
-			}
-			clock = d + 1
-
-			// Severity is defined as the insufficiency since the previous
-			// decision tick — even for tenants that slept through it — so
-			// catch-up accumulates it only from sevFrom on.
-			sevFrom := d - s.d + 1
-			if d == s.warmup {
-				sevFrom = 0 // first decision: severity covers the warm-up
-			}
-
-			// Phase 1 — parallel catch-up + decide over the awake tenants
-			// only. Each task touches one tenant's state; sleeping tenants are
-			// untouched and, by the sleep contract, unchanged.
-			err := parallel.ForEach(ctx, len(awake), s.workers, func(k int) error {
-				t := ts[awake[k]]
-				t.advanceTo(d+1, sevFrom)
-				limit := t.lim
-				t.hasProp = false
-				t.decide(limit)
-				t.computeWake(s, d, limit)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-
-			// Phase 2 — sequential, over the awake subset (ascending index,
-			// courtesy of the heap's secondary key). Tenants asleep at d hold
-			// no proposal, so the stepped engine's full walk degenerates to
-			// exactly this subset.
-			s.enactTick(awake, pressure, d)
-
-			for _, i := range awake {
-				t := ts[i]
-				if t.hasProp {
-					// Only proposers can have been resized by enactPhase
-					// (granted, deferred or fault-aborted — re-read either way).
-					t.lim = t.set.CPULimit()
-				}
-			}
-
-			if len(heap) == 0 {
-				if w := uniformWake(ts, awake); w >= 0 {
-					d = w // lockstep fleet: rerun the tick loop on the same list
-					continue
-				}
-			}
-			for _, i := range awake {
-				if w := ts[i].wakeAt; w >= 0 {
-					heap.push(wakeEntry{at: int32(w), idx: int32(i)})
-				}
-			}
-			break
-		}
-	}
-
-	// Horizon epilogue: finish the pressure coverage and account every
-	// tenant's tail minutes after its last wake. Severity after the final
-	// decision is never read, so catch-up skips it (sevFrom = minutes).
-	if s.finj != nil && clock < s.minutes {
-		pressure = s.finj.AdvancePressure(int64(clock), int64(s.minutes))
-		s.cluster.SetPressure(pressure)
-	}
-	return parallel.ForEach(ctx, len(ts), s.workers, func(i int) error {
-		ts[i].advanceTo(s.minutes, s.minutes)
-		return nil
-	})
-}
-
 // advanceTo replays the tenant's minutes [done, end) analytically, run by
 // run. Within one constant-demand run the limit (only phase 2 changes it,
 // and this tenant filed no proposals while asleep), the usage and every
@@ -295,11 +174,10 @@ func (s *runState) runEventsSingle() error {
 //     (NextGap probe, then DropSample per gap minute for counts and
 //     events) and split the append around a first-minute gap, which is
 //     the only minute whose observed value a gap can change; only a
-//     recommender without the bulk form runs the stepped engine's
-//     per-minute scrape loop verbatim;
+//     recommender without the bulk form runs the per-minute scrape loop;
 //   - slack/insufficiency accumulate via tight constant-operand loops:
 //     repeated float64 addition has no closed form that reproduces the
-//     same rounding, and bit-equality with the stepped engine is the
+//     same rounding, and bit-equality with a per-minute replay is the
 //     contract, so the adds happen one by one — just without the
 //     surrounding per-minute bookkeeping (the accumulator sequences per
 //     variable are identical because a run is entirely slack or entirely
@@ -307,10 +185,16 @@ func (s *runState) runEventsSingle() error {
 //   - billing advances whole periods at a time (RecordN).
 //
 // Severity accumulates only for minutes ≥ sevFrom (the minute after the
-// previous decision tick): the stepped engine resets severity at every
-// tick, including ones this tenant slept through.
+// previous decision tick): severity resets at every tick, including ones
+// this tenant slept through. Multi-resource tenants never sleep, so their
+// minute-by-minute catch-up always starts at sevFrom.
 func (t *tenant) advanceTo(end, sevFrom int) {
 	if t.done >= end {
+		return
+	}
+	if t.mr != nil {
+		t.observeMultiSegment(t.done, end)
+		t.done = end
 		return
 	}
 	limf := float64(t.lim)
@@ -324,16 +208,7 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 	sev := t.severity
 	for t.done < end {
 		now := t.done
-		for t.runCur+1 < len(t.runs) && int(t.runs[t.runCur+1]) <= now {
-			t.runCur++
-		}
-		re := len(vs)
-		if t.runCur+1 < len(t.runs) {
-			re = int(t.runs[t.runCur+1])
-		}
-		if re > end {
-			re = end
-		}
+		re := t.runEnd(now, end)
 		n := re - now
 		demand := vs[now]
 		usage := demand
@@ -408,6 +283,29 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 	t.severity = sev
 }
 
+// runEnd returns the end (exclusive) of the constant-demand run holding
+// minute m, clipped to limit. Calls must not decrease m: the run cursor
+// only moves forward. Traces without a run index (their runs do not
+// compress) are scanned instead.
+func (t *tenant) runEnd(m, limit int) int {
+	vs := t.spec.Trace.Values
+	if t.runs == nil {
+		e := m + 1
+		for e < limit && vs[e] == vs[m] {
+			e++
+		}
+		return e
+	}
+	for t.runCur+1 < len(t.runs) && int(t.runs[t.runCur+1]) <= m {
+		t.runCur++
+	}
+	e := len(vs)
+	if t.runCur+1 < len(t.runs) {
+		e = int(t.runs[t.runCur+1])
+	}
+	return min(e, limit)
+}
+
 // computeWake sets the tenant's next wake minute after deciding at tick d.
 // The default is the next decision tick. The tenant may sleep past it only
 // when every skipped tick provably replays "hold": it filed no proposal at
@@ -418,22 +316,15 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 // (window, limit) input and yields the identical "hold", so the first tick
 // at which anything can differ is the first one at or after the next
 // inflection.
-func (t *tenant) computeWake(s *runState, d, limit int) {
+func (t *tenant) computeWake(s *runState, d int) {
 	t.wakeAt = s.nextDecisionAt(d + 1)
 	if t.wakeAt < 0 || t.hasProp || t.steady == nil {
 		return
 	}
-	limf := float64(limit)
-	u := t.spec.Trace.Values[d]
-	if u > limf {
-		u = limf
-	}
+	u := min(t.spec.Trace.Values[d], float64(t.lim))
 	if !t.steady.SteadyObserving(u) {
 		return
 	}
-	ni := len(t.spec.Trace.Values) // no further inflection: sleep forever
-	if t.runCur+1 < len(t.runs) {
-		ni = int(t.runs[t.runCur+1])
-	}
-	t.wakeAt = s.nextDecisionAt(ni)
+	// No further inflection (runEnd returns the trace length): sleep forever.
+	t.wakeAt = s.nextDecisionAt(t.runEnd(d, len(t.spec.Trace.Values)))
 }

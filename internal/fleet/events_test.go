@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,7 +10,6 @@ import (
 
 	"caasper/internal/baselines"
 	"caasper/internal/core"
-	"caasper/internal/errs"
 	"caasper/internal/faults"
 	"caasper/internal/k8s"
 	"caasper/internal/obs"
@@ -19,56 +17,70 @@ import (
 	"caasper/internal/trace"
 )
 
-// runEngine executes one fleet run capturing the result and the encoded
-// event stream.
-func runEngine(t *testing.T, specs []TenantSpec, opts Options, engine string, workers int) (*Result, string) {
+// runFleet executes one fleet run — on the tick loop, or on the stepped
+// oracle when oracle is set — capturing the result and the encoded event
+// stream.
+func runFleet(t *testing.T, specs []TenantSpec, opts Options, oracle bool, workers int) (*Result, string) {
 	t.Helper()
 	mem := obs.NewMemorySink()
-	opts.Engine = engine
 	opts.Workers = workers
 	opts.Events = mem
-	res, err := Run(specs, opts)
+	run := Run
+	if oracle {
+		run = runSteppedOracle
+	}
+	res, err := run(specs, opts)
 	if err != nil {
-		t.Fatalf("engine=%s workers=%d: %v", engine, workers, err)
+		t.Fatalf("oracle=%v workers=%d: %v", oracle, workers, err)
 	}
 	return res, encodeStream(mem)
 }
 
-// TestEventEngineEquivalenceChaos16 is the tentpole contract on the same
-// configuration scripts/fleet.sh pins as the chaos golden: a 16-tenant
-// heterogeneous fleet on the small cluster with restart-fail, metrics-gap
-// and sched-pressure faults all active. The event engine must reproduce
-// the stepped engine bit for bit — results and NDJSON stream — at every
-// worker count.
-func TestEventEngineEquivalenceChaos16(t *testing.T) {
+// checkEquivalent runs the fleet built by specs/opts on the stepped oracle
+// and then on the tick loop at workers 1, 4 and 8, requiring bit-equal
+// results and byte-identical event streams.
+func checkEquivalent(t *testing.T, specs func() []TenantSpec, opts func() Options) *Result {
+	t.Helper()
+	base, baseStream := runFleet(t, specs(), opts(), true, 1)
+	for _, w := range []int{1, 4, 8} {
+		res, stream := runFleet(t, specs(), opts(), false, w)
+		if !reflect.DeepEqual(base, res) {
+			t.Errorf("workers=%d: result diverged from the stepped oracle:\n%s\nvs\n%s",
+				w, base.Summary(), res.Summary())
+		}
+		if stream != baseStream {
+			t.Errorf("workers=%d: event stream diverged from the stepped oracle", w)
+		}
+	}
+	return base
+}
+
+// chaos16Opts is the scripts/fleet.sh chaos configuration: the small
+// cluster with restart-fail, metrics-gap and sched-pressure faults.
+func chaos16Opts(t *testing.T) Options {
+	t.Helper()
 	spec, err := faults.ParseSpec("restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Cluster = nil // reset per run below
 	opts.Minutes = 240
 	opts.FaultSpec = spec
 	opts.FaultSeed = 7
+	return withSmallCluster(opts)
+}
 
-	base, baseStream := runEngine(t, mixedFleet(t, 16), withSmallCluster(opts), EngineStepped, 1)
+// TestEventEngineEquivalenceChaos16 is the tick loop's contract on the
+// same configuration scripts/fleet.sh pins as the chaos golden: a
+// 16-tenant heterogeneous fleet on the small cluster with every CPU fault
+// active must reproduce the stepped oracle bit for bit — results and
+// NDJSON stream — at every worker count.
+func TestEventEngineEquivalenceChaos16(t *testing.T) {
+	base := checkEquivalent(t,
+		func() []TenantSpec { return mixedFleet(t, 16) },
+		func() Options { return chaos16Opts(t) })
 	if base.TotalScalings == 0 {
 		t.Fatal("chaos fleet produced no scalings; traces too tame to prove anything")
-	}
-	for _, engine := range []string{EngineStepped, EngineEvents} {
-		for _, w := range []int{1, 4, 8} {
-			if engine == EngineStepped && w == 1 {
-				continue
-			}
-			res, stream := runEngine(t, mixedFleet(t, 16), withSmallCluster(opts), engine, w)
-			if !reflect.DeepEqual(base, res) {
-				t.Errorf("engine=%s workers=%d: result diverged:\n%s\nvs\n%s",
-					engine, w, base.Summary(), res.Summary())
-			}
-			if stream != baseStream {
-				t.Errorf("engine=%s workers=%d: event stream diverged", engine, w)
-			}
-		}
 	}
 }
 
@@ -83,31 +95,18 @@ func withSmallCluster(opts Options) Options {
 // 64-tenant fleet with a fixed seed: piecewise-constant and noisy traces,
 // every recommender family (bulk-capable, steady-capable, per-minute-only,
 // and one that implements neither optional interface), 1–2 replicas, and
-// chaos faults. Any divergence between the engines' analytic and stepped
-// arithmetic shows up as a result or stream mismatch.
+// chaos faults. Any divergence between the tick loop's analytic catch-up
+// and the per-minute replay shows up as a result or stream mismatch.
 func TestEventEngineEquivalenceRandomized64(t *testing.T) {
-	base, baseStream := runEngine(t, randomized64Specs(t), randomized64Opts(t), EngineStepped, 1)
-	for _, engine := range []string{EngineStepped, EngineEvents} {
-		for _, w := range []int{1, 4, 8} {
-			if engine == EngineStepped && w == 1 {
-				continue
-			}
-			res, stream := runEngine(t, randomized64Specs(t), randomized64Opts(t), engine, w)
-			if !reflect.DeepEqual(base, res) {
-				t.Errorf("engine=%s workers=%d: result diverged:\n%s\nvs\n%s",
-					engine, w, base.Summary(), res.Summary())
-			}
-			if stream != baseStream {
-				t.Errorf("engine=%s workers=%d: event stream diverged", engine, w)
-			}
-		}
-	}
+	checkEquivalent(t,
+		func() []TenantSpec { return randomized64Specs(t) },
+		func() Options { return randomized64Opts(t) })
 }
 
 const randomized64Minutes = 420
 
-// randomized64Specs builds the 64-tenant fuzz fleet the engine- and
-// sharding-equivalence tests share: piecewise-constant and noisy traces,
+// randomized64Specs builds the 64-tenant fuzz fleet the equivalence and
+// group tests share: piecewise-constant and noisy traces,
 // every recommender family, 1–2 replicas. Deterministic (fixed seed), so
 // repeated calls build identical fleets.
 func randomized64Specs(t *testing.T) []TenantSpec {
@@ -117,8 +116,8 @@ func randomized64Specs(t *testing.T) []TenantSpec {
 	mkTrace := func(rng *rand.Rand, name string) *trace.Trace {
 		vs := make([]float64, minutes)
 		if rng.Intn(2) == 0 {
-			// Piecewise-constant: long flat runs — the event engine's
-			// best case, exercising bulk append and steady sleep.
+			// Piecewise-constant: long flat runs — the tick loop's best
+			// case, exercising bulk append and steady sleep.
 			level := 0.5 + rng.Float64()*4
 			for i := 0; i < minutes; {
 				runLen := 20 + rng.Intn(120)
@@ -129,8 +128,8 @@ func randomized64Specs(t *testing.T) []TenantSpec {
 				level = 0.5 + rng.Float64()*4
 			}
 		} else {
-			// Noisy: every minute distinct — degenerates the event engine
-			// to minute-length runs, exercising the fallback paths.
+			// Noisy: every minute distinct — degenerates the catch-up to
+			// minute-length runs found by scanning (no run index).
 			for i := range vs {
 				vs[i] = 0.5 + rng.Float64()*4
 			}
@@ -221,8 +220,8 @@ func (c *countingRec) Recommend(cur int) int {
 
 // TestEventEngineSleepsSteadyTenants proves the wake queue actually skips
 // decision ticks: on a two-level piecewise-constant trace held at "hold"
-// by the MinCores clamp, the event engine must consult the recommender far
-// less often than the stepped engine's once-per-tick — with bit-equal
+// by the MinCores clamp, the tick loop must consult the recommender far
+// less often than the stepped oracle's once-per-tick — with bit-equal
 // results.
 func TestEventEngineSleepsSteadyTenants(t *testing.T) {
 	const minutes = 600
@@ -253,39 +252,42 @@ func TestEventEngineSleepsSteadyTenants(t *testing.T) {
 		}}
 	}
 
-	run := func(engine string) (*Result, int64) {
+	run := func(oracle bool) (*Result, int64) {
 		var calls int64
 		opts := DefaultOptions()
 		opts.Cluster = k8s.SmallCluster()
 		opts.Minutes = minutes
-		opts.Engine = engine
-		res, err := Run(mkSpecs(&calls), opts)
+		run := Run
+		if oracle {
+			run = runSteppedOracle
+		}
+		res, err := run(mkSpecs(&calls), opts)
 		if err != nil {
-			t.Fatalf("engine=%s: %v", engine, err)
+			t.Fatalf("oracle=%v: %v", oracle, err)
 		}
 		return res, atomic.LoadInt64(&calls)
 	}
 
-	stepped, steppedCalls := run(EngineStepped)
-	events, eventsCalls := run(EngineEvents)
+	stepped, steppedCalls := run(true)
+	events, eventsCalls := run(false)
 	if !reflect.DeepEqual(stepped, events) {
 		t.Errorf("results diverged:\n%s\nvs\n%s", stepped.Summary(), events.Summary())
 	}
-	// Stepped decides at every tick 10, 20, …, 590: 59 calls. The event
-	// engine should need only the window warm-ups around the two plateaus.
+	// The oracle decides at every tick 10, 20, …, 590: 59 calls. The tick
+	// loop should need only the window warm-ups around the two plateaus.
 	if steppedCalls != 59 {
-		t.Fatalf("stepped made %d Recommend calls, want 59 (test premise broken)", steppedCalls)
+		t.Fatalf("oracle made %d Recommend calls, want 59 (test premise broken)", steppedCalls)
 	}
 	if eventsCalls >= steppedCalls/2 {
-		t.Errorf("event engine made %d Recommend calls vs stepped's %d; steady tenant never slept",
+		t.Errorf("tick loop made %d Recommend calls vs the oracle's %d; steady tenant never slept",
 			eventsCalls, steppedCalls)
 	}
 }
 
-// TestEventEngineEdgeCadences pins the engines together on awkward
-// schedules: a warm-up beyond the horizon (no decisions at all), a cadence
-// that does not divide the horizon, and a horizon ending exactly on a
-// decision tick.
+// TestEventEngineEdgeCadences pins the tick loop to the oracle on awkward
+// schedules: a warm-up beyond the horizon (no decisions at all), a
+// cadence that does not divide the horizon, and a horizon ending exactly
+// on a decision tick.
 func TestEventEngineEdgeCadences(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -298,13 +300,12 @@ func TestEventEngineEdgeCadences(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mkSpecs := func() []TenantSpec { return mixedFleet(t, 4) }
 			opts := DefaultOptions()
 			opts.Minutes = tc.minutes
 			opts.DecisionEveryMinutes = tc.d
 			opts.WarmupMinutes = tc.wu
-			base, baseStream := runEngine(t, mkSpecs(), withSmallCluster(opts), EngineStepped, 1)
-			res, stream := runEngine(t, mkSpecs(), withSmallCluster(opts), EngineEvents, 1)
+			base, baseStream := runFleet(t, mixedFleet(t, 4), withSmallCluster(opts), true, 1)
+			res, stream := runFleet(t, mixedFleet(t, 4), withSmallCluster(opts), false, 1)
 			if !reflect.DeepEqual(base, res) {
 				t.Errorf("result diverged:\n%s\nvs\n%s", base.Summary(), res.Summary())
 			}
@@ -312,16 +313,5 @@ func TestEventEngineEdgeCadences(t *testing.T) {
 				t.Errorf("event stream diverged")
 			}
 		})
-	}
-}
-
-// TestEngineValidation: unknown engine names are rejected as config errors.
-func TestEngineValidation(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Engine = "warp"
-	if err := opts.Validate(); err == nil {
-		t.Fatal("engine \"warp\" accepted")
-	} else if !errors.Is(err, errs.ErrInvalidConfig) {
-		t.Fatalf("got %v, want ErrInvalidConfig", err)
 	}
 }

@@ -8,9 +8,9 @@
 // can oversubscribe a node. The controller therefore splits every tick in
 // two:
 //
-//  1. a parallel observe/decide phase fanned out over the tenant shards
-//     through internal/parallel (index-addressed slots, no shared writes),
-//     where each tenant scrapes its usage sample, feeds its recommender
+//  1. a parallel observe/decide phase fanned out through
+//     internal/parallel (index-addressed slots, no shared writes), where
+//     each tenant catches up on its usage samples, feeds its recommender
 //     and files a resize proposal; and
 //  2. a sequential enact/arbitrate phase where scale-downs release
 //     capacity first and the capacity arbiter grants scale-ups in
@@ -29,10 +29,11 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"caasper/internal/billing"
@@ -42,7 +43,6 @@ import (
 	"caasper/internal/hooks"
 	"caasper/internal/k8s"
 	"caasper/internal/obs"
-	"caasper/internal/parallel"
 	"caasper/internal/recommend"
 	"caasper/internal/trace"
 )
@@ -138,52 +138,19 @@ type Options struct {
 	// dimensions for multi-resource tenants (defaults: billing
 	// DefaultRates, 0.25 and 0.02). CPU-only tenants never meter them.
 	RAMPricePerGBPeriod, DiskPricePerGBPeriod float64
-	// Engine selects the tick engine: EngineStepped (the default, also
-	// selected by "") or EngineEvents. Both produce byte-identical results
-	// and event streams; see the engine constants for when each wins.
+	// Engine is ignored: the fleet has one tick loop (events.go).
+	//
+	// Deprecated: every value, including EngineStepped, runs the same
+	// loop with the same results.
 	Engine string
-	// Sharding controls the event engine's shard-parallel mode:
-	// ShardingAuto (the default, also selected by "") partitions the
-	// fleet into node-disjoint shard groups and runs them concurrently;
-	// ShardingOff forces the single-shard reference loop. Results and
-	// event streams are byte-identical either way — the knob exists for
-	// A/B verification and debugging, not correctness. Ignored by the
-	// stepped engine.
-	Sharding string
 }
 
-// Engine names accepted by Options.Engine.
+// Engine names once accepted by Options.Engine.
+//
+// Deprecated: Options.Engine is ignored.
 const (
-	// EngineStepped advances every tenant minute by minute in
-	// decision-cadence segments — the reference engine: simple, O(minutes ×
-	// tenants), and the behavioural yardstick the event engine is tested
-	// against.
 	EngineStepped = "stepped"
-	// EngineEvents is the discrete-event engine: a virtual clock plus a
-	// binary-heap wake queue where tenants only run at decision ticks and
-	// sleep through provably-steady spans, with observation windows,
-	// accounting and billing advanced analytically across constant-demand
-	// trace runs. Results and event streams are byte-identical to
-	// EngineStepped; wall-clock cost scales with trace inflections and
-	// decisions instead of simulated minutes, which is what makes
-	// 100k-tenant months tractable.
-	EngineEvents = "events"
-)
-
-// Sharding modes accepted by Options.Sharding.
-const (
-	// ShardingAuto (the default) lets the event engine split the fleet
-	// at its real contention boundary: arbitration only couples tenants
-	// whose pods share a cluster node, so the tenant graph's
-	// node-connected components run as independent shards, each with its
-	// own wake heap, virtual clock and fault-draw stream, fanned out on
-	// internal/parallel. A fleet whose tenants all contend on one node
-	// collapses to a single shard — exactly the ShardingOff loop.
-	ShardingAuto = "auto"
-	// ShardingOff forces the single-shard event loop (one global wake
-	// heap, sequential ticks) — the reference the sharded mode is tested
-	// byte-identical against.
-	ShardingOff = "off"
+	EngineEvents  = "events"
 )
 
 // DefaultOptions returns the fleet defaults: 10-minute decisions, hourly
@@ -207,15 +174,21 @@ func (o Options) Validate() error {
 	if o.BillingPeriod < 0 {
 		return fmt.Errorf("fleet: BillingPeriod must be ≥ 0: %w", errs.ErrInvalidConfig)
 	}
-	switch o.Engine {
-	case "", EngineStepped, EngineEvents:
-	default:
-		return fmt.Errorf("fleet: unknown engine %q: %w", o.Engine, errs.ErrInvalidConfig)
+	if o.WarmupMinutes < 0 {
+		return fmt.Errorf("fleet: WarmupMinutes must be ≥ 0: %w", errs.ErrInvalidConfig)
 	}
-	switch o.Sharding {
-	case "", ShardingAuto, ShardingOff:
-	default:
-		return fmt.Errorf("fleet: unknown sharding mode %q (auto or off): %w", o.Sharding, errs.ErrInvalidConfig)
+	// !(p >= 0) also rejects NaN.
+	for _, p := range []struct {
+		name  string
+		price float64
+	}{
+		{"PricePerCorePeriod", o.PricePerCorePeriod},
+		{"RAMPricePerGBPeriod", o.RAMPricePerGBPeriod},
+		{"DiskPricePerGBPeriod", o.DiskPricePerGBPeriod},
+	} {
+		if !(p.price >= 0) {
+			return fmt.Errorf("fleet: %s must be ≥ 0, got %v: %w", p.name, p.price, errs.ErrInvalidConfig)
+		}
 	}
 	return nil
 }
@@ -381,11 +354,11 @@ type tenant struct {
 	// CPU-only code paths (see multi.go).
 	mr *multiState
 
-	// Event-engine state (see events.go; untouched by the stepped engine).
+	// Tick-loop state (see events.go).
 	done   int                      // minutes [0, done) are fully accounted
 	wakeAt int                      // next wake minute computed at the last decision (−1: none)
 	lim    int                      // cached CPU limit: only phase 2 resizes, and only proposers
-	runs   []int32                  // the trace's constant-run starts, shared across tenants
+	runs   []int32                  // the trace's constant-run starts, shared across tenants; nil: scan
 	runCur int                      // index into runs of the run containing done
 	gap    bool                     // spec includes metrics-gap: samples need per-minute draws
 	bulk   recommend.RunObserver    // non-nil: bulk window advance allowed
@@ -395,8 +368,14 @@ type tenant struct {
 // decide evaluates the recommender at a decision tick: the clamped target
 // becomes a phase-2 proposal when it differs from the current limit, and
 // the severity accumulator (the arbiter's priority signal) is snapshotted
-// into the proposal and reset either way.
+// into the proposal and reset either way. Multi-resource tenants decide
+// every managed dimension (decideMulti).
 func (t *tenant) decide(limit int) {
+	t.hasProp = false
+	if t.mr != nil {
+		t.decideMulti(limit)
+		return
+	}
 	target := t.rec.Recommend(limit)
 	if target < t.spec.MinCores {
 		target = t.spec.MinCores
@@ -411,10 +390,10 @@ func (t *tenant) decide(limit int) {
 	t.severity = 0
 }
 
-// runState is the assembled per-run machinery shared by both engines: the
-// tenants, the cluster, the fleet-level injector and the phase-2 scratch.
-// Run builds it, dispatches to runStepped or runEvents, then reads the
-// results back out in the common epilogue.
+// runState is the assembled per-run machinery: the tenants, the cluster,
+// the fleet-level injector and the phase-2 scratch. newRun builds it,
+// runGroups drives the tick loop over it, and finish reads the results
+// back out.
 type runState struct {
 	ts      []*tenant
 	cluster *k8s.Cluster
@@ -425,24 +404,35 @@ type runState struct {
 	warmup  int
 	d       int // decision cadence in minutes
 	workers int
-	shard   string // Options.Sharding ("", auto or off)
 	res     *Result
 
 	// Phase-2 working storage reused across ticks.
 	ups []int
 	arb *arbScratch
 
-	// ssink, when non-nil, marks this runState as one shard of a
-	// shard-parallel run (see shard.go): h.Events points at the same
-	// buffer, and enactPhase tags each buffered event with its merge key
-	// so the post-run merge can reproduce the single-shard byte order.
-	ssink *shardSink
+	// defBits is the minute bitmap of ticks on which the arbiter deferred
+	// a tenant, shared by every tenant group of the run: a tick counts
+	// once however many groups deferred on it.
+	defBits []atomic.Uint64
 }
 
 // Run executes the fleet loop over the shared cluster and returns the
 // per-tenant and aggregate results. See the package comment for the
 // two-phase tick structure and the determinism argument.
 func Run(tenants []TenantSpec, opts Options) (*Result, error) {
+	s, err := newRun(tenants, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.runGroups(); err != nil {
+		return nil, err
+	}
+	return s.finish(), nil
+}
+
+// newRun validates the inputs, onboards every tenant onto the cluster and
+// emits the "fleet.run" header event.
+func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -500,13 +490,6 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		if rr.Multi() {
 			if err := rr.Validate(); err != nil {
 				return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
-			}
-			if opts.Engine == EngineEvents {
-				// The event engine's analytic catch-up covers only the
-				// CPU dimension today; refuse rather than silently
-				// dropping RAM/disk accounting.
-				return nil, fmt.Errorf(`fleet: tenant %q manages RAM/disk/replicas, which the "events" engine cannot replay (its analytic catch-up is CPU-only); rerun with Engine %q (-engine stepped): %w`,
-					spec.Name, EngineStepped, errs.ErrInvalidConfig)
 			}
 		}
 		if minutes == 0 || len(spec.Trace.Values) < minutes {
@@ -592,9 +575,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		}})
 	}
 
-	res := &Result{Minutes: minutes, Tenants: make([]TenantResult, len(ts))}
-
-	s := &runState{
+	return &runState{
 		ts:      ts,
 		cluster: cluster,
 		finj:    finj,
@@ -604,22 +585,18 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		warmup:  warmup,
 		d:       opts.DecisionEveryMinutes,
 		workers: opts.Workers,
-		shard:   opts.Sharding,
-		res:     res,
+		res:     &Result{Minutes: minutes, Tenants: make([]TenantResult, len(ts))},
 		arb:     &arbScratch{},
-	}
-	if opts.Engine == EngineEvents {
-		err = s.runEvents()
-	} else {
-		err = s.runStepped()
-	}
-	if err != nil {
-		return nil, err
-	}
+		defBits: make([]atomic.Uint64, (minutes+63)/64),
+	}, nil
+}
 
-	// Epilogue: close the books, emit the per-tenant summaries and replay
-	// each tenant's buffered fault stream, all in tenant order.
-	for i, t := range ts {
+// finish closes the books after the loop: it emits the per-tenant
+// summaries and replays each tenant's buffered fault stream, all in
+// tenant order, and reduces the fleet aggregates.
+func (s *runState) finish() *Result {
+	res := s.res
+	for i, t := range s.ts {
 		t.meter.Flush()
 		t.res.FinalCores = t.set.CPULimit()
 		t.res.BilledCorePeriods = t.meter.BilledCorePeriods()
@@ -640,7 +617,7 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 		res.TotalRAMCost += t.res.BilledRAMGBPeriods
 		res.TotalDiskCost += t.res.BilledDiskGBPeriods
 
-		if events {
+		if s.events {
 			fields := []obs.Field{
 				obs.S("tenant", t.spec.Name),
 				obs.S("recommender", t.res.Recommender),
@@ -663,163 +640,65 @@ func Run(tenants []TenantSpec, opts Options) (*Result, error) {
 					obs.F("ram_short", t.res.RAMShortGBMin),
 				)
 			}
-			h.Events.Emit(obs.Event{T: int64(minutes), Type: "fleet.tenant", Fields: fields})
+			s.h.Events.Emit(obs.Event{T: int64(s.minutes), Type: "fleet.tenant", Fields: fields})
 			if t.sink != nil {
-				t.sink.ReplayTo(h.Events)
+				t.sink.ReplayTo(s.h.Events)
 				sinkPool.Put(t.sink)
 				t.sink = nil
 			}
 		}
 	}
-	res.PressureWindows = finj.Counts().PressureWindows
+	for i := range s.defBits {
+		res.ArbitrationTicks += bits.OnesCount64(s.defBits[i].Load())
+	}
+	res.PressureWindows = s.finj.Counts().PressureWindows
 
-	if m := h.Metrics; m != nil {
-		m.Counter("fleet.tenants").Add(int64(len(ts)))
-		m.Counter("fleet.minutes").Add(int64(minutes))
+	if m := s.h.Metrics; m != nil {
+		m.Counter("fleet.tenants").Add(int64(len(s.ts)))
+		m.Counter("fleet.minutes").Add(int64(s.minutes))
 		m.Counter("fleet.resizes").Add(int64(res.TotalScalings))
 		m.Counter("fleet.deferrals").Add(int64(res.TotalDeferrals))
 		m.Counter("fleet.resizes_aborted").Add(int64(res.TotalAborted))
 		m.Gauge("fleet.total_cost").Set(res.TotalCost)
 	}
-	return res, nil
+	return res
 }
 
-// runStepped is the reference engine. The replay advances in
-// decision-cadence segments rather than single minutes: limits only change
-// in phase 2, which only runs at decision ticks, so every minute in
-// between is pure tenant-local observation. Batching the segment into ONE
-// parallel fan-out per decision tick (instead of one per minute) removes
-// ~DecisionEveryMinutes× scheduling round-trips per tick while preserving
-// the exact per-minute observe/account/meter sequence each tenant executes
-// — results and event streams stay byte-identical at every worker count.
-func (s *runState) runStepped() error {
-	ts, minutes, warmup := s.ts, s.minutes, s.warmup
-	ctx := context.Background()
-
-	// The sequential phase walks every tenant index each tick.
-	all := make([]int, len(ts))
-	for i := range all {
-		all[i] = i
-	}
-
-	for segStart := 0; segStart < minutes; {
-		// The segment ends just after the next decision minute (the first
-		// now ≥ segStart with now ≥ warmup and (now−warmup)%D == 0), or at
-		// the horizon when no further decision happens.
-		segEnd := minutes // exclusive
-		decision := -1    // the decision minute, -1 when the replay ends first
-		nd := warmup
-		if segStart > warmup {
-			nd = warmup + (segStart-warmup+s.d-1)/s.d*s.d
-		}
-		if nd < minutes {
-			segEnd = nd + 1
-			decision = nd
-		}
-
-		// Sequential segment prologue: poll the fleet-level scheduling
-		// pressure for every minute in order — the same draw and event
-		// sequence the per-minute loop produced — keeping the decision
-		// minute's value for this tick's arbitration.
-		pressure := 0.0
-		if s.finj != nil {
-			for now := segStart; now < segEnd; now++ {
-				pressure = s.finj.PressureCores(int64(now))
-			}
-			s.cluster.SetPressure(pressure)
-		}
-
-		// Phase 1 — parallel observe/decide over the whole segment. Each
-		// task touches only its tenant's state and reads nothing phase 2
-		// mutates, so any worker count produces identical proposals.
-		err := parallel.ForEach(ctx, len(ts), s.workers, func(i int) error {
-			t := ts[i]
-			if t.mr != nil {
-				// Multi-resource tenants observe every dimension; the
-				// CPU-only loop below stays byte-for-byte untouched.
-				t.observeMultiSegment(segStart, segEnd, decision)
-				return nil
-			}
-			limit := t.set.CPULimit() // constant within the segment
-			limf := float64(limit)
-			t.hasProp = false
-			for now := segStart; now < segEnd; now++ {
-				demand := t.spec.Trace.Values[now]
-				usage := demand
-				if usage > limf {
-					usage = limf
-				}
-
-				// Scrape: a metrics-gap fault loses this minute's sample,
-				// so the recommender observes the previous one —
-				// ground-truth accounting below is unaffected.
-				observed := usage
-				if t.inj.DropSample(t.pod, int64(now)) {
-					observed = t.prevUsage
-				}
-				t.prevUsage = usage
-				t.rec.Observe(now, observed)
-
-				// Ground-truth accounting in core-minutes.
-				if slack := limf - usage; slack > 0 {
-					t.res.SumSlack += slack
-				}
-				if short := demand - limf; short > 0 {
-					t.res.SumInsufficient += short
-					t.severity += short
-					t.res.ThrottledMinutes++
-				}
-				t.meter.Record(limf)
-			}
-
-			// Decide: file a proposal for phase 2. The severity snapshot
-			// is the insufficiency accumulated since the last decision —
-			// the arbiter's priority signal.
-			if decision >= 0 {
-				t.decide(limit)
-			}
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		segStart = segEnd
-		if decision >= 0 {
-			s.enactTick(all, pressure, decision)
-		}
-	}
-	return nil
-}
-
-// enactTick runs phase 2 at one decision tick and closes its books: the
-// arbitration-tick counter and the per-tick "fleet.arbitration" summary
-// event, emitted when at least one tenant was deferred. Both engines'
-// non-sharded loops call this; the shard loops call enactPhase directly
-// and re-derive the tick bookkeeping in the merge (shard.go), where the
-// global contender/grant/deferral totals are known.
+// enactTick runs phase 2 at one decision tick and closes its books: a
+// tick that deferred at least one tenant is marked in the shared
+// arbitration bitmap and, with a sink attached, summarized by a
+// "fleet.arbitration" event.
 func (s *runState) enactTick(cands []int, pressure float64, now int) {
 	contenders, granted, deferred := s.enactPhase(cands, pressure, now)
-	if deferred > 0 {
-		s.res.ArbitrationTicks++
-		if s.events {
-			s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.arbitration", Fields: []obs.Field{
-				obs.I("contenders", int64(contenders)),
-				obs.I("granted", int64(granted)),
-				obs.I("deferred", int64(deferred)),
-				obs.F("pressure", pressure),
-			}})
+	if deferred == 0 {
+		return
+	}
+	// Concurrent groups OR into the same words; OR commutes, so the
+	// union is schedule-independent.
+	w, mask := &s.defBits[uint(now)>>6], uint64(1)<<(uint(now)&63)
+	for {
+		old := w.Load()
+		if old&mask != 0 || w.CompareAndSwap(old, old|mask) {
+			break
 		}
+	}
+	if s.events {
+		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.arbitration", Fields: []obs.Field{
+			obs.I("contenders", int64(contenders)),
+			obs.I("granted", int64(granted)),
+			obs.I("deferred", int64(deferred)),
+			obs.F("pressure", pressure),
+		}})
 	}
 }
 
 // enactPhase is phase 2 — the sequential enact/arbitrate pass at one
-// decision tick, shared by both engines. cands lists the tenant indices
-// that may hold proposals, in ascending order: the stepped engine passes
-// every index, the event engine just the tenants awake at this tick
-// (sleeping tenants provably file nothing, so the walk is equivalent).
-// It returns the tick's arbitration tallies — the scale-up contender
-// count and how many were granted vs deferred — for enactTick or the
-// shard merge to summarize.
+// decision tick. cands lists the tenant indices that may hold proposals,
+// in ascending order: the tenants of one group awake at this tick
+// (sleeping tenants provably file nothing, so walking every tenant would
+// be equivalent). It returns the tick's arbitration tallies — the
+// scale-up contender count and how many were granted vs deferred — for
+// enactTick to summarize.
 //
 // Scale-downs go first: they only release capacity, so they are always
 // granted and make room for this tick's scale-ups (the arbiter sees the
@@ -833,9 +712,6 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 			continue
 		}
 		if !t.prop.grows(t) {
-			if s.ssink != nil {
-				s.ssink.key = evKey{stage: 0, idx: int32(i)}
-			}
 			s.enactProposal(t, now)
 		} else {
 			ups = append(ups, i)
@@ -866,9 +742,6 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 		}
 		for _, i := range ups {
 			t := ts[i]
-			if s.ssink != nil {
-				s.ssink.key = evKey{stage: 1, idx: int32(i), sev: t.prop.severity}
-			}
 			if node, short := s.checkFeasible(t, pressure); node != "" {
 				t.res.Deferrals++
 				deferred++

@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -258,6 +259,11 @@ func TestValidationErrors(t *testing.T) {
 		{"duplicate names", []TenantSpec{good, good}, nil, errs.ErrInvalidConfig},
 		{"bad bounds", []TenantSpec{{Name: "x", Trace: good.Trace, NewRecommender: good.NewRecommender,
 			InitialCores: 0, MinCores: 1, MaxCores: 4}}, nil, errs.ErrInvalidConfig},
+		{"negative core price", []TenantSpec{good}, func(o *Options) { o.PricePerCorePeriod = -1 }, errs.ErrInvalidConfig},
+		{"NaN core price", []TenantSpec{good}, func(o *Options) { o.PricePerCorePeriod = math.NaN() }, errs.ErrInvalidConfig},
+		{"negative RAM price", []TenantSpec{good}, func(o *Options) { o.RAMPricePerGBPeriod = -1 }, errs.ErrInvalidConfig},
+		{"negative disk price", []TenantSpec{good}, func(o *Options) { o.DiskPricePerGBPeriod = -1 }, errs.ErrInvalidConfig},
+		{"negative warm-up", []TenantSpec{good}, func(o *Options) { o.WarmupMinutes = -1 }, errs.ErrInvalidConfig},
 	}
 	for _, tc := range cases {
 		opts := DefaultOptions()

@@ -4,10 +4,11 @@ package fleet
 // dual-threshold MemoryPolicy, disk grown off its high-water mark, and —
 // for stateless tiers — horizontal overflow once the vertical CPU
 // ceiling pins. CPU-only tenants never allocate a multiState and run the
-// exact pre-vector code paths in fleet.go; everything here engages only
-// when TenantSpec.Resources manages a non-CPU dimension. The determinism
-// contract is unchanged: phase 1 (observeMultiSegment) writes only
-// tenant-local state, phase 2 (enactMulti) runs sequentially.
+// exact pre-vector code paths in fleet.go and events.go; everything here
+// engages only when TenantSpec.Resources manages a non-CPU dimension. The
+// determinism contract is unchanged: phase 1 (observeMultiSegment,
+// decideMulti) writes only tenant-local state, phase 2 (enactMulti) runs
+// sequentially.
 
 import (
 	"fmt"
@@ -125,17 +126,16 @@ func (t *tenant) initMulti(rr core.ResourceRange, replicas, minutes int, opts Op
 	return nil
 }
 
-// observeMultiSegment is the multi-resource phase-1 body: the per-minute
-// observe/account/meter walk over one decision-cadence segment, followed
-// by the vector decision when the segment ends on a decision tick. The
-// CPU trace is interpreted as TOTAL tenant demand spread across the
-// serving replicas (so horizontal overflow actually relieves pressure);
-// RAM and disk traces are per pod.
-func (t *tenant) observeMultiSegment(segStart, segEnd, decision int) {
+// observeMultiSegment is the multi-resource catch-up: the per-minute
+// observe/account/meter walk over minutes [segStart, segEnd). The CPU
+// trace is interpreted as TOTAL tenant demand spread across the serving
+// replicas (so horizontal overflow actually relieves pressure); RAM and
+// disk traces are per pod. Seeding flips, RAM pressure draws and disk
+// caps change minute by minute, so there is no analytic form here and
+// multi-resource tenants never sleep.
+func (t *tenant) observeMultiSegment(segStart, segEnd int) {
 	m := t.mr
-	limit := t.set.CPULimit() // constant within the segment
-	limf := float64(limit)
-	t.hasProp = false
+	limf := float64(t.set.CPULimit()) // constant within the segment
 	for now := segStart; now < segEnd; now++ {
 		// Flip a freshly-seeded replica into service (tenant-local: only
 		// this goroutine touches this set's pods in phase 1).
@@ -214,9 +214,6 @@ func (t *tenant) observeMultiSegment(segStart, segEnd, decision int) {
 			}
 			m.diskMeter.Record(float64(m.diskAlloc) * pods)
 		}
-	}
-	if decision >= 0 {
-		t.decideMulti(limit)
 	}
 }
 

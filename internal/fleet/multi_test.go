@@ -240,14 +240,51 @@ func TestMultiDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestMultiRejectsEventsEngine(t *testing.T) {
-	spec := multiSpec("m0", 60)
-	opts := DefaultOptions()
-	opts.Minutes = 60
-	opts.Engine = EngineEvents
-	if _, err := Run([]TenantSpec{spec}, opts); !errors.Is(err, errs.ErrInvalidConfig) {
-		t.Fatalf("events engine must reject multi tenants, got %v", err)
+// multiFleet is the 8-tenant chaos fleet upgraded to the full resource
+// vector; stateless tenants may overflow horizontally up to 3 replicas.
+// A 4-core ceiling sits below every trace's peak, so overflow engages.
+func multiFleet(t *testing.T, stateless bool) []TenantSpec {
+	specs := mixedFleet(t, 8)
+	for i := range specs {
+		specs[i].Resources = mustRange("ram=4-16,disk=5-40,replicas=1-3")
+		specs[i].Stateless = stateless
+		specs[i].MaxCores = 4
 	}
+	return specs
+}
+
+func multiOpts(t *testing.T) Options {
+	opts := chaos16Opts(t)
+	fspec, err := faults.ParseSpec("mem-pressure:p=0.3:gb=3,sched-pressure:p=0.5:dur=60:cores=4,restart-fail:p=0.2,metrics-gap:p=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.FaultSpec = fspec
+	return opts
+}
+
+// TestMultiResourceEquivalence pins multi-resource tenants on the tick
+// loop to the stepped oracle at workers 1/4/8: the scale-out fleet with a
+// sink (results and stream), and — the only multi-group coverage for
+// vector tenants — the same fleet without scale-out and without a sink,
+// whose node-disjoint groups run concurrently (results, the merged
+// arbitration and pressure counters included).
+func TestMultiResourceEquivalence(t *testing.T) {
+	base := checkEquivalent(t,
+		func() []TenantSpec { return multiFleet(t, true) },
+		func() Options { return multiOpts(t) })
+	scaledOut := false
+	for _, tr := range base.Tenants {
+		scaledOut = scaledOut || tr.FinalReplicas > 1
+	}
+	if !scaledOut || base.TotalOOMMinutes == 0 || base.TotalDeferrals == 0 {
+		t.Fatalf("fleet too tame: scaled out %v, %d OOM minutes, %d deferrals",
+			scaledOut, base.TotalOOMMinutes, base.TotalDeferrals)
+	}
+
+	checkGroupsEquivalent(t,
+		func() []TenantSpec { return multiFleet(t, false) },
+		func() Options { return multiOpts(t) })
 }
 
 func TestMultiShortTraceRejected(t *testing.T) {

@@ -1,58 +1,43 @@
-// Shard-parallel discrete-event engine (Options.Sharding == auto).
+// Tenant groups and the tick loop.
 //
-// The event engine's only cross-tenant coupling is phase 2: the capacity
+// The tick loop's only cross-tenant coupling is phase 2: the capacity
 // arbiter compares a proposal's resize deltas against the free capacity
 // of the nodes hosting the proposer's pods. Tenants whose pods touch
 // disjoint node sets therefore cannot affect each other's grants — one
-// tenant's enactment changes only its own nodes' allocations, which the
-// other's feasibility check never reads. Partitioning the fleet into the
-// connected components of the tenant–node placement graph (union-find
-// over pod placements) yields shard groups that are provably independent
-// for the *whole* run: placements are fixed at onboarding, so the
-// partition never changes mid-run.
+// tenant's in-place resize changes only its own nodes' allocations, which
+// the other's feasibility check never reads. Partitioning the fleet into
+// the connected components of the tenant–node placement graph
+// (union-find over pod placements) yields groups that are independent for
+// the whole run: placements are fixed at onboarding, so the partition
+// never changes mid-run.
 //
-// Each shard is a self-contained event loop — its own wake heap, awake
-// list, virtual clock, arbitration scratch and fault-injector clone
-// (draws are (seed, kind, pod, time)-keyed, so a clone replays the exact
-// values the shared injector would have produced) — fanned out on
-// internal/parallel. Phase 1 inside a shard runs sequentially: the fleet
-// already parallelizes across shards, and one fan-out for the whole run
-// replaces the single-shard loop's one fan-out per tick.
+// The fleet runs as ONE group when any of these holds:
 //
-// Determinism and byte-identity. All cross-shard effects are reproduced
-// after the join, sequentially, from per-shard records:
+//   - an event sink is attached: the stream interleaves every group's
+//     phase-2 events tick by tick, and reproducing that order from
+//     separate groups means buffering every event of the run and merging
+//     them afterwards — memory that grows with the event count;
+//   - the placement graph is connected (there is only one group);
+//   - a stateless multi-resource tenant can scale out: AddReplica
+//     schedules the new pod on any node and reads the live cluster
+//     pressure, so it couples tenants across node boundaries.
 //
-//   - Results: tenants only ever write their own TenantResult slots, and
-//     the run epilogue (fleet.go) reduces them in tenant order, so the
-//     aggregate sums add in the same order as the single-shard run.
-//   - Pressure edges: shard clones poll silently; the merge advances the
-//     one authoritative injector across the union of content ticks. A
-//     window's activation edge appears in the single-shard stream after
-//     all phase-2 events of ticks before the window's start and before
-//     all phase-2 events of ticks at or after it — a position
-//     independent of the empty ticks in between — so advancing only at
-//     content ticks emits every edge at the identical byte offset.
-//   - Phase-2 events: within one tick the single-shard engine emits
-//     scale-down enactments in ascending tenant order, then arbitrated
-//     scale-ups in (severity desc, tenant index asc) order. Both orders
-//     are total and each shard's buffered run is already sorted by them,
-//     so a k-way merge on the tagged keys reproduces the global
-//     permutation exactly; the per-tick "fleet.arbitration" summary is
-//     re-synthesized from the summed per-shard tallies.
-//
-// Arbitration semantics are untouched: a shard's grants see the
-// already-reserved capacity of its earlier grants (same as the global
-// order restricted to the shard), and grants in other shards are
-// irrelevant by node-disjointness.
+// The one group owns the real fleet-level injector, the cluster pressure
+// and the sink, and fans phase 1 out over the awake tenants at every tick.
+// Otherwise each node-disjoint group runs the same loop with its own wake
+// heap, virtual clock, arbitration scratch and silent fault-injector
+// clone (draws are (seed, kind, pod, time)-keyed, so a clone replays the
+// exact values the shared injector would have produced); phase 1 runs
+// sequentially inside a group and the groups fan out instead. Only
+// counters cross groups: every tenant writes its own TenantResult, the
+// deferral-tick bitmap is a commutative OR, and the authoritative
+// injector sweeps the pressure windows once after the join (coverage is
+// batching-independent: draws and edge dedupe are window-keyed).
 package fleet
 
 import (
 	"context"
-	"math/bits"
-	"sync/atomic"
 
-	"caasper/internal/k8s"
-	"caasper/internal/obs"
 	"caasper/internal/parallel"
 )
 
@@ -126,162 +111,153 @@ func shardPartition(ts []*tenant) (idxs, offsets []int32) {
 	return idxs, offsets
 }
 
-// evKey orders one shard's buffered phase-2 events for the cross-shard
-// merge: scale-down enactments (stage 0, ascending tenant index) precede
-// arbitrated scale-ups (stage 1, severity descending then index
-// ascending) — the exact total order the single-shard engine emits in.
-type evKey struct {
-	stage int8
-	idx   int32
-	sev   float64
-}
-
-// keyLess is the single-shard engine's within-tick emission order.
-func keyLess(a, b evKey) bool {
-	if a.stage != b.stage {
-		return a.stage < b.stage
-	}
-	if a.stage == 0 {
-		return a.idx < b.idx
-	}
-	if a.sev != b.sev {
-		return a.sev > b.sev
-	}
-	return a.idx < b.idx
-}
-
-// shardSink buffers one shard's phase-2 events alongside their merge
-// keys (enactPhase tags the pending key before each emission). Emitters
-// build fresh Fields slices, so retaining them until the merge is safe.
-type shardSink struct {
-	evs  []obs.Event
-	keys []evKey
-	key  evKey
-}
-
-func (k *shardSink) Enabled() bool { return true }
-func (k *shardSink) Flush() error  { return nil }
-func (k *shardSink) Emit(e obs.Event) {
-	k.evs = append(k.evs, e)
-	k.keys = append(k.keys, k.key)
-}
-
-// tickStat records one shard's phase-2 outcome at one content tick — a
-// tick where the shard emitted events or deferred a tenant — everything
-// the merge needs to re-synthesize the global arbitration summary.
-type tickStat struct {
-	tick           int32
-	contenders     int32
-	granted        int32
-	deferred       int32
-	evStart, evEnd int32 // the tick's event range in the shard's buffer
-}
-
-// shardRun is one shard's private event loop: a copy of the parent
-// runState with the shared mutable machinery swapped for shard-local
-// equivalents (injector clone, arbitration scratch, event buffer, dummy
-// Result) plus the shard's wake heap and bookkeeping.
-type shardRun struct {
+// group is one tenant group's tick loop: a copy of the run's state with,
+// for split runs, the shared mutable machinery swapped for group-local
+// equivalents, plus the group's wake heap and bookkeeping.
+type group struct {
 	runState
 	idxs  []int32 // global tenant indices, ascending
+	one   bool    // the whole fleet: owns the cluster pressure
 	heap  wakeHeap
 	awake []int
+	clock int // pressure coverage: windows overlapping [0, clock) are polled
 
-	ticks   []tickStat // events-enabled: per content tick
-	defBits []uint64   // events-disabled: shared minute bitmap of deferral ticks
-	sink    shardSink  // events-enabled: h.Events and ssink point here
-	dres    Result     // res redirect: shards must not touch the shared Result
+	// The tick being processed, read by step.
+	tick, sevFrom int
 }
 
-// run executes the shard's event loop — the single-shard loop restricted
-// to the shard's tenants, with the cross-shard effects (pressure
-// edges/counts, cluster pressure, arbitration bookkeeping) recorded for
-// the merge instead of applied. See the file comment.
-func (sr *shardRun) run() {
-	ts := sr.ts
-	if d0 := sr.nextDecisionAt(0); d0 >= 0 {
-		for _, i := range sr.idxs {
-			sr.heap = append(sr.heap, wakeEntry{at: int32(d0), idx: i})
+// runGroups partitions the fleet into groups (see the file comment), runs
+// every group's tick loop and finishes the pressure coverage.
+func (s *runState) runGroups() error {
+	s.prepTenants()
+	n := len(s.ts)
+	idxs, offsets := s.partition()
+	heapBack := make([]wakeEntry, n)
+	awakeBack := make([]int, n)
+	upsBack := make([]int, n)
+	groups := make([]group, len(offsets)-1)
+	arbs := make([]arbScratch, len(groups))
+	for k := range groups {
+		// Carved three-index slices: a tenant holds at most one pending
+		// wake, so no group's heap, awake list or scale-up list outgrows
+		// its tenant count.
+		lo, hi := offsets[k], offsets[k+1]
+		g := &groups[k]
+		g.runState = *s
+		g.idxs = idxs[lo:hi]
+		g.heap = heapBack[lo:lo:hi]
+		g.awake = awakeBack[lo:lo:hi]
+		g.ups = upsBack[lo:lo:hi]
+		g.one = len(groups) == 1
+		if !g.one {
+			// The groups fan out instead of each group's phase 1.
+			g.finj = s.finj.Clone()
+			g.arb = &arbs[k]
+			g.workers = 1
 		}
 	}
-	heap := sr.heap
+	err := parallel.ForEach(context.Background(), len(groups), s.workers, func(k int) error {
+		return groups[k].run()
+	})
+	if err != nil {
+		return err
+	}
 	clock := 0
-	pressure := 0.0
-	awake := sr.awake
+	if len(groups) == 1 {
+		clock = groups[0].clock
+	}
+	if s.finj != nil && clock < s.minutes {
+		s.cluster.SetPressure(s.finj.AdvancePressure(int64(clock), int64(s.minutes)))
+	}
+	return nil
+}
 
+// partition returns the run's tenant groups in shardPartition's layout:
+// one group holding every tenant when the fleet must run as one (see the
+// file comment), the node-disjoint groups otherwise.
+func (s *runState) partition() (idxs, offsets []int32) {
+	one := s.events
+	for _, t := range s.ts {
+		one = one || (t.mr != nil && t.spec.Stateless)
+	}
+	if !one {
+		return shardPartition(s.ts)
+	}
+	idxs = make([]int32, len(s.ts))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	return idxs, []int32{0, int32(len(s.ts))}
+}
+
+// run executes the group's tick loop. See events.go for the catch-up and
+// sleep rules, and the file comment for what one group owns.
+func (g *group) run() error {
+	ts := g.ts
+	ctx := context.Background()
+	heap := g.heap
+	if d0 := g.nextDecisionAt(0); d0 >= 0 {
+		// Every tenant's first wake is the first decision tick. Equal keys
+		// in index order are already a valid min-heap.
+		for _, i := range g.idxs {
+			heap = append(heap, wakeEntry{at: int32(d0), idx: i})
+		}
+	}
+	pressure := 0.0
+	step := g.step // one method value for the run, not one per tick
 	for len(heap) > 0 {
 		d := int(heap[0].at)
-		awake = awake[:0]
+		g.awake = g.awake[:0]
 		for len(heap) > 0 && int(heap[0].at) == d {
-			awake = append(awake, int(heap.pop().idx))
+			g.awake = append(g.awake, int(heap.pop().idx))
 		}
 
 		for {
-			// The clone polls the same (window-keyed) pressure values the
-			// shared injector would, silently; the shard's clock differs
-			// from the global one, but the returned value only depends on
-			// the tick's window. No cluster.SetPressure here — the cluster
-			// is shared and nothing reads its pressure mid-run.
-			if sr.finj != nil {
-				pressure = sr.finj.AdvancePressure(int64(clock), int64(d+1))
-			}
-			clock = d + 1
-
-			sevFrom := d - sr.d + 1
-			if d == sr.warmup {
-				sevFrom = 0
-			}
-
-			// Phase 1, sequential within the shard: the run is already
-			// fanned out across shards.
-			for _, i := range awake {
-				t := ts[i]
-				t.advanceTo(d+1, sevFrom)
-				limit := t.lim
-				t.hasProp = false
-				t.decide(limit)
-				t.computeWake(&sr.runState, d, limit)
-			}
-
-			evStart := len(sr.sink.evs)
-			contenders, granted, deferred := sr.enactPhase(awake, pressure, d)
-			if sr.events {
-				if end := len(sr.sink.evs); end > evStart || deferred > 0 {
-					sr.ticks = append(sr.ticks, tickStat{
-						tick:       int32(d),
-						contenders: int32(contenders),
-						granted:    int32(granted),
-						deferred:   int32(deferred),
-						evStart:    int32(evStart),
-						evEnd:      int32(end),
-					})
-				}
-			} else if deferred > 0 {
-				// Shards share one minute bitmap: an atomic OR is
-				// commutative, so the union is schedule-independent, and
-				// deferrals are rare enough that contention is immaterial.
-				w, mask := &sr.defBits[uint(d)>>6], uint64(1)<<(uint(d)&63)
-				for {
-					old := atomic.LoadUint64(w)
-					if old&mask != 0 || atomic.CompareAndSwapUint64(w, old, old|mask) {
-						break
-					}
+			// Catch the fleet-level scheduling pressure up through the
+			// decision minute: one draw per window, so pressure edges for
+			// minutes ≤ d precede this tick's phase-2 events. A clone polls
+			// silently and leaves the shared cluster alone.
+			if g.finj != nil {
+				pressure = g.finj.AdvancePressure(int64(g.clock), int64(d+1))
+				if g.one {
+					g.cluster.SetPressure(pressure)
 				}
 			}
+			g.clock = d + 1
 
-			for _, i := range awake {
+			// Severity is defined as the insufficiency since the previous
+			// decision tick — even for tenants that slept through it — so
+			// catch-up accumulates it only from sevFrom on.
+			g.tick, g.sevFrom = d, d-g.d+1
+			if d == g.warmup {
+				g.sevFrom = 0 // first decision: severity covers the warm-up
+			}
+
+			// Phase 1 — catch-up + decide over the awake tenants only. Each
+			// step touches one tenant's state; sleeping tenants are
+			// untouched and, by the sleep contract, unchanged.
+			if err := parallel.ForEach(ctx, len(g.awake), g.workers, step); err != nil {
+				return err
+			}
+
+			// Phase 2 — sequential, over the awake subset (ascending index,
+			// courtesy of the heap's secondary key).
+			g.enactTick(g.awake, pressure, d)
+			for _, i := range g.awake {
 				if t := ts[i]; t.hasProp {
+					// Only proposers can have been resized (granted, deferred
+					// or fault-aborted — re-read either way).
 					t.lim = t.set.CPULimit()
 				}
 			}
 
 			if len(heap) == 0 {
-				if w := uniformWake(ts, awake); w >= 0 {
-					d = w
+				if w := uniformWake(ts, g.awake); w >= 0 {
+					d = w // lockstep group: rerun the tick on the same list
 					continue
 				}
 			}
-			for _, i := range awake {
+			for _, i := range g.awake {
 				if w := ts[i].wakeAt; w >= 0 {
 					heap.push(wakeEntry{at: int32(w), idx: int32(i)})
 				}
@@ -290,172 +266,20 @@ func (sr *shardRun) run() {
 		}
 	}
 
-	// Account the shard's tenants to the horizon (the single-shard
-	// epilogue's tail catch-up, restricted to this shard).
-	for _, i := range sr.idxs {
-		ts[i].advanceTo(sr.minutes, sr.minutes)
-	}
-}
-
-// runEventsSharded fans the shard groups out on internal/parallel, then
-// merges the per-shard records back into the authoritative injector,
-// cluster pressure, Result and event stream — sequentially, so the
-// output is byte-identical to runEventsSingle at any worker count.
-func (s *runState) runEventsSharded(idxs, offsets []int32) error {
-	n := len(offsets) - 1
-	shards := make([]shardRun, n)
-	arbs := make([]arbScratch, n)
-	// Pre-size every shard's arbitration scratch from shared blocks: the
-	// feasibility tally and rollback list each hold at most one tenant's
-	// pods per check, so maxPods capacity means no shard ever grows its
-	// scratch — three allocations replace ~3 per shard. (needMem stays
-	// nil: the event engine rejects multi-resource tenants.)
-	maxPods := 0
-	for _, t := range s.ts {
-		if np := len(t.set.Pods); np > maxPods {
-			maxPods = np
-		}
-	}
-	nodesBack := make([]string, n*maxPods)
-	needBack := make([]float64, n*maxPods)
-	doneBack := make([]*k8s.Pod, n*maxPods)
-	// One backing block per working array, carved into per-shard
-	// three-index slices: a tenant holds at most one pending wake, so a
-	// shard's heap/awake/ups never outgrow its tenant count.
-	heapBack := make([]wakeEntry, len(s.ts))
-	awakeBack := make([]int, len(s.ts))
-	upsBack := make([]int, len(s.ts))
-	var defBits []uint64
-	if !s.events {
-		defBits = make([]uint64, (s.minutes+63)/64)
-	}
-	for k := 0; k < n; k++ {
-		lo, hi := offsets[k], offsets[k+1]
-		sr := &shards[k]
-		sr.runState = *s
-		sr.idxs = idxs[lo:hi]
-		sr.heap = heapBack[lo:lo:hi]
-		sr.awake = awakeBack[lo:lo:hi]
-		sr.ups = upsBack[lo:lo:hi]
-		arbs[k] = arbScratch{
-			nodes: nodesBack[k*maxPods : k*maxPods : (k+1)*maxPods],
-			need:  needBack[k*maxPods : k*maxPods : (k+1)*maxPods],
-			done:  doneBack[k*maxPods : k*maxPods : (k+1)*maxPods],
-		}
-		sr.arb = &arbs[k]
-		sr.res = &sr.dres
-		sr.finj = s.finj.Clone()
-		sr.defBits = defBits
-		if s.events {
-			sr.h.Events = &sr.sink
-			sr.ssink = &sr.sink
-		}
-	}
-
-	err := parallel.ForEach(context.Background(), n, s.workers, func(k int) error {
-		shards[k].run()
+	// Horizon epilogue: account every tenant's tail minutes after its last
+	// wake. Severity after the final decision is never read, so catch-up
+	// skips it (sevFrom = minutes).
+	return parallel.ForEach(ctx, len(g.idxs), g.workers, func(k int) error {
+		ts[g.idxs[k]].advanceTo(g.minutes, g.minutes)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	s.mergeShards(shards)
-	return nil
 }
 
-// mergeShards replays the cross-shard effects in global order. With
-// events disabled only the counters matter: the pressure-window coverage
-// is batching-independent (draws and edge dedupe are window-keyed), so
-// one sweep advances the authoritative injector, and the arbitration
-// tick count is the number of distinct ticks any shard deferred on. With
-// events enabled the merge walks the union of content ticks in order,
-// interleaving pressure edges and the k-way-merged phase-2 events.
-func (s *runState) mergeShards(shards []shardRun) {
-	if !s.events {
-		if s.finj != nil {
-			s.cluster.SetPressure(s.finj.AdvancePressure(0, int64(s.minutes)))
-		}
-		for _, w := range shards[0].defBits {
-			s.res.ArbitrationTicks += bits.OnesCount64(w)
-		}
-		return
-	}
-
-	heads := make([]int, len(shards)) // per-shard cursor into ticks
-	clock := 0
-	pressure := 0.0
-	for {
-		// Next content tick: the minimum un-merged tick across shards.
-		d := -1
-		for k := range shards {
-			if heads[k] < len(shards[k].ticks) {
-				if t := int(shards[k].ticks[heads[k]].tick); d < 0 || t < d {
-					d = t
-				}
-			}
-		}
-		if d < 0 {
-			break
-		}
-		// Pressure edges up to and including tick d's window come first,
-		// exactly where the single-shard loop put them (see the file
-		// comment for why empty ticks cannot shift the byte position).
-		if s.finj != nil {
-			pressure = s.finj.AdvancePressure(int64(clock), int64(d+1))
-			s.cluster.SetPressure(pressure)
-		}
-		clock = d + 1
-
-		// K-way merge of the participating shards' event runs under the
-		// single-shard emission order, then the re-synthesized
-		// arbitration summary.
-		contenders, granted, deferred := 0, 0, 0
-		for {
-			best, bestPos := -1, int32(0)
-			for k := range shards {
-				sr := &shards[k]
-				if heads[k] >= len(sr.ticks) {
-					continue
-				}
-				st := &sr.ticks[heads[k]]
-				if int(st.tick) != d {
-					continue
-				}
-				pos := st.evStart
-				if pos >= st.evEnd {
-					continue
-				}
-				if best < 0 || keyLess(sr.sink.keys[pos], shards[best].sink.keys[bestPos]) {
-					best, bestPos = k, pos
-				}
-			}
-			if best < 0 {
-				break
-			}
-			s.h.Events.Emit(shards[best].sink.evs[bestPos])
-			shards[best].ticks[heads[best]].evStart++
-		}
-		for k := range shards {
-			sr := &shards[k]
-			if heads[k] < len(sr.ticks) && int(sr.ticks[heads[k]].tick) == d {
-				st := &sr.ticks[heads[k]]
-				contenders += int(st.contenders)
-				granted += int(st.granted)
-				deferred += int(st.deferred)
-				heads[k]++
-			}
-		}
-		if deferred > 0 {
-			s.res.ArbitrationTicks++
-			s.h.Events.Emit(obs.Event{T: int64(d), Type: "fleet.arbitration", Fields: []obs.Field{
-				obs.I("contenders", int64(contenders)),
-				obs.I("granted", int64(granted)),
-				obs.I("deferred", int64(deferred)),
-				obs.F("pressure", pressure),
-			}})
-		}
-	}
-	if s.finj != nil && clock < s.minutes {
-		s.cluster.SetPressure(s.finj.AdvancePressure(int64(clock), int64(s.minutes)))
-	}
+// step is phase 1 for the k-th awake tenant at the current tick.
+func (g *group) step(k int) error {
+	t := g.ts[g.awake[k]]
+	t.advanceTo(g.tick+1, g.sevFrom)
+	t.decide(t.lim)
+	t.computeWake(&g.runState, g.tick)
+	return nil
 }

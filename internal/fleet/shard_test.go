@@ -1,14 +1,9 @@
 package fleet
 
 import (
-	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
-	"caasper/internal/core"
-	"caasper/internal/errs"
-	"caasper/internal/faults"
 	"caasper/internal/k8s"
 	"caasper/internal/obs"
 )
@@ -94,143 +89,102 @@ func TestShardPartition(t *testing.T) {
 	}
 }
 
-// runSharded executes one events-engine run with the given sharding mode,
-// capturing the result and the encoded event stream.
-func runSharded(t *testing.T, specs []TenantSpec, opts Options, sharding string, workers int) (*Result, string) {
+// groupCount reports how many tenant groups Run would split the fleet
+// into.
+func groupCount(t *testing.T, specs []TenantSpec, opts Options) int {
 	t.Helper()
-	mem := obs.NewMemorySink()
-	opts.Engine = EngineEvents
-	opts.Sharding = sharding
-	opts.Workers = workers
-	opts.Events = mem
-	res, err := Run(specs, opts)
+	s, err := newRun(specs, opts)
 	if err != nil {
-		t.Fatalf("sharding=%s workers=%d: %v", sharding, workers, err)
+		t.Fatal(err)
 	}
-	return res, encodeStream(mem)
+	_, offsets := s.partition()
+	return len(offsets) - 1
 }
 
-// TestShardedEquivalenceChaos16 is the tentpole contract for the sharded
-// engine on the scripts/fleet.sh chaos configuration: the auto-sharded
-// run must reproduce both the single-shard event loop and the stepped
-// reference bit for bit — results and NDJSON stream — at every worker
-// count.
-func TestShardedEquivalenceChaos16(t *testing.T) {
-	opts := func() Options {
-		o := DefaultOptions()
-		o.Minutes = 240
-		var err error
-		o.FaultSpec, err = faults.ParseSpec("restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4")
+// checkGroupsEquivalent runs the fleet without an event sink — the only
+// configuration that splits it into node-disjoint groups — on the stepped
+// oracle and then on the tick loop at workers 1, 4 and 8, requiring
+// bit-equal results, the merged ArbitrationTicks and PressureWindows
+// counters included. It fails unless the fleet really splits.
+func checkGroupsEquivalent(t *testing.T, specs func() []TenantSpec, opts func() Options) *Result {
+	t.Helper()
+	if n := groupCount(t, specs(), opts()); n < 2 {
+		t.Fatalf("fleet runs as %d group; the test needs a split", n)
+	}
+	base, err := runSteppedOracle(specs(), opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 4, 8} {
+		o := opts()
+		o.Workers = w
+		res, err := Run(specs(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.FaultSeed = 7
-		return withSmallCluster(o)
-	}
-
-	stepped, steppedStream := runEngine(t, mixedFleet(t, 16), opts(), EngineStepped, 1)
-	base, baseStream := runSharded(t, mixedFleet(t, 16), opts(), ShardingOff, 1)
-	if !reflect.DeepEqual(stepped, base) {
-		t.Fatalf("single-shard events diverged from stepped:\n%s\nvs\n%s", stepped.Summary(), base.Summary())
-	}
-	if steppedStream != baseStream {
-		t.Fatal("single-shard event stream diverged from stepped")
-	}
-	for _, w := range []int{1, 4, 8} {
-		res, stream := runSharded(t, mixedFleet(t, 16), opts(), ShardingAuto, w)
 		if !reflect.DeepEqual(base, res) {
-			t.Errorf("sharding=auto workers=%d: result diverged:\n%s\nvs\n%s", w, base.Summary(), res.Summary())
+			t.Errorf("workers=%d: result diverged from the stepped oracle:\n%s\nvs\n%s",
+				w, base.Summary(), res.Summary())
 		}
-		if stream != baseStream {
-			t.Errorf("sharding=auto workers=%d: event stream diverged", w)
-		}
+	}
+	return base
+}
+
+// TestShardedEquivalenceChaos16 runs the scripts/fleet.sh chaos fleet
+// without a sink, so its node-disjoint groups run concurrently, and pins
+// the result to the stepped oracle at every worker count.
+func TestShardedEquivalenceChaos16(t *testing.T) {
+	base := checkGroupsEquivalent(t,
+		func() []TenantSpec { return mixedFleet(t, 16) },
+		func() Options { return chaos16Opts(t) })
+	if base.ArbitrationTicks == 0 || base.PressureWindows == 0 {
+		t.Fatalf("chaos fleet never contended (%d arbitration ticks, %d pressure windows); the merged counters go unchecked",
+			base.ArbitrationTicks, base.PressureWindows)
 	}
 }
 
-// TestShardedEquivalenceRandomized64 runs the 64-tenant fuzz fleet (16
-// wide nodes → many genuine multi-tenant shard groups) through the
-// sharded engine at several worker counts, against both the single-shard
-// event loop and the stepped reference.
+// singlePodSpecs is the 64-tenant fuzz fleet with one pod per tenant:
+// spread replicas weld the 16 nodes into one placement component, while
+// single pods leave 16 node-disjoint groups of about four tenants.
+func singlePodSpecs(t *testing.T) []TenantSpec {
+	specs := randomized64Specs(t)
+	for i := range specs {
+		specs[i].Replicas = 1
+	}
+	return specs
+}
+
+// TestShardedEquivalenceRandomized64 runs the single-pod fuzz fleet
+// without a sink against the stepped oracle at several worker counts.
 func TestShardedEquivalenceRandomized64(t *testing.T) {
-	stepped, steppedStream := runEngine(t, randomized64Specs(t), randomized64Opts(t), EngineStepped, 1)
-	base, baseStream := runSharded(t, randomized64Specs(t), randomized64Opts(t), ShardingOff, 1)
-	if !reflect.DeepEqual(stepped, base) {
-		t.Fatalf("single-shard events diverged from stepped:\n%s\nvs\n%s", stepped.Summary(), base.Summary())
-	}
-	if steppedStream != baseStream {
-		t.Fatal("single-shard event stream diverged from stepped")
-	}
-	for _, w := range []int{1, 4, 8} {
-		res, stream := runSharded(t, randomized64Specs(t), randomized64Opts(t), ShardingAuto, w)
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("sharding=auto workers=%d: result diverged:\n%s\nvs\n%s", w, base.Summary(), res.Summary())
-		}
-		if stream != baseStream {
-			t.Errorf("sharding=auto workers=%d: event stream diverged", w)
-		}
-	}
+	checkGroupsEquivalent(t,
+		func() []TenantSpec { return singlePodSpecs(t) },
+		func() Options { return randomized64Opts(t) })
 }
 
-// TestShardingValidation: the two sharding modes (plus the empty
-// default) validate; anything else is a config error.
-func TestShardingValidation(t *testing.T) {
-	for _, good := range []string{"", ShardingAuto, ShardingOff} {
-		opts := DefaultOptions()
-		opts.Sharding = good
-		if err := opts.Validate(); err != nil {
-			t.Errorf("Sharding=%q rejected: %v", good, err)
-		}
-	}
-	opts := DefaultOptions()
-	opts.Sharding = "sideways"
-	err := opts.Validate()
-	if err == nil {
-		t.Fatal("sharding \"sideways\" accepted")
-	}
-	if !errors.Is(err, errs.ErrInvalidConfig) {
-		t.Fatalf("got %v, want ErrInvalidConfig", err)
-	}
-}
-
-// TestEventsEngineMultiResourceRejection pins the guidance error for the
-// one capability gap: multi-resource tenants need the stepped engine,
-// and the rejection must say so (naming the engine and the workaround)
-// while still unwrapping to ErrInvalidConfig. The same fleet on the
-// stepped engine runs fine — proof the rejection is about the engine,
-// not the config.
-func TestEventsEngineMultiResourceRejection(t *testing.T) {
-	mkSpecs := func() []TenantSpec {
-		specs := mixedFleet(t, 4)
-		specs[2].Resources = core.ResourceRange{
-			Initial: core.Resources{CPUCores: 2, RAMGB: 4},
-			Limits: core.Limits{
-				Min: core.Resources{CPUCores: 1, RAMGB: 4},
-				Max: core.Resources{CPUCores: 8, RAMGB: 16},
-			},
-		}
-		return specs
-	}
-	opts := func(engine string) Options {
-		o := DefaultOptions()
-		o.Minutes = 60
-		o.Engine = engine
-		return withSmallCluster(o)
+// TestOneGroupRules pins when the fleet must run as one group even though
+// its placement graph splits: with a sink attached (the stream interleaves
+// groups tick by tick), and with a single stateless multi-resource tenant
+// (scale-out schedules on any node).
+func TestOneGroupRules(t *testing.T) {
+	opts := func() Options { return randomized64Opts(t) }
+	if n := groupCount(t, singlePodSpecs(t), opts()); n < 2 {
+		t.Fatalf("premise: the fuzz fleet splits into %d group(s)", n)
 	}
 
-	if _, err := Run(mkSpecs(), opts(EngineStepped)); err != nil {
-		t.Fatalf("stepped engine rejected the multi-resource fleet: %v", err)
+	withSink := opts()
+	withSink.Events = obs.NewMemorySink()
+	if n := groupCount(t, singlePodSpecs(t), withSink); n != 1 {
+		t.Errorf("run with a sink split into %d groups, want 1", n)
 	}
 
-	_, err := Run(mkSpecs(), opts(EngineEvents))
-	if err == nil {
-		t.Fatal("events engine accepted a multi-resource fleet")
+	specs := singlePodSpecs(t)
+	specs[5].Resources = mustRange("ram=4-16,replicas=1-3")
+	if n := groupCount(t, specs, opts()); n < 2 {
+		t.Errorf("a stateful multi-resource tenant merged the fleet into %d group", n)
 	}
-	if !errors.Is(err, errs.ErrInvalidConfig) {
-		t.Errorf("error does not unwrap to ErrInvalidConfig: %v", err)
-	}
-	for _, want := range []string{`"events"`, "-engine stepped", "t02"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not mention %q", err, want)
-		}
+	specs[5].Stateless = true
+	if n := groupCount(t, specs, opts()); n != 1 {
+		t.Errorf("fleet with a scale-out tenant split into %d groups, want 1", n)
 	}
 }

@@ -82,23 +82,27 @@ func (t *Trace) Window(from, to int) []float64 {
 }
 
 // RunStarts returns the start index of every maximal constant-value run,
-// ascending and beginning with 0 (nil for an empty trace). These are the
-// trace's inflection points: between consecutive entries the demand is
-// flat, which is the property the discrete-event fleet engine exploits to
-// advance observation windows in bulk and to sleep steady tenants until
-// the next inflection. NaN samples never extend a run (NaN != NaN), so a
-// corrupted trace degrades to minute-length runs instead of masking a
-// change.
+// ascending and beginning with 0. These are the trace's inflection
+// points: between consecutive entries the demand is flat, which is the
+// property the discrete-event fleet engine exploits to advance
+// observation windows in bulk and to sleep steady tenants until the next
+// inflection. NaN samples never extend a run (NaN != NaN), so a corrupted
+// trace degrades to minute-length runs instead of masking a change.
+//
+// It returns nil for an empty trace and for one whose runs do not
+// compress (more than len/4 of them): such an index would cost up to 4
+// bytes per sample, while a scan of the values for the next inflection
+// costs the caller next to nothing on short runs.
 func (t *Trace) RunStarts() []int32 {
 	vs := t.Values
-	if len(vs) == 0 {
-		return nil
-	}
 	n := 1
 	for i := 1; i < len(vs); i++ {
 		if vs[i] != vs[i-1] {
 			n++
 		}
+	}
+	if len(vs) == 0 || n > len(vs)/4 {
+		return nil
 	}
 	starts := make([]int32, 1, n)
 	for i := 1; i < len(vs); i++ {

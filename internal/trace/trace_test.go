@@ -293,3 +293,33 @@ func TestPeak(t *testing.T) {
 		t.Errorf("Peak of negative trace = %v, want 0", p)
 	}
 }
+
+func TestRunStarts(t *testing.T) {
+	nan := math.NaN()
+	cases := []struct {
+		name string
+		vs   []float64
+		want []int32
+	}{
+		{"empty", nil, nil},
+		{"flat", []float64{2, 2, 2, 2, 2, 2, 2, 2}, []int32{0}},
+		{"two runs at len/4", []float64{1, 1, 1, 1, 3, 3, 3, 3}, []int32{0, 4}},
+		{"three runs over len/4", []float64{1, 1, 1, 3, 3, 3, 1, 1}, nil},
+		{"noisy", []float64{1, 2, 3, 4, 5, 6, 7, 8}, nil},
+		{"NaN never extends a run", []float64{nan, nan, 1, 1, 1, 1, 1, 1}, nil},
+		{"single sample", []float64{5}, nil},
+	}
+	for _, tc := range cases {
+		got := minuteTrace(tc.vs...).RunStarts()
+		if len(got) != len(tc.want) || (got == nil) != (tc.want == nil) {
+			t.Errorf("%s: RunStarts = %v, want %v", tc.name, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Errorf("%s: RunStarts = %v, want %v", tc.name, got, tc.want)
+				break
+			}
+		}
+	}
+}

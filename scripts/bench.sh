@@ -21,7 +21,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-FILTER="${BENCH_FILTER:-BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday|BenchmarkRecommenderMonthTrace|BenchmarkFleetTick|BenchmarkFleetWeek1k|BenchmarkFleetMonth100k\$|BenchmarkRandomSearch\$|BenchmarkServeIngest\$}"
+FILTER="${BENCH_FILTER:-BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday|BenchmarkRecommenderMonthTrace|BenchmarkFleetTick\$|BenchmarkFleetWeek1k\$|BenchmarkFleetMonth100k\$|BenchmarkRandomSearch\$|BenchmarkServeIngest\$}"
 SCALE_FILTER="${BENCH_SCALE_FILTER:-BenchmarkFleetMonth10k\$}"
 SCALE_CPUS="${BENCH_SCALE_CPUS:-1,4,8}"
 BENCHTIME="${BENCH_BENCHTIME:-1s}"

@@ -15,6 +15,12 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The bench module (bench/, its own go.mod) is out of reach of the root
+# ./... pattern; its tests pin the benchmark workloads' committed result
+# and stream digests (bench/testdata/digests.json).
+echo "==> bench module: go test ./... (workload digests)"
+(cd bench && go test ./...)
+
 # The chaos determinism contract gets a named gate of its own: the fault
 # injector, operator retry/abort lifecycle and scaler degradation paths
 # must stay deterministic and race-free at any worker count.

@@ -1,13 +1,14 @@
 #!/bin/sh
 # Fleet determinism gate: run a 16-tenant chaos fleet on the small
-# (contended) cluster under BOTH tick engines (stepped and discrete-event)
-# at worker counts 1, 4 and 8 — under the race detector — and require the
-# fleet/fault event streams to be byte-identical to each other and to the
-# checked-in golden. Any scheduling nondeterminism in the parallel
-# observe/decide phase, drift in the arbiter's grant order, a change to
-# the fault injector's draw discipline, or a divergence between the event
-# engine's analytic catch-up and the stepped reference shows up here as a
-# byte diff.
+# (contended) cluster at worker counts 1, 4 and 8 — under the race
+# detector — and require the fleet/fault event streams to be
+# byte-identical to each other and to the checked-in golden. Any
+# scheduling nondeterminism in the parallel catch-up/decide phase, drift
+# in the arbiter's grant order, a change to the fault injector's draw
+# discipline, or a divergence of the tick loop's analytic catch-up from
+# the per-minute replay the golden was recorded with shows up here as a
+# byte diff. (The in-process equivalence tests in internal/fleet compare
+# the loop against a stepped per-minute oracle on the same fleets.)
 #
 #   sh scripts/fleet.sh            # verify against testdata/fleet golden
 #   UPDATE=1 sh scripts/fleet.sh   # regenerate the golden
@@ -18,58 +19,34 @@ cd "$(dirname "$0")/.."
 OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT
 
+# run NAME WORKERS ARGS... replays one fleet and keeps its fleet/fault
+# events in $OUT/NAME-wWORKERS.events.ndjson.
+run() {
+    name=$1 w=$2
+    shift 2
+    go run -race ./cmd/caasper-fleet -cluster small -minutes 240 -fault-seed 7 \
+        -workers "$w" -events "$OUT/$name-w$w.ndjson" "$@" >/dev/null
+    grep -E '"type":"(fleet|fault)\.' "$OUT/$name-w$w.ndjson" > "$OUT/$name-w$w.events.ndjson"
+}
+
 FAULTS="restart-fail:p=0.2,metrics-gap:p=0.05,sched-pressure:p=0.5:dur=60:cores=4"
-
-for ENG in stepped events; do
-    for W in 1 4 8; do
-        echo "==> fleet chaos run (16 tenants, 240 min, small cluster, engine $ENG, workers $W, -race)"
-        go run -race ./cmd/caasper-fleet -tenants 16 -minutes 240 -cluster small \
-            -engine "$ENG" -workers "$W" -faults "$FAULTS" -fault-seed 7 \
-            -events "$OUT/fleet-$ENG-w$W.ndjson" >/dev/null
-        grep -E '"type":"(fleet|fault)\.' "$OUT/fleet-$ENG-w$W.ndjson" > "$OUT/fleet-$ENG-w$W.events.ndjson"
-    done
-done
-
-REF="$OUT/fleet-stepped-w1.events.ndjson"
-for ENG in stepped events; do
-    for W in 1 4 8; do
-        cmp "$REF" "$OUT/fleet-$ENG-w$W.events.ndjson"
-    done
-done
-echo "==> engines stepped/events byte-identical at workers 1/4/8"
-
-# Sharding determinism: the events legs above run with the default
-# -sharding auto (node-disjoint tenant groups in parallel); this leg pins
-# the single-shard reference loop against the same stream, so a drift in
-# the shard partition, the per-shard clocks or the merge order is a byte
-# diff here.
-for W in 1 4 8; do
-    echo "==> fleet chaos run (engine events, sharding off, workers $W, -race)"
-    go run -race ./cmd/caasper-fleet -tenants 16 -minutes 240 -cluster small \
-        -engine events -sharding off -workers "$W" -faults "$FAULTS" -fault-seed 7 \
-        -events "$OUT/fleet-nosharding-w$W.ndjson" >/dev/null
-    grep -E '"type":"(fleet|fault)\.' "$OUT/fleet-nosharding-w$W.ndjson" > "$OUT/fleet-nosharding-w$W.events.ndjson"
-    cmp "$REF" "$OUT/fleet-nosharding-w$W.events.ndjson"
-done
-echo "==> sharding auto/off byte-identical at workers 1/4/8"
-
 # Multi-resource determinism: the same contract for the resource-vector
-# path (RAM + disk + horizontal overflow, mem-pressure faults). The
-# events engine rejects multi tenants, so this leg runs stepped only.
+# path (RAM + disk + horizontal overflow, mem-pressure faults).
 MFAULTS="mem-pressure:p=0.3:gb=3,metrics-gap:p=0.1"
 for W in 1 4 8; do
+    echo "==> fleet chaos run (16 tenants, 240 min, small cluster, workers $W, -race)"
+    run fleet "$W" -tenants 16 -faults "$FAULTS"
     echo "==> fleet multi-resource run (8 tenants, 240 min, small cluster, workers $W, -race)"
-    go run -race ./cmd/caasper-fleet -tenants 8 -minutes 240 -cluster small \
-        -engine stepped -workers "$W" -resources "ram=4-16,disk=5-40,replicas=1-3" \
-        -faults "$MFAULTS" -fault-seed 7 \
-        -events "$OUT/fleet-multi-w$W.ndjson" >/dev/null
-    grep -E '"type":"(fleet|fault)\.' "$OUT/fleet-multi-w$W.ndjson" > "$OUT/fleet-multi-w$W.events.ndjson"
+    run fleet-multi "$W" -tenants 8 -resources "ram=4-16,disk=5-40,replicas=1-3" -faults "$MFAULTS"
 done
+
+REF="$OUT/fleet-w1.events.ndjson"
 MREF="$OUT/fleet-multi-w1.events.ndjson"
-for W in 1 4 8; do
+for W in 4 8; do
+    cmp "$REF" "$OUT/fleet-w$W.events.ndjson"
     cmp "$MREF" "$OUT/fleet-multi-w$W.events.ndjson"
 done
-echo "==> multi-resource stream byte-identical at workers 1/4/8"
+echo "==> chaos and multi-resource streams byte-identical at workers 1/4/8"
 
 GOLD=testdata/fleet
 if [ "${UPDATE:-0}" = "1" ]; then
@@ -83,4 +60,4 @@ fi
 
 diff -u "$GOLD/fleet-chaos.golden.ndjson" "$REF"
 diff -u "$GOLD/fleet-multi.golden.ndjson" "$MREF"
-echo "==> OK: fleet event streams byte-identical to goldens under both engines at every worker count"
+echo "==> OK: fleet event streams byte-identical to goldens at every worker count"
