@@ -24,7 +24,7 @@ NEW ?= BENCH_sim.json
 benchdiff:
 	sh scripts/benchdiff $(OLD) $(NEW)
 
-# Full verification gate: vet + build + race tests + benchmark smoke.
+# Full verification gate: gofmt + vet + build + race tests + benchmark smoke.
 check:
 	sh scripts/check.sh
 

@@ -116,7 +116,7 @@ func TestMonthReplayMatchesUnboundedDecisions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("minute %d: %v", m, err)
 		}
-		refCur = d.TargetCores
+		refCur = d.Target.CPUCores
 		if cur != refCur {
 			t.Fatalf("minute %d: ring window recommends %d, unbounded history %d", m, cur, refCur)
 		}

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"caasper"
+	"caasper/internal/core"
 	"caasper/internal/experiments"
 	"caasper/internal/k8s"
 )
@@ -401,9 +402,7 @@ func benchFleetSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caaspe
 			NewRecommender: func() (caasper.Recommender, error) {
 				return caasper.NewReactive(caasper.DefaultConfig(4), 40)
 			},
-			InitialCores: 1,
-			MinCores:     1,
-			MaxCores:     4,
+			Resources:    core.CPURange(1, 1, 4),
 			Replicas:     1,
 			MemGiBPerPod: 1,
 		}
@@ -498,9 +497,7 @@ func benchMonthSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caaspe
 				// each inflection, bounding the awake ticks per plateau.
 				return caasper.NewReactive(caasper.DefaultConfig(4), 20)
 			},
-			InitialCores: 1,
-			MinCores:     1,
-			MaxCores:     4,
+			Resources:    core.CPURange(1, 1, 4),
 			Replicas:     1,
 			MemGiBPerPod: 1,
 		}

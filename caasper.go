@@ -232,10 +232,10 @@ func NewMultiResource(cfg MultiResourceConfig) (*core.MultiResourceRecommender, 
 // Resource vectors
 //
 // The resource-vector API generalises the CPU-only bounds to
-// CPU + RAM + disk + replicas. Every options struct (SimOptions,
-// LiveOptions, TenantSpec) carries a ResourceRange next to its deprecated
-// scalar CPU fields; non-zero scalars win, so CPU-only callers behave
-// byte-identically.
+// CPU + RAM + disk + replicas. SimOptions and LiveOptions take their
+// initial allocation and min/max clamps from a ResourceRange alone;
+// TenantSpec still accepts its deprecated scalar CPU fields, which
+// override the vector's CPU entries when non-zero.
 
 // Resources is one point in resource space: CPU cores, RAM GB, disk GB
 // and replica count.
@@ -523,9 +523,8 @@ func RunFleet(tenants []TenantSpec, opts FleetOptions) (*FleetResult, error) {
 
 // RunHooks is the telemetry/fault knob set shared by SimOptions,
 // LiveOptions and FleetOptions: an event sink, a metrics registry and a
-// fault spec + seed, embedded in each options struct under one canonical
-// spelling. The older per-struct fields remain as deprecated aliases that
-// win when set.
+// fault spec + seed, embedded in each options struct under one spelling
+// (its fields are promoted: opts.Events, opts.FaultSpec, ...).
 type RunHooks = hooks.RunHooks
 
 // FaultSpec is a parsed fault-injection specification (what to inject,

@@ -55,14 +55,14 @@ func main() {
 	}
 	session.Log.Infof("matrix: %d traces x %d recommenders", len(traces), len(factories))
 
-	m, err := sim.RunMatrix(traces, factories, sim.Options{
+	opts := sim.Options{
 		DecisionEveryMinutes: 10,
 		ResizeDelayMinutes:   10,
 		BillingPeriod:        time.Hour,
 		Workers:              *workers,
-		Events:               session.Events,
-		Metrics:              session.Metrics,
-	})
+	}
+	opts.Events, opts.Metrics = session.Events, session.Metrics
+	m, err := sim.RunMatrix(traces, factories, opts)
 	if err != nil {
 		fatal(err)
 	}

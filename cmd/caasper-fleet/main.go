@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"caasper"
+	"caasper/internal/core"
 	"caasper/internal/faults"
 	"caasper/internal/obs"
 )
@@ -116,41 +117,13 @@ func main() {
 		return
 	}
 
-	var rr caasper.ResourceRange
-	if *resourceSpec != "" {
-		rr, err = caasper.ParseResourceSpec(*resourceSpec)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	tenants := make([]caasper.TenantSpec, 0, *tenantCount)
-	for i := 0; i < *tenantCount; i++ {
-		wname := wnames[i%len(wnames)]
-		gen, ok := caasper.Workloads[wname]
-		if !ok {
-			fatal(fmt.Errorf("unknown workload %q", wname))
-		}
-		tr := gen(*seed + uint64(i))
-		maxC := *maxCores
-		if maxC == 0 {
-			maxC = int(tr.Summarize().Max*1.5) + 2
-		}
-		rname := rnames[i%len(rnames)]
-		tenants = append(tenants, caasper.TenantSpec{
-			Name:  fmt.Sprintf("t%02d", i),
-			Trace: tr,
-			NewRecommender: func() (caasper.Recommender, error) {
-				return caasper.NewRecommenderByName(rname, caasper.RecommenderSettings{MaxCores: maxC})
-			},
-			InitialCores: *initial,
-			MinCores:     *minCores,
-			MaxCores:     maxC,
-			Replicas:     *replicas,
-			MemGiBPerPod: *memGiB,
-			Resources:    rr,
-			Stateless:    rr.Max.Replicas > 0,
-		})
+	tenants, err := buildTenants(tenantFlags{
+		count: *tenantCount, workloads: wnames, recommenders: rnames, seed: *seed,
+		initial: *initial, minCores: *minCores, maxCores: *maxCores,
+		replicas: *replicas, memGiB: *memGiB, resources: *resourceSpec,
+	})
+	if err != nil {
+		fatal(err)
 	}
 
 	opts := caasper.DefaultFleetOptions()
@@ -209,6 +182,60 @@ func main() {
 		fmt.Println()
 		fmt.Print(faults.Summarize(spec, *faultSeed, agg))
 	}
+}
+
+// tenantFlags carries the flags that shape the fleet's tenants.
+type tenantFlags struct {
+	count                       int
+	workloads, recommenders     []string
+	seed                        uint64
+	initial, minCores, maxCores int
+	replicas                    int
+	memGiB                      float64
+	resources                   string
+}
+
+// buildTenants builds the fleet: tenant i replays workload i mod
+// len(workloads) under recommender i mod len(recommenders). A cpu= entry
+// of the -resources spec sets every tenant's CPU bounds; otherwise
+// -initial/-min/-max do, with -max 0 deriving the ceiling from the
+// tenant's trace peak.
+func buildTenants(f tenantFlags) ([]caasper.TenantSpec, error) {
+	var rr caasper.ResourceRange
+	if f.resources != "" {
+		var err error
+		if rr, err = caasper.ParseResourceSpec(f.resources); err != nil {
+			return nil, err
+		}
+	}
+	tenants := make([]caasper.TenantSpec, 0, f.count)
+	for i := 0; i < f.count; i++ {
+		wname := f.workloads[i%len(f.workloads)]
+		gen, ok := caasper.Workloads[wname]
+		if !ok {
+			return nil, fmt.Errorf("unknown workload %q", wname)
+		}
+		tr := gen(f.seed + uint64(i))
+		maxC := f.maxCores
+		if maxC == 0 {
+			maxC = int(tr.Summarize().Max*1.5) + 2
+		}
+		trr := rr.OrCPU(core.CPURange(f.initial, f.minCores, maxC))
+		maxC = trr.Max.CPUCores
+		rname := f.recommenders[i%len(f.recommenders)]
+		tenants = append(tenants, caasper.TenantSpec{
+			Name:  fmt.Sprintf("t%02d", i),
+			Trace: tr,
+			NewRecommender: func() (caasper.Recommender, error) {
+				return caasper.NewRecommenderByName(rname, caasper.RecommenderSettings{MaxCores: maxC})
+			},
+			Replicas:     f.replicas,
+			MemGiBPerPod: f.memGiB,
+			Resources:    trr,
+			Stateless:    rr.Max.Replicas > 0,
+		})
+	}
+	return tenants, nil
 }
 
 func splitList(s string) []string {

@@ -90,7 +90,7 @@ func main() {
 		fatal(fmt.Errorf("unknown database preset %q", *database))
 	}
 
-	if opts.MaxCores > 8 {
+	if opts.Resources.Max.CPUCores > 8 {
 		opts.Cluster = caasper.LargeCluster()
 	}
 	opts.Events = session.Events
@@ -104,7 +104,7 @@ func main() {
 	opts.FaultSeed = *faultSeed
 
 	fmt.Printf("running %s on Database %s with %s (%d replicas, %d..%d cores)...\n",
-		sched.Name, *database, rec.Name(), opts.Replicas, opts.MinCores, opts.MaxCores)
+		sched.Name, *database, rec.Name(), opts.Replicas, opts.Resources.Min.CPUCores, opts.Resources.Max.CPUCores)
 	start := time.Now()
 	res, err := caasper.RunLive(sched, rec, opts)
 	if err != nil {

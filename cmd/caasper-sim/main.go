@@ -91,11 +91,17 @@ func main() {
 			*initial = *maxCores
 		}
 	}
+	opts, err := simOptions(*initial, *maxCores, *resourceSpec)
+	if err != nil {
+		fatal(err)
+	}
+	// A cpu= entry may have replaced the flag bounds: the ladder and the
+	// control allocation follow the resolved range.
+	cpu := opts.Resources.WithDefaults()
+	*initial, *maxCores = cpu.Initial.CPUCores, cpu.Max.CPUCores
 	if *controlAt == 0 {
 		*controlAt = *initial
 	}
-
-	opts := caasper.DefaultSimOptions(*initial, *maxCores)
 	opts.DecisionEveryMinutes = *decisionInt
 	opts.ResizeDelayMinutes = *resizeDelay
 	opts.Workers = *workers
@@ -105,16 +111,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts.Faults = spec
+	opts.FaultSpec = spec
 	opts.FaultSeed = *faultSeed
-	if *resourceSpec != "" {
-		rr, err := caasper.ParseResourceSpec(*resourceSpec)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Resources = rr
-	}
-	vector := opts.Range().Multi()
+	vector := cpu.Multi()
 
 	recNames := splitList(*recName)
 	if len(recNames) == 0 {
@@ -212,6 +211,21 @@ func main() {
 		fmt.Println()
 		fmt.Println(asciiChart(res.Demand, res.Limits, 72, 14))
 	}
+}
+
+// simOptions builds the default run options for the resolved flags: the
+// CPU bounds come from a cpu= entry of resourceSpec when there is one,
+// from initial and maxCores otherwise.
+func simOptions(initial, maxCores int, resourceSpec string) (caasper.SimOptions, error) {
+	opts := caasper.DefaultSimOptions(initial, maxCores)
+	if resourceSpec != "" {
+		rr, err := caasper.ParseResourceSpec(resourceSpec)
+		if err != nil {
+			return opts, err
+		}
+		opts.Resources = rr.OrCPU(opts.Resources)
+	}
+	return opts, nil
 }
 
 func loadTrace(workloadName, alibabaID, traceFile string, seed uint64) (*caasper.Trace, error) {

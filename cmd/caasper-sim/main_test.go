@@ -89,3 +89,44 @@ func TestEndToEndSimViaHelpers(t *testing.T) {
 		t.Errorf("minutes = %d", res.Minutes)
 	}
 }
+
+// TestResourcesCPUEntrySetsBounds: a cpu= entry of -resources sets the
+// CPU bounds, overriding -initial/-max; without one the flags apply.
+func TestResourcesCPUEntrySetsBounds(t *testing.T) {
+	tr, err := loadTrace("workday12h", "", "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec    string
+		capped  bool // limit must never exceed 4 cores
+		initial int
+	}{
+		{"cpu=1-4,ram=4-16", true, 1},
+		{"ram=4-16", false, 4},
+	} {
+		opts, err := simOptions(4, 16, tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := opts.Resources.WithDefaults()
+		rec, err := buildRecommender("caasper", rr.Max.CPUCores, 0, 40, 60, 1440)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := caasper.SimulateVector(tr, rec, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
+		}
+		peak := 0.0
+		for _, l := range res.Limits {
+			peak = max(peak, l)
+		}
+		if got := peak <= 4; got != tc.capped {
+			t.Errorf("%s: peak limit %v cores, want capped at 4 = %v", tc.spec, peak, tc.capped)
+		}
+		if res.Limits[0] != float64(tc.initial) {
+			t.Errorf("%s: initial limit %v, want %d", tc.spec, res.Limits[0], tc.initial)
+		}
+	}
+}

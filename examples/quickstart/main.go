@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("one-shot decision:")
-	fmt.Printf("  %d -> %d cores (%s)\n", d.CurrentCores, d.TargetCores, d.Branch)
+	fmt.Printf("  %d -> %d cores (%s)\n", d.Current.CPUCores, d.Target.CPUCores, d.Branch)
 	fmt.Printf("  %s\n\n", d.Explanation)
 
 	// --- Full simulation --------------------------------------------------

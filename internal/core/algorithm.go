@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"strconv"
@@ -34,24 +35,14 @@ type Decision struct {
 	// multi-resource policies (recommend.MemoryPolicy, DiskPolicy and
 	// the fleet's horizontal overflow) fill the rest.
 	Current Resources
-	// Target is the recommended allocation vector.
+	// Target is the recommended allocation vector; Target.CPUCores is
+	// the guardrailed whole-core recommendation.
 	Target Resources
-	// CurrentCores is the CPU allocation the decision was made against.
-	//
-	// Deprecated: read Current.CPUCores. Kept populated so seed callers
-	// compile and behave identically.
-	CurrentCores int
-	// TargetCores is the recommended CPU allocation (integer,
-	// guardrailed).
-	//
-	// Deprecated: read Target.CPUCores. Kept populated so seed callers
-	// compile and behave identically.
-	TargetCores int
 	// Delta is Target.CPUCores − Current.CPUCores.
 	Delta int
 	// Branch names the Algorithm 1 arm that fired.
 	Branch Branch
-	// Slope is the PvP-curve slope s at CurrentCores.
+	// Slope is the PvP-curve slope s at Current.CPUCores.
 	Slope float64
 	// Skew is the slope-distribution skewness used by Eq. 3.
 	Skew float64
@@ -65,6 +56,22 @@ type Decision struct {
 
 // ScalingNeeded reports whether the decision changes the allocation.
 func (d Decision) ScalingNeeded() bool { return d.Delta != 0 }
+
+// BackfillV1 fills d's Current and Target, when d carries neither
+// vector, from raw: the JSON of d as a pre-vector (v1) snapshot wrote it,
+// with the CPU allocation under the keys "CurrentCores" and
+// "TargetCores". It is decode-only: nothing writes those keys any more.
+func (d *Decision) BackfillV1(raw []byte) error {
+	if !d.Current.IsZero() || !d.Target.IsZero() || len(raw) == 0 {
+		return nil
+	}
+	var v1 struct{ CurrentCores, TargetCores int }
+	if err := json.Unmarshal(raw, &v1); err != nil {
+		return err
+	}
+	d.Current.CPUCores, d.Target.CPUCores = v1.CurrentCores, v1.TargetCores
+	return nil
+}
 
 // Recommender evaluates Algorithm 1. It is stateless across calls — the
 // paper's "clean-slate, history-independent reactive algorithm" — so a
@@ -185,33 +192,34 @@ func (s *Scratch) Explanation() string {
 	}
 	cfg := s.owner.cfg
 	d := s.memoDec
-	capf := float64(d.CurrentCores)
+	cur, tgt := d.Current.CPUCores, d.Target.CPUCores
+	capf := float64(cur)
 	e := expBuilder{b: s.exp[:0]}
 	switch s.expKind {
 	case expScaleUp:
 		e.str("scale-up: slope ").f2(d.Slope).str(" (threshold ").f2(cfg.SlopeHigh).
 			str("), P").f0(cfg.QuantileP * 100).str(" usage ").f2(d.Quantile).
-			str(" of ").num(d.CurrentCores).str(" cores (buffer threshold ").f2((1 - cfg.SlackHigh) * capf).
-			str("); SF ").f2(d.RawSF).str(" → +").num(d.TargetCores - d.CurrentCores).str(" cores")
+			str(" of ").num(cur).str(" cores (buffer threshold ").f2((1 - cfg.SlackHigh) * capf).
+			str("); SF ").f2(d.RawSF).str(" → +").num(tgt - cur).str(" cores")
 	case expWalkDown:
-		e.str("walk-down: flat PvP tail at ").num(d.CurrentCores).str(" cores (peak usage ").f2(s.expPeak).
+		e.str("walk-down: flat PvP tail at ").num(cur).str(" cores (peak usage ").f2(s.expPeak).
 			str("); cheapest SKU meeting ").f0(cfg.WalkDownPerfTarget * 100).
-			str("% performance is ").num(d.TargetCores).str(" cores")
+			str("% performance is ").num(tgt).str(" cores")
 	case expHoldNoCheaper:
-		e.str("hold: flat PvP tail at ").num(d.CurrentCores).
+		e.str("hold: flat PvP tail at ").num(cur).
 			str(" cores but no cheaper SKU clears the buffered peak ").f2(s.expPeak)
 	case expScaleDown:
 		e.str("scale-down: slope ").f2(d.Slope).str(" ≤ ").f2(cfg.SlopeLow).
 			str(" or P").f0(cfg.QuantileP * 100).str(" usage ").f2(d.Quantile).
 			str(" ≤ ").f2(cfg.SlackLow * capf).str(" (idle threshold); SF ").f2(d.RawSF).
-			str(" → -").num(d.CurrentCores - d.TargetCores).str(" cores")
+			str(" → -").num(cur - tgt).str(" cores")
 	case expHoldQuantile:
 		e.str("hold: down-trigger fired but buffered quantile ").f2(d.Quantile).
-			str(" forbids shrinking below ").num(d.CurrentCores).str(" cores")
+			str(" forbids shrinking below ").num(cur).str(" cores")
 	case expHoldDefault:
 		e.str("hold: slope ").f2(d.Slope).str(" within (").f2(cfg.SlopeLow).str(", ").f2(cfg.SlopeHigh).
 			str(") and P").f0(cfg.QuantileP * 100).str(" usage ").f2(d.Quantile).
-			str(" within slack bands of ").num(d.CurrentCores).str(" cores")
+			str(" within slack bands of ").num(cur).str(" cores")
 	}
 	s.exp = e.b
 	return string(s.exp)
@@ -268,12 +276,6 @@ func (r *Recommender) RestoreMemo(sc *Scratch, m MemoState) {
 	sc.memoCores = m.Cores
 	sc.memoClean = append(sc.memoClean[:0], m.Window...)
 	sc.memoDec = m.Decision
-	// v1 (pre-vector) snapshots carry only the scalar CPU fields;
-	// backfill the vector so restored memo hits match live decisions.
-	if sc.memoDec.Current.IsZero() && sc.memoDec.Target.IsZero() {
-		sc.memoDec.Current = Resources{CPUCores: m.Decision.CurrentCores}
-		sc.memoDec.Target = Resources{CPUCores: m.Decision.TargetCores}
-	}
 	sc.expKind = expKind(m.ExpKind)
 	sc.expPeak = m.ExpPeak
 }
@@ -282,8 +284,8 @@ func (r *Recommender) RestoreMemo(sc *Scratch, m MemoState) {
 // Sink being enabled so the disabled path costs one branch.
 func (sc *Scratch) emitDecision(d Decision, memoHit bool) {
 	sc.evFields = append(sc.evFields[:0],
-		obs.I("cores", int64(d.CurrentCores)),
-		obs.I("target", int64(d.TargetCores)),
+		obs.I("cores", int64(d.Current.CPUCores)),
+		obs.I("target", int64(d.Target.CPUCores)),
 		obs.S("branch", string(d.Branch)),
 		obs.F("slope", d.Slope),
 		obs.F("skew", d.Skew),
@@ -376,12 +378,12 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	peak := stats.Max(clean)
 
 	d := Decision{
-		CurrentCores: xc,
-		Slope:        s,
-		Skew:         skew,
-		RawSF:        rawSF,
-		Quantile:     q,
+		Slope:    s,
+		Skew:     skew,
+		RawSF:    rawSF,
+		Quantile: q,
 	}
+	var tc int // the target cores
 
 	capf := float64(xc)
 	switch {
@@ -403,7 +405,7 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 			target = stats.ClampInt(needed, xc+1, xc+cfg.MaxStepUp)
 		}
 		d.Branch = BranchScaleUp
-		d.TargetCores = r.guardrail(target)
+		tc = r.guardrail(target)
 		sc.expKind = expScaleUp
 
 	// Lines 10–13: scale down when the slope is flat or most capacity
@@ -422,10 +424,10 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 				target = xc
 			}
 			d.Branch = BranchWalkDown
-			d.TargetCores = r.guardrail(target)
-			if d.TargetCores >= xc {
+			tc = r.guardrail(target)
+			if tc >= xc {
 				d.Branch = BranchHold
-				d.TargetCores = xc
+				tc = xc
 				sc.expKind = expHoldNoCheaper
 			} else {
 				sc.expKind = expWalkDown
@@ -448,13 +450,13 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 			if target > xc {
 				target = xc
 			}
-			d.TargetCores = r.guardrail(target)
-			if d.TargetCores < xc {
+			tc = r.guardrail(target)
+			if tc < xc {
 				d.Branch = BranchScaleDown
 				sc.expKind = expScaleDown
 			} else {
 				d.Branch = BranchHold
-				d.TargetCores = xc
+				tc = xc
 				sc.expKind = expHoldQuantile
 			}
 		}
@@ -463,13 +465,13 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	// scaling; holding is the only frequency-minimising choice).
 	default:
 		d.Branch = BranchHold
-		d.TargetCores = xc
+		tc = xc
 		sc.expKind = expHoldDefault
 	}
 
-	d.Delta = d.TargetCores - d.CurrentCores
-	d.Current = Resources{CPUCores: d.CurrentCores}
-	d.Target = Resources{CPUCores: d.TargetCores}
+	d.Delta = tc - xc
+	d.Current = Resources{CPUCores: xc}
+	d.Target = Resources{CPUCores: tc}
 
 	sc.memoDec = d
 	sc.memoValid = true

@@ -105,8 +105,8 @@ func TestDecideScaleUpOnThrottling(t *testing.T) {
 	if d.Slope < r.cfg.SlopeHigh {
 		t.Errorf("slope = %v, expected steep", d.Slope)
 	}
-	if d.TargetCores > 3+r.cfg.MaxStepUp {
-		t.Errorf("target %d exceeds max step", d.TargetCores)
+	if d.Target.CPUCores > 3+r.cfg.MaxStepUp {
+		t.Errorf("target %d exceeds max step", d.Target.CPUCores)
 	}
 	if !strings.Contains(d.Explanation, "scale-up") {
 		t.Errorf("explanation = %q", d.Explanation)
@@ -150,8 +150,8 @@ func TestDecideThinBufferTriggersScaleUpWithoutSteepSlope(t *testing.T) {
 	}
 	// The buffered-quantile floor should lift capacity enough that the
 	// quantile fits under (1-SlackHigh) of the new target.
-	if float64(d.TargetCores)*(1-r.cfg.SlackHigh) < d.Quantile {
-		t.Errorf("target %d leaves quantile %v above buffer", d.TargetCores, d.Quantile)
+	if float64(d.Target.CPUCores)*(1-r.cfg.SlackHigh) < d.Quantile {
+		t.Errorf("target %d leaves quantile %v above buffer", d.Target.CPUCores, d.Quantile)
 	}
 }
 
@@ -175,12 +175,12 @@ func TestDecideWalkDownWhenOverProvisioned(t *testing.T) {
 	if d.Delta > -5 {
 		t.Errorf("delta = %d, want a large single-step drop", d.Delta)
 	}
-	if d.TargetCores < r.cfg.MinCores {
-		t.Errorf("target %d below floor", d.TargetCores)
+	if d.Target.CPUCores < r.cfg.MinCores {
+		t.Errorf("target %d below floor", d.Target.CPUCores)
 	}
 	// New capacity still covers the peak.
-	if float64(d.TargetCores) < stats.Max(usage) {
-		t.Errorf("target %d below peak %v", d.TargetCores, stats.Max(usage))
+	if float64(d.Target.CPUCores) < stats.Max(usage) {
+		t.Errorf("target %d below peak %v", d.Target.CPUCores, stats.Max(usage))
 	}
 }
 
@@ -305,8 +305,8 @@ func TestDecideNeverScalesBelowFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TargetCores < 2 {
-		t.Errorf("target %d below the 2-core floor", d.TargetCores)
+	if d.Target.CPUCores < 2 {
+		t.Errorf("target %d below the 2-core floor", d.Target.CPUCores)
 	}
 }
 
@@ -317,8 +317,8 @@ func TestDecideNeverExceedsMaxCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TargetCores > 8 {
-		t.Errorf("target %d above ladder max 8", d.TargetCores)
+	if d.Target.CPUCores > 8 {
+		t.Errorf("target %d above ladder max 8", d.Target.CPUCores)
 	}
 }
 
@@ -329,15 +329,15 @@ func TestDecideClampsCurrentCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.CurrentCores != 16 {
-		t.Errorf("current clamped to %d, want 16", d.CurrentCores)
+	if d.Current.CPUCores != 16 {
+		t.Errorf("current clamped to %d, want 16", d.Current.CPUCores)
 	}
 	d, err = r.Decide(-3, usage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.CurrentCores != 1 {
-		t.Errorf("current clamped to %d, want 1", d.CurrentCores)
+	if d.Current.CPUCores != 1 {
+		t.Errorf("current clamped to %d, want 1", d.Current.CPUCores)
 	}
 }
 
@@ -356,8 +356,8 @@ func TestDecideRoundingModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dUp.TargetCores < dDown.TargetCores {
-		t.Errorf("round-up target %d < round-down target %d", dUp.TargetCores, dDown.TargetCores)
+	if dUp.Target.CPUCores < dDown.Target.CPUCores {
+		t.Errorf("round-up target %d < round-down target %d", dUp.Target.CPUCores, dDown.Target.CPUCores)
 	}
 }
 
@@ -382,8 +382,8 @@ func TestDecidePropertyTargetAlwaysWithinLadder(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return d.TargetCores >= 2 && d.TargetCores <= 24 &&
-			d.Delta == d.TargetCores-d.CurrentCores &&
+		return d.Target.CPUCores >= 2 && d.Target.CPUCores <= 24 &&
+			d.Delta == d.Target.CPUCores-d.Current.CPUCores &&
 			d.Explanation != ""
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -422,8 +422,8 @@ func TestGuardrailFloorInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.TargetCores < 4 {
-		t.Errorf("target %d below MinCores 4", d.TargetCores)
+	if d.Target.CPUCores < 4 {
+		t.Errorf("target %d below MinCores 4", d.Target.CPUCores)
 	}
 }
 

@@ -62,22 +62,22 @@ func TestExplanationMatchesFmt(t *testing.T) {
 
 		clean := Preprocess(usage)
 		peak := stats.Max(clean)
-		xc := d.CurrentCores
+		xc := d.Current.CPUCores
 		capf := float64(xc)
 		var want string
 		switch {
 		case d.Branch == BranchScaleUp:
 			want = fmt.Sprintf(
 				"scale-up: slope %.2f (threshold %.2f), P%.0f usage %.2f of %d cores (buffer threshold %.2f); SF %.2f → +%d cores",
-				d.Slope, cfg.SlopeHigh, cfg.QuantileP*100, d.Quantile, xc, (1-cfg.SlackHigh)*capf, d.RawSF, d.TargetCores-xc)
+				d.Slope, cfg.SlopeHigh, cfg.QuantileP*100, d.Quantile, xc, (1-cfg.SlackHigh)*capf, d.RawSF, d.Target.CPUCores-xc)
 		case d.Branch == BranchWalkDown:
 			want = fmt.Sprintf(
 				"walk-down: flat PvP tail at %d cores (peak usage %.2f); cheapest SKU meeting %.0f%% performance is %d cores",
-				xc, peak, cfg.WalkDownPerfTarget*100, d.TargetCores)
+				xc, peak, cfg.WalkDownPerfTarget*100, d.Target.CPUCores)
 		case d.Branch == BranchScaleDown:
 			want = fmt.Sprintf(
 				"scale-down: slope %.2f ≤ %.2f or P%.0f usage %.2f ≤ %.2f (idle threshold); SF %.2f → -%d cores",
-				d.Slope, cfg.SlopeLow, cfg.QuantileP*100, d.Quantile, cfg.SlackLow*capf, d.RawSF, xc-d.TargetCores)
+				d.Slope, cfg.SlopeLow, cfg.QuantileP*100, d.Quantile, cfg.SlackLow*capf, d.RawSF, xc-d.Target.CPUCores)
 		case d.Slope <= cfg.SlopeLow || d.Quantile <= cfg.SlackLow*capf:
 			// A down-trigger that held: flat-tail or quantile-forbids arm.
 			if d.Slope == 0 && d.Explanation[:10] == "hold: flat" {

@@ -130,7 +130,7 @@ func (m *MultiResourceRecommender) Decide(current map[string]int, samples []pvp.
 		if err != nil {
 			return MultiResourceDecision{}, fmt.Errorf("core: dimension %q: %w", dim, err)
 		}
-		target := stats.ClampInt(d.TargetCores*ladder.Step, ladder.Min, ladder.Max)
+		target := stats.ClampInt(d.Target.CPUCores*ladder.Step, ladder.Min, ladder.Max)
 		d.Explanation = fmt.Sprintf("[%s] %s", dim, d.Explanation)
 		out.Targets[dim] = target
 		out.PerDimension[dim] = d

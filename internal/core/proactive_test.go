@@ -50,8 +50,8 @@ func TestProactiveFallsBackWithoutForecaster(t *testing.T) {
 	if usedForecast {
 		t.Error("nil forecaster must not report forecast use")
 	}
-	if d.CurrentCores != 8 {
-		t.Errorf("current = %d", d.CurrentCores)
+	if d.Current.CPUCores != 8 {
+		t.Errorf("current = %d", d.Current.CPUCores)
 	}
 }
 
@@ -228,7 +228,7 @@ func TestProactiveDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d1.TargetCores != d2.TargetCores || d1.Branch != d2.Branch {
+	if d1.Target.CPUCores != d2.Target.CPUCores || d1.Branch != d2.Branch {
 		t.Error("proactive decisions must be deterministic")
 	}
 }

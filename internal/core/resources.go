@@ -99,35 +99,39 @@ func clampDim(v, lo, hi int) int {
 
 // ResourceRange is the shared "initial + bounds" spelling used by every
 // options struct (SimOptions, HarnessOptions, fleet TenantSpec, serve
-// tenant config). It replaces the three near-duplicate sets of
-// InitialCores/MinCores/MaxCores fields; the old scalar fields remain as
-// deprecated aliases and win when non-zero, exactly like the RunHooks
-// Merge precedent.
+// tenant config).
 type ResourceRange struct {
 	Initial Resources
 	Limits
 }
 
-// MergeCPU overlays the deprecated scalar CPU fields onto the range:
-// a non-zero scalar wins over the corresponding vector entry, so seed
-// callers that only ever set InitialCores/MinCores/MaxCores keep their
-// exact behaviour. Missing Initial entries for managed dimensions
-// default to that dimension's Min.
-func (rr ResourceRange) MergeCPU(initial, min, max int) ResourceRange {
-	// The Initial→Min fallback applies only to vector-spelled CPU bounds:
-	// a zero scalar InitialCores stays zero (and fails validation), the
-	// seed's exact behaviour.
-	vectorCPU := rr.Initial.CPUCores > 0 || rr.Min.CPUCores > 0 || rr.Max.CPUCores > 0
-	if initial != 0 {
-		rr.Initial.CPUCores = initial
+// CPURange returns the CPU-only range: the initial allocation and the
+// [min, max] core clamps, every other dimension unmanaged.
+func CPURange(initial, min, max int) ResourceRange {
+	return ResourceRange{
+		Initial: Resources{CPUCores: initial},
+		Limits:  Limits{Min: Resources{CPUCores: min}, Max: Resources{CPUCores: max}},
 	}
-	if min != 0 {
-		rr.Min.CPUCores = min
+}
+
+// OrCPU returns rr, taking the CPU entries of def when rr sets none: an
+// explicit cpu= clause of a -resources spec wins over the CLI's
+// -initial/-min/-max flags, which build def.
+func (rr ResourceRange) OrCPU(def ResourceRange) ResourceRange {
+	if rr.Initial.CPUCores == 0 && rr.Min.CPUCores == 0 && rr.Max.CPUCores == 0 {
+		rr.Initial.CPUCores = def.Initial.CPUCores
+		rr.Min.CPUCores = def.Min.CPUCores
+		rr.Max.CPUCores = def.Max.CPUCores
 	}
-	if max != 0 {
-		rr.Max.CPUCores = max
-	}
-	if vectorCPU && rr.Initial.CPUCores == 0 {
+	return rr
+}
+
+// WithDefaults fills the entries a caller may leave unset: a zero Initial
+// entry of a managed dimension defaults to that dimension's Min, and
+// managed RAM and replica counts get a floor of 1. A managed disk with no
+// Min starts at its Max (volumes only grow).
+func (rr ResourceRange) WithDefaults() ResourceRange {
+	if rr.Initial.CPUCores == 0 {
 		rr.Initial.CPUCores = rr.Min.CPUCores
 	}
 	if rr.Max.RAMGB > 0 {

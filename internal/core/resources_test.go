@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"caasper/internal/errs"
@@ -37,22 +39,38 @@ func TestLimitsMulti(t *testing.T) {
 	}
 }
 
-func TestMergeCPUDeprecatedScalarsWin(t *testing.T) {
-	rr := ResourceRange{
-		Initial: Resources{CPUCores: 1},
-		Limits:  Limits{Min: Resources{CPUCores: 1}, Max: Resources{CPUCores: 4, RAMGB: 16}},
-	}
-	got := rr.MergeCPU(2, 2, 8)
-	if got.Initial.CPUCores != 2 || got.Min.CPUCores != 2 || got.Max.CPUCores != 8 {
-		t.Fatalf("scalar CPU fields must win: %+v", got)
+func TestWithDefaults(t *testing.T) {
+	rr := ResourceRange{Limits: Limits{Min: Resources{CPUCores: 2}, Max: Resources{CPUCores: 4, RAMGB: 16}}}
+	got := rr.WithDefaults()
+	if got.Initial.CPUCores != 2 {
+		t.Fatalf("zero initial cores should default to Min: %+v", got)
 	}
 	if got.Min.RAMGB != 1 || got.Initial.RAMGB != 1 {
 		t.Fatalf("managed RAM should default min/initial to 1: %+v", got)
 	}
-	// No scalars set: vector passes through.
-	got = rr.MergeCPU(0, 0, 0)
-	if got.Initial.CPUCores != 1 || got.Max.CPUCores != 4 {
-		t.Fatalf("vector must pass through when scalars unset: %+v", got)
+	// Set entries pass through; unmanaged dimensions stay unset.
+	rr.Initial.CPUCores = 3
+	got = rr.WithDefaults()
+	if got.Initial.CPUCores != 3 || got.Max.CPUCores != 4 || got.Max.DiskGB != 0 || got.Initial.Replicas != 0 {
+		t.Fatalf("set entries must pass through: %+v", got)
+	}
+}
+
+func TestOrCPU(t *testing.T) {
+	def := CPURange(6, 2, 16)
+	ram, err := ParseResourceSpec("ram=4-16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ram.OrCPU(def); got.Initial.CPUCores != 6 || got.Min.CPUCores != 2 || got.Max.CPUCores != 16 || got.Max.RAMGB != 16 {
+		t.Fatalf("a spec without cpu= takes the default CPU bounds: %+v", got)
+	}
+	both, err := ParseResourceSpec("cpu=1-4,ram=4-16")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := both.OrCPU(def); got != both {
+		t.Fatalf("a cpu= entry must win over the defaults: %+v", got)
 	}
 }
 
@@ -121,10 +139,39 @@ func TestDecisionCarriesVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Current.CPUCores != d.CurrentCores || d.Target.CPUCores != d.TargetCores {
-		t.Fatalf("vector/scalar mismatch: %+v", d)
+	if d.Current.CPUCores != 4 || d.Target.CPUCores <= 4 || d.Delta != d.Target.CPUCores-d.Current.CPUCores {
+		t.Fatalf("CPU decision not carried by the vector: %+v", d)
 	}
 	if d.Current.RAMGB != 0 || d.Target.DiskGB != 0 {
 		t.Fatalf("non-CPU dimensions must stay zero from Algorithm 1: %+v", d)
+	}
+}
+
+// TestDecisionBackfillV1 pins the pre-vector snapshot shim: a decision
+// carrying only "CurrentCores"/"TargetCores" gets its vectors from them,
+// and a decision that has vectors keeps them.
+func TestDecisionBackfillV1(t *testing.T) {
+	raw := []byte(`{"CurrentCores":4,"TargetCores":6,"Delta":2,"Branch":"scale-up"}`)
+	var d Decision
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.BackfillV1(raw); err != nil {
+		t.Fatal(err)
+	}
+	want := Decision{Current: Resources{CPUCores: 4}, Target: Resources{CPUCores: 6}, Delta: 2, Branch: BranchScaleUp}
+	if d != want {
+		t.Fatalf("v1 decision backfilled to %+v, want %+v", d, want)
+	}
+	b, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "CurrentCores") || strings.Contains(string(b), "TargetCores") {
+		t.Fatalf("encoding writes a legacy key: %s", b)
+	}
+	// The vectors win when present, whatever the legacy keys say.
+	if err := d.BackfillV1([]byte(`{"CurrentCores":9,"TargetCores":9}`)); err != nil || d != want {
+		t.Fatalf("legacy keys overrode the vectors: %+v, %v", d, err)
 	}
 }

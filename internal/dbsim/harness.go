@@ -18,30 +18,26 @@ import (
 // HarnessOptions configures an end-to-end live-system run: the cluster,
 // the stateful set, the autoscaling loop cadence and the billing model.
 type HarnessOptions struct {
-	// RunHooks is the canonical spelling of the telemetry/fault knobs
-	// shared with SimOptions and FleetOptions. The deprecated top-level
-	// fields below shadow it for source compatibility; a set deprecated
-	// field wins (see hooks.RunHooks.Merge).
+	// RunHooks carries the telemetry/fault knobs shared with SimOptions
+	// and FleetOptions. FaultSpec injects failed and stuck pod restarts
+	// (operator), scheduling pressure (cluster) and metric sample loss
+	// (metrics server). Events receives the scaler's decision and
+	// suppressed-decision records, the operator's resize, rolling-update
+	// and failover lifecycle, the injector's "fault.*" records and the
+	// recommender's decision audits, all keyed on simulated seconds.
+	// Metrics receives the loop's runtime counters.
 	hooks.RunHooks
 	// Cluster hosts the set; nil defaults to the paper's small cluster.
 	Cluster *k8s.Cluster
 	// Replicas is the stateful-set size (3 for Database A, 2 for
 	// Database B in the paper).
 	Replicas int
-	// InitialCores is the starting whole-core limit.
-	//
-	// Deprecated: set Resources.Initial.CPUCores. A non-zero value here
-	// wins, so seed callers behave identically.
-	InitialCores int
-	// MinCores / MaxCores are the scaler's safety bounds.
-	//
-	// Deprecated: set Resources.Min/Max.CPUCores. Non-zero values here
-	// win, so seed callers behave identically.
-	MinCores, MaxCores int
-	// Resources is the canonical resource-vector spelling of the run's
-	// bounds, shared with sim.Options and fleet.TenantSpec. The live
-	// harness scales only the CPU entries today; Max.Replicas bounds
-	// RunHorizontal's scale-out when HorizontalOptions.MaxReplicas is 0.
+	// Resources holds the starting whole-core limit (Initial.CPUCores;
+	// 0 defaults to Min.CPUCores) and the scaler's safety bounds
+	// (Min/Max.CPUCores), the same spelling sim.Options and
+	// fleet.TenantSpec use. The live harness scales only the CPU entries
+	// today; Max.Replicas bounds RunHorizontal's scale-out when
+	// HorizontalOptions.MaxReplicas is 0.
 	Resources core.ResourceRange
 	// MemGiBPerPod sizes pod memory (scheduling only; not billed).
 	MemGiBPerPod float64
@@ -59,43 +55,6 @@ type HarnessOptions struct {
 	BillingPeriod time.Duration
 	// DB configures the database service model.
 	DB Options
-	// Faults, when non-nil, injects failures into the run: failed and
-	// stuck pod restarts (operator), scheduling pressure (cluster) and
-	// metric sample loss (metrics server). Nil runs fault-free with the
-	// hooks compiled down to nil checks.
-	//
-	// Deprecated: set RunHooks.FaultSpec (+ FaultSeed) instead and let the
-	// harness build the injector; a prebuilt injector set here wins.
-	Faults *faults.Injector
-	// Events, when non-nil and enabled, receives the structured event
-	// stream of the run: the scaler's decision/suppressed-decision
-	// records, the operator's resize/rolling-update/failover lifecycle,
-	// the fault injector's "fault.*" records, and the recommender's
-	// decision audits (recommend.Instrumentable), all keyed on simulated
-	// seconds.
-	//
-	// Deprecated: set RunHooks.Events instead; this alias shadows it and
-	// wins when non-nil.
-	Events obs.Sink
-	// Metrics, when non-nil, receives the loop's runtime counters.
-	//
-	// Deprecated: set RunHooks.Metrics instead; this alias shadows it and
-	// wins when non-nil.
-	Metrics *obs.Registry
-}
-
-// Hooks resolves the effective telemetry/fault knobs: the deprecated
-// top-level aliases overlaid on the embedded RunHooks. The deprecated
-// prebuilt-injector field is resolved separately in RunLive.
-func (o HarnessOptions) Hooks() hooks.RunHooks {
-	return o.RunHooks.Merge(o.Events, o.Metrics, nil, 0)
-}
-
-// Range resolves the effective resource bounds: the deprecated scalar
-// CPU fields overlay the vector (non-zero wins), the same merge
-// sim.Options.Range and fleet.TenantSpec.Range perform.
-func (o HarnessOptions) Range() core.ResourceRange {
-	return o.Resources.MergeCPU(o.InitialCores, o.MinCores, o.MaxCores)
 }
 
 // DatabaseAOptions returns the paper's Database A setup: 3 replicas with
@@ -103,9 +62,7 @@ func (o HarnessOptions) Range() core.ResourceRange {
 func DatabaseAOptions(initial, maxCores int) HarnessOptions {
 	return HarnessOptions{
 		Replicas:             3,
-		InitialCores:         initial,
-		MinCores:             2,
-		MaxCores:             maxCores,
+		Resources:            core.CPURange(initial, 2, maxCores),
 		MemGiBPerPod:         16,
 		RestartSecondsPerPod: 300,
 		DecisionEverySeconds: 600,
@@ -186,21 +143,15 @@ func RunLive(sched *workload.LoadSchedule, rec recommend.Recommender, opts Harne
 	if rec == nil {
 		return nil, fmt.Errorf("dbsim: nil recommender: %w", errs.ErrInvalidConfig)
 	}
-	// Resolve the telemetry/fault knobs once: deprecated aliases overlay
-	// the embedded RunHooks. The deprecated Faults field carries a prebuilt
-	// injector and wins outright; otherwise one is built from the hooks'
-	// spec and seed (nil — the fault-free fast path — when the spec is
-	// empty).
-	h := opts.Hooks()
-	inj := opts.Faults
-	if inj == nil {
-		inj = h.Injector()
-	}
+	// Nil injector without a fault spec: the fault-free fast path.
+	h := opts.RunHooks
+	inj := h.Injector()
+	rr := opts.Resources.WithDefaults()
 	cluster := opts.Cluster
 	if cluster == nil {
 		cluster = k8s.SmallCluster()
 	}
-	set, err := k8s.NewStatefulSet("db", opts.Replicas, opts.InitialCores, opts.MemGiBPerPod, cluster)
+	set, err := k8s.NewStatefulSet("db", opts.Replicas, rr.Initial.CPUCores, opts.MemGiBPerPod, cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -210,14 +161,13 @@ func RunLive(sched *workload.LoadSchedule, rec recommend.Recommender, opts Harne
 	}
 	op.InPlace = opts.InPlaceResize
 	ms := k8s.NewMetricsServer(60)
-	scaler, err := k8s.NewScaler(rec, op, ms, opts.DecisionEverySeconds, opts.MinCores, opts.MaxCores)
+	scaler, err := k8s.NewScaler(rec, op, ms, opts.DecisionEverySeconds, rr.Min.CPUCores, rr.Max.CPUCores)
 	if err != nil {
 		return nil, err
 	}
 	op.Events, op.Stats = h.Events, h.Metrics
 	scaler.Events, scaler.Stats = h.Events, h.Metrics
 	if inj != nil {
-		inj.Events, inj.Stats = h.Events, h.Metrics
 		op.Faults = inj
 		ms.Faults = inj
 	}

@@ -23,8 +23,8 @@ import (
 // HorizontalOptions configures the HPA-style run.
 type HorizontalOptions struct {
 	// Harness carries the shared cluster/database setup. The scaler
-	// never changes CPU per pod: Harness.InitialCores is the fixed
-	// vertical size of every replica.
+	// never changes CPU per pod: Harness.Resources.Initial.CPUCores is
+	// the fixed vertical size of every replica.
 	Harness HarnessOptions
 	// MaxReplicas bounds the scale-out; 0 means unbounded (the cluster's
 	// capacity is then the only limit). When 0 and the harness carries a
@@ -61,12 +61,13 @@ func RunHorizontal(sched *workload.LoadSchedule, opts HorizontalOptions) (*LiveR
 	if sched == nil {
 		return nil, fmt.Errorf("dbsim: nil schedule: %w", errs.ErrInvalidConfig)
 	}
+	rr := opts.Harness.Resources.WithDefaults()
 	maxReplicas := opts.MaxReplicas
 	if maxReplicas == 0 {
 		// 0 is unbounded, not "never scale": the old strict comparison
 		// below silently froze the set at its initial size. A vector
 		// bound on the harness supplies the ceiling when present.
-		maxReplicas = opts.Harness.Range().Max.Replicas
+		maxReplicas = rr.Max.Replicas
 	}
 	if maxReplicas != 0 && maxReplicas < opts.Harness.Replicas {
 		return nil, fmt.Errorf("dbsim: MaxReplicas below initial replicas: %w", errs.ErrInvalidConfig)
@@ -82,7 +83,7 @@ func RunHorizontal(sched *workload.LoadSchedule, opts HorizontalOptions) (*LiveR
 	if cluster == nil {
 		cluster = k8s.SmallCluster()
 	}
-	set, err := k8s.NewStatefulSet("db", h.Replicas, h.InitialCores, h.MemGiBPerPod, cluster)
+	set, err := k8s.NewStatefulSet("db", h.Replicas, rr.Initial.CPUCores, h.MemGiBPerPod, cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +158,7 @@ func RunHorizontal(sched *workload.LoadSchedule, opts HorizontalOptions) (*LiveR
 				util := windowUsed / (float64(opts.DecisionEverySeconds) * primary.CPULimit())
 				res.DecisionSeries = append(res.DecisionSeries, util)
 				if util >= opts.UtilizationHigh {
-					p, err := set.AddReplica(cluster, h.InitialCores, now+opts.SeedSeconds)
+					p, err := set.AddReplica(cluster, rr.Initial.CPUCores, now+opts.SeedSeconds)
 					if err == nil {
 						seeding = p
 					}

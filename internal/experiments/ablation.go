@@ -219,7 +219,7 @@ func (a *proactiveAdapter) Recommend(current int) int {
 	if err != nil {
 		return current
 	}
-	return d.TargetCores
+	return d.Target.CPUCores
 }
 
 func (a *proactiveAdapter) Reset() { a.history = a.history[:0] }

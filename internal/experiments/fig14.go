@@ -136,7 +136,7 @@ func tuneAndRun(tr *trace.Trace, seed uint64, tuneSamples int) (AlibabaRow, erro
 	}
 	// Re-simulate the chosen combination keeping the full series for the
 	// Figure 14 plots (Evaluate discards them).
-	rec, err := tuning.NewRecommender(best.Params, simOpts.MaxCores, 24*60)
+	rec, err := tuning.NewRecommender(best.Params, simOpts.Resources.Max.CPUCores, 24*60)
 	if err != nil {
 		return AlibabaRow{}, err
 	}

@@ -61,7 +61,7 @@ func Figure3(seed uint64) (*Figure3Result, error) {
 	// The OpenShift run starts from the predictive recommender's own
 	// low initial estimate (the paper's cold-start throttling).
 	osOpts := opts
-	osOpts.InitialCores = 2
+	osOpts.Resources.Initial.CPUCores = 2
 	osRun, err := sim.Run(tr, osRec, osOpts)
 	if err != nil {
 		return nil, fmt.Errorf("openshift: %w", err)

@@ -47,7 +47,7 @@ func Figure4(seed uint64) (*Figure4Result, error) {
 	demand := workload.Render("demand", workload.Constant(6), 60)
 	throttled := false
 	for _, v := range demand.Values {
-		if v > float64(d.TargetCores) {
+		if v > float64(d.Target.CPUCores) {
 			throttled = true
 			break
 		}
@@ -57,13 +57,13 @@ func Figure4(seed uint64) (*Figure4Result, error) {
 		Slope:              d.Slope,
 		Skew:               d.Skew,
 		RawSF:              d.RawSF,
-		TargetCores:        d.TargetCores,
+		TargetCores:        d.Target.CPUCores,
 		PostScaleThrottled: throttled,
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 4 — slope-driven scale-up from a 3-core cap\n")
 	fmt.Fprintf(&b, "slope s=%.2f skew=%.2f SF=%.2f -> target %d cores (branch %s)\n",
-		d.Slope, d.Skew, d.RawSF, d.TargetCores, d.Branch)
+		d.Slope, d.Skew, d.RawSF, d.Target.CPUCores, d.Branch)
 	fmt.Fprintf(&b, "explanation: %s\n", d.Explanation)
 	fmt.Fprintf(&b, "paper: slope 1.38 -> SF 3.73 -> rounded to 6 cores, post-scale utilization fits\n")
 	res.Report = b.String()

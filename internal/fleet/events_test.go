@@ -171,9 +171,7 @@ func randomized64Specs(t *testing.T) []TenantSpec {
 			Name:           fmt.Sprintf("t%02d", i),
 			Trace:          tr,
 			NewRecommender: factory,
-			InitialCores:   1 + rng.Intn(3),
-			MinCores:       1,
-			MaxCores:       maxC,
+			Resources:      core.CPURange(1+rng.Intn(3), 1, maxC),
 			Replicas:       1 + rng.Intn(2),
 			MemGiBPerPod:   1,
 		})
@@ -220,7 +218,7 @@ func (c *countingRec) Recommend(cur int) int {
 
 // TestEventEngineSleepsSteadyTenants proves the wake queue actually skips
 // decision ticks: on a two-level piecewise-constant trace held at "hold"
-// by the MinCores clamp, the tick loop must consult the recommender far
+// by the Min.CPUCores clamp, the tick loop must consult the recommender far
 // less often than the stepped oracle's once-per-tick — with bit-equal
 // results.
 func TestEventEngineSleepsSteadyTenants(t *testing.T) {
@@ -244,9 +242,8 @@ func TestEventEngineSleepsSteadyTenants(t *testing.T) {
 				}
 				return &countingRec{CaaSPERReactive: r, calls: calls}, nil
 			},
-			InitialCores: 4,
-			MinCores:     4, // clamp forces "hold" on the low plateau
-			MaxCores:     8,
+			// The Min clamp forces "hold" on the low plateau.
+			Resources:    core.CPURange(4, 4, 8),
 			Replicas:     1,
 			MemGiBPerPod: 1,
 		}}

@@ -76,14 +76,14 @@ type TenantSpec struct {
 	// sizes the pods.
 	MemGiBPerPod float64
 
-	// Resources is the canonical resource-vector spelling of the
-	// tenant's bounds. Managing any non-CPU dimension (a non-zero
-	// Max.RAMGB, Max.DiskGB or Max.Replicas) upgrades the tenant from
-	// the CPU-only decision loop to the multi-resource loop: RAM scales
-	// by the dual-threshold MemoryPolicy, disk grows off its high-water
-	// mark, and — for Stateless tenants — replicas overflow horizontally
-	// once the vertical CPU ceiling pins. CPU-only tenants (zero value
-	// here) run the exact pre-vector code paths.
+	// Resources holds the tenant's initial allocation and bounds.
+	// Managing any non-CPU dimension (a non-zero Max.RAMGB, Max.DiskGB
+	// or Max.Replicas) upgrades the tenant from the CPU-only decision
+	// loop to the multi-resource loop: RAM scales by the dual-threshold
+	// MemoryPolicy, disk grows off its high-water mark, and — for
+	// Stateless tenants — replicas overflow horizontally once the
+	// vertical CPU ceiling pins. CPU-only tenants run the exact
+	// pre-vector code paths.
 	Resources core.ResourceRange
 	// RAMTrace is the per-minute per-pod RAM demand series in GB; nil
 	// derives one deterministically from Trace (workload.DeriveRAM).
@@ -104,11 +104,22 @@ type TenantSpec struct {
 	Disk recommend.DiskPolicy
 }
 
-// Range resolves the tenant's effective resource bounds: the deprecated
-// scalar CPU fields overlay the vector (non-zero wins), mirroring the
-// RunHooks merge precedent.
+// Range resolves the tenant's resource bounds: Resources with its unset
+// entries filled (core.ResourceRange.WithDefaults), then each non-zero
+// deprecated scalar CPU field overrides its vector entry. It is the only
+// reader of those scalars.
 func (s TenantSpec) Range() core.ResourceRange {
-	return s.Resources.MergeCPU(s.InitialCores, s.MinCores, s.MaxCores)
+	rr := s.Resources.WithDefaults()
+	if s.InitialCores != 0 {
+		rr.Initial.CPUCores = s.InitialCores
+	}
+	if s.MinCores != 0 {
+		rr.Min.CPUCores = s.MinCores
+	}
+	if s.MaxCores != 0 {
+		rr.Max.CPUCores = s.MaxCores
+	}
+	return rr
 }
 
 // Options configures a fleet run. The telemetry/fault knobs come from the
@@ -254,8 +265,8 @@ type Result struct {
 	PressureWindows int64
 	// TotalOOMMinutes / TotalRAMShortGBMin / TotalRAMCost / TotalDiskCost
 	// aggregate the multi-resource tenants (zero for CPU-only fleets).
-	TotalOOMMinutes  int
-	TotalRAMShortGBMin float64
+	TotalOOMMinutes             int
+	TotalRAMShortGBMin          float64
 	TotalRAMCost, TotalDiskCost float64
 }
 
@@ -377,11 +388,10 @@ func (t *tenant) decide(limit int) {
 		return
 	}
 	target := t.rec.Recommend(limit)
-	if target < t.spec.MinCores {
-		target = t.spec.MinCores
-	}
-	if target > t.spec.MaxCores {
-		target = t.spec.MaxCores
+	if rr := &t.spec.Resources; target < rr.Min.CPUCores {
+		target = rr.Min.CPUCores
+	} else if target > rr.Max.CPUCores {
+		target = rr.Max.CPUCores
 	}
 	if target != limit {
 		t.prop = proposal{target: target, severity: t.severity}
@@ -534,9 +544,9 @@ func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 		}
 		t := &tstore[i]
 		t.spec, t.rec, t.set, t.meter, t.pod = spec, rec, set, *meterProto, set.Pods[0].Name
-		// Normalize the deprecated scalar CPU fields on the tenant's copy
-		// so the decide clamp reads one resolved set of bounds.
-		t.spec.InitialCores, t.spec.MinCores, t.spec.MaxCores = rr.Initial.CPUCores, rr.Min.CPUCores, rr.Max.CPUCores
+		// The tenant's copy carries the resolved bounds: everything
+		// past onboarding reads t.spec.Resources.
+		t.spec.Resources = rr
 		if rr.Multi() {
 			if err := t.initMulti(rr, replicas, minutes, opts); err != nil {
 				return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)

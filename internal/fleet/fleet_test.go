@@ -61,9 +61,7 @@ func mixedFleet(t *testing.T, n int) []TenantSpec {
 			NewRecommender: func() (recommend.Recommender, error) {
 				return recommend.NewCaaSPERReactive(core.DefaultConfig(maxC), 40)
 			},
-			InitialCores: 2,
-			MinCores:     2,
-			MaxCores:     maxC,
+			Resources:    core.CPURange(2, 2, maxC),
 			Replicas:     1,
 			MemGiBPerPod: 2,
 		})
@@ -139,9 +137,9 @@ func TestArbitrationSeverityPriority(t *testing.T) {
 	// 8−2−2 = 4 cores free: exactly one grant fits.
 	tenants := []TenantSpec{
 		{Name: "mild", Trace: flatTrace("mild", 15, 6), NewRecommender: stubFactory("stub", 6),
-			InitialCores: 2, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(2, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 		{Name: "hot", Trace: flatTrace("hot", 15, 10), NewRecommender: stubFactory("stub", 6),
-			InitialCores: 2, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(2, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 	}
 	res, err := Run(tenants, opts)
 	if err != nil {
@@ -187,9 +185,9 @@ func TestScaleDownsReleaseCapacityFirst(t *testing.T) {
 	// scale-down lands first.
 	tenants := []TenantSpec{
 		{Name: "grower", Trace: flatTrace("g", 15, 8), NewRecommender: stubFactory("stub", 6),
-			InitialCores: 4, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(4, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 		{Name: "shrinker", Trace: flatTrace("s", 15, 1), NewRecommender: stubFactory("stub", 2),
-			InitialCores: 4, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(4, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 	}
 	res, err := Run(tenants, opts)
 	if err != nil {
@@ -219,7 +217,7 @@ func TestChaosAborts(t *testing.T) {
 	opts.FaultSeed = 3
 	tenants := []TenantSpec{
 		{Name: "only", Trace: flatTrace("o", 60, 6), NewRecommender: stubFactory("stub", 6),
-			InitialCores: 2, MinCores: 1, MaxCores: 8, Replicas: 1, MemGiBPerPod: 1},
+			Resources: core.CPURange(2, 1, 8), Replicas: 1, MemGiBPerPod: 1},
 	}
 	res, err := Run(tenants, opts)
 	if err != nil {
@@ -241,7 +239,7 @@ func TestChaosAborts(t *testing.T) {
 func TestValidationErrors(t *testing.T) {
 	good := TenantSpec{
 		Name: "a", Trace: flatTrace("a", 10, 1), NewRecommender: stubFactory("stub", 2),
-		InitialCores: 1, MinCores: 1, MaxCores: 4, Replicas: 1,
+		Resources: core.CPURange(1, 1, 4), Replicas: 1,
 	}
 	cases := []struct {
 		name    string
@@ -252,13 +250,15 @@ func TestValidationErrors(t *testing.T) {
 		{"no tenants", nil, nil, errs.ErrInvalidConfig},
 		{"bad cadence", []TenantSpec{good}, func(o *Options) { o.DecisionEveryMinutes = 0 }, errs.ErrInvalidConfig},
 		{"empty trace", []TenantSpec{{Name: "x", NewRecommender: good.NewRecommender,
-			InitialCores: 1, MinCores: 1, MaxCores: 4}}, nil, errs.ErrEmptyTrace},
+			Resources: core.CPURange(1, 1, 4)}}, nil, errs.ErrEmptyTrace},
 		{"coarse trace", []TenantSpec{{Name: "x", Trace: trace.New("coarse", time.Hour, []float64{1, 2, 3}),
 			NewRecommender: good.NewRecommender,
-			InitialCores:   1, MinCores: 1, MaxCores: 4}}, nil, errs.ErrInvalidConfig},
+			Resources:      core.CPURange(1, 1, 4)}}, nil, errs.ErrInvalidConfig},
 		{"duplicate names", []TenantSpec{good, good}, nil, errs.ErrInvalidConfig},
 		{"bad bounds", []TenantSpec{{Name: "x", Trace: good.Trace, NewRecommender: good.NewRecommender,
 			InitialCores: 0, MinCores: 1, MaxCores: 4}}, nil, errs.ErrInvalidConfig},
+		{"bad vector bounds", []TenantSpec{{Name: "x", Trace: good.Trace, NewRecommender: good.NewRecommender,
+			Resources: core.CPURange(2, 5, 4)}}, nil, errs.ErrInvalidConfig},
 		{"negative core price", []TenantSpec{good}, func(o *Options) { o.PricePerCorePeriod = -1 }, errs.ErrInvalidConfig},
 		{"NaN core price", []TenantSpec{good}, func(o *Options) { o.PricePerCorePeriod = math.NaN() }, errs.ErrInvalidConfig},
 		{"negative RAM price", []TenantSpec{good}, func(o *Options) { o.RAMPricePerGBPeriod = -1 }, errs.ErrInvalidConfig},
@@ -274,5 +274,30 @@ func TestValidationErrors(t *testing.T) {
 		if !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want errors.Is(%v)", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestTenantSpecRangeScalarsWin pins the deprecated scalar CPU fields:
+// each non-zero one overrides its vector entry, on top of the vector's
+// defaults.
+func TestTenantSpecRangeScalarsWin(t *testing.T) {
+	s := TenantSpec{
+		InitialCores: 2, MinCores: 2, MaxCores: 8,
+		Resources: core.ResourceRange{
+			Initial: core.Resources{CPUCores: 1},
+			Limits:  core.Limits{Min: core.Resources{CPUCores: 1}, Max: core.Resources{CPUCores: 4, RAMGB: 16}},
+		},
+	}
+	got := s.Range()
+	if got.Initial.CPUCores != 2 || got.Min.CPUCores != 2 || got.Max.CPUCores != 8 {
+		t.Fatalf("scalar CPU fields must win: %+v", got)
+	}
+	if got.Min.RAMGB != 1 || got.Initial.RAMGB != 1 {
+		t.Fatalf("managed RAM should still default min/initial to 1: %+v", got)
+	}
+	// No scalars set: the vector passes through.
+	s.InitialCores, s.MinCores, s.MaxCores = 0, 0, 0
+	if got = s.Range(); got.Initial.CPUCores != 1 || got.Max.CPUCores != 4 {
+		t.Fatalf("vector must pass through when scalars unset: %+v", got)
 	}
 }

@@ -32,7 +32,6 @@ const horizontalHeadroom = 0.25
 // exactly one tenant and touched from its phase-1 goroutine plus the
 // sequential phase 2.
 type multiState struct {
-	rr   core.ResourceRange
 	mem  recommend.MemoryPolicy
 	disk recommend.DiskPolicy
 
@@ -63,7 +62,6 @@ type multiState struct {
 // grants from the resolved range, and per-dimension meters.
 func (t *tenant) initMulti(rr core.ResourceRange, replicas, minutes int, opts Options) error {
 	m := &multiState{
-		rr:       rr,
 		mem:      t.spec.Mem,
 		disk:     t.spec.Disk,
 		replicas: replicas,
@@ -225,35 +223,35 @@ func (t *tenant) observeMultiSegment(segStart, segEnd int) {
 // only when the target is off the ceiling and the smaller set would
 // still absorb the peak with the same headroom.
 func (t *tenant) decideMulti(limit int) {
-	m := t.mr
+	m, rr := t.mr, &t.spec.Resources
+	maxCores := rr.Max.CPUCores
 	target := t.rec.Recommend(limit)
-	if target < t.spec.MinCores {
-		target = t.spec.MinCores
-	}
-	if target > t.spec.MaxCores {
-		target = t.spec.MaxCores
+	if target < rr.Min.CPUCores {
+		target = rr.Min.CPUCores
+	} else if target > maxCores {
+		target = maxCores
 	}
 
 	ram := m.ramAlloc
 	if m.ram != nil {
-		ram = m.mem.Target(m.ramAlloc, m.ramPeak, m.rr.Min.RAMGB, m.rr.Max.RAMGB)
+		ram = m.mem.Target(m.ramAlloc, m.ramPeak, rr.Min.RAMGB, rr.Max.RAMGB)
 	}
 	disk := m.diskAlloc
 	if m.dsk != nil {
-		disk = m.disk.Target(m.diskAlloc, m.diskHigh, m.rr.Max.DiskGB)
+		disk = m.disk.Target(m.diskAlloc, m.diskHigh, rr.Max.DiskGB)
 	}
 	reps := m.replicas
 	if t.spec.Stateless {
-		maxR := m.rr.Max.Replicas // 0 = unbounded
-		minR := m.rr.Min.Replicas
+		maxR := rr.Max.Replicas // 0 = unbounded
+		minR := rr.Min.Replicas
 		if minR < 1 {
 			minR = 1
 		}
-		ceiling := float64(t.spec.MaxCores*reps) * (1 - horizontalHeadroom)
-		smaller := float64(t.spec.MaxCores*(reps-1)) * (1 - horizontalHeadroom)
-		if target >= t.spec.MaxCores && m.cpuPeakTotal > ceiling && (maxR == 0 || reps < maxR) {
+		ceiling := float64(maxCores*reps) * (1 - horizontalHeadroom)
+		smaller := float64(maxCores*(reps-1)) * (1 - horizontalHeadroom)
+		if target >= maxCores && m.cpuPeakTotal > ceiling && (maxR == 0 || reps < maxR) {
 			reps++
-		} else if reps > minR && target < t.spec.MaxCores && m.cpuPeakTotal <= smaller {
+		} else if reps > minR && target < maxCores && m.cpuPeakTotal <= smaller {
 			reps--
 		}
 	}

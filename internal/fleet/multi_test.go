@@ -37,8 +37,7 @@ func multiSpec(name string, minutes int) TenantSpec {
 		RAMTrace:       trace.New(name+"-ram", time.Minute, ram),
 		DiskTrace:      trace.New(name+"-disk", time.Minute, dsk),
 		NewRecommender: stubFactory("stub", 2),
-		InitialCores:   2, MinCores: 1, MaxCores: 4,
-		Resources: mustRange("ram=4-16,disk=5-40"),
+		Resources:      mustRange("ram=4-16,disk=5-40").OrCPU(core.CPURange(2, 1, 4)),
 	}
 }
 
@@ -130,9 +129,8 @@ func TestMultiHorizontalOverflow(t *testing.T) {
 		Name:           "web",
 		Trace:          trace.New("web", time.Minute, cpu),
 		NewRecommender: stubFactory("stub", 8), // always pinned to Max
-		InitialCores:   2, MinCores: 1, MaxCores: 4,
-		Stateless: true,
-		Resources: mustRange("ram=2-8,replicas=1-4"),
+		Stateless:      true,
+		Resources:      mustRange("ram=2-8,replicas=1-4").OrCPU(core.CPURange(2, 1, 4)),
 	}
 	opts := DefaultOptions()
 	opts.Minutes = minutes
@@ -164,9 +162,8 @@ func TestMultiHorizontalScaleIn(t *testing.T) {
 		Name:           "web",
 		Trace:          trace.New("web", time.Minute, cpu),
 		NewRecommender: newThresholdFactory(4),
-		InitialCores:   2, MinCores: 1, MaxCores: 4,
-		Stateless: true,
-		Resources: mustRange("ram=2-8,replicas=1-6"),
+		Stateless:      true,
+		Resources:      mustRange("ram=2-8,replicas=1-6").OrCPU(core.CPURange(2, 1, 4)),
 	}
 	opts := DefaultOptions()
 	opts.Minutes = minutes
@@ -206,7 +203,7 @@ func TestMultiDeterministicAcrossWorkers(t *testing.T) {
 		specs := mixedFleet(t, 6)
 		for i := range specs {
 			if i%2 == 0 {
-				specs[i].Resources = mustRange("ram=4-16,disk=10-60")
+				specs[i].Resources = mustRange("ram=4-16,disk=10-60").OrCPU(specs[i].Resources)
 			}
 		}
 		specs = append(specs, multiSpec("mx", minutes))
@@ -246,9 +243,9 @@ func TestMultiDeterministicAcrossWorkers(t *testing.T) {
 func multiFleet(t *testing.T, stateless bool) []TenantSpec {
 	specs := mixedFleet(t, 8)
 	for i := range specs {
-		specs[i].Resources = mustRange("ram=4-16,disk=5-40,replicas=1-3")
+		specs[i].Resources = mustRange("ram=4-16,disk=5-40,replicas=1-3").OrCPU(specs[i].Resources)
+		specs[i].Resources.Max.CPUCores = 4
 		specs[i].Stateless = stateless
-		specs[i].MaxCores = 4
 	}
 	return specs
 }
@@ -304,7 +301,7 @@ func TestCPUOnlyStreamUnchangedByMultiTenantPresence(t *testing.T) {
 	cpuOnly := TenantSpec{
 		Name: "solo", Trace: flatTrace("solo", minutes, 3),
 		NewRecommender: stubFactory("stub", 3),
-		InitialCores:   2, MinCores: 1, MaxCores: 4,
+		Resources:      core.CPURange(2, 1, 4),
 	}
 	run := func(specs []TenantSpec) string {
 		mem := obs.NewMemorySink()

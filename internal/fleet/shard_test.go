@@ -179,7 +179,7 @@ func TestOneGroupRules(t *testing.T) {
 	}
 
 	specs := singlePodSpecs(t)
-	specs[5].Resources = mustRange("ram=4-16,replicas=1-3")
+	specs[5].Resources = mustRange("ram=4-16,replicas=1-3").OrCPU(specs[5].Resources)
 	if n := groupCount(t, specs, opts()); n < 2 {
 		t.Errorf("a stateful multi-resource tenant merged the fleet into %d group", n)
 	}

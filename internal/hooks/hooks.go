@@ -2,17 +2,10 @@
 // by every run harness in the repository. The simulator (internal/sim),
 // the live loop (internal/dbsim) and the fleet controller (internal/fleet)
 // all accept the same three cross-cutting inputs — a structured event
-// sink, a runtime metrics registry and a deterministic fault injection
-// spec — but grew them independently with divergent field shapes (the live
-// harness took a prebuilt *faults.Injector, the simulator a *faults.Spec
-// plus a seed). RunHooks unifies them: one embedded struct, one canonical
-// spelling, one resolution rule.
-//
-// Migration contract: the pre-existing top-level fields on sim.Options and
-// dbsim.HarnessOptions remain as deprecated aliases. Each harness resolves
-// its effective hooks with Merge, where a set deprecated field wins over
-// the embedded one, so every existing caller builds and behaves
-// identically.
+// sink, a metrics registry and a deterministic fault injection spec plus
+// its seed — under one spelling: the embedded RunHooks, whose fields are
+// promoted, so opts.Events, opts.Metrics, opts.FaultSpec and
+// opts.FaultSeed read and write the same four knobs in every harness.
 package hooks
 
 import (
@@ -37,25 +30,6 @@ type RunHooks struct {
 	// FaultSeed seeds the injector's deterministic draws: same seed,
 	// same faults, byte-for-byte, at any worker count.
 	FaultSeed uint64
-}
-
-// Merge overlays the deprecated alias fields onto the embedded hooks and
-// returns the effective set: any non-zero alias wins over the embedded
-// field it shadows. Harnesses call this once at run start.
-func (h RunHooks) Merge(events obs.Sink, metrics *obs.Registry, spec *faults.Spec, seed uint64) RunHooks {
-	if events != nil {
-		h.Events = events
-	}
-	if metrics != nil {
-		h.Metrics = metrics
-	}
-	if spec != nil {
-		h.FaultSpec = spec
-	}
-	if seed != 0 {
-		h.FaultSeed = seed
-	}
-	return h
 }
 
 // Injector builds the run's fault injector from the spec and seed (nil —

@@ -7,30 +7,6 @@ import (
 	"caasper/internal/obs"
 )
 
-func TestMergeAliasWins(t *testing.T) {
-	embedded := obs.NewMemorySink()
-	alias := obs.NewMemorySink()
-	spec, err := faults.ParseSpec("metrics-gap:p=0.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	h := RunHooks{Events: embedded, FaultSeed: 1}
-	got := h.Merge(alias, nil, spec, 9)
-	if got.Events != obs.Sink(alias) {
-		t.Error("alias sink should win over the embedded one")
-	}
-	if got.FaultSpec != spec || got.FaultSeed != 9 {
-		t.Errorf("alias fault knobs should win: got spec=%v seed=%d", got.FaultSpec, got.FaultSeed)
-	}
-
-	// Zero aliases leave the embedded values untouched.
-	kept := h.Merge(nil, nil, nil, 0)
-	if kept.Events != obs.Sink(embedded) || kept.FaultSeed != 1 {
-		t.Error("zero aliases must not clobber embedded hooks")
-	}
-}
-
 func TestInjectorWiring(t *testing.T) {
 	if inj := (RunHooks{}).Injector(); inj != nil {
 		t.Errorf("empty hooks should build a nil (fault-free) injector, got %v", inj)

@@ -168,7 +168,7 @@ func (c *CaaSPERReactive) Recommend(currentCores int) int {
 		return currentCores // no usable signal: hold
 	}
 	c.LastDecision = d
-	return d.TargetCores
+	return d.Target.CPUCores
 }
 
 // Reset implements Recommender. The attached event sink survives: a reset
@@ -279,7 +279,7 @@ func (c *CaaSPERProactive) Recommend(currentCores int) int {
 	}
 	c.LastUsedForecast = used
 	c.LastDecision = d
-	return d.TargetCores
+	return d.Target.CPUCores
 }
 
 // Reset implements Recommender. The attached event sink survives (see

@@ -126,13 +126,13 @@ func TestDecisionReporter(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rep DecisionReporter = r
-	if d := rep.LastFullDecision(); d.TargetCores != 0 {
+	if d := rep.LastFullDecision(); d.Target.CPUCores != 0 {
 		t.Fatalf("zero-value decision expected before first Recommend, got %+v", d)
 	}
 	cores := 8
 	runAdapter(t, r, 0, 100, &cores)
 	d := rep.LastFullDecision()
-	if d.TargetCores != cores {
-		t.Fatalf("LastFullDecision().TargetCores = %d, Recommend said %d", d.TargetCores, cores)
+	if d.Target.CPUCores != cores {
+		t.Fatalf("LastFullDecision().Target.CPUCores = %d, Recommend said %d", d.Target.CPUCores, cores)
 	}
 }

@@ -90,10 +90,9 @@ func (v *Vector) Recommend(currentCores int) int { return v.cpu.Recommend(curren
 
 // RecommendVector evaluates every managed dimension against the current
 // allocation vector and returns a Decision whose Current/Target carry
-// the full vectors. The CPU scalar fields mirror the CPU dimension so
-// seed consumers of Decision keep working.
+// the full vectors.
 func (v *Vector) RecommendVector(cur core.Resources) core.Decision {
-	d := core.Decision{Current: cur, CurrentCores: cur.CPUCores}
+	d := core.Decision{Current: cur}
 	target := cur
 
 	// CPU: the wrapped policy, clamped to the managed range.
@@ -145,7 +144,6 @@ func (v *Vector) RecommendVector(cur core.Resources) core.Decision {
 	v.totalCPUPeak = 0 // per-decision peak, like the window advancing
 
 	d.Target = target
-	d.TargetCores = target.CPUCores
 	d.Delta = target.CPUCores - cur.CPUCores
 	v.last = d
 	return d

@@ -106,9 +106,6 @@ func TestVectorRAMAndDiskDimensions(t *testing.T) {
 	if d.Current != cur {
 		t.Fatalf("Current = %+v, want %+v", d.Current, cur)
 	}
-	if d.TargetCores != d.Target.CPUCores || d.CurrentCores != cur.CPUCores {
-		t.Fatalf("deprecated CPU aliases out of sync: %+v", d)
-	}
 
 	// Disk never shrinks even after usage drops.
 	grown := d.Target

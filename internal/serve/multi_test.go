@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -159,69 +160,106 @@ func TestServeMultiConfigValidation(t *testing.T) {
 // TestSnapshotV1MigrationBitIdentical pins the version migration: a v1
 // CPU-only checkpoint (the pre-vector format) restored by the v2 server
 // resumes with bit-identical subsequent decisions and RAM/disk left at
-// their defaults.
+// their defaults. The second case also rewrites every decision to the
+// pre-vector keys "CurrentCores"/"TargetCores", as real v1 files carry
+// them, on a stream that plateaus before the cut so the first resumed
+// decision is served from the restored memo; the restored server must
+// never write those keys back.
 func TestSnapshotV1MigrationBitIdentical(t *testing.T) {
-	usage := rampUsage(200)
 	const cut = 87
 	cfg := `{"policy":"caasper","max_cores":10,"initial_cores":5}`
-
-	// Control: uninterrupted server over the full stream.
-	_, ctl := testServer(t, Options{DecisionEveryMinutes: 10})
-	register(t, ctl.URL, "mig", cfg)
-	postSamples(t, ctl.URL, "mig", usage)
-	waitSamples(t, ctl.URL, "mig", len(usage))
-
-	// First half on a snapshotting server.
-	snap := filepath.Join(t.TempDir(), "serve.snapshot")
-	s1, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := newTestFrontend(t, s1)
-	register(t, ts1, "mig", cfg)
-	postSamples(t, ts1, "mig", usage[:cut])
-	waitSamples(t, ts1, "mig", cut)
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
+	plateau := rampUsage(200)
+	for i := 20; i < len(plateau); i++ {
+		plateau[i] = 3
 	}
 
-	// Downgrade the checkpoint to the v1 format. A CPU-only tenant line
-	// is already byte-identical across versions (every v2 field is
-	// omitempty), so rewriting the header version is the whole migration.
-	raw, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(raw), `"version":2`) {
-		t.Fatalf("snapshot not v2: %s", raw)
-	}
-	for _, field := range []string{"ram_gb", "disk_gb", "replicas", "ram_peak"} {
-		if strings.Contains(string(raw), field) {
-			t.Fatalf("CPU-only v2 tenant line leaks %q — v1 compatibility broken: %s", field, raw)
-		}
-	}
-	v1 := strings.Replace(string(raw), `"version":2`, `"version":1`, 1)
-	if err := os.WriteFile(snap, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// The pre-vector decision spelling: the CPU allocation under two
+	// scalar keys instead of the Current/Target vectors.
+	vectors := regexp.MustCompile(`"Current":\{"CPUCores":(\d+),"RAMGB":0,"DiskGB":0,"Replicas":0\},"Target":\{"CPUCores":(\d+),"RAMGB":0,"DiskGB":0,"Replicas":0\}`)
+	for _, tc := range []struct {
+		name       string
+		usage      []float64
+		scalarKeys bool
+	}{
+		{"header", rampUsage(200), false},
+		{"scalar-keys", plateau, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			usage, scalarKeys := tc.usage, tc.scalarKeys
+			// Control: uninterrupted server over the full stream.
+			_, ctl := testServer(t, Options{DecisionEveryMinutes: 10})
+			register(t, ctl.URL, "mig", cfg)
+			postSamples(t, ctl.URL, "mig", usage)
+			waitSamples(t, ctl.URL, "mig", len(usage))
+			want := decisionsOf(t, ctl.URL, "mig")
 
-	// Restore the v1 file into a fresh v2 server and finish the stream.
-	s2, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: snap})
-	if err != nil {
-		t.Fatalf("v2 server must restore a v1 checkpoint: %v", err)
-	}
-	ts2 := newTestFrontend(t, s2)
-	defer s2.Close()
-	if st := statusRow(t, ts2, "mig"); st.RAMGB != 0 || st.DiskGB != 0 || st.Replicas != 0 {
-		t.Fatalf("v1 tenant restored with non-default multi state: %+v", st)
-	}
-	postSamples(t, ts2, "mig", usage[cut:])
-	waitSamples(t, ts2, "mig", len(usage))
+			// First half on a snapshotting server.
+			snap := filepath.Join(t.TempDir(), "serve.snapshot")
+			s1, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: snap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts1 := newTestFrontend(t, s1)
+			register(t, ts1, "mig", cfg)
+			postSamples(t, ts1, "mig", usage[:cut])
+			waitSamples(t, ts1, "mig", cut)
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	want := decisionsOf(t, ctl.URL, "mig")
-	got := decisionsOf(t, ts2, "mig")
-	if want != got {
-		t.Fatalf("v1-migrated stream diverged:\ncontrol:\n%s\nmigrated:\n%s", want, got)
+			// Downgrade the checkpoint to the v1 format: every v2 tenant
+			// field is omitempty, so beyond the header only the decision
+			// spelling differs (rewritten in the scalar-keys case).
+			raw, err := os.ReadFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(string(raw), `"version":2`) {
+				t.Fatalf("snapshot not v2: %s", raw)
+			}
+			for _, field := range []string{"ram_gb", "disk_gb", "replicas", "ram_peak"} {
+				if strings.Contains(string(raw), field) {
+					t.Fatalf("CPU-only v2 tenant line leaks %q — v1 compatibility broken: %s", field, raw)
+				}
+			}
+			v1 := strings.Replace(string(raw), `"version":2`, `"version":1`, 1)
+			if scalarKeys {
+				if !vectors.MatchString(v1) {
+					t.Fatalf("no decision vectors to rewrite: %s", v1)
+				}
+				v1 = vectors.ReplaceAllString(v1, `"CurrentCores":$1,"TargetCores":$2`)
+			}
+			if err := os.WriteFile(snap, []byte(v1), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			// Restore the v1 file into a fresh v2 server and finish the
+			// stream.
+			s2, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: snap})
+			if err != nil {
+				t.Fatalf("v2 server must restore a v1 checkpoint: %v", err)
+			}
+			ts2 := newTestFrontend(t, s2)
+			if st := statusRow(t, ts2, "mig"); st.RAMGB != 0 || st.DiskGB != 0 || st.Replicas != 0 {
+				t.Fatalf("v1 tenant restored with non-default multi state: %+v", st)
+			}
+			postSamples(t, ts2, "mig", usage[cut:])
+			waitSamples(t, ts2, "mig", len(usage))
+			got := decisionsOf(t, ts2, "mig")
+			if err := s2.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if want != got {
+				t.Fatalf("v1-migrated stream diverged:\ncontrol:\n%s\nmigrated:\n%s", want, got)
+			}
+			written, err := os.ReadFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(string(written), "CurrentCores") || strings.Contains(string(written), "TargetCores") {
+				t.Fatalf("restored server wrote a pre-vector decision key: %s", written)
+			}
+		})
 	}
 }
 

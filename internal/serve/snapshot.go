@@ -15,10 +15,11 @@ import (
 )
 
 // snapshotVersion is the checkpoint format version. Version 2 added the
-// multi-resource tenant fields (all omitempty, so a CPU-only v2 tenant
-// line is byte-identical to its v1 spelling); Restore still accepts v1
-// checkpoints, whose tenants resume with RAM/disk/replicas at their
-// config defaults.
+// multi-resource tenant fields (all omitempty) and spells each decision's
+// allocation as Current/Target vectors. Restore still accepts v1
+// checkpoints: their tenants resume with RAM/disk/replicas at their
+// config defaults, and their decisions' pre-vector CPU keys are read by
+// backfillV1Decisions.
 const snapshotVersion = 2
 
 // snapshotVersionV1 is the CPU-only predecessor Restore migrates from.
@@ -136,6 +137,25 @@ func (s *Server) restoreIfPresent(path string) error {
 	return s.Restore(f)
 }
 
+// backfillV1Decisions restores the CPU allocation of a v1 tenant line's
+// decisions, which v1 wrote under pre-vector keys
+// (core.Decision.BackfillV1).
+func backfillV1Decisions(line []byte, st *recommend.State) error {
+	var v1 struct {
+		State struct {
+			Memo         struct{ Decision json.RawMessage } `json:"memo"`
+			LastDecision json.RawMessage                    `json:"last_decision"`
+		} `json:"state"`
+	}
+	if err := json.Unmarshal(line, &v1); err != nil {
+		return err
+	}
+	if err := st.Memo.Decision.BackfillV1(v1.State.Memo.Decision); err != nil {
+		return err
+	}
+	return st.LastDecision.BackfillV1(v1.State.LastDecision)
+}
+
 // Restore rebuilds the tenant map from a Snapshot stream. Each tenant is
 // reconstructed from its config (same policy, same knobs) and its
 // serialised state is restored, so the first post-restore decision is
@@ -162,6 +182,11 @@ func (s *Server) Restore(r io.Reader) error {
 		var st snapshotTenant
 		if err := json.Unmarshal(sc.Bytes(), &st); err != nil {
 			return fmt.Errorf("serve: restore: tenant line %d: %w", n+1, err)
+		}
+		if hdr.Version == snapshotVersionV1 && st.HasState {
+			if err := backfillV1Decisions(sc.Bytes(), &st.State); err != nil {
+				return fmt.Errorf("serve: restore: tenant line %d: %w", n+1, err)
+			}
 		}
 		t, err := s.newTenant(st.ID, st.Config)
 		if err != nil {

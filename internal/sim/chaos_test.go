@@ -39,7 +39,7 @@ func TestChaosEventStreamDeterministicAcrossWorkers(t *testing.T) {
 		opts := DefaultOptions(8, 8)
 		opts.Workers = workers
 		opts.Events = mem
-		opts.Faults = spec
+		opts.FaultSpec = spec
 		opts.FaultSeed = 7
 		if _, err := RunMatrix([]*trace.Trace{tr}, factories, opts); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -93,7 +93,7 @@ func TestChaosSameSeedSameResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := DefaultOptions(8, 8)
-		opts.Faults = spec
+		opts.FaultSpec = spec
 		opts.FaultSeed = seed
 		res, err := Run(tr, rec, opts)
 		if err != nil {
@@ -134,7 +134,7 @@ func TestChaosFreePathMatchesBaseline(t *testing.T) {
 		opts := DefaultOptions(8, 8)
 		opts.Events = mem
 		if withEmptySpec {
-			opts.Faults = &faults.Spec{}
+			opts.FaultSpec = &faults.Spec{}
 			opts.FaultSeed = 1234
 		}
 		res, err := Run(tr, rec, opts)

@@ -106,7 +106,7 @@ func TestRunInvariantsProperty(t *testing.T) {
 			if res.Usage[t] > res.Limits[t]+1e-9 {
 				return false
 			}
-			if res.Limits[t] < float64(opts.MinCores)-1e-9 || res.Limits[t] > float64(opts.MaxCores)+1e-9 {
+			if res.Limits[t] < float64(opts.Resources.Min.CPUCores)-1e-9 || res.Limits[t] > float64(opts.Resources.Max.CPUCores)+1e-9 {
 				return false
 			}
 			k += res.Limits[t] - res.Usage[t]

@@ -10,9 +10,9 @@ import (
 	"caasper/internal/trace"
 )
 
-// TestRunHooksEmbeddedSpelling proves the canonical RunHooks spelling is
-// live end-to-end: a sink set through the embedded struct (not the
-// deprecated top-level alias) receives the run's events.
+// TestRunHooksEmbeddedSpelling proves the RunHooks spelling is live
+// end-to-end: a sink set through the embedded struct receives the run's
+// events.
 func TestRunHooksEmbeddedSpelling(t *testing.T) {
 	tr := trace.New("flat", time.Minute, make([]float64, 60))
 	rec := baselines.NewControl(2)
@@ -20,20 +20,10 @@ func TestRunHooksEmbeddedSpelling(t *testing.T) {
 	mem := obs.NewMemorySink()
 	opts := DefaultOptions(2, 8)
 	opts.RunHooks = hooks.RunHooks{Events: mem}
-	if opts.Hooks().Events != obs.Sink(mem) {
-		t.Fatal("Hooks() should surface the embedded sink")
-	}
 	if _, err := Run(tr, rec, opts); err != nil {
 		t.Fatal(err)
 	}
 	if mem.Len() == 0 {
 		t.Error("embedded RunHooks.Events received no events")
-	}
-
-	// The deprecated alias shadows the embedded field and wins.
-	alias := obs.NewMemorySink()
-	opts.Events = alias
-	if opts.Hooks().Events != obs.Sink(alias) {
-		t.Error("deprecated Events alias should win over embedded RunHooks.Events")
 	}
 }

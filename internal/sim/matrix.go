@@ -51,9 +51,9 @@ type cellKey struct{ traceName, recName string }
 
 // RunMatrix simulates every trace × factory combination across a bounded
 // worker pool (opts.Workers; below 1 selects runtime.GOMAXPROCS(0)). opts
-// applies to every cell except InitialCores/MaxCores, which are derived
-// per trace when opts.MaxCores is zero (traces of very different
-// magnitudes need different ladders).
+// applies to every cell except the initial and maximum cores, which are
+// derived per trace when opts.Resources.Max.CPUCores is zero (traces of
+// very different magnitudes need different ladders).
 //
 // Each cell is an independent task writing its result into an
 // index-addressed slot, so Cells keeps the historical ordering — traces in
@@ -72,15 +72,15 @@ func RunMatrix(traces []*trace.Trace, factories []RecommenderFactory, opts Optio
 	perTrace := make([]Options, len(traces))
 	for i, tr := range traces {
 		cellOpts := opts
-		if cellOpts.MaxCores == 0 {
+		if cpu := &cellOpts.Resources; cpu.Max.CPUCores == 0 {
 			peak := tr.Peak()
-			cellOpts.MaxCores = int(peak*1.5) + 2
-			cellOpts.InitialCores = int(peak) + 1
-			if cellOpts.MinCores == 0 {
-				cellOpts.MinCores = 2
+			cpu.Max.CPUCores = int(peak*1.5) + 2
+			cpu.Initial.CPUCores = int(peak) + 1
+			if cpu.Min.CPUCores == 0 {
+				cpu.Min.CPUCores = 2
 			}
-			if cellOpts.InitialCores > cellOpts.MaxCores {
-				cellOpts.InitialCores = cellOpts.MaxCores
+			if cpu.Initial.CPUCores > cpu.Max.CPUCores {
+				cpu.Initial.CPUCores = cpu.Max.CPUCores
 			}
 		}
 		perTrace[i] = cellOpts
@@ -90,11 +90,9 @@ func RunMatrix(traces []*trace.Trace, factories []RecommenderFactory, opts Optio
 	// interleave on a shared sink, so each cell captures its stream into
 	// its own memory sink and the streams are replayed into the caller's
 	// sink sequentially, in cell order, after the pool drains. Each cell's
-	// replay is preceded by a "sim.run" header identifying it. The sink is
-	// resolved through Hooks so the embedded RunHooks.Events spelling works
-	// too; the per-cell memory sink is installed via the deprecated outer
-	// field, which Merge lets win inside each cell's Run.
-	shared := opts.Hooks().Events
+	// replay is preceded by a "sim.run" header identifying it. Each cell's
+	// memory sink replaces the caller's in that cell's options.
+	shared := opts.Events
 	emitShared := obs.Enabled(shared)
 	var cellSinks []*obs.MemorySink
 	if emitShared {

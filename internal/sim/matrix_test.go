@@ -43,7 +43,7 @@ func TestRunMatrixCrossProduct(t *testing.T) {
 		workload.StepTrace62h(1),
 	}
 	factories := testFactories()
-	// MaxCores 0: per-trace ladders derived from each trace's peak.
+	// Max.CPUCores 0: per-trace ladders derived from each trace's peak.
 	m, err := RunMatrix(traces, factories, Options{
 		DecisionEveryMinutes: 10,
 		ResizeDelayMinutes:   10,

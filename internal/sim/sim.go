@@ -31,28 +31,26 @@ import (
 
 // Options configures a simulation run.
 type Options struct {
-	// RunHooks is the canonical spelling of the telemetry/fault knobs
-	// shared with LiveOptions and FleetOptions (event sink, metrics
-	// registry, fault spec + seed). The deprecated top-level fields
-	// below shadow it for source compatibility; a set deprecated field
-	// wins (see hooks.RunHooks.Merge).
+	// RunHooks carries the telemetry/fault knobs shared with LiveOptions
+	// and FleetOptions. In the simulator every fault time in FaultSpec is
+	// in minutes, its tick: metrics-gap makes the recommender observe the
+	// previous minute's usage (a lost scrape; ground-truth accounting is
+	// unaffected), restart-stuck extends an in-flight resize,
+	// restart-fail rolls an in-flight resize back at enactment time
+	// ("sim.resize-aborted"), and sched-pressure transiently lowers the
+	// reachable core ceiling. Events receives "sim.resize" per enacted
+	// resize, "sim.throttle" per throttled minute, "sim.slack" per
+	// decision tick, the injector's "fault.*" records and the
+	// recommender's "core.decision" audits, keyed on the simulated
+	// minute in replay order, so the stream is byte-identical across runs
+	// and worker counts. Metrics receives end-of-run counters.
 	hooks.RunHooks
-	// InitialCores is the allocation at trace start.
-	//
-	// Deprecated: set Resources.Initial.CPUCores. A non-zero value here
-	// wins, so seed callers behave identically.
-	InitialCores int
-	// MinCores / MaxCores are the scaler's safety clamps (Figure 1,
-	// step 5 performs "health and resource safety checks").
-	//
-	// Deprecated: set Resources.Min/Max.CPUCores. Non-zero values here
-	// win, so seed callers behave identically.
-	MinCores, MaxCores int
-	// Resources is the canonical resource-vector spelling of the run's
-	// bounds, shared with fleet.TenantSpec and dbsim.HarnessOptions.
-	// Managing a non-CPU dimension (non-zero Max.RAMGB or Max.DiskGB)
-	// is meaningful only to RunVector; plain Run reads just the CPU
-	// entries.
+	// Resources holds the run's initial allocation and the scaler's
+	// safety clamps (Figure 1, step 5 performs "health and resource
+	// safety checks"). Run reads the CPU entries: Initial.CPUCores is the
+	// allocation at trace start (0 defaults to Min.CPUCores, and Run
+	// clamps it into [Min, Max]). Managing a non-CPU dimension (non-zero
+	// Max.RAMGB or Max.DiskGB) is meaningful only to RunVector.
 	Resources core.ResourceRange
 	// RAMTrace / DiskTrace are the per-minute RAM demand and disk usage
 	// series in GB for RunVector; nil derives them deterministically
@@ -81,65 +79,13 @@ type Options struct {
 	// always one sequential replay — the parallelism is across runs, so
 	// results stay deterministic for every worker count.
 	Workers int
-	// Faults, when non-empty, injects deterministic failures into the
-	// replay (keyed on the fault seed and the simulated minute — every
-	// fault time in the spec is in *minutes* here, the simulator's tick):
-	// metrics-gap makes the recommender observe the previous minute's
-	// usage instead of the current one (a lost scrape; ground-truth
-	// accounting is unaffected), restart-stuck extends an in-flight
-	// resize, restart-fail makes an in-flight rolling update fail and
-	// roll back at enactment time ("sim.resize-aborted"), and
-	// sched-pressure transiently lowers the reachable core ceiling.
-	//
-	// Deprecated: set RunHooks.FaultSpec instead; this alias shadows it
-	// and wins when non-nil.
-	Faults *faults.Spec
-	// FaultSeed seeds the fault injector's deterministic draws.
-	//
-	// Deprecated: set RunHooks.FaultSeed instead; this alias shadows it
-	// and wins when non-zero.
-	FaultSeed uint64
-	// Events, when non-nil and enabled, receives the run's structured
-	// event stream: "sim.resize" per enacted resize, "sim.throttle" per
-	// throttled minute, "sim.slack" per decision tick, "fault.*" records
-	// from the injector, plus the recommender's "core.decision" audits
-	// when it implements recommend.Instrumentable. Every event is keyed
-	// on the simulated minute and emitted in replay order, so the stream
-	// is byte-identical across runs and worker counts (RunMatrix buffers
-	// per cell and replays in cell order to preserve this).
-	//
-	// Deprecated: set RunHooks.Events instead; this alias shadows it and
-	// wins when non-nil.
-	Events obs.Sink
-	// Metrics, when non-nil, receives end-of-run counters (decisions,
-	// resizes, throttled minutes). It is runtime telemetry, outside the
-	// determinism contract.
-	//
-	// Deprecated: set RunHooks.Metrics instead; this alias shadows it
-	// and wins when non-nil.
-	Metrics *obs.Registry
-}
-
-// Hooks resolves the effective telemetry/fault knobs: the deprecated
-// top-level aliases overlaid on the embedded RunHooks.
-func (o Options) Hooks() hooks.RunHooks {
-	return o.RunHooks.Merge(o.Events, o.Metrics, o.Faults, o.FaultSeed)
-}
-
-// Range resolves the run's effective resource bounds: the deprecated
-// scalar CPU fields overlay the vector (non-zero wins), the same merge
-// fleet.TenantSpec.Range performs.
-func (o Options) Range() core.ResourceRange {
-	return o.Resources.MergeCPU(o.InitialCores, o.MinCores, o.MaxCores)
 }
 
 // DefaultOptions returns the configuration used across the experiments:
 // 10-minute decisions, 10-minute resizes, hourly billing.
 func DefaultOptions(initial, maxCores int) Options {
 	return Options{
-		InitialCores:         initial,
-		MinCores:             2,
-		MaxCores:             maxCores,
+		Resources:            core.CPURange(initial, 2, maxCores),
 		DecisionEveryMinutes: 10,
 		ResizeDelayMinutes:   10,
 		BillingPeriod:        time.Hour,
@@ -150,11 +96,12 @@ func DefaultOptions(initial, maxCores int) Options {
 // Validate checks option invariants. Every failure wraps
 // errs.ErrInvalidConfig, so callers can branch with errors.Is.
 func (o Options) Validate() error {
-	if o.InitialCores < 1 {
-		return fmt.Errorf("sim: InitialCores must be ≥ 1: %w", errs.ErrInvalidConfig)
+	rr := o.Resources.WithDefaults()
+	if rr.Initial.CPUCores < 1 {
+		return fmt.Errorf("sim: initial cores must be ≥ 1: %w", errs.ErrInvalidConfig)
 	}
-	if o.MinCores < 1 || o.MaxCores < o.MinCores {
-		return fmt.Errorf("sim: bad core bounds [%d, %d]: %w", o.MinCores, o.MaxCores, errs.ErrInvalidConfig)
+	if rr.Min.CPUCores < 1 || rr.Max.CPUCores < rr.Min.CPUCores {
+		return fmt.Errorf("sim: bad core bounds [%d, %d]: %w", rr.Min.CPUCores, rr.Max.CPUCores, errs.ErrInvalidConfig)
 	}
 	if o.DecisionEveryMinutes < 1 {
 		return fmt.Errorf("sim: DecisionEveryMinutes must be ≥ 1: %w", errs.ErrInvalidConfig)
@@ -285,9 +232,9 @@ func Run(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Result, err
 		// that actually describes it.
 		return nil, fmt.Errorf("sim: trace interval %v, want 1m (resample first): %w", tr.Interval, errs.ErrInvalidConfig)
 	}
-	// Resolve the telemetry/fault knobs once: deprecated aliases overlay
-	// the embedded RunHooks (hooks.RunHooks.Merge).
-	h := opts.Hooks()
+	h := opts.RunHooks
+	rr := opts.Resources.WithDefaults()
+	minCores, maxCores := rr.Min.CPUCores, rr.Max.CPUCores
 
 	meter, err := billing.NewMeter(opts.PricePerCorePeriod, opts.BillingPeriod, time.Minute)
 	if err != nil {
@@ -315,7 +262,7 @@ func Run(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Result, err
 		Decisions:      make([]DecisionRecord, 0, ticks),
 	}
 
-	limit := stats.ClampInt(opts.InitialCores, opts.MinCores, opts.MaxCores)
+	limit := stats.ClampInt(rr.Initial.CPUCores, minCores, maxCores)
 	pendingTarget := -1
 	pendingAt := -1
 
@@ -452,13 +399,13 @@ func Run(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Result, err
 				h.Events.Emit(obs.Event{T: int64(t), Type: "sim.slack", Fields: evf})
 			}
 			slackSinceTick, lastTick = 0, t
-			target := stats.ClampInt(rec.Recommend(limit), opts.MinCores, opts.MaxCores)
+			target := stats.ClampInt(rec.Recommend(limit), minCores, maxCores)
 			// Transient scheduling pressure lowers the reachable core
 			// ceiling: a scale-up beyond it would not place right now.
 			if pc := inj.PressureCores(int64(t)); pc > 0 {
-				ceiling := opts.MaxCores - int(pc)
-				if ceiling < opts.MinCores {
-					ceiling = opts.MinCores
+				ceiling := maxCores - int(pc)
+				if ceiling < minCores {
+					ceiling = minCores
 				}
 				if target > ceiling {
 					target = ceiling

@@ -26,12 +26,12 @@ func flatTrace(level float64, minutes int) *trace.Trace {
 
 func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
-		{InitialCores: 0, MinCores: 1, MaxCores: 4, DecisionEveryMinutes: 10, BillingPeriod: time.Hour},
-		{InitialCores: 2, MinCores: 0, MaxCores: 4, DecisionEveryMinutes: 10, BillingPeriod: time.Hour},
-		{InitialCores: 2, MinCores: 5, MaxCores: 4, DecisionEveryMinutes: 10, BillingPeriod: time.Hour},
-		{InitialCores: 2, MinCores: 1, MaxCores: 4, DecisionEveryMinutes: 0, BillingPeriod: time.Hour},
-		{InitialCores: 2, MinCores: 1, MaxCores: 4, DecisionEveryMinutes: 10, ResizeDelayMinutes: -1, BillingPeriod: time.Hour},
-		{InitialCores: 2, MinCores: 1, MaxCores: 4, DecisionEveryMinutes: 10, BillingPeriod: 0},
+		{Resources: core.CPURange(-1, 1, 4), DecisionEveryMinutes: 10, BillingPeriod: time.Hour},
+		{Resources: core.CPURange(2, 0, 4), DecisionEveryMinutes: 10, BillingPeriod: time.Hour},
+		{Resources: core.CPURange(2, 5, 4), DecisionEveryMinutes: 10, BillingPeriod: time.Hour},
+		{Resources: core.CPURange(2, 1, 4), DecisionEveryMinutes: 0, BillingPeriod: time.Hour},
+		{Resources: core.CPURange(2, 1, 4), DecisionEveryMinutes: 10, ResizeDelayMinutes: -1, BillingPeriod: time.Hour},
+		{Resources: core.CPURange(2, 1, 4), DecisionEveryMinutes: 10, BillingPeriod: 0},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -40,6 +40,22 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := DefaultOptions(6, 16).Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestZeroInitialResolvesToMin: an unset initial allocation starts the
+// replay at the safety floor.
+func TestZeroInitialResolvesToMin(t *testing.T) {
+	opts := DefaultOptions(0, 8)
+	if err := opts.Validate(); err != nil {
+		t.Fatalf("zero initial cores should default to Min: %v", err)
+	}
+	res, err := Run(flatTrace(1, 30), baselines.NewControl(5), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Limits[0] != 2 {
+		t.Fatalf("replay starts at %v cores, want Min 2", res.Limits[0])
 	}
 }
 
@@ -144,7 +160,7 @@ func TestResizeDelayAndSerialization(t *testing.T) {
 func TestScalerClampsRecommendation(t *testing.T) {
 	tr := flatTrace(2, 40)
 	opts := DefaultOptions(4, 6)
-	opts.MinCores = 3
+	opts.Resources.Min.CPUCores = 3
 	res, err := Run(tr, baselines.NewControl(99), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func (r *VectorResult) String() string {
 // opts.Resources must manage at least one non-CPU dimension (use Run for
 // CPU-only work).
 func RunVector(tr *trace.Trace, rec recommend.Recommender, opts Options) (*VectorResult, error) {
-	rr := opts.Range()
+	rr := opts.Resources.WithDefaults()
 	if !rr.Multi() {
 		return nil, fmt.Errorf("sim: RunVector needs a managed non-CPU dimension (use Run): %w", errs.ErrInvalidConfig)
 	}
@@ -77,7 +77,7 @@ func RunVector(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Vecto
 	}
 	res := &VectorResult{Result: cpu}
 
-	h := opts.Hooks()
+	h := opts.RunHooks
 	events := obs.Enabled(h.Events)
 	// A fresh injector for the non-CPU loops: draws are (kind, pod, time)
 	// keyed, so its mem-pressure stream is identical to what a single

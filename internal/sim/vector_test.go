@@ -21,7 +21,7 @@ func vectorOpts(t *testing.T, spec string) Options {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions(2, 8)
-	opts.Resources = rr
+	opts.Resources = rr.OrCPU(opts.Resources)
 	return opts
 }
 

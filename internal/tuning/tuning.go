@@ -352,7 +352,7 @@ func NewRecommender(p Params, maxCores, seasonMinutes int) (recommend.Recommende
 
 // Evaluate runs one combination through the simulator.
 func Evaluate(tr *trace.Trace, p Params, simOpts sim.Options, seasonMinutes int) (Evaluation, error) {
-	rec, err := NewRecommender(p, simOpts.MaxCores, seasonMinutes)
+	rec, err := NewRecommender(p, simOpts.Resources.Max.CPUCores, seasonMinutes)
 	if err != nil {
 		return Evaluation{}, err
 	}

@@ -1,6 +1,7 @@
 package caasper
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -88,6 +89,91 @@ func TestPublicInPlaceResize(t *testing.T) {
 	if res.DB.InterruptedTxns != 0 || res.Failovers != 0 {
 		t.Errorf("in-place run interrupted %v txns, %d failovers; want zero",
 			res.DB.InterruptedTxns, res.Failovers)
+	}
+}
+
+// cpuOnlyRange spells CPU bounds in the resource vector alone.
+func cpuOnlyRange(initial, min, max int) ResourceRange {
+	return ResourceRange{
+		Initial: Resources{CPUCores: initial},
+		Limits:  ResourceLimits{Min: Resources{CPUCores: min}, Max: Resources{CPUCores: max}},
+	}
+}
+
+// TestPublicVectorOnlyBounds: CPU bounds set only in Resources drive
+// Simulate, SimulateVector and RunLive exactly like the presets do.
+func TestPublicVectorOnlyBounds(t *testing.T) {
+	tr := Workloads["workday12h"](3)
+	def := DefaultSimOptions(6, 8)
+	opts := SimOptions{
+		Resources:            cpuOnlyRange(6, 2, 8),
+		DecisionEveryMinutes: def.DecisionEveryMinutes,
+		ResizeDelayMinutes:   def.ResizeDelayMinutes,
+		BillingPeriod:        def.BillingPeriod,
+		PricePerCorePeriod:   def.PricePerCorePeriod,
+	}
+	simulate := func(o SimOptions) *SimResult {
+		rec, err := NewReactive(DefaultConfig(8), 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Simulate(tr, rec, o)
+		if err != nil {
+			t.Fatalf("Simulate: %v", err)
+		}
+		return res
+	}
+	if got, want := simulate(opts), simulate(def); !reflect.DeepEqual(got, want) {
+		t.Errorf("vector-only Simulate = %v, want %v", got, want)
+	}
+
+	withRAM := func(o SimOptions) SimOptions {
+		o.Resources.Initial.RAMGB, o.Resources.Min.RAMGB, o.Resources.Max.RAMGB = 4, 4, 16
+		return o
+	}
+	simulateVector := func(o SimOptions) *VectorSimResult {
+		rec, err := NewReactive(DefaultConfig(8), 40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := SimulateVector(tr, rec, withRAM(o))
+		if err != nil {
+			t.Fatalf("SimulateVector: %v", err)
+		}
+		return res
+	}
+	if got, want := simulateVector(opts), simulateVector(def); !reflect.DeepEqual(got, want) {
+		t.Errorf("vector-only SimulateVector = %v, want %v", got, want)
+	}
+
+	short := NewTrace("short", time.Minute, tr.Values[:120])
+	sched, err := ScheduleForCores("vec", MixedOLTP(), TracePattern(short), 2*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := DatabaseA(2, 6)
+	live := LiveOptions{
+		Replicas:             a.Replicas,
+		Resources:            cpuOnlyRange(2, 2, 6),
+		MemGiBPerPod:         a.MemGiBPerPod,
+		RestartSecondsPerPod: a.RestartSecondsPerPod,
+		DecisionEverySeconds: a.DecisionEverySeconds,
+		BillingPeriod:        a.BillingPeriod,
+		DB:                   a.DB,
+	}
+	runLive := func(o LiveOptions) *LiveResult {
+		rec, err := NewReactive(DefaultConfig(6), 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunLive(sched, rec, o)
+		if err != nil {
+			t.Fatalf("RunLive: %v", err)
+		}
+		return res
+	}
+	if got, want := runLive(live), runLive(a); !reflect.DeepEqual(got, want) {
+		t.Errorf("vector-only RunLive = %+v, want %+v", got, want)
 	}
 }
 

@@ -1,13 +1,9 @@
 #!/bin/sh
 # Public-API drift gate: dump the exported symbols of the root caasper
 # package (scripts/apidump) and diff them against the checked-in
-# snapshot. A removed re-export or renamed constructor fails here as a
-# byte diff instead of surprising downstream callers.
-#
-# Additions are allowlisted through the deprecation marker: a new symbol
-# whose doc carries "Deprecated:" (a compatibility alias kept for old
-# callers) passes without a snapshot update; any other addition — and
-# every removal — requires an intentional UPDATE=1 regeneration.
+# snapshot. A removed re-export, a renamed constructor or a new symbol
+# fails here as a byte diff instead of surprising downstream callers;
+# every intentional change needs an UPDATE=1 regeneration.
 #
 #   sh scripts/apicheck.sh            # verify against testdata/api.txt
 #   UPDATE=1 sh scripts/apicheck.sh   # regenerate after an intentional change
@@ -16,10 +12,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 OUT=$(mktemp)
-REMOVED=$(mktemp)
-ADDED=$(mktemp)
-DEP=$(mktemp)
-trap 'rm -f "$OUT" "$REMOVED" "$ADDED" "$DEP"' EXIT
+trap 'rm -f "$OUT"' EXIT
 
 go run ./scripts/apidump | LC_ALL=C sort > "$OUT"
 
@@ -36,30 +29,8 @@ if cmp -s "$GOLD" "$OUT"; then
     exit 0
 fi
 
-LC_ALL=C comm -23 "$GOLD" "$OUT" > "$REMOVED"
-LC_ALL=C comm -13 "$GOLD" "$OUT" > "$ADDED"
-
-if [ -s "$REMOVED" ]; then
-    echo "==> FAIL: exported symbols removed from the public API:" >&2
-    sed 's/^/    - /' "$REMOVED" >&2
-    echo "    (removals always fail; regenerate with UPDATE=1 only for an intentional break)" >&2
-    exit 1
-fi
-
-# Every addition must be a deprecated compatibility alias to pass the
-# gate without a snapshot update.
-go run ./scripts/apidump -deprecated | LC_ALL=C sort > "$DEP"
-BAD=0
-while IFS= read -r sym; do
-    if ! grep -Fqx "$sym" "$DEP"; then
-        [ "$BAD" = 0 ] && echo "==> FAIL: new exported symbols are not Deprecated: aliases:" >&2
-        echo "    + $sym" >&2
-        BAD=1
-    fi
-done < "$ADDED"
-if [ "$BAD" = 1 ]; then
-    echo "    (run UPDATE=1 sh scripts/apicheck.sh to bless an intentional API addition)" >&2
-    exit 1
-fi
-
-echo "==> OK: exported API matches $GOLD plus $(wc -l < "$ADDED" | tr -d ' ') deprecated alias(es)"
+echo "==> FAIL: exported API differs from $GOLD:" >&2
+LC_ALL=C comm -23 "$GOLD" "$OUT" | sed 's/^/    - /' >&2
+LC_ALL=C comm -13 "$GOLD" "$OUT" | sed 's/^/    + /' >&2
+echo "    (run UPDATE=1 sh scripts/apicheck.sh to bless an intentional API change)" >&2
+exit 1

@@ -5,19 +5,12 @@
 // removed re-export, a renamed constructor) fails `make check` instead
 // of surprising downstream callers.
 //
-// With -deprecated it prints only the symbols whose doc comment carries
-// a "Deprecated:" marker — the allowlist apicheck.sh consults when the
-// surface grows: additions of deprecated compatibility aliases pass the
-// gate without a snapshot update, anything else requires UPDATE=1.
-//
 // Run from the repository root:
 //
 //	go run ./scripts/apidump
-//	go run ./scripts/apidump -deprecated
 package main
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -29,13 +22,10 @@ import (
 )
 
 func main() {
-	depOnly := flag.Bool("deprecated", false, `print only symbols whose doc contains "Deprecated:"`)
-	flag.Parse()
-
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+	}, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "apidump:", err)
 		os.Exit(1)
@@ -46,22 +36,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	deprecated := func(docs ...*ast.CommentGroup) bool {
-		for _, d := range docs {
-			if d != nil && strings.Contains(d.Text(), "Deprecated:") {
-				return true
-			}
-		}
-		return false
-	}
-
 	var lines []string
-	emit := func(line string, docs ...*ast.CommentGroup) {
-		if *depOnly && !deprecated(docs...) {
-			return
-		}
-		lines = append(lines, line)
-	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
@@ -69,7 +44,7 @@ func main() {
 				// Methods live on re-exported internal types; only
 				// package-level functions are part of this surface.
 				if d.Recv == nil && d.Name.IsExported() {
-					emit("func "+d.Name.Name, d.Doc)
+					lines = append(lines, "func "+d.Name.Name)
 				}
 			case *ast.GenDecl:
 				kind := map[token.Token]string{
@@ -82,12 +57,12 @@ func main() {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						if s.Name.IsExported() {
-							emit(kind+" "+s.Name.Name, s.Doc, d.Doc)
+							lines = append(lines, kind+" "+s.Name.Name)
 						}
 					case *ast.ValueSpec:
 						for _, name := range s.Names {
 							if name.IsExported() {
-								emit(kind+" "+name.Name, s.Doc, d.Doc)
+								lines = append(lines, kind+" "+name.Name)
 							}
 						}
 					}

@@ -1,10 +1,18 @@
 #!/bin/sh
-# Repository-wide verification gate: vet, build, race-enabled tests, and a
-# short benchmark smoke over the hot paths and the parallel engine. Run it
-# before sending changes (or via `make check`).
+# Repository-wide verification gate: gofmt, vet, build, race-enabled
+# tests, and a short benchmark smoke over the hot paths and the parallel
+# engine. Run it before sending changes (or via `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l (tracked Go files)"
+UNFORMATTED=$(gofmt -l $(git ls-files '*.go'))
+if [ -n "$UNFORMATTED" ]; then
+    echo "==> FAIL: gofmt -w these files:" >&2
+    echo "$UNFORMATTED" | sed 's/^/    /' >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
