@@ -256,6 +256,34 @@ func BenchmarkDecide(b *testing.B) {
 	}
 }
 
+// BenchmarkDecideWindow40 measures one steady-state decide cycle in
+// fleet-week-mixed's shape: a 40-minute reactive window on a 12-core
+// ladder, fed a seeded noisy trace, recommending every 10 observations.
+// One op is 10 Observe calls plus one Recommend; warmed up, it allocates
+// nothing.
+func BenchmarkDecideWindow40(b *testing.B) {
+	vals := caasper.Workloads["customer"](7).Values
+	rec, err := caasper.NewReactive(caasper.DefaultConfig(12), 40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, cur := 0, 2
+	cycle := func() {
+		for end := m + 10; m < end; m++ {
+			rec.Observe(m, vals[m%len(vals)])
+		}
+		cur = rec.Recommend(cur)
+	}
+	for i := 0; i < 8; i++ { // fill the window and warm the scratch
+		cycle()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
 func BenchmarkSimulateWorkday(b *testing.B) {
 	tr := caasper.Workloads["workday12h"](1)
 	opts := caasper.DefaultSimOptions(6, 8)

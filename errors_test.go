@@ -2,6 +2,7 @@ package caasper
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -29,6 +30,33 @@ func TestSentinelInvalidConfig(t *testing.T) {
 	bad.MinCores = 0
 	if _, err := NewReactive(bad, 40); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("NewReactive(MinCores=0): got %v, want errors.Is(ErrInvalidConfig)", err)
+	}
+
+	// Non-finite floats pass every range comparison, so Validate screens
+	// them first: unscreened, a NaN QuantileP panicked inside Decide and a
+	// NaN SlackHigh held forever.
+	usage := []float64{1, 2, 3, 4}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"NaN QuantileP", func(c *Config) { c.QuantileP = math.NaN() }},
+		{"NaN SlackHigh", func(c *Config) { c.SlackHigh = math.NaN() }},
+		{"NaN SlackLow", func(c *Config) { c.SlackLow = math.NaN() }},
+		{"+Inf SlopeHigh", func(c *Config) { c.SlopeHigh = math.Inf(1) }},
+		{"NaN SlopeLow", func(c *Config) { c.SlopeLow = math.NaN() }},
+		{"NaN WalkDownPerfTarget", func(c *Config) { c.WalkDownPerfTarget = math.NaN() }},
+		{"NaN SF.CMin", func(c *Config) { c.SF.CMin = math.NaN() }},
+		{"-Inf SF.SkewWeight", func(c *Config) { c.SF.SkewWeight = math.Inf(-1) }},
+	} {
+		c := DefaultConfig(16)
+		tc.mutate(&c)
+		if _, err := Decide(c, 4, usage); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("Decide(%s): got %v, want errors.Is(ErrInvalidConfig)", tc.name, err)
+		}
+		if _, err := NewReactive(c, 40); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("NewReactive(%s): got %v, want errors.Is(ErrInvalidConfig)", tc.name, err)
+		}
 	}
 
 	opts := DefaultSimOptions(4, 16)

@@ -328,8 +328,14 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	cfg := r.cfg
 	xc := stats.ClampInt(currentCores, cfg.SKUs.MinCores, cfg.SKUs.MaxCores)
 
-	// Line 2: preprocess CPU into the reusable buffer.
-	clean := appendPreprocessed(sc.clean[:0], usage)
+	// Line 2: preprocess CPU into the reusable buffer, sized to the whole
+	// window up front: this buffer and the memo key trade places below,
+	// so both stay that size rather than append's next doubling.
+	buf := sc.clean[:0]
+	if cap(buf) < len(usage) {
+		buf = make([]float64, 0, len(usage))
+	}
+	clean := appendPreprocessed(buf, usage)
 	sc.clean = clean
 	if len(clean) == 0 {
 		return Decision{}, ErrNoUsage
@@ -353,7 +359,9 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	// Invalidate before touching memo state: an error return below must
 	// not leave a half-updated memo armed.
 	sc.memoValid = false
-	sc.memoClean = append(sc.memoClean[:0], clean...)
+	// Nothing below reorders clean, so it becomes the memo key as is: the
+	// two buffers swap roles and the old key is the next call's scratch.
+	sc.clean, sc.memoClean = sc.memoClean, clean
 	sc.memoCores = xc
 
 	// Line 3: build the PvP curve (the refactored SKU recommendation
@@ -368,14 +376,15 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	s := curve.SlopeAt(xc)
 	rawSF := pvp.ScalingFactor(s, skew, cfg.SF)
 
-	// Quickselect in place (clean is partially reordered from here on;
-	// every later read — Max below — is order-independent). Bit-identical
-	// to sorting first and reading the R-7 quantile.
-	q, err := stats.QuantileInPlace(clean, cfg.QuantileP)
+	// The slack quantile and the walk-down's peak from one read-only
+	// top-m scan: exact order statistics, so both are bit-identical to
+	// sorting first and reading the R-7 quantile and the last element.
+	// The quickselect fallback copies into sc.clean, the old memo key,
+	// which is free until the next call preprocesses into it.
+	q, peak, err := stats.QuantileMax(clean, cfg.QuantileP, &sc.clean)
 	if err != nil {
 		return Decision{}, err
 	}
-	peak := stats.Max(clean)
 
 	d := Decision{
 		Slope:    s,

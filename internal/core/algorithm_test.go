@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"caasper/internal/errs"
 	"caasper/internal/pvp"
 	"caasper/internal/stats"
 )
@@ -53,12 +55,25 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.QuantileP = 0 },
 		func(c *Config) { c.QuantileP = 1.1 },
 		func(c *Config) { c.WalkDownPerfTarget = 0 },
+		// NaN passes every range comparison; non-finite floats must not.
+		func(c *Config) { c.SlopeHigh = math.NaN() },
+		func(c *Config) { c.SlopeLow = math.NaN() },
+		func(c *Config) { c.SlopeHigh = math.Inf(1) },
+		func(c *Config) { c.SlopeLow = math.Inf(-1) },
+		func(c *Config) { c.SlackHigh = math.NaN() },
+		func(c *Config) { c.SlackLow = math.NaN() },
+		func(c *Config) { c.QuantileP = math.NaN() },
+		func(c *Config) { c.WalkDownPerfTarget = math.NaN() },
+		func(c *Config) { c.SF.CMin = math.NaN() },
+		func(c *Config) { c.SF.CMin = math.Inf(1) },
+		func(c *Config) { c.SF.SkewWeight = math.NaN() },
+		func(c *Config) { c.SF.SkewWeight = math.Inf(-1) },
 	}
 	for i, mutate := range mutations {
 		c := DefaultConfig(16)
 		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("mutation %d should fail validation", i)
+		if err := c.Validate(); !errors.Is(err, errs.ErrInvalidConfig) {
+			t.Errorf("mutation %d: Validate = %v, want errors.Is(ErrInvalidConfig)", i, err)
 		}
 	}
 	if _, err := New(Config{}); err == nil {

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"caasper/internal/errs"
 	"caasper/internal/pvp"
@@ -90,6 +91,25 @@ func DefaultConfig(maxCores int) Config {
 func (c Config) Validate() error {
 	if err := c.SKUs.Validate(); err != nil {
 		return err
+	}
+	// NaN slips through every range check below (each comparison is
+	// false), so the float fields are screened for finiteness first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SlopeHigh", c.SlopeHigh},
+		{"SlopeLow", c.SlopeLow},
+		{"SlackHigh", c.SlackHigh},
+		{"SlackLow", c.SlackLow},
+		{"QuantileP", c.QuantileP},
+		{"WalkDownPerfTarget", c.WalkDownPerfTarget},
+		{"SF.CMin", c.SF.CMin},
+		{"SF.SkewWeight", c.SF.SkewWeight},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s %v is not finite: %w", f.name, f.v, errs.ErrInvalidConfig)
+		}
 	}
 	if c.MinCores < 1 {
 		return fmt.Errorf("core: MinCores must be ≥ 1: %w", errs.ErrInvalidConfig)

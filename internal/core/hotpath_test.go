@@ -10,7 +10,11 @@ import (
 // randomWindow mixes regimes so the decisions below cover every branch:
 // pinned-at-cap, idle, in-band and flat-tail windows all occur.
 func randomWindow(rng *stats.RNG, trial int) []float64 {
-	n := 5 + trial%77
+	return randomWindowN(rng, trial, 5+trial%77)
+}
+
+// randomWindowN is randomWindow at a caller-chosen length n.
+func randomWindowN(rng *stats.RNG, trial, n int) []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		switch trial % 5 {
@@ -163,29 +167,39 @@ func TestDecideScratchMemoHitZeroAllocs(t *testing.T) {
 // TestDecideScratchMissZeroAllocs pins the full-evaluation path at zero
 // allocations once scratch buffers are warm: the explanation is built in
 // the reusable byte buffer and only materialised by Scratch.Explanation.
+// The window-200 row puts the P95 too deep for the top-m scan, so the
+// quickselect fallback and its spare buffer are pinned too.
 func TestDecideScratchMissZeroAllocs(t *testing.T) {
-	r := mustRecommender(t, 16)
-	a := cappedUsage(6, 3, 40, 9)
-	b := cappedUsage(6, 3, 40, 10)
-	var sc Scratch
-	if _, err := r.DecideScratch(&sc, 3, a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.DecideScratch(&sc, 3, b); err != nil {
-		t.Fatal(err)
-	}
-	flip := false
-	allocs := testing.AllocsPerRun(500, func() {
-		u := a
-		if flip {
-			u = b
-		}
-		flip = !flip
-		if _, err := r.DecideScratch(&sc, 3, u); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("memo-miss allocs = %v, want 0", allocs)
+	for _, n := range []int{40, 200} {
+		t.Run(fmt.Sprintf("window%d", n), func(t *testing.T) {
+			r := mustRecommender(t, 16)
+			// Noisy below the cap, so a and b differ and every call misses.
+			a := cappedUsage(2.5, 3, n, 9)
+			b := cappedUsage(2.5, 3, n, 10)
+			var sc Scratch
+			if _, err := r.DecideScratch(&sc, 3, a); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.DecideScratch(&sc, 3, b); err != nil {
+				t.Fatal(err)
+			}
+			flip := false
+			allocs := testing.AllocsPerRun(500, func() {
+				u := a
+				if flip {
+					u = b
+				}
+				flip = !flip
+				if _, err := r.DecideScratch(&sc, 3, u); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("memo-miss allocs = %v, want 0", allocs)
+			}
+			if hits := sc.MemoHits; hits != 0 {
+				t.Fatalf("alternating windows hit the memo %d times", hits)
+			}
+		})
 	}
 }

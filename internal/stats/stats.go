@@ -86,30 +86,18 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between closest ranks (the "R-7" method used by most
-// statistics packages). It returns an error for an empty sample and clamps
-// q into [0, 1].
-//
-// A single quantile needs at most two order statistics, not a total
-// order, so the implementation copies xs once and partially selects in
-// the copy (O(n) expected) instead of fully sorting (O(n log n)). The
-// result is bit-identical to sorting first: quickselect places the exact
-// k-th smallest element, and the interpolation formula is unchanged.
-func Quantile(xs []float64, q float64) (float64, error) {
-	scratch := make([]float64, len(xs))
-	copy(scratch, xs)
-	return QuantileInPlace(scratch, q)
-}
+// ErrNaNQuantile is returned when the requested quantile level is NaN.
+var ErrNaNQuantile = errors.New("stats: quantile level is NaN")
 
-// QuantileInPlace is Quantile evaluated destructively in the caller's
-// buffer: xs is partially reordered (no allocation). Hot-path callers
-// (one quantile per decision tick) keep a scratch copy and reuse it.
-// Bit-identical to Quantile and to QuantileSorted on a sorted copy.
-func QuantileInPlace(xs []float64, q float64) (float64, error) {
-	n := len(xs)
+// quantileRank validates and clamps q into [0, 1] and returns the R-7
+// position q·(n−1) with its floor: the quantile interpolates between the
+// lo-th and the ⌈pos⌉-th order statistics (0-based, ascending).
+func quantileRank(n int, q float64) (pos float64, lo int, err error) {
 	if n == 0 {
-		return 0, ErrEmpty
+		return 0, 0, ErrEmpty
+	}
+	if math.IsNaN(q) {
+		return 0, 0, ErrNaNQuantile
 	}
 	if q < 0 {
 		q = 0
@@ -117,19 +105,97 @@ func QuantileInPlace(xs []float64, q float64) (float64, error) {
 	if q > 1 {
 		q = 1
 	}
-	if n == 1 {
-		return xs[0], nil
+	pos = q * float64(n-1)
+	return pos, int(math.Floor(pos)), nil
+}
+
+// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
+// interpolation between closest ranks (the "R-7" method used by most
+// statistics packages). It returns an error for an empty sample or a NaN
+// q and clamps q into [0, 1]. xs is not modified.
+//
+// A single quantile needs at most two order statistics, not a total
+// order; see QuantileMax for how they are found without sorting. The
+// result is bit-identical to QuantileSorted on a sorted copy.
+func Quantile(xs []float64, q float64) (float64, error) {
+	v, _, err := QuantileMax(xs, q, nil)
+	return v, err
+}
+
+// topMax bounds the top-m scan of QuantileMax: up to this many of the
+// largest values are kept in a stack array; more fall back to quickselect.
+const topMax = 8
+
+// QuantileMax returns the R-7 q-quantile (as Quantile) and the maximum of
+// xs in one read-only pass. xs is not modified.
+//
+// The quantile reads the order statistics at ascending ranks ⌊q·(n−1)⌋
+// and ⌈q·(n−1)⌉, which are the m-th and (m−1)-th largest values for
+// m = n − ⌊q·(n−1)⌋ (3 at P95 over a 40-sample window). When m ≤ topMax
+// one scan keeps the m largest values sorted in a stack array; the
+// quantile interpolates between its last two entries and the maximum is
+// its first. Larger m copies xs into *spare (grown as needed and kept for
+// the next call; a nil spare allocates) and quickselects there. Either
+// way the order statistics are exact, so the quantile is bit-identical to
+// QuantileSorted on a sorted copy, and the maximum to Max(xs).
+func QuantileMax(xs []float64, q float64, spare *[]float64) (quantile, peak float64, err error) {
+	pos, lo, err := quantileRank(len(xs), q)
+	if err != nil {
+		return 0, 0, err
 	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	m := len(xs) - lo
+	if m > topMax {
+		if spare == nil {
+			spare = new([]float64)
+		}
+		*spare = append((*spare)[:0], xs...)
+		v, err := quantileInPlace(*spare, q)
+		return v, Max(xs), err
+	}
+
+	// top[:k] holds the k largest values seen so far, descending; a new
+	// value lands after any equal ones, so top[0] is the first maximum in
+	// xs, exactly as Max reports it.
+	var top [topMax]float64
+	k := 0
+	for _, x := range xs {
+		if k == m {
+			if x <= top[m-1] {
+				continue
+			}
+			k-- // x evicts the current m-th largest
+		}
+		j := k
+		for j > 0 && top[j-1] < x {
+			top[j] = top[j-1]
+			j--
+		}
+		top[j] = x
+		k++
+	}
+	vlo := top[m-1]
+	if float64(lo) == pos {
+		return vlo, top[0], nil
+	}
+	frac := pos - float64(lo)
+	return vlo*(1-frac) + top[m-2]*frac, top[0], nil
+}
+
+// quantileInPlace is Quantile evaluated destructively in the caller's
+// buffer: xs is partially reordered (no allocation). Bit-identical to
+// Quantile and to QuantileSorted on a sorted copy.
+func quantileInPlace(xs []float64, q float64) (float64, error) {
+	pos, lo, err := quantileRank(len(xs), q)
+	if err != nil {
+		return 0, err
+	}
 	selectNth(xs, lo)
 	vlo := xs[lo]
-	if lo == hi {
+	if float64(lo) == pos {
 		return vlo, nil
 	}
-	// hi == lo+1, and after selection everything right of lo is ≥ the
-	// lo-th order statistic, so the hi-th order statistic is the minimum
+	// ⌈pos⌉ == lo+1, and after selection everything right of lo is ≥ the
+	// lo-th order statistic, so the next order statistic is the minimum
 	// of the right part.
 	vhi := Min(xs[lo+1:])
 	frac := pos - float64(lo)
@@ -199,31 +265,15 @@ func selectNth(xs []float64, k int) {
 // the defensive copy; callers on hot paths (the simulator evaluates a
 // quantile per decision) should sort once and reuse.
 func QuantileSorted(sorted []float64, q float64) (float64, error) {
-	if len(sorted) == 0 {
-		return 0, ErrEmpty
+	pos, lo, err := quantileRank(len(sorted), q)
+	if err != nil {
+		return 0, err
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return quantileSorted(sorted, q), nil
-}
-
-func quantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 1 {
-		return sorted[0]
-	}
-	pos := q * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
+	if float64(lo) == pos {
+		return sorted[lo], nil
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[lo+1]*frac, nil
 }
 
 // Skewness returns the Fisher–Pearson moment coefficient of skewness of xs

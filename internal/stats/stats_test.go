@@ -87,6 +87,12 @@ func TestQuantile(t *testing.T) {
 	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
 		t.Errorf("Quantile(empty) err = %v, want ErrEmpty", err)
 	}
+	if _, err := Quantile(xs, math.NaN()); err != ErrNaNQuantile {
+		t.Errorf("Quantile(q=NaN) err = %v, want ErrNaNQuantile", err)
+	}
+	if _, err := QuantileSorted(xs, math.NaN()); err != ErrNaNQuantile {
+		t.Errorf("QuantileSorted(q=NaN) err = %v, want ErrNaNQuantile", err)
+	}
 	// Interpolation between ranks.
 	got, _ := Quantile([]float64{10, 20}, 0.5)
 	if !almostEqual(got, 15, 1e-12) {
@@ -267,7 +273,7 @@ func TestQuantilePropertyMonotone(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Quickselect quantile equivalence (the O(window) hot-path contract)
 
-// TestQuantileInPlaceMatchesSorted: QuantileInPlace must be bit-identical
+// TestQuantileInPlaceMatchesSorted: quantileInPlace must be bit-identical
 // to the sort-based QuantileSorted for every q, including duplicate-heavy
 // and adversarially ordered inputs — the decision hot path swaps one for
 // the other and the goldens require byte-equal decisions.
@@ -299,7 +305,7 @@ func TestQuantileInPlaceMatchesSorted(t *testing.T) {
 			}
 			scratch := make([]float64, n)
 			copy(scratch, xs)
-			got, err := QuantileInPlace(scratch, q)
+			got, err := quantileInPlace(scratch, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,7 +324,7 @@ func TestQuantileInPlaceMatchesSorted(t *testing.T) {
 }
 
 func TestQuantileInPlaceEmpty(t *testing.T) {
-	if _, err := QuantileInPlace(nil, 0.5); err != ErrEmpty {
+	if _, err := quantileInPlace(nil, 0.5); err != ErrEmpty {
 		t.Fatalf("empty: err = %v, want ErrEmpty", err)
 	}
 }
@@ -333,11 +339,11 @@ func TestQuantileInPlaceZeroAlloc(t *testing.T) {
 	scratch := make([]float64, len(xs))
 	allocs := testing.AllocsPerRun(200, func() {
 		copy(scratch, xs)
-		if _, err := QuantileInPlace(scratch, 0.95); err != nil {
+		if _, err := quantileInPlace(scratch, 0.95); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("QuantileInPlace allocs = %v, want 0", allocs)
+		t.Fatalf("quantileInPlace allocs = %v, want 0", allocs)
 	}
 }

@@ -60,6 +60,13 @@ sh scripts/fleet.sh
 echo "==> serve smoke (server + loadgen + decision-stream golden)"
 sh scripts/serve.sh
 
+# Fuzz stage: the decision kernel's quantile/peak scan against a full
+# sort, 10 s of fresh inputs on top of the seeds `go test` replays. New
+# coverage is minimised for at most 100 runs so the budget goes on
+# fuzzing, not on shrinking corpus entries.
+echo "==> fuzz FuzzQuantileMax (10s)"
+go test -run '^$' -fuzz FuzzQuantileMax -fuzztime 10s -fuzzminimizetime 100x ./internal/stats
+
 echo "==> benchmark smoke (1x, hot paths + parallel engine)"
 go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday' -benchtime 1x -benchmem .
 go test -run xxx -bench 'BenchmarkRandomSearchParallel' -benchtime 1x -benchmem ./internal/tuning/
