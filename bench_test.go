@@ -13,12 +13,16 @@
 package caasper_test
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -655,4 +659,103 @@ func BenchmarkServeIngest(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)*batchSamples/b.Elapsed().Minutes(), "samples/min")
+}
+
+// serve10k is a closed recommender service holding 10,000 tenants, each
+// warmed mid-window with 35 samples (three decisions logged; every fourth
+// tenant also manages RAM and disk), built once for the checkpoint
+// benchmarks through the public HTTP surface.
+var serve10k = sync.OnceValues(func() (*caasper.Server, error) {
+	srv, err := caasper.NewServer(caasper.ServeOptions{})
+	if err != nil {
+		return nil, err
+	}
+	h := srv.Handler()
+	tr := caasper.Workloads["workday12h"](1)
+	var body strings.Builder
+	for i := 0; i < 10_000; i++ {
+		cfg := `{"policy":"caasper","max_cores":16,"initial_cores":2}`
+		if i%4 == 3 {
+			cfg = `{"policy":"caasper","max_cores":16,"initial_cores":2,"min_ram_gb":2,"max_ram_gb":32,"disk_gb":20}`
+		}
+		id := fmt.Sprintf("/v1/tenants/t%05d", i)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, id, strings.NewReader(cfg)))
+		if rec.Code != http.StatusCreated {
+			return nil, fmt.Errorf("register: %d %s", rec.Code, rec.Body)
+		}
+		body.Reset()
+		for s := 0; s < 35; s++ {
+			fmt.Fprintf(&body, "{\"cpu\":%.4f,\"ram_gb\":%.2f,\"disk_gb\":%.2f}\n", tr.At((7*i+s)%700), 4+float64(s%9), 12+0.2*float64(s))
+		}
+		for {
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, id+"/samples", strings.NewReader(body.String())))
+			if rec.Code == http.StatusAccepted {
+				break
+			}
+			if rec.Code != http.StatusTooManyRequests {
+				return nil, fmt.Errorf("post: %d %s", rec.Code, rec.Body)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Close drains every queued batch; with no snapshot path it writes
+	// nothing, and Snapshot still reads the drained tenants.
+	return srv, srv.Close()
+})
+
+// BenchmarkServeSnapshot10k measures one checkpoint of 10,000 warm
+// tenants to a file (encode, write, rename).
+func BenchmarkServeSnapshot10k(b *testing.B) {
+	srv, err := serve10k()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "serve.snapshot")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := srv.Snapshot(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if fi, err := os.Stat(path); err == nil {
+		b.ReportMetric(float64(fi.Size())/(1<<20), "MB")
+	}
+}
+
+// BenchmarkServeRestore10k measures restoring that checkpoint into a
+// fresh server (decode, rebuild every recommender, publish); building
+// and closing the server stay outside the timer.
+func BenchmarkServeRestore10k(b *testing.B) {
+	srv, err := serve10k()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "serve.snapshot")
+	if err := srv.Snapshot(path); err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fresh, err := caasper.NewServer(caasper.ServeOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := fresh.Restore(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		fresh.Close()
+		b.StartTimer()
+	}
 }

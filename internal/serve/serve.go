@@ -341,6 +341,7 @@ func New(opts Options) (*Server, error) {
 	s.mux = s.routes()
 	if o.SnapshotPath != "" {
 		if err := s.restoreIfPresent(o.SnapshotPath); err != nil {
+			s.Drain() // stop the shard workers of the server never returned
 			return nil, err
 		}
 	}

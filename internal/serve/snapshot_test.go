@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // feedHalves posts usage to a server in two halves with an optional
@@ -181,22 +183,65 @@ func TestSnapshotFileShape(t *testing.T) {
 	s.Close()
 }
 
+// validLine is a well-formed cold tenant line for hand-built snapshots.
+func validLine(id string) string {
+	return `{"id":"` + id + `","config":{"policy":"caasper","min_cores":1,"max_cores":4},"cores":2,"minute":0,"seq":0,"has_state":false}`
+}
+
+// TestRestoreRejectsBadSnapshots pins the restore error contract: every
+// bad stream is an error naming what is wrong, and the server it was
+// restored into gains no tenant — not even the ones on valid lines
+// before the bad one.
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
-	for _, tc := range []struct{ name, payload string }{
-		{"empty", ""},
-		{"wrong format", `{"format":"other","version":1,"tenants":0}`},
-		{"wrong version", `{"format":"caasper-serve","version":99,"tenants":0}`},
-		{"truncated", `{"format":"caasper-serve","version":1,"tenants":3}`},
-		{"garbage tenant", `{"format":"caasper-serve","version":1,"tenants":1}` + "\nnot json"},
+	hdr := func(tenants int) string {
+		return fmt.Sprintf(`{"format":"caasper-serve","version":2,"tenants":%d}`, tenants)
+	}
+	for _, tc := range []struct{ name, payload, want string }{
+		{"empty", "", "empty snapshot"},
+		{"wrong format", `{"format":"other","version":1,"tenants":0}`, "unsupported snapshot format"},
+		{"wrong version", `{"format":"caasper-serve","version":99,"tenants":0}`, "unsupported snapshot format"},
+		{"truncated", `{"format":"caasper-serve","version":1,"tenants":3}`, "header says 3 tenants, found 0"},
+		{"garbage tenant", `{"format":"caasper-serve","version":1,"tenants":1}` + "\nnot json", "tenant line 1"},
+		{"garbage after valid", hdr(2) + "\n" + validLine("a") + "\nnot json", "tenant line 2"},
+		{"count short", hdr(2) + "\n" + validLine("a"), "header says 2 tenants, found 1"},
+		{"count long", hdr(1) + "\n" + validLine("a") + "\n" + validLine("b"), "header says 1 tenants, found 2"},
+		{"duplicate id", hdr(3) + "\n" + validLine("a") + "\n" + validLine("b") + "\n" + validLine("a"), `duplicate tenant "a" (line 3)`},
+		{"bad policy after valid", hdr(2) + "\n" + validLine("a") + "\n" + strings.Replace(validLine("b"), "caasper", "bogus", 1), `tenant "b"`},
 	} {
 		s, err := New(Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Restore(strings.NewReader(tc.payload)); err == nil {
+		ts := newTestFrontend(t, s)
+		err = s.Restore(strings.NewReader(tc.payload))
+		if err == nil {
 			t.Errorf("%s: Restore accepted a bad snapshot", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
+		}
+		if code, body, _ := do(t, http.MethodGet, ts+"/v1/admin/tenants", ""); code != http.StatusOK || strings.TrimSpace(body) != "[]" {
+			t.Errorf("%s: failed restore left tenants behind: %d %s", tc.name, code, body)
 		}
 		s.Close()
+	}
+}
+
+// TestNewRejectsCorruptSnapshot pins startup on a corrupt checkpoint:
+// New fails naming the bad line and stops the shard workers it started.
+func TestNewRejectsCorruptSnapshot(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "serve.snapshot")
+	payload := `{"format":"caasper-serve","version":2,"tenants":2}` + "\n" + validLine("a") + "\nnot json\n"
+	if err := os.WriteFile(snap, []byte(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if _, err := New(Options{Shards: 32, SnapshotPath: snap}); err == nil || !strings.Contains(err.Error(), "tenant line 2") {
+		t.Fatalf("New on a corrupt snapshot: %v", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("failed New left %d goroutines running (had %d)", runtime.NumGoroutine(), before)
+		}
 	}
 }
 

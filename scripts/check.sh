@@ -1,7 +1,7 @@
 #!/bin/sh
 # Repository-wide verification gate: gofmt, vet, build, race-enabled
-# tests, and a short benchmark smoke over the hot paths and the parallel
-# engine. Run it before sending changes (or via `make check`).
+# tests, fuzz stages, and a short benchmark smoke over the hot paths and
+# the parallel engine. Run it before sending changes (or via `make check`).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,6 +66,18 @@ sh scripts/serve.sh
 # fuzzing, not on shrinking corpus entries.
 echo "==> fuzz FuzzQuantileMax (10s)"
 go test -run '^$' -fuzz FuzzQuantileMax -fuzztime 10s -fuzzminimizetime 100x ./internal/stats
+
+# Fuzz stage: arbitrary checkpoint streams into serve's Restore. It must
+# never panic, a failed restore must leave the server without a tenant,
+# and a successful one must survive snapshot → restore → snapshot byte
+# for byte.
+echo "==> fuzz FuzzRestore (10s)"
+go test -run '^$' -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+
+# The parallel checkpoint encode/decode (worker buffers, batch decode,
+# all-or-nothing publish) under the race detector, as a named gate.
+echo "==> race: serve snapshot/restore"
+go test -race -run 'Snapshot|Restore' ./internal/serve
 
 echo "==> benchmark smoke (1x, hot paths + parallel engine)"
 go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday' -benchtime 1x -benchmem .
