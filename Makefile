@@ -33,8 +33,8 @@ check:
 chaos:
 	sh scripts/chaos.sh
 
-# 16-tenant fleet determinism golden: byte-identical event streams at
-# workers 1/4/8 under -race. Regenerate: UPDATE=1 make fleet
+# Fleet determinism goldens (chaos, multi-resource, overflow): byte-identical
+# event streams at workers 1/4/8 under -race. Regenerate: UPDATE=1 make fleet
 fleet:
 	sh scripts/fleet.sh
 

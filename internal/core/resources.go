@@ -12,9 +12,8 @@ import (
 // autoscaler can manage. CPU is the paper's original dimension; RAM, disk
 // and replica count follow the Zerops production scaling surface
 // (min/max per dimension, containers for stateless tiers). A dimension
-// with value 0 is "unset": Limits.Clamp passes it through untouched and
-// policies skip it, which is what keeps CPU-only configurations on the
-// exact pre-vector code paths.
+// with value 0 is "unset" and policies skip it: a CPU-only configuration
+// is the vector whose other dimensions are 0.
 type Resources struct {
 	CPUCores int // cores per pod
 	RAMGB    int // resident memory per pod, GB
@@ -63,8 +62,7 @@ func (l Limits) managedRAM() bool  { return l.Max.RAMGB > 0 }
 func (l Limits) managedDisk() bool { return l.Max.DiskGB > 0 }
 
 // Multi reports whether any non-CPU dimension is managed — the switch
-// that upgrades a tenant from the CPU-only decision loop to the
-// resource-vector loop.
+// that gives a tenant its RAM, disk and replica state and traces.
 func (l Limits) Multi() bool {
 	return l.Max.RAMGB > 0 || l.Max.DiskGB > 0 || l.Max.Replicas > 0
 }

@@ -78,12 +78,13 @@ type TenantSpec struct {
 
 	// Resources holds the tenant's initial allocation and bounds.
 	// Managing any non-CPU dimension (a non-zero Max.RAMGB, Max.DiskGB
-	// or Max.Replicas) upgrades the tenant from the CPU-only decision
-	// loop to the multi-resource loop: RAM scales by the dual-threshold
-	// MemoryPolicy, disk grows off its high-water mark, and — for
-	// Stateless tenants — replicas overflow horizontally once the
-	// vertical CPU ceiling pins. CPU-only tenants run the exact
-	// pre-vector code paths.
+	// or Max.Replicas) makes the tenant multi-resource: RAM scales by the
+	// dual-threshold MemoryPolicy, disk grows off its high-water mark,
+	// and — for Stateless tenants — replicas overflow horizontally once
+	// the vertical CPU ceiling pins. Every tenant decides and enacts
+	// through the same vector rule (recommend.NextResources); a CPU-only
+	// tenant is the vector whose other dimensions are unmanaged, and only
+	// multi-resource tenants observe minute by minute (multi.go).
 	Resources core.ResourceRange
 	// RAMTrace is the per-minute per-pod RAM demand series in GB; nil
 	// derives one deterministically from Trace (workload.DeriveRAM).
@@ -318,27 +319,21 @@ func (r *Result) Summary() string {
 // grown event slice — per tenant per run.
 var sinkPool = sync.Pool{New: func() any { return obs.NewMemorySink() }}
 
-// proposal is one tenant's pending resize request for the current tick.
-// CPU-only tenants fill only target/severity; multi-resource tenants set
-// multi and carry explicit targets for every managed dimension.
+// proposal is one tenant's pending resize request for the current tick:
+// the next resource vector, every unmanaged dimension 0 (for a CPU-only
+// tenant, all but CPU).
 type proposal struct {
-	target   int
-	severity float64 // accumulated insufficient core-minutes since the last decision
-	multi    bool
-	ram      int // RAM GB target (multi only)
-	disk     int // disk GB target (multi only)
-	reps     int // replica target (multi only)
+	target   core.Resources
+	severity float64 // insufficient core-minutes (plus RAM short GB-minutes) since the last decision
 }
 
-// grows reports whether any dimension of the proposal asks for more
-// capacity — such proposals go through the arbiter; pure releases enact
-// first. For CPU-only proposals this is exactly the pre-vector
-// target-vs-limit comparison.
+// grows reports whether the proposal asks its nodes for more capacity
+// (more CPU, more RAM or another replica): such proposals go through the
+// arbiter, while releases — and disk growth, which draws on no node —
+// enact first.
 func (p proposal) grows(t *tenant) bool {
-	if !p.multi {
-		return p.target >= t.set.CPULimit()
-	}
-	return p.target > t.set.CPULimit() || p.ram > t.mr.ramAlloc || p.reps > t.mr.replicas
+	cur := t.alloc(t.set.CPULimit())
+	return p.target.CPUCores > cur.CPUCores || p.target.RAMGB > cur.RAMGB || p.target.Replicas > cur.Replicas
 }
 
 // tenant is the per-tenant runtime state. Phase 1 touches exactly one
@@ -361,8 +356,8 @@ type tenant struct {
 	prop      proposal
 	hasProp   bool
 
-	// mr is the multi-resource state; nil keeps the tenant on the exact
-	// CPU-only code paths (see multi.go).
+	// mr is the multi-resource state; nil for a CPU-only tenant, which
+	// never allocates one (see multi.go).
 	mr *multiState
 
 	// Tick-loop state (see events.go).
@@ -376,25 +371,48 @@ type tenant struct {
 	steady recommend.SteadyObserver // non-nil: steady-state sleep allowed
 }
 
-// decide evaluates the recommender at a decision tick: the clamped target
-// becomes a phase-2 proposal when it differs from the current limit, and
-// the severity accumulator (the arbiter's priority signal) is snapshotted
-// into the proposal and reset either way. Multi-resource tenants decide
-// every managed dimension (decideMulti).
+// alloc returns the tenant's current grants as a resource vector: limit
+// cores per pod plus, for a multi-resource tenant, its RAM, disk and
+// replica grants. A CPU-only tenant's other dimensions are 0, unmanaged.
+func (t *tenant) alloc(limit int) core.Resources {
+	r := core.Resources{CPUCores: limit}
+	if m := t.mr; m != nil {
+		r.RAMGB, r.DiskGB, r.Replicas = m.ramAlloc, m.diskAlloc, m.replicas
+	}
+	return r
+}
+
+// podMem is the per-pod memory spec for a RAM grant: the grant itself
+// when the tenant manages RAM, TenantSpec.MemGiBPerPod when it does not
+// (ram 0).
+func (t *tenant) podMem(ram int) float64 {
+	if ram == 0 {
+		return t.spec.MemGiBPerPod
+	}
+	return float64(ram)
+}
+
+// decide evaluates the tenant's vector at a decision tick
+// (recommend.NextResources over the recommender's CPU target and, for a
+// multi-resource tenant, the window's peaks). A vector that differs from
+// the current grants becomes a phase-2 proposal. The severity
+// accumulators (the arbiter's priority signal) are snapshotted into the
+// proposal and reset either way, as are the window peaks.
 func (t *tenant) decide(limit int) {
 	t.hasProp = false
-	if t.mr != nil {
-		t.decideMulti(limit)
-		return
+	cur := t.alloc(limit)
+	severity := t.severity
+	var peak recommend.WindowPeaks
+	var pol recommend.VectorPolicy
+	if m := t.mr; m != nil {
+		peak, pol = m.peak, m.pol
+		// RAM shortfall joins CPU insufficiency as the arbiter's priority
+		// signal: an OOM-ing tenant outranks a merely-throttled one.
+		severity += m.ramShort
+		m.ramShort, m.peak.RAMGB, m.peak.TotalCPU = 0, 0, 0
 	}
-	target := t.rec.Recommend(limit)
-	if rr := &t.spec.Resources; target < rr.Min.CPUCores {
-		target = rr.Min.CPUCores
-	} else if target > rr.Max.CPUCores {
-		target = rr.Max.CPUCores
-	}
-	if target != limit {
-		t.prop = proposal{target: target, severity: t.severity}
+	if next := recommend.NextResources(t.rec.Recommend(limit), cur, peak, t.spec.Resources.Limits, pol); next != cur {
+		t.prop = proposal{target: next, severity: severity}
 		t.hasProp = true
 	}
 	t.severity = 0
@@ -722,7 +740,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 			continue
 		}
 		if !t.prop.grows(t) {
-			s.enactProposal(t, now)
+			s.enact(t, now)
 		} else {
 			ups = append(ups, i)
 		}
@@ -752,14 +770,14 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 		}
 		for _, i := range ups {
 			t := ts[i]
-			if node, short := s.checkFeasible(t, pressure); node != "" {
+			if node, short := infeasible(t, s.cluster, pressure, s.arb); node != "" {
 				t.res.Deferrals++
 				deferred++
 				if s.events {
 					s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
 						obs.S("tenant", t.spec.Name),
 						obs.I("from", int64(t.set.CPULimit())),
-						obs.I("want", int64(t.prop.target)),
+						obs.I("want", int64(t.prop.target.CPUCores)),
 						obs.F("severity", t.prop.severity),
 						obs.S("node", node),
 						obs.F("short_cores", short),
@@ -767,7 +785,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 				}
 				continue
 			}
-			s.enactProposal(t, now)
+			s.enact(t, now)
 			granted++
 		}
 	}
@@ -775,61 +793,49 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 	return len(ups), granted, deferred
 }
 
-// enactProposal routes a granted proposal to the matching enactor.
-func (s *runState) enactProposal(t *tenant, now int) {
-	if t.prop.multi {
-		s.enactMulti(t, now)
-		return
-	}
-	enact(t, t.prop, s.cluster, s.arb, s.h.Events, s.events, now)
-}
-
-// checkFeasible routes the arbiter's capacity check: CPU-only proposals
-// keep the single-dimension node scan; multi proposals bin-pack CPU and
-// RAM deltas together.
-func (s *runState) checkFeasible(t *tenant, pressure float64) (string, float64) {
-	if t.prop.multi {
-		return infeasibleMulti(t, s.cluster, pressure, s.arb)
-	}
-	return infeasible(t, t.prop.target, s.cluster, pressure, s.arb)
-}
-
 // arbScratch holds the phase-2 working storage reused across ticks: the
-// per-node resize tally of infeasible (a pair of parallel slices — sets
-// span a handful of nodes, so linear probing beats a map rebuilt per
-// check) and enact's rollback list.
+// per-node resize tally of infeasible (parallel slices — sets span a
+// handful of nodes, so linear probing beats a map rebuilt per check) and
+// resize's rollback list.
 type arbScratch struct {
 	nodes   []string
-	need    []float64
-	needMem []float64 // RAM deltas per node (multi-resource proposals)
+	need    []float64 // CPU deltas per node
+	needMem []float64 // RAM deltas per node
 	done    []*k8s.Pod
 }
 
-// infeasible checks whether granting the tenant's scale-up would
-// oversubscribe any node hosting its pods: per node, the summed resize
-// deltas must fit the node's free capacity minus the transient scheduling
-// pressure (which the raw in-place resize path does not see — the arbiter
-// is the pressure-aware layer). It returns the first violating node's
-// name and the shortfall in cores, or "" when the grant fits.
-func infeasible(t *tenant, target int, cluster *k8s.Cluster, pressure float64, arb *arbScratch) (string, float64) {
+// infeasible checks whether granting the tenant's proposal would
+// oversubscribe any node hosting its pods: per node, the summed CPU and
+// RAM resize deltas must fit the node's free capacity, CPU minus the
+// transient scheduling pressure (which the raw in-place resize path does
+// not see — the arbiter is the pressure-aware layer). A pod whose RAM is
+// unmanaged keeps its memory spec, so its RAM delta is 0. It returns the
+// first violating node's name and the shortfall in the violating
+// dimension's unit, or "" when the grant fits.
+func infeasible(t *tenant, cluster *k8s.Cluster, pressure float64, arb *arbScratch) (string, float64) {
+	podMem := t.podMem(t.prop.target.RAMGB)
 	arb.nodes = arb.nodes[:0]
 	arb.need = arb.need[:0]
+	arb.needMem = arb.needMem[:0]
 	for _, p := range t.set.Pods {
-		delta := float64(target) - p.CPULimit()
-		if delta <= 0 || p.NodeName == "" {
+		cpuDelta := max(float64(t.prop.target.CPUCores)-p.CPULimit(), 0)
+		memDelta := max(podMem-p.Spec.Requests.MemoryGiB, 0)
+		if (cpuDelta == 0 && memDelta == 0) || p.NodeName == "" {
 			continue
 		}
 		found := false
 		for j, name := range arb.nodes {
 			if name == p.NodeName {
-				arb.need[j] += delta
+				arb.need[j] += cpuDelta
+				arb.needMem[j] += memDelta
 				found = true
 				break
 			}
 		}
 		if !found {
 			arb.nodes = append(arb.nodes, p.NodeName)
-			arb.need = append(arb.need, delta)
+			arb.need = append(arb.need, cpuDelta)
+			arb.needMem = append(arb.needMem, memDelta)
 		}
 	}
 	for j, name := range arb.nodes {
@@ -837,64 +843,101 @@ func infeasible(t *tenant, target int, cluster *k8s.Cluster, pressure float64, a
 		if n == nil {
 			return name, arb.need[j]
 		}
-		free := n.Free().CPUCores - pressure
-		if arb.need[j] > free {
-			return name, arb.need[j] - free
+		free := n.Free()
+		if avail := free.CPUCores - pressure; arb.need[j] > avail {
+			return name, arb.need[j] - avail
+		}
+		if arb.needMem[j] > 0 && arb.needMem[j] > free.MemoryGiB {
+			return name, arb.needMem[j] - free.MemoryGiB
 		}
 	}
 	return "", 0
 }
 
-// enact applies one granted proposal: every pod of the set is resized in
-// place to the target (all-or-nothing — an unexpected mid-apply rejection
-// rolls the already-resized pods back). An injected restart failure
-// aborts the enactment before any pod changes, modelling a failed apply.
-func enact(t *tenant, prop proposal, cluster *k8s.Cluster, arb *arbScratch, sink obs.Sink, events bool, now int) {
-	from := t.set.CPULimit()
-	if t.inj.RestartFails(t.pod, int64(now)) {
+// enact applies one granted proposal in phase 2: the in-place CPU/RAM
+// resize of every pod first (resize), then, for a multi-resource tenant,
+// the grow-only volume expansion and the replica add or remove. A failed
+// resize ends the enactment there — volume growth and replica moves wait
+// for the next decision.
+func (s *runState) enact(t *tenant, now int) {
+	prop := t.prop
+	cur := t.alloc(t.set.CPULimit())
+	if prop.target.CPUCores != cur.CPUCores || prop.target.RAMGB != cur.RAMGB {
+		if !s.resize(t, cur, now) {
+			return
+		}
+	}
+	m := t.mr
+	if m != nil {
+		m.diskAlloc = max(m.diskAlloc, prop.target.DiskGB) // grow-only: enact never shrinks a volume
+		s.moveReplicas(t, now)
+	}
+	if s.events {
+		n := 4
+		if m != nil {
+			n = 8
+		}
+		// Sized for the vector fields, so the event costs one allocation.
+		fields := append(make([]obs.Field, 0, n),
+			obs.S("tenant", t.spec.Name),
+			obs.I("from", int64(cur.CPUCores)),
+			obs.I("to", int64(prop.target.CPUCores)),
+			obs.F("severity", prop.severity),
+		)
+		if m != nil {
+			// Appended, like fleet.tenant's vector fields.
+			fields = append(fields,
+				obs.I("ram_from", int64(cur.RAMGB)),
+				obs.I("ram_to", int64(m.ramAlloc)),
+				obs.I("disk_gb", int64(m.diskAlloc)),
+				obs.I("replicas", int64(m.replicas)),
+			)
+		}
+		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: fields})
+	}
+}
+
+// resize applies the proposal's CPU and RAM to every pod of the set in
+// place, all-or-nothing: an unexpected mid-apply rejection (the arbiter
+// pre-checked feasibility, so a genuine surprise such as a racing
+// co-tenant) rolls the already-resized pods back to cur. An injected
+// restart failure aborts before any pod changes, modelling a failed
+// apply. It reports whether the resize took effect.
+func (s *runState) resize(t *tenant, cur core.Resources, now int) bool {
+	target := t.prop.target
+	aborted := func(reason string) bool {
 		t.res.ResizesAborted++
-		if events {
-			sink.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
+		if s.events {
+			s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
 				obs.S("tenant", t.spec.Name),
-				obs.I("from", int64(from)),
-				obs.I("to", int64(prop.target)),
-				obs.S("reason", "restart-fail"),
+				obs.I("from", int64(cur.CPUCores)),
+				obs.I("to", int64(target.CPUCores)),
+				obs.S("reason", reason),
 			}})
 		}
-		return
+		return false
 	}
-	done := arb.done[:0]
+	if t.inj.RestartFails(t.pod, int64(now)) {
+		return aborted("restart-fail")
+	}
+	newMem := t.podMem(target.RAMGB)
+	done := s.arb.done[:0]
 	for _, p := range t.set.Pods {
-		spec := k8s.NewGuaranteedSpec(prop.target, t.spec.MemGiBPerPod)
-		if err := cluster.ResizeInPlace(p, spec); err != nil {
-			// The arbiter pre-checked feasibility, so this is a genuine
-			// surprise (e.g. a racing co-tenant): roll back and treat it
-			// as an aborted enactment rather than leaving the set split.
+		if err := s.cluster.ResizeInPlace(p, k8s.NewGuaranteedSpec(target.CPUCores, newMem)); err != nil {
 			for _, q := range done {
-				_ = cluster.ResizeInPlace(q, k8s.NewGuaranteedSpec(from, t.spec.MemGiBPerPod))
+				// Returning a pod to the size it held a moment ago always fits.
+				_ = s.cluster.ResizeInPlace(q, k8s.NewGuaranteedSpec(cur.CPUCores, t.podMem(cur.RAMGB)))
 			}
-			arb.done = done[:0]
-			t.res.ResizesAborted++
-			if events {
-				sink.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
-					obs.S("tenant", t.spec.Name),
-					obs.I("from", int64(from)),
-					obs.I("to", int64(prop.target)),
-					obs.S("reason", "infeasible"),
-				}})
-			}
-			return
+			s.arb.done = done[:0]
+			return aborted("infeasible")
 		}
 		done = append(done, p)
 	}
-	arb.done = done[:0]
-	t.res.NumScalings++
-	if events {
-		sink.Emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: []obs.Field{
-			obs.S("tenant", t.spec.Name),
-			obs.I("from", int64(from)),
-			obs.I("to", int64(prop.target)),
-			obs.F("severity", prop.severity),
-		}})
+	s.arb.done = done[:0]
+	if target.RAMGB != 0 {
+		t.mr.ramAlloc = target.RAMGB
+		t.set.MemGiBPerPod = newMem // future replicas inherit the grant
 	}
+	t.res.NumScalings++
+	return true
 }

@@ -1,6 +1,10 @@
 package recommend
 
-import "math"
+import (
+	"math"
+
+	"caasper/internal/core"
+)
 
 // MemoryPolicy sizes the RAM dimension with Zerops' dual-threshold rule:
 // scale up when free memory falls below the HIGHER of an absolute
@@ -155,4 +159,81 @@ func (p DiskPolicy) Target(allocGB int, usedGB float64, maxGB int) int {
 		return allocGB
 	}
 	return need
+}
+
+// horizontalHeadroom is the fraction of a replica set's vertical ceiling
+// kept free: overflow adds a replica once the peak total CPU demand runs
+// hotter than 75% of the current set's ceiling, and removes one only when
+// the smaller set would still carry that peak under the same 75%.
+const horizontalHeadroom = 0.25
+
+// WindowPeaks is what one decision window observed of the signals the
+// non-CPU dimensions size against.
+type WindowPeaks struct {
+	// RAMGB is the peak per-pod RAM demand.
+	RAMGB float64
+	// DiskGB is the high-water per-pod disk usage.
+	DiskGB float64
+	// TotalCPU is the peak CPU demand of the whole replica set, in cores.
+	TotalCPU float64
+}
+
+// VectorPolicy holds the per-dimension policies of a resource vector.
+// The zero value runs the RAM and disk defaults with horizontal scaling
+// off.
+type VectorPolicy struct {
+	Mem  MemoryPolicy
+	Disk DiskPolicy
+	// Horizontal allows replica moves (stateless tiers only).
+	Horizontal bool
+}
+
+// NextResources is the one vector decision rule. From the CPU target a
+// recommender proposed, the current grants, the decision window's peaks
+// and the bounds, it returns the next grants:
+//
+//   - CPU is the proposed target clamped to its bounds (lim.Clamp);
+//   - RAM, when managed (lim.Max.RAMGB > 0), follows the dual-threshold
+//     MemoryPolicy against the peak per-pod demand;
+//   - disk, when the tenant has a volume (cur.DiskGB > 0), only grows,
+//     off the high-water usage (lim.Max.DiskGB 0 leaves it unbounded);
+//   - replicas, when pol.Horizontal is set, overflow vertical-first: one
+//     is added only when the clamped CPU target pins at the per-pod
+//     ceiling and the peak total demand exceeds what the set carries with
+//     headroom (lim.Max.Replicas 0 is unbounded); one is removed only
+//     when the target is off the ceiling and the smaller set, never below
+//     max(lim.Min.Replicas, 1) pods, would still carry the peak with the
+//     same headroom.
+//
+// Every other dimension keeps its current grant, so a CPU-only vector
+// comes back CPU-only.
+func NextResources(cpu int, cur core.Resources, peak WindowPeaks, lim core.Limits, pol VectorPolicy) core.Resources {
+	next := cur
+	next.CPUCores = lim.Clamp(core.Resources{CPUCores: cpu}).CPUCores
+	if lim.Max.RAMGB > 0 {
+		next.RAMGB = pol.Mem.Target(cur.RAMGB, peak.RAMGB, lim.Min.RAMGB, lim.Max.RAMGB)
+	}
+	if cur.DiskGB > 0 {
+		next.DiskGB = pol.Disk.Target(cur.DiskGB, peak.DiskGB, lim.Max.DiskGB)
+	}
+	if pol.Horizontal {
+		next.Replicas = nextReplicas(next.CPUCores, cur.Replicas, peak.TotalCPU, lim)
+	}
+	return next
+}
+
+// nextReplicas is NextResources' vertical-first overflow rule for a set
+// of reps pods whose CPU target is target.
+func nextReplicas(target, reps int, peakTotal float64, lim core.Limits) int {
+	maxCores, maxR := lim.Max.CPUCores, lim.Max.Replicas
+	minR := max(lim.Min.Replicas, 1)
+	ceiling := float64(maxCores*reps) * (1 - horizontalHeadroom)
+	smaller := float64(maxCores*(reps-1)) * (1 - horizontalHeadroom)
+	switch {
+	case target >= maxCores && peakTotal > ceiling && (maxR == 0 || reps < maxR):
+		return reps + 1
+	case reps > minR && target < maxCores && peakTotal <= smaller:
+		return reps - 1
+	}
+	return reps
 }

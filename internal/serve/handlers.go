@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"caasper/internal/core"
 	"caasper/internal/obs"
 	"caasper/internal/recommend"
 )
@@ -364,26 +365,11 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 	s.lookup(w, r.PathValue("id"), func(t *tenantState) {
 		t.cfg.MinCores = body.MinCores
 		t.cfg.MaxCores = body.MaxCores
-		if t.cores < body.MinCores {
-			t.cores = body.MinCores
-		}
-		if t.cores > body.MaxCores {
-			t.cores = body.MaxCores
-		}
 		if body.MaxRAMGB > 0 {
-			t.cfg.MinRAMGB = body.MinRAMGB
-			if t.cfg.MinRAMGB <= 0 {
-				t.cfg.MinRAMGB = 1
-			}
+			t.cfg.MinRAMGB = max(body.MinRAMGB, 1)
 			t.cfg.MaxRAMGB = body.MaxRAMGB
 			if t.cfg.InitialRAMGB == 0 {
 				t.cfg.InitialRAMGB = t.cfg.MinRAMGB
-			}
-			if t.ramGB < t.cfg.MinRAMGB {
-				t.ramGB = t.cfg.MinRAMGB
-			}
-			if t.ramGB > t.cfg.MaxRAMGB {
-				t.ramGB = t.cfg.MaxRAMGB
 			}
 		}
 		if body.DiskGB > 0 {
@@ -393,19 +379,15 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 			}
 			// Volumes only grow: an admin can provision ahead of demand but
 			// never shrink under live data.
-			if t.diskGB < body.DiskGB {
-				t.diskGB = body.DiskGB
-			}
+			t.diskGB = max(t.diskGB, body.DiskGB)
 		}
 		if body.MaxReplicas > 0 {
 			t.cfg.MaxReplicas = body.MaxReplicas
-			if t.replicas == 0 {
-				t.replicas = 1
-			}
-			if t.replicas > body.MaxReplicas {
-				t.replicas = body.MaxReplicas
-			}
 		}
+		// A newly managed RAM or replica dimension starts at its floor; a
+		// volume never exceeds MaxDiskGB, so the clamp never shrinks it.
+		g := t.cfg.limits().Clamp(core.Resources{CPUCores: t.cores, RAMGB: t.ramGB, DiskGB: t.diskGB, Replicas: t.replicas})
+		t.cores, t.ramGB, t.diskGB, t.replicas = g.CPUCores, g.RAMGB, g.DiskGB, g.Replicas
 		writeJSON(w, http.StatusOK, s.statusOf(t))
 	})
 }

@@ -131,6 +131,19 @@ func TestServeAdminRangeMulti(t *testing.T) {
 		t.Fatalf("pinned hot tier should have overflowed horizontally: %+v", st)
 	}
 
+	// Tightening the ranges clamps the current grants immediately.
+	code, body, _ = do(t, http.MethodPut, ts.URL+"/v1/admin/tenants/web/range",
+		`{"min_cores":2,"max_cores":3,"min_ram_gb":1,"max_ram_gb":1,"max_replicas":1}`)
+	if code != http.StatusOK {
+		t.Fatalf("admin range: %d %s", code, body)
+	}
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Cores != 3 || st.RAMGB != 1 || st.Replicas != 1 {
+		t.Fatalf("tightened range row = %+v", st)
+	}
+
 	// Invalid multi bounds are rejected.
 	code, _, _ = do(t, http.MethodPut, ts.URL+"/v1/admin/tenants/web/range",
 		`{"min_cores":1,"max_cores":4,"min_ram_gb":9,"max_ram_gb":8}`)
@@ -311,5 +324,37 @@ func TestSnapshotMultiRoundTrip(t *testing.T) {
 	}
 	if want, got := statusRow(t, ctl.URL, "mv"), statusRow(t, ts2, "mv"); want != got {
 		t.Fatalf("multi status diverged after restart: %+v vs %+v", want, got)
+	}
+}
+
+// TestServeScaleInKeepsHeadroom pins the shared overflow rule's scale-in
+// guard on the HTTP surface: a replica is removed only when the smaller
+// set could absorb the whole set's observed peak with headroom. Three
+// pods serving 2.6 cores each (7.8 in total) exceed what two 4-core pods
+// carry at 75% (6.0), so the tenant must hold three replicas even though
+// the per-pod CPU target has left the ceiling.
+func TestServeScaleInKeepsHeadroom(t *testing.T) {
+	_, ts := testServer(t, Options{DecisionEveryMinutes: 10})
+	register(t, ts.URL, "web", `{"policy":"caasper","min_cores":1,"max_cores":4,"initial_cores":4,"max_replicas":3}`)
+
+	batch := func(cpu float64) ([]float64, []float64, []float64) {
+		c, r, d := make([]float64, 60), make([]float64, 60), make([]float64, 60)
+		for i := range c {
+			c[i] = cpu
+		}
+		return c, r, d
+	}
+	cpu, ram, disk := batch(3.95)
+	postMultiSamples(t, ts.URL, "web", cpu, ram, disk)
+	waitSamples(t, ts.URL, "web", 60)
+	if st := statusRow(t, ts.URL, "web"); st.Replicas != 3 {
+		t.Fatalf("pinned hot tier should reach 3 replicas: %+v", st)
+	}
+
+	cpu, ram, disk = batch(2.6)
+	postMultiSamples(t, ts.URL, "web", cpu, ram, disk)
+	waitSamples(t, ts.URL, "web", 120)
+	if st := statusRow(t, ts.URL, "web"); st.Replicas != 3 {
+		t.Fatalf("7.8 cores of load do not fit 2 pods with headroom; want 3 replicas: %+v", st)
 	}
 }

@@ -187,6 +187,16 @@ func (c *TenantConfig) normalize() error {
 	return nil
 }
 
+// limits maps the tenant config onto the bounds of the shared vector
+// rule. Disk has no floor (volumes only grow from DiskGB) and MaxDiskGB 0
+// leaves it unbounded; replicas keep at least one pod.
+func (c *TenantConfig) limits() core.Limits {
+	return core.Limits{
+		Min: core.Resources{CPUCores: c.MinCores, RAMGB: c.MinRAMGB, Replicas: 1},
+		Max: core.Resources{CPUCores: c.MaxCores, RAMGB: c.MaxRAMGB, DiskGB: c.MaxDiskGB, Replicas: c.MaxReplicas},
+	}
+}
+
 // settings maps the tenant config onto the shared constructor knobs.
 func (c *TenantConfig) settings() recommend.Settings {
 	return recommend.Settings{
@@ -396,22 +406,23 @@ func (s *Server) apply(b batch) {
 }
 
 // decide runs the tenant's policy once and appends the decision record.
+// The recommender's CPU target goes through the shared vector rule
+// (recommend.NextResources) with the CPU-only tenant as the vector whose
+// other dimensions are unmanaged. Samples are per pod, so the replica
+// set's peak total CPU is the per-pod peak times the serving replicas.
 // Caller holds the tenant lock.
 func (s *Server) decide(t *tenantState, enq time.Time) {
-	target := t.rec.Recommend(t.cores)
-	if target < t.cfg.MinCores {
-		target = t.cfg.MinCores
-	}
-	if target > t.cfg.MaxCores {
-		target = t.cfg.MaxCores
-	}
+	cur := core.Resources{CPUCores: t.cores, RAMGB: t.ramGB, DiskGB: t.diskGB, Replicas: t.replicas}
+	peak := recommend.WindowPeaks{RAMGB: t.ramPeak, DiskGB: t.diskHigh, TotalCPU: t.cpuPeak * float64(t.replicas)}
+	next := recommend.NextResources(t.rec.Recommend(t.cores), cur, peak, t.cfg.limits(),
+		recommend.VectorPolicy{Horizontal: t.cfg.MaxReplicas > 0})
 	t.seq++
 	rec := DecisionRecord{
 		Seq:    t.seq,
 		Minute: t.minute - 1,
 		Policy: t.cfg.Policy,
-		From:   t.cores,
-		To:     target,
+		From:   cur.CPUCores,
+		To:     next.CPUCores,
 	}
 	if dr, ok := t.rec.(recommend.DecisionReporter); ok {
 		d := dr.LastFullDecision()
@@ -421,10 +432,17 @@ func (s *Server) decide(t *tenantState, enq time.Time) {
 		rec.RawSF = d.RawSF
 		rec.Quantile = d.Quantile
 	}
-	t.cores = target
-	if t.cfg.multi() {
-		s.decideMulti(t, &rec, target)
+	if next.RAMGB != cur.RAMGB {
+		rec.RAMFrom, rec.RAMTo = cur.RAMGB, next.RAMGB
 	}
+	if next.DiskGB != cur.DiskGB {
+		rec.DiskTo = next.DiskGB
+	}
+	if next.Replicas != cur.Replicas {
+		rec.Replicas = next.Replicas
+	}
+	t.cores, t.ramGB, t.diskGB, t.replicas = next.CPUCores, next.RAMGB, next.DiskGB, next.Replicas
+	t.ramPeak, t.diskHigh, t.cpuPeak = 0, 0, 0
 	if len(t.log) == s.opts.DecisionLogSize {
 		copy(t.log, t.log[1:])
 		t.log = t.log[:len(t.log)-1]
@@ -434,44 +452,6 @@ func (s *Server) decide(t *tenantState, enq time.Time) {
 	if !enq.IsZero() {
 		s.opts.Metrics.Histogram("serve.decision_latency").ObserveSince(enq)
 	}
-}
-
-// horizontalHeadroom mirrors fleet's overflow threshold: a replica is
-// recommended only when the tier runs hotter than 75% of its pinned
-// vertical ceiling.
-const horizontalHeadroom = 0.25
-
-// decideMulti moves the tenant's non-CPU dimensions at a decision tick:
-// RAM under the dual-threshold policy, disk grow-only, and — for tenants
-// with a replica budget — vertical-first horizontal overflow once the
-// CPU target pins at MaxCores. Caller holds the tenant lock; rec is the
-// in-flight decision record the moves are appended to.
-func (s *Server) decideMulti(t *tenantState, rec *DecisionRecord, target int) {
-	if t.cfg.MaxRAMGB > 0 {
-		ramTo := recommend.MemoryPolicy{}.Target(t.ramGB, t.ramPeak, t.cfg.MinRAMGB, t.cfg.MaxRAMGB)
-		if ramTo != t.ramGB {
-			rec.RAMFrom, rec.RAMTo = t.ramGB, ramTo
-			t.ramGB = ramTo
-		}
-	}
-	if t.cfg.DiskGB > 0 {
-		if diskTo := (recommend.DiskPolicy{}).Target(t.diskGB, t.diskHigh, t.cfg.MaxDiskGB); diskTo > t.diskGB {
-			rec.DiskTo = diskTo
-			t.diskGB = diskTo
-		}
-	}
-	if t.cfg.MaxReplicas > 0 {
-		hot := float64(t.cfg.MaxCores) * (1 - horizontalHeadroom)
-		switch {
-		case target >= t.cfg.MaxCores && t.cpuPeak > hot && t.replicas < t.cfg.MaxReplicas:
-			t.replicas++
-			rec.Replicas = t.replicas
-		case t.replicas > 1 && target < t.cfg.MaxCores:
-			t.replicas--
-			rec.Replicas = t.replicas
-		}
-	}
-	t.ramPeak, t.diskHigh, t.cpuPeak = 0, 0, 0
 }
 
 // newTenant constructs a tenant from its config (the recommender wired

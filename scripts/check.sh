@@ -47,9 +47,10 @@ sh scripts/apicheck.sh
 echo "==> chaos goldens (fault event streams vs testdata/chaos/)"
 sh scripts/chaos.sh
 
-# Fleet determinism golden: a 16-tenant chaos fleet must produce
-# byte-identical event streams at workers 1/4/8 under -race, matching
-# testdata/fleet/ (regenerate: UPDATE=1 sh scripts/fleet.sh).
+# Fleet determinism goldens: a 16-tenant chaos fleet, a multi-resource
+# fleet and a horizontal-overflow fleet must each produce byte-identical
+# event streams at workers 1/4/8 under -race, matching testdata/fleet/
+# (regenerate: UPDATE=1 sh scripts/fleet.sh).
 echo "==> fleet determinism golden"
 sh scripts/fleet.sh
 
