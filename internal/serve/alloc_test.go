@@ -181,3 +181,24 @@ func TestIngestAllocBudget(t *testing.T) {
 		t.Fatalf("60-sample ingest POST allocated %.0f times, budget %d", allocs, budget)
 	}
 }
+
+// TestDecideFullLogZeroAlloc pins a decision on a full decision ring at
+// zero allocations: the record overwrites the oldest one in place and
+// the metric handles are resolved up front, so observing a sample,
+// running Algorithm 1 and logging the decision allocate nothing.
+func TestDecideFullLogZeroAlloc(t *testing.T) {
+	const size = 8
+	usage := logUsage(size + 64)
+	s, ts := logServer(t, size, usage[:size])
+	k := size
+	allocs := testing.AllocsPerRun(50, func() {
+		s.apply(batch{t: ts, samples: usage[k : k+1], enq: time.Now()})
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("a decision on a full log allocated %.1f times, want 0", allocs)
+	}
+	if n, head := len(ts.log.recs), ts.log.head; n != size || head != k%size {
+		t.Fatalf("ring holds %d records at head %d after %d decisions", n, head, k)
+	}
+}

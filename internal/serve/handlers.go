@@ -54,8 +54,8 @@ func (s *Server) span(route string, h http.HandlerFunc) http.HandlerFunc {
 		t0 := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
-		dur := s.opts.Metrics.Histogram("serve.request_latency").ObserveSince(t0)
-		s.opts.Metrics.Counter("serve.requests").Inc()
+		dur := s.met.requestLatency.ObserveSince(t0)
+		s.met.requests.Inc()
 		if s.events.Enabled() {
 			s.events.Emit(obs.Event{T: time.Since(s.start).Milliseconds(), Type: "serve.span", Fields: []obs.Field{
 				obs.S("route", route),
@@ -246,19 +246,19 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	select {
 	case sh.queue <- batch{t: t, samples: samples, box: box, enq: time.Now()}:
 		enqueued = true
-		s.opts.Metrics.Counter("serve.batches").Inc()
+		s.met.batches.Inc()
 		w.WriteHeader(http.StatusAccepted)
 		fmt.Fprintf(w, "{\"accepted\":%d}\n", len(samples))
 	default:
-		s.opts.Metrics.Counter("serve.rejected").Inc()
+		s.met.rejected.Inc()
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "ingest queue full (depth %d)", s.opts.QueueDepth)
 	}
 }
 
 // handleDecisions streams the tenant's decision log as NDJSON. since=N
-// skips records with Seq ≤ N (a resume cursor); explain=1 materialises
-// each record's prose explanation.
+// skips records with Seq ≤ N (a resume cursor, found by binary search);
+// explain=1 materialises each record's prose explanation.
 func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	var since int64
 	if v := r.URL.Query().Get("since"); v != "" {
@@ -276,11 +276,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 	found := false
 	s.lookup(w, r.PathValue("id"), func(t *tenantState) {
 		found = true
-		for _, rec := range t.log {
-			if rec.Seq > since {
-				out = append(out, rec)
-			}
-		}
+		out = t.log.since(since)
 	})
 	if !found {
 		return

@@ -14,7 +14,8 @@ var v1Decisions = regexp.MustCompile(`"Current":\{"CPUCores":(\d+),"RAMGB":0,"Di
 // FuzzRestore feeds Restore arbitrary checkpoint streams. Restore must
 // never panic; a failed restore must leave the server without a tenant;
 // a successful one must re-encode to a checkpoint that restores and
-// re-encodes to the same bytes.
+// re-encodes to the same bytes (a decision log trimmed to the server's
+// size on the first restore is not trimmed again).
 func FuzzRestore(f *testing.F) {
 	v2 := string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs))))
 	lines := strings.SplitAfter(v2, "\n")
@@ -36,6 +37,7 @@ func FuzzRestore(f *testing.F) {
 		{v2[:len(v2)/2], "tenant line"}, // truncated mid-line
 		{lines[0] + "{\"id\":\x00garbage\n", "tenant line 1"}, // garbage
 		{strings.Replace(v2, `"tenants":5`, `"tenants":6`, 1) + lines[1], "duplicate tenant"},
+		{strings.Replace(v2, `{"seq":2,`, `{"seq":1,`, 1), "tenant line 1: decision log seq 1 after 1"}, // forked cursor stream
 	} {
 		s, err := New(Options{})
 		if err != nil {

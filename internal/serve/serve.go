@@ -293,8 +293,8 @@ type tenantState struct {
 	minute int
 	// seq counts decisions made.
 	seq int64
-	// log is the bounded decision ring, oldest first.
-	log []DecisionRecord
+	// log is the bounded decision ring.
+	log decisionLog
 
 	// Multi-resource state, all zero for CPU-only tenants. ramGB/diskGB/
 	// replicas are the current grants; the peaks accumulate between
@@ -323,6 +323,7 @@ type Server struct {
 	opts   Options
 	shards []*shard
 	events *lockedSink
+	met    serveMetrics
 	mux    *http.ServeMux
 	start  time.Time
 
@@ -337,6 +338,7 @@ func New(opts Options) (*Server, error) {
 		opts:   o,
 		shards: make([]*shard, o.Shards),
 		events: &lockedSink{sink: o.Events},
+		met:    newServeMetrics(o.Metrics),
 		start:  time.Now(),
 	}
 	for i := range s.shards {
@@ -356,6 +358,27 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	return s, nil
+}
+
+// serveMetrics holds the serve.* instruments, resolved from the registry
+// once in New so that no request or decision takes the registry lock.
+// With no registry every instrument is nil, and nil instruments are
+// no-ops.
+type serveMetrics struct {
+	samples, decisions, batches, rejected, requests *obs.Counter
+	decisionLatency, requestLatency                 *obs.Histogram
+}
+
+func newServeMetrics(r *obs.Registry) serveMetrics {
+	return serveMetrics{
+		samples:         r.Counter("serve.samples"),
+		decisions:       r.Counter("serve.decisions"),
+		batches:         r.Counter("serve.batches"),
+		rejected:        r.Counter("serve.rejected"),
+		requests:        r.Counter("serve.requests"),
+		decisionLatency: r.Histogram("serve.decision_latency"),
+		requestLatency:  r.Histogram("serve.request_latency"),
+	}
 }
 
 // shardFor hashes a tenant ID onto its shard.
@@ -402,7 +425,7 @@ func (s *Server) apply(b batch) {
 			s.decide(t, b.enq)
 		}
 	}
-	s.opts.Metrics.Counter("serve.samples").Add(int64(len(b.samples)))
+	s.met.samples.Add(int64(len(b.samples)))
 }
 
 // decide runs the tenant's policy once and appends the decision record.
@@ -443,14 +466,10 @@ func (s *Server) decide(t *tenantState, enq time.Time) {
 	}
 	t.cores, t.ramGB, t.diskGB, t.replicas = next.CPUCores, next.RAMGB, next.DiskGB, next.Replicas
 	t.ramPeak, t.diskHigh, t.cpuPeak = 0, 0, 0
-	if len(t.log) == s.opts.DecisionLogSize {
-		copy(t.log, t.log[1:])
-		t.log = t.log[:len(t.log)-1]
-	}
-	t.log = append(t.log, rec)
-	s.opts.Metrics.Counter("serve.decisions").Inc()
+	t.log.add(rec, s.opts.DecisionLogSize)
+	s.met.decisions.Inc()
 	if !enq.IsZero() {
-		s.opts.Metrics.Histogram("serve.decision_latency").ObserveSince(enq)
+		s.met.decisionLatency.ObserveSince(enq)
 	}
 }
 

@@ -151,7 +151,7 @@ func (s *Server) encodeTenant(enc *json.Encoder, id string) error {
 			Cores:  t.cores,
 			Minute: t.minute,
 			Seq:    t.seq,
-			Log:    t.log,
+			Log:    t.log.oldestFirst(),
 		}
 		if t.cfg.multi() {
 			st.RAMGB = t.ramGB
@@ -305,6 +305,9 @@ func (s *Server) restoreTenant(line []byte, no, version int) (*tenantState, erro
 			return nil, fmt.Errorf("serve: restore: tenant line %d: %w", no, err)
 		}
 	}
+	if err := checkDecisionLog(st.Log, st.Seq); err != nil {
+		return nil, fmt.Errorf("serve: restore: tenant line %d: %w", no, err)
+	}
 	t, err := s.newTenant(st.ID, st.Config)
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore: tenant %q: %w", st.ID, err)
@@ -312,7 +315,7 @@ func (s *Server) restoreTenant(line []byte, no, version int) (*tenantState, erro
 	t.cores = st.Cores
 	t.minute = st.Minute
 	t.seq = st.Seq
-	t.log = st.Log
+	t.log.restore(st.Log, s.opts.DecisionLogSize)
 	if t.cfg.multi() {
 		// v1 lines carry no multi fields: zero grants keep the
 		// newTenant config defaults, peaks restart cold.

@@ -61,7 +61,10 @@ func mixedServer(t testing.TB, n int) *Server {
 }
 
 // serialSnapshot is the reference checkpoint writer: one encoder, one
-// tenant after the other in sorted ID order.
+// tenant after the other in sorted ID order. It unrolls each decision
+// ring by hand (records from head to the end, then the wrapped prefix)
+// rather than through decisionLog.oldestFirst, and leaves the ring as it
+// found it.
 func serialSnapshot(t testing.TB, s *Server) []byte {
 	t.Helper()
 	ids := s.tenantIDs()
@@ -73,7 +76,8 @@ func serialSnapshot(t testing.TB, s *Server) []byte {
 	}
 	for _, id := range ids {
 		ts := s.shardFor(id).tenants[id]
-		st := snapshotTenant{ID: ts.id, Config: ts.cfg, Cores: ts.cores, Minute: ts.minute, Seq: ts.seq, Log: ts.log}
+		log := append(append([]DecisionRecord(nil), ts.log.recs[ts.log.head:]...), ts.log.recs[:ts.log.head]...)
+		st := snapshotTenant{ID: ts.id, Config: ts.cfg, Cores: ts.cores, Minute: ts.minute, Seq: ts.seq, Log: log}
 		if ts.cfg.multi() {
 			st.RAMGB, st.DiskGB, st.Replicas = ts.ramGB, ts.diskGB, ts.replicas
 			st.RAMPeak, st.DiskHigh, st.CPUPeak = ts.ramPeak, ts.diskHigh, ts.cpuPeak

@@ -76,9 +76,10 @@ echo "==> fuzz FuzzRestore (10s)"
 go test -run '^$' -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 
 # The parallel checkpoint encode/decode (worker buffers, batch decode,
-# all-or-nothing publish) under the race detector, as a named gate.
-echo "==> race: serve snapshot/restore"
-go test -race -run 'Snapshot|Restore' ./internal/serve
+# all-or-nothing publish) and since= polls of a decision ring that wraps
+# under ingest, under the race detector, as a named gate.
+echo "==> race: serve snapshot/restore + decision ring polls"
+go test -race -run 'Snapshot|Restore|TestDecisionLogPollDuringWrap' ./internal/serve
 
 echo "==> benchmark smoke (1x, hot paths + parallel engine)"
 go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday' -benchtime 1x -benchmem .
