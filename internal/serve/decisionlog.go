@@ -31,13 +31,16 @@ func (l *decisionLog) at(i int) *DecisionRecord {
 
 // add appends r, overwriting the oldest record once the log holds size.
 func (l *decisionLog) add(r DecisionRecord, size int) {
-	if n := len(l.recs); n == size {
+	n := len(l.recs)
+	if n == size {
 		l.recs[l.head] = r
-		if l.head++; l.head == n {
+		l.head++
+		if l.head == n {
 			l.head = 0
 		}
 		return
-	} else if n == cap(l.recs) {
+	}
+	if n == cap(l.recs) {
 		grown := make([]DecisionRecord, n, min(max(2*n, 1), size))
 		copy(grown, l.recs)
 		l.recs = grown

@@ -180,6 +180,7 @@ func TestDecisionLogPollDuringWrap(t *testing.T) {
 			runtime.Gosched() // let the poller at the tenant lock
 		}
 	}()
+	defer func() { <-done }() // a failed poll still waits for the applier
 	var cursor int64
 	polls, overruns := 0, 0
 	for running := true; running; polls++ {
