@@ -25,8 +25,10 @@
 package dbsim
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 
 	"caasper/internal/k8s"
 	"caasper/internal/workload"
@@ -354,14 +356,16 @@ func weightedQuantile(samples, weights []float64, q float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	// Sort by sample value (indices to avoid disturbing inputs).
+	// Sort indices by sample value, leaving the inputs untouched. The
+	// index tie-break makes the order total, so it does not depend on
+	// the sort algorithm.
 	idx := make([]int, len(samples))
 	for i := range idx {
 		idx[i] = i
 	}
-	// Insertion-free sort via sort.Slice equivalent; local to avoid an
-	// extra import dance.
-	quickSortByValue(idx, samples)
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(samples[a], samples[b]), cmp.Compare(a, b))
+	})
 	var total float64
 	for _, w := range weights {
 		total += w
@@ -378,29 +382,6 @@ func weightedQuantile(samples, weights []float64, q float64) float64 {
 		}
 	}
 	return samples[idx[len(idx)-1]]
-}
-
-func quickSortByValue(idx []int, vals []float64) {
-	if len(idx) < 2 {
-		return
-	}
-	pivot := vals[idx[len(idx)/2]]
-	left, right := 0, len(idx)-1
-	for left <= right {
-		for vals[idx[left]] < pivot {
-			left++
-		}
-		for vals[idx[right]] > pivot {
-			right--
-		}
-		if left <= right {
-			idx[left], idx[right] = idx[right], idx[left]
-			left++
-			right--
-		}
-	}
-	quickSortByValue(idx[:right+1], vals)
-	quickSortByValue(idx[left:], vals)
 }
 
 // Backlog returns the current total queued work in CPU-seconds

@@ -28,8 +28,9 @@
 //     usage u, with a pure Recommend — provably re-decides "hold" at every
 //     tick until its demand next changes, so it sleeps until the first
 //     decision tick at or after its trace's next inflection point;
-//   - a multi-resource tenant catches up minute by minute
-//     (observeMultiSegment) and never sleeps.
+//   - a multi-resource tenant catches up on the same run-by-run walk
+//     (its RAM and disk per run, see advanceTo) but never sleeps: no
+//     sleep rule covers its non-CPU dimensions yet.
 //
 // Fault draws are (seed, kind, pod, time)-keyed and stateless, so skipped
 // minutes draw identically when caught up later: metrics-gap minutes are
@@ -129,9 +130,6 @@ func (s *runState) prepTenants() {
 		// phase-2 enactment — which requires a proposal from an awake
 		// tenant — can change it.
 		t.lim = t.set.CPULimit()
-		if t.mr != nil {
-			continue // minute-by-minute catch-up, never asleep
-		}
 		r, ok := runsByTrace[t.spec.Trace]
 		if !ok {
 			r = t.spec.Trace.RunStarts()
@@ -140,7 +138,11 @@ func (s *runState) prepTenants() {
 		t.runs = r
 		t.gap = t.inj.Has(faults.MetricsGap)
 		t.bulk, _ = t.rec.(recommend.RunObserver)
-		t.steady, _ = t.rec.(recommend.SteadyObserver)
+		if t.mr == nil {
+			// No sleep rule covers RAM, disk and replicas yet, so a
+			// multi-resource tenant wakes at every decision tick.
+			t.steady, _ = t.rec.(recommend.SteadyObserver)
+		}
 	}
 }
 
@@ -165,9 +167,11 @@ func uniformWake(ts []*tenant, awake []int) int {
 }
 
 // advanceTo replays the tenant's minutes [done, end) analytically, run by
-// run. Within one constant-demand run the limit (only phase 2 changes it,
-// and this tenant filed no proposals while asleep), the usage and every
-// per-minute arithmetic operand are constant, so:
+// run. It is the only catch-up: CPU-only and multi-resource tenants take
+// the same walk. Within one constant-demand run the limit and replica
+// count (only phase 2 changes them, and this tenant filed no proposals
+// since it last woke), the usage and every per-minute arithmetic operand
+// are constant, so:
 //
 //   - the observation window advances with one bulk append (RunObserver) —
 //     metrics-gap tenants first fire their pre-scheduled gap draws
@@ -184,20 +188,29 @@ func uniformWake(ts []*tenant, awake []int) int {
 //     short, never both);
 //   - billing advances whole periods at a time (RecordN).
 //
+// A multi-resource tenant's CPU trace is its total demand across its
+// replicas: its capacity and bill are limit × replicas, and the
+// recommender sees usage / replicas, the per-pod signal a scrape of any
+// one replica would show. A CPU-only tenant's trace is per pod, so its
+// multiplier is 1. Its RAM and disk are accounted per run by
+// advanceMulti, and its runs are also cut at every metrics-gap minute, so
+// a gap fires before that minute's mem-pressure draw and the tenant's
+// fault events stay in minute order.
+//
 // Severity accumulates only for minutes ≥ sevFrom (the minute after the
 // previous decision tick): severity resets at every tick, including ones
-// this tenant slept through. Multi-resource tenants never sleep, so their
-// minute-by-minute catch-up always starts at sevFrom.
+// this tenant slept through.
 func (t *tenant) advanceTo(end, sevFrom int) {
 	if t.done >= end {
 		return
 	}
-	if t.mr != nil {
-		t.observeMultiSegment(t.done, end)
-		t.done = end
-		return
-	}
+	m := t.mr
 	limf := float64(t.lim)
+	capf, reps := limf, 1.0
+	if m != nil {
+		reps = float64(m.replicas)
+		capf = limf * reps
+	}
 	vs := t.spec.Trace.Values
 	// The accumulators live in locals for the duration of the walk: the
 	// tight loops below are dependent float-add chains, and keeping them
@@ -209,31 +222,40 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 	for t.done < end {
 		now := t.done
 		re := t.runEnd(now, end)
+		if m != nil && t.gap {
+			if g := t.inj.NextGap(t.pod, int64(now+1), int64(re)); g >= 0 {
+				re = int(g)
+			}
+		}
 		n := re - now
 		demand := vs[now]
 		usage := demand
-		if usage > limf {
-			usage = limf
+		if usage > capf {
+			usage = capf
+		}
+		perPod := usage
+		if m != nil {
+			perPod = usage / reps
 		}
 
 		if t.bulk == nil {
 			// Per-minute scrape: a recommender without ObserveRun needs its
 			// per-minute calls (and its per-minute gap draws with them).
-			for m := now; m < re; m++ {
-				observed := usage
-				if t.inj.DropSample(t.pod, int64(m)) {
+			for k := now; k < re; k++ {
+				observed := perPod
+				if t.inj.DropSample(t.pod, int64(k)) {
 					observed = t.prevUsage
 				}
-				t.prevUsage = usage
-				t.rec.Observe(m, observed)
+				t.prevUsage = perPod
+				t.rec.Observe(k, observed)
 			}
 		} else if t.gap {
 			// Pre-scheduled gaps: within this walk the usage is constant, so
-			// after its first minute prevUsage == usage and a dropped sample
-			// observes the very value an intact one would — only a gap at
-			// the first minute (where prevUsage may still hold the previous
-			// run's usage) changes an observation. Probe the exact gap
-			// minutes (NextGap), fire DropSample at each so counts and
+			// after its first minute prevUsage == perPod and a dropped
+			// sample observes the very value an intact one would — only a
+			// gap at the first minute (where prevUsage may still hold the
+			// previous run's usage) changes an observation. Probe the exact
+			// gap minutes (NextGap), fire DropSample at each so counts and
 			// events land per minute exactly as the per-minute loop's, and
 			// advance the window in at most two bulk appends.
 			first := int64(-1)
@@ -243,26 +265,26 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 					first = g
 				}
 			}
-			if first == int64(now) && t.prevUsage != usage {
+			if first == int64(now) && t.prevUsage != perPod {
 				t.rec.Observe(now, t.prevUsage)
 				if n > 1 {
-					t.bulk.ObserveRun(now+1, usage, n-1)
+					t.bulk.ObserveRun(now+1, perPod, n-1)
 				}
 			} else {
-				t.bulk.ObserveRun(now, usage, n)
+				t.bulk.ObserveRun(now, perPod, n)
 			}
-			t.prevUsage = usage
+			t.prevUsage = perPod
 		} else {
-			t.prevUsage = usage
-			t.bulk.ObserveRun(now, usage, n)
+			t.prevUsage = perPod
+			t.bulk.ObserveRun(now, perPod, n)
 		}
 
-		if slack := limf - usage; slack > 0 {
+		if slack := capf - usage; slack > 0 {
 			for k := 0; k < n; k++ {
 				sumSlack += slack
 			}
 		}
-		if short := demand - limf; short > 0 {
+		if short := demand - capf; short > 0 {
 			for k := 0; k < n; k++ {
 				sumShort += short
 			}
@@ -275,7 +297,10 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 				sev += short
 			}
 		}
-		t.meter.RecordN(limf, n)
+		t.meter.RecordN(capf, n)
+		if m != nil {
+			t.advanceMulti(now, re, demand)
+		}
 		t.done = re
 	}
 	t.res.SumSlack = sumSlack

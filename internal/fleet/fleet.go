@@ -83,8 +83,9 @@ type TenantSpec struct {
 	// and — for Stateless tenants — replicas overflow horizontally once
 	// the vertical CPU ceiling pins. Every tenant decides and enacts
 	// through the same vector rule (recommend.NextResources); a CPU-only
-	// tenant is the vector whose other dimensions are unmanaged, and only
-	// multi-resource tenants observe minute by minute (multi.go).
+	// tenant is the vector whose other dimensions are unmanaged. Every
+	// tenant catches up through the same run-by-run walk (advanceTo);
+	// only CPU-only tenants may sleep through steady ticks (events.go).
 	Resources core.ResourceRange
 	// RAMTrace is the per-minute per-pod RAM demand series in GB; nil
 	// derives one deterministically from Trace (workload.DeriveRAM).
@@ -94,11 +95,9 @@ type TenantSpec struct {
 	DiskTrace *trace.Trace
 	// Stateless marks the tenant safe for horizontal overflow: only
 	// stateless tiers may trade a replica for a resize (stateful sets
-	// pay the size-of-data seeding cost the paper warns about).
+	// pay the size-of-data copy that seeds a new replica, which the paper
+	// warns about).
 	Stateless bool
-	// SeedMinutes delays a new replica's first served minute (default 0
-	// for stateless tiers — no data to copy).
-	SeedMinutes int
 	// Mem tunes the RAM policy (zero value: defaults).
 	Mem recommend.MemoryPolicy
 	// Disk tunes the disk policy (zero value: defaults).
@@ -143,13 +142,9 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Results are byte-identical at every value.
 	Workers int
 	// BillingPeriod is the pay-as-you-go metering period (default 1h).
+	// Every dimension bills at unit price (TenantResult's Billed*
+	// fields).
 	BillingPeriod time.Duration
-	// PricePerCorePeriod is the unit price (default 1: report ratios).
-	PricePerCorePeriod float64
-	// RAMPricePerGBPeriod / DiskPricePerGBPeriod price the non-CPU
-	// dimensions for multi-resource tenants (defaults: billing
-	// DefaultRates, 0.25 and 0.02). CPU-only tenants never meter them.
-	RAMPricePerGBPeriod, DiskPricePerGBPeriod float64
 	// Engine is ignored: the fleet has one tick loop (events.go).
 	//
 	// Deprecated: every value, including EngineStepped, runs the same
@@ -166,12 +161,11 @@ const (
 )
 
 // DefaultOptions returns the fleet defaults: 10-minute decisions, hourly
-// billing, unit price, shortest-trace horizon.
+// billing, shortest-trace horizon.
 func DefaultOptions() Options {
 	return Options{
 		DecisionEveryMinutes: 10,
 		BillingPeriod:        time.Hour,
-		PricePerCorePeriod:   1,
 	}
 }
 
@@ -188,19 +182,6 @@ func (o Options) Validate() error {
 	}
 	if o.WarmupMinutes < 0 {
 		return fmt.Errorf("fleet: WarmupMinutes must be ≥ 0: %w", errs.ErrInvalidConfig)
-	}
-	// !(p >= 0) also rejects NaN.
-	for _, p := range []struct {
-		name  string
-		price float64
-	}{
-		{"PricePerCorePeriod", o.PricePerCorePeriod},
-		{"RAMPricePerGBPeriod", o.RAMPricePerGBPeriod},
-		{"DiskPricePerGBPeriod", o.DiskPricePerGBPeriod},
-	} {
-		if !(p.price >= 0) {
-			return fmt.Errorf("fleet: %s must be ≥ 0, got %v: %w", p.name, p.price, errs.ErrInvalidConfig)
-		}
 	}
 	return nil
 }
@@ -478,10 +459,6 @@ func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 	if period == 0 {
 		period = time.Hour
 	}
-	price := opts.PricePerCorePeriod
-	if price == 0 {
-		price = 1
-	}
 	warmup := opts.WarmupMinutes
 	if warmup == 0 {
 		warmup = opts.DecisionEveryMinutes
@@ -533,7 +510,7 @@ func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 	// live in one backing block, and every meter is a value copy of one
 	// validated prototype — construction garbage used to dominate
 	// short-horizon fleet benchmarks.
-	meterProto, err := billing.NewMeter(price, period, time.Minute)
+	meterProto, err := billing.NewMeter(1, period, time.Minute)
 	if err != nil {
 		return nil, err
 	}
@@ -566,7 +543,7 @@ func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 		// past onboarding reads t.spec.Resources.
 		t.spec.Resources = rr
 		if rr.Multi() {
-			if err := t.initMulti(rr, replicas, minutes, opts); err != nil {
+			if err := t.initMulti(rr, replicas, minutes, meterProto); err != nil {
 				return nil, fmt.Errorf("fleet: tenant %q: %w", spec.Name, err)
 			}
 		}

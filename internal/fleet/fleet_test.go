@@ -3,7 +3,6 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -259,10 +258,6 @@ func TestValidationErrors(t *testing.T) {
 			InitialCores: 0, MinCores: 1, MaxCores: 4}}, nil, errs.ErrInvalidConfig},
 		{"bad vector bounds", []TenantSpec{{Name: "x", Trace: good.Trace, NewRecommender: good.NewRecommender,
 			Resources: core.CPURange(2, 5, 4)}}, nil, errs.ErrInvalidConfig},
-		{"negative core price", []TenantSpec{good}, func(o *Options) { o.PricePerCorePeriod = -1 }, errs.ErrInvalidConfig},
-		{"NaN core price", []TenantSpec{good}, func(o *Options) { o.PricePerCorePeriod = math.NaN() }, errs.ErrInvalidConfig},
-		{"negative RAM price", []TenantSpec{good}, func(o *Options) { o.RAMPricePerGBPeriod = -1 }, errs.ErrInvalidConfig},
-		{"negative disk price", []TenantSpec{good}, func(o *Options) { o.DiskPricePerGBPeriod = -1 }, errs.ErrInvalidConfig},
 		{"negative warm-up", []TenantSpec{good}, func(o *Options) { o.WarmupMinutes = -1 }, errs.ErrInvalidConfig},
 	}
 	for _, tc := range cases {

@@ -1,14 +1,15 @@
 package fleet
 
 // multi.go holds the state only multi-resource tenants carry: their RAM
-// and disk traces, grants, window peaks and meters, the minute-by-minute
-// catch-up that feeds them (observeMultiSegment), and the replica moves
-// of horizontal overflow. Deciding, the arbiter's capacity check and the
-// in-place resize are shared with CPU-only tenants (fleet.go), which are
-// the vectors whose non-CPU dimensions are unmanaged and never allocate a
-// multiState. The determinism contract is unchanged: phase 1
-// (observeMultiSegment, decide) writes only tenant-local state, phase 2
-// (enact, moveReplicas) runs sequentially.
+// and disk traces, grants, window peaks and meters, the per-minute RAM
+// and disk accounting that advanceTo's run-by-run catch-up calls for
+// them (advanceMulti), and the replica moves of horizontal overflow.
+// Catching up, deciding, the arbiter's capacity check and the in-place
+// resize are shared with CPU-only tenants (events.go, fleet.go), which
+// are the vectors whose non-CPU dimensions are unmanaged and never
+// allocate a multiState. The determinism contract is unchanged: phase 1
+// (advanceTo, decide) writes only tenant-local state, phase 2 (enact,
+// moveReplicas) runs sequentially.
 
 import (
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"caasper/internal/k8s"
 	"caasper/internal/obs"
 	"caasper/internal/recommend"
+	"caasper/internal/trace"
 	"caasper/internal/workload"
 )
 
@@ -37,10 +39,6 @@ type multiState struct {
 	// replica count.
 	ramAlloc, diskAlloc, replicas int
 
-	// seeding is the minute the newest replica finishes seeding (−1:
-	// none in flight); seedMin is the spec's seeding delay.
-	seeding, seedMin int
-
 	// Decision-window accumulators. The peaks' RAM and total-CPU entries
 	// reset at each decision; the disk high-water mark never does (disk
 	// only grows).
@@ -54,157 +52,89 @@ type multiState struct {
 // initMulti builds the tenant's multi-resource state: demand traces
 // (derived deterministically from the CPU trace when absent), initial
 // grants from the resolved range, and per-dimension meters.
-func (t *tenant) initMulti(rr core.ResourceRange, replicas, minutes int, opts Options) error {
+func (t *tenant) initMulti(rr core.ResourceRange, replicas, minutes int, meter *billing.Meter) error {
 	m := &multiState{
 		pol:      recommend.VectorPolicy{Mem: t.spec.Mem, Disk: t.spec.Disk, Horizontal: t.spec.Stateless},
 		replicas: replicas,
-		seeding:  -1,
-		seedMin:  t.spec.SeedMinutes,
 	}
-	period := opts.BillingPeriod
-	if period == 0 {
-		period = time.Hour
-	}
-	rates := billing.DefaultRates()
-
 	if rr.Max.RAMGB > 0 {
-		tr := t.spec.RAMTrace
-		if tr == nil {
-			tr = workload.DeriveRAM(t.spec.Trace, 1, 0.5)
-		}
-		if tr.Interval != time.Minute {
-			return fmt.Errorf("RAM trace interval %s is not 1m (resample first): %w", tr.Interval, errs.ErrInvalidConfig)
-		}
-		if len(tr.Values) < minutes {
-			return fmt.Errorf("RAM trace covers %d of %d minutes: %w", len(tr.Values), minutes, errs.ErrInvalidConfig)
-		}
-		m.ram = tr.Values
-		m.ramAlloc = rr.Initial.RAMGB
-		price := opts.RAMPricePerGBPeriod
-		if price == 0 {
-			price = rates.RAMGBPeriod
-		}
-		mm, err := billing.NewMeter(price, period, time.Minute)
+		ram, err := dimTrace("RAM", t.spec.RAMTrace, func() *trace.Trace {
+			return workload.DeriveRAM(t.spec.Trace, 1, 0.5)
+		}, minutes)
 		if err != nil {
 			return err
 		}
-		m.ramMeter = *mm
+		m.ram, m.ramAlloc, m.ramMeter = ram, rr.Initial.RAMGB, *meter
 	}
 	if rr.Max.DiskGB > 0 {
-		tr := t.spec.DiskTrace
-		if tr == nil {
-			tr = workload.DeriveDisk(t.spec.Trace, float64(rr.Initial.DiskGB)*0.5, 0.5)
-		}
-		if tr.Interval != time.Minute {
-			return fmt.Errorf("disk trace interval %s is not 1m (resample first): %w", tr.Interval, errs.ErrInvalidConfig)
-		}
-		if len(tr.Values) < minutes {
-			return fmt.Errorf("disk trace covers %d of %d minutes: %w", len(tr.Values), minutes, errs.ErrInvalidConfig)
-		}
-		m.dsk = tr.Values
-		m.diskAlloc = rr.Initial.DiskGB
-		price := opts.DiskPricePerGBPeriod
-		if price == 0 {
-			price = rates.DiskGBPeriod
-		}
-		dm, err := billing.NewMeter(price, period, time.Minute)
+		dsk, err := dimTrace("disk", t.spec.DiskTrace, func() *trace.Trace {
+			return workload.DeriveDisk(t.spec.Trace, float64(rr.Initial.DiskGB)*0.5, 0.5)
+		}, minutes)
 		if err != nil {
 			return err
 		}
-		m.diskMeter = *dm
+		m.dsk, m.diskAlloc, m.diskMeter = dsk, rr.Initial.DiskGB, *meter
 	}
 	t.mr = m
 	return nil
 }
 
-// observeMultiSegment is the multi-resource catch-up: the per-minute
-// observe/account/meter walk over minutes [segStart, segEnd). The CPU
-// trace is interpreted as TOTAL tenant demand spread across the serving
-// replicas (so horizontal overflow actually relieves pressure); RAM and
-// disk traces are per pod. Seeding flips, RAM pressure draws and disk
-// caps change minute by minute, so there is no analytic form here and
-// multi-resource tenants never sleep.
-func (t *tenant) observeMultiSegment(segStart, segEnd int) {
+// dimTrace resolves one non-CPU dimension's per-minute series: the
+// spec's trace, or the derived one when the spec gives none. It must be
+// on the 1-minute grid and cover the horizon.
+func dimTrace(dim string, tr *trace.Trace, derive func() *trace.Trace, minutes int) ([]float64, error) {
+	if tr == nil {
+		tr = derive()
+	}
+	if tr.Interval != time.Minute {
+		return nil, fmt.Errorf("%s trace interval %s is not 1m (resample first): %w", dim, tr.Interval, errs.ErrInvalidConfig)
+	}
+	if len(tr.Values) < minutes {
+		return nil, fmt.Errorf("%s trace covers %d of %d minutes: %w", dim, len(tr.Values), minutes, errs.ErrInvalidConfig)
+	}
+	return tr.Values, nil
+}
+
+// advanceMulti accounts the non-CPU dimensions over minutes [from, to),
+// a span of constant CPU demand and constant grants inside advanceTo's
+// walk. RAM demand adds the per-minute mem-pressure draw and disk usage
+// is capped at the volume, so the peaks, shortfalls and full minutes
+// are walked minute by minute; the meters advance in bulk (RecordN),
+// billing every replica.
+func (t *tenant) advanceMulti(from, to int, demand float64) {
 	m := t.mr
-	limf := float64(t.set.CPULimit()) // constant within the segment
-	for now := segStart; now < segEnd; now++ {
-		// Flip a freshly-seeded replica into service (tenant-local: only
-		// this goroutine touches this set's pods in phase 1).
-		if m.seeding >= 0 && now >= m.seeding {
-			for _, p := range t.set.Pods {
-				if p.Phase == k8s.PhaseRestarting {
-					p.Phase = k8s.PhaseRunning
-				}
-			}
-			m.seeding = -1
-		}
-		serving := 0
-		for _, p := range t.set.Pods {
-			if p.Running() {
-				serving++
-			}
-		}
-		if serving < 1 {
-			serving = 1 // the primary always serves in this model
-		}
-		capf := limf * float64(serving)
-
-		demand := t.spec.Trace.Values[now]
-		if demand > m.peak.TotalCPU {
-			m.peak.TotalCPU = demand
-		}
-		usage := demand
-		if usage > capf {
-			usage = capf
-		}
-
-		// The recommender sees the per-replica average — the same
-		// per-pod signal a scrape of any one serving pod would show.
-		perPod := usage / float64(serving)
-		observed := perPod
-		if t.inj.DropSample(t.pod, int64(now)) {
-			observed = t.prevUsage
-		}
-		t.prevUsage = perPod
-		t.rec.Observe(now, observed)
-
-		// Ground-truth accounting in total core-minutes.
-		if slack := capf - usage; slack > 0 {
-			t.res.SumSlack += slack
-		}
-		if short := demand - capf; short > 0 {
-			t.res.SumInsufficient += short
-			t.severity += short
-			t.res.ThrottledMinutes++
-		}
-		// Billing covers every pod, seeding replicas included — capacity
-		// is reserved (and paid for) from the moment it is scheduled.
-		pods := float64(len(t.set.Pods))
-		t.meter.Record(limf * pods)
-
-		if m.ram != nil {
-			rdemand := m.ram[now] + t.inj.MemPressureGB(t.pod, int64(now))
+	if demand > m.peak.TotalCPU {
+		m.peak.TotalCPU = demand
+	}
+	pods := float64(m.replicas)
+	if m.ram != nil {
+		alloc := float64(m.ramAlloc)
+		for k := from; k < to; k++ {
+			rdemand := m.ram[k] + t.inj.MemPressureGB(t.pod, int64(k))
 			if rdemand > m.peak.RAMGB {
 				m.peak.RAMGB = rdemand
 			}
-			if short := rdemand - float64(m.ramAlloc); short > 0 {
+			if short := rdemand - alloc; short > 0 {
 				m.ramShort += short
 				t.res.RAMShortGBMin += short
 				t.res.OOMMinutes++
 			}
-			m.ramMeter.Record(float64(m.ramAlloc) * pods)
 		}
-		if m.dsk != nil {
-			used := m.dsk[now]
-			if used > float64(m.diskAlloc) {
+		m.ramMeter.RecordN(alloc*pods, to-from)
+	}
+	if m.dsk != nil {
+		alloc := float64(m.diskAlloc)
+		for k := from; k < to; k++ {
+			used := m.dsk[k]
+			if used > alloc {
 				t.res.DiskFullMinutes++
-				used = float64(m.diskAlloc) // writes beyond the volume fail
+				used = alloc // writes beyond the volume fail
 			}
 			if used > m.peak.DiskGB {
 				m.peak.DiskGB = used
 			}
-			m.diskMeter.Record(float64(m.diskAlloc) * pods)
 		}
+		m.diskMeter.RecordN(alloc*pods, to-from)
 	}
 }
 
@@ -216,7 +146,8 @@ func (s *runState) moveReplicas(t *tenant, now int) {
 	m, prop := t.mr, t.prop
 	switch {
 	case prop.target.Replicas > m.replicas:
-		if _, err := t.set.AddReplica(s.cluster, t.set.CPULimit(), int64(now+m.seedMin)); err != nil {
+		p, err := t.set.AddReplica(s.cluster, t.set.CPULimit(), int64(now))
+		if err != nil {
 			t.res.Deferrals++
 			if s.events {
 				s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
@@ -228,8 +159,10 @@ func (s *runState) moveReplicas(t *tenant, now int) {
 			}
 			return
 		}
+		// Only stateless tenants add replicas: there is no data to seed,
+		// so the new pod serves from the next minute on.
+		p.Phase = k8s.PhaseRunning
 		m.replicas++
-		m.seeding = now + m.seedMin
 		t.res.NumScalings++
 	case prop.target.Replicas < m.replicas:
 		if _, err := t.set.RemoveReplica(s.cluster); err == nil {

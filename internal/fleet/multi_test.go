@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -282,6 +283,106 @@ func TestMultiResourceEquivalence(t *testing.T) {
 	checkGroupsEquivalent(t,
 		func() []TenantSpec { return multiFleet(t, false) },
 		func() Options { return multiOpts(t) })
+
+	// Plateau vector tenants: their catch-up runs span whole ticks, so
+	// gap and mem-pressure draws of one run interleave. The stream only
+	// matches the oracle if they are emitted in minute order.
+	plateau := checkEquivalent(t,
+		plateauVectorFleet,
+		func() Options { return plateauVectorOpts(t) })
+	scaledOut = false
+	for _, tr := range plateau.Tenants {
+		scaledOut = scaledOut || tr.FinalReplicas > 1
+	}
+	if !scaledOut || plateau.TotalOOMMinutes == 0 {
+		t.Fatalf("plateau fleet too tame: scaled out %v, %d OOM minutes", scaledOut, plateau.TotalOOMMinutes)
+	}
+}
+
+// plateauMinutes is the plateau vector fleet's horizon.
+const plateauMinutes = 240
+
+// plateauVectorFleet is eight vector tenants on flat CPU traces from 1.5
+// to 9.2 cores. Half are stateless, and the 4-core per-pod ceiling sits
+// below the busier tenants' demand, so those scale out.
+func plateauVectorFleet() []TenantSpec {
+	specs := make([]TenantSpec, 8)
+	for i := range specs {
+		name := fmt.Sprintf("p%02d", i)
+		specs[i] = TenantSpec{
+			Name:  name,
+			Trace: flatTrace(name, plateauMinutes, 1.5+1.1*float64(i)),
+			NewRecommender: func() (recommend.Recommender, error) {
+				return recommend.NewCaaSPERReactive(core.DefaultConfig(4), 40)
+			},
+			Resources: mustRange("ram=4-16,disk=5-40,replicas=1-3").OrCPU(core.CPURange(2, 1, 4)),
+			Stateless: i%2 == 0,
+		}
+	}
+	return specs
+}
+
+// plateauVectorOpts runs the plateau fleet with frequent metrics gaps and
+// short mem-pressure windows, so most catch-up runs hold both.
+func plateauVectorOpts(t *testing.T) Options {
+	t.Helper()
+	fspec, err := faults.ParseSpec("mem-pressure:p=0.5:gb=3:dur=7,metrics-gap:p=0.3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Minutes = plateauMinutes
+	opts.FaultSpec = fspec
+	opts.FaultSeed = 7
+	return opts
+}
+
+// feedRec is a fixed-target recommender that records how it was fed:
+// the minutes of its per-minute Observe calls and its bulk ObserveRun
+// calls.
+type feedRec struct {
+	stubRec
+	observed             []int
+	runCalls, runMinutes int
+}
+
+func (c *feedRec) Observe(minute int, _ float64) { c.observed = append(c.observed, minute) }
+func (c *feedRec) ObserveRun(_ int, _ float64, n int) {
+	c.runCalls++
+	c.runMinutes += n
+}
+
+// TestMultiCatchUpIsRunByRun pins the vector catch-up to the bulk path:
+// a plateau vector tenant's recommender gets ObserveRun calls, and a
+// per-minute Observe only at a metrics-gap minute (where the gap's
+// stale sample differs from the run's usage).
+func TestMultiCatchUpIsRunByRun(t *testing.T) {
+	for _, gap := range []bool{false, true} {
+		rec := &feedRec{stubRec: stubRec{name: "counting", target: 4}}
+		spec := plateauVectorFleet()[5]
+		spec.NewRecommender = func() (recommend.Recommender, error) { return rec, nil }
+		opts := plateauVectorOpts(t)
+		if !gap {
+			opts.FaultSpec = nil
+		}
+		inj := faults.New(opts.FaultSpec, opts.FaultSeed)
+		res, err := Run([]TenantSpec{spec}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tenants[0].NumScalings == 0 {
+			t.Fatalf("gap=%v: the tenant never resized; the fixture proves nothing", gap)
+		}
+		if rec.runCalls == 0 || rec.runMinutes+len(rec.observed) != plateauMinutes {
+			t.Fatalf("gap=%v: %d ObserveRun calls over %d minutes plus %d Observe calls, want bulk calls covering %d minutes",
+				gap, rec.runCalls, rec.runMinutes, len(rec.observed), plateauMinutes)
+		}
+		for _, m := range rec.observed {
+			if inj.NextGap(spec.Name+"-0", int64(m), int64(m+1)) != int64(m) {
+				t.Fatalf("gap=%v: per-minute Observe at minute %d, which is no metrics gap", gap, m)
+			}
+		}
+	}
 }
 
 func TestMultiShortTraceRejected(t *testing.T) {

@@ -68,7 +68,7 @@ func (s *runState) runStepped() error {
 			limit := t.set.CPULimit() // constant within the segment
 			t.hasProp = false
 			if t.mr != nil {
-				t.observeMultiSegment(segStart, segEnd)
+				t.steppedMulti(segStart, segEnd)
 			} else {
 				limf := float64(limit)
 				for now := segStart; now < segEnd; now++ {
@@ -111,4 +111,79 @@ func (s *runState) runStepped() error {
 		}
 	}
 	return nil
+}
+
+// steppedMulti is the oracle's multi-resource walk over minutes
+// [segStart, segEnd), one minute at a time: the CPU trace is total demand
+// spread across the serving replicas, RAM and disk traces are per pod,
+// and every pod is billed.
+func (t *tenant) steppedMulti(segStart, segEnd int) {
+	m := t.mr
+	limf := float64(t.set.CPULimit()) // constant within the segment
+	for now := segStart; now < segEnd; now++ {
+		serving := 0
+		for _, p := range t.set.Pods {
+			if p.Running() {
+				serving++
+			}
+		}
+		if serving < 1 {
+			serving = 1 // the primary always serves in this model
+		}
+		capf := limf * float64(serving)
+
+		demand := t.spec.Trace.Values[now]
+		if demand > m.peak.TotalCPU {
+			m.peak.TotalCPU = demand
+		}
+		usage := demand
+		if usage > capf {
+			usage = capf
+		}
+
+		// The recommender sees the per-replica average.
+		perPod := usage / float64(serving)
+		observed := perPod
+		if t.inj.DropSample(t.pod, int64(now)) {
+			observed = t.prevUsage
+		}
+		t.prevUsage = perPod
+		t.rec.Observe(now, observed)
+
+		// Ground-truth accounting in total core-minutes.
+		if slack := capf - usage; slack > 0 {
+			t.res.SumSlack += slack
+		}
+		if short := demand - capf; short > 0 {
+			t.res.SumInsufficient += short
+			t.severity += short
+			t.res.ThrottledMinutes++
+		}
+		pods := float64(len(t.set.Pods))
+		t.meter.Record(limf * pods)
+
+		if m.ram != nil {
+			rdemand := m.ram[now] + t.inj.MemPressureGB(t.pod, int64(now))
+			if rdemand > m.peak.RAMGB {
+				m.peak.RAMGB = rdemand
+			}
+			if short := rdemand - float64(m.ramAlloc); short > 0 {
+				m.ramShort += short
+				t.res.RAMShortGBMin += short
+				t.res.OOMMinutes++
+			}
+			m.ramMeter.Record(float64(m.ramAlloc) * pods)
+		}
+		if m.dsk != nil {
+			used := m.dsk[now]
+			if used > float64(m.diskAlloc) {
+				t.res.DiskFullMinutes++
+				used = float64(m.diskAlloc) // writes beyond the volume fail
+			}
+			if used > m.peak.DiskGB {
+				m.peak.DiskGB = used
+			}
+			m.diskMeter.Record(float64(m.diskAlloc) * pods)
+		}
+	}
 }

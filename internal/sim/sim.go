@@ -68,9 +68,8 @@ type Options struct {
 	// decision is taken, mirroring the operator's serialization.
 	ResizeDelayMinutes int
 	// BillingPeriod is the pay-as-you-go metering period (default 1h).
+	// Cost is reported at unit price (Result.BilledCorePeriods).
 	BillingPeriod time.Duration
-	// PricePerCorePeriod is the unit price (default 1: report ratios).
-	PricePerCorePeriod float64
 	// WarmupMinutes delays the first decision, letting window-based
 	// recommenders accumulate signal. Defaults to DecisionEveryMinutes.
 	WarmupMinutes int
@@ -89,7 +88,6 @@ func DefaultOptions(initial, maxCores int) Options {
 		DecisionEveryMinutes: 10,
 		ResizeDelayMinutes:   10,
 		BillingPeriod:        time.Hour,
-		PricePerCorePeriod:   1,
 	}
 }
 
@@ -236,7 +234,7 @@ func Run(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Result, err
 	rr := opts.Resources.WithDefaults()
 	minCores, maxCores := rr.Min.CPUCores, rr.Max.CPUCores
 
-	meter, err := billing.NewMeter(opts.PricePerCorePeriod, opts.BillingPeriod, time.Minute)
+	meter, err := billing.NewMeter(1, opts.BillingPeriod, time.Minute)
 	if err != nil {
 		return nil, err
 	}

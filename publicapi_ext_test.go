@@ -110,7 +110,6 @@ func TestPublicVectorOnlyBounds(t *testing.T) {
 		DecisionEveryMinutes: def.DecisionEveryMinutes,
 		ResizeDelayMinutes:   def.ResizeDelayMinutes,
 		BillingPeriod:        def.BillingPeriod,
-		PricePerCorePeriod:   def.PricePerCorePeriod,
 	}
 	simulate := func(o SimOptions) *SimResult {
 		rec, err := NewReactive(DefaultConfig(8), 40)

@@ -36,6 +36,13 @@ echo "==> chaos determinism (fault injection under -race)"
 go test -race -run 'Chaos|Fault|Operator|ScalerCursor|ScalerCarries|ScalerHolds|ScalerRecovers' \
     ./internal/faults/ ./internal/k8s/ ./internal/sim/
 
+# The stepped oracle (internal/fleet/stepped_test.go) is the only
+# independent check of the fleet's one catch-up walk, for CPU-only and
+# multi-resource tenants alike: its equivalence tests and the
+# node-disjoint group tests run twice more under -race as a named gate.
+echo "==> fleet oracle equivalence (-race, count=2)"
+go test -race -count=2 -run 'Equivalence|Sharded' ./internal/fleet
+
 # Public-API drift gate: exported symbols of the root package must match
 # the checked-in snapshot (regenerate: UPDATE=1 sh scripts/apicheck.sh).
 echo "==> apicheck (exported API vs testdata/api.txt)"
