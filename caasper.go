@@ -276,12 +276,6 @@ type BillingRates = billing.Rates
 // core-period, RAM 0.25 per GB-period, disk 0.02 per GB-period).
 var DefaultBillingRates = billing.DefaultRates
 
-// VectorMeter meters a multi-resource allocation into one bill.
-type VectorMeter = billing.VectorMeter
-
-// NewVectorMeter builds a VectorMeter over the given rates and periods.
-var NewVectorMeter = billing.NewVectorMeter
-
 // DeriveRAMTrace / DeriveDiskTrace synthesize RAM-usage and disk-usage
 // series from a CPU demand trace — the stand-ins the simulator uses when
 // a vector run supplies no explicit non-CPU traces.

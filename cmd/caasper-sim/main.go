@@ -195,7 +195,7 @@ func main() {
 		fmt.Printf("  metric samples dropped:         %d\n", c.MetricsGaps)
 		fmt.Printf("  scheduling-pressure windows:    %d\n", c.PressureWindows)
 		if vres != nil {
-			fmt.Printf("  memory-pressure windows:        %d\n", vres.MemPressureWindows)
+			fmt.Printf("  memory-pressure windows:        %d\n", c.MemPressureWindows)
 		}
 	}
 	if len(res.Decisions) > 0 {

@@ -78,6 +78,39 @@ func TestSentinelInvalidConfig(t *testing.T) {
 	if _, err := NewRecommenderByName("caasper", RecommenderSettings{}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("NewRecommenderByName(MaxCores=0): got %v, want errors.Is(ErrInvalidConfig)", err)
 	}
+
+	// A billing period the sample interval does not divide is a
+	// configuration error on every surface that meters.
+	tr := Workloads["workday12h"](1)
+	rec, err := NewReactive(DefaultConfig(8), 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so := DefaultSimOptions(2, 8)
+	so.BillingPeriod = 90 * time.Second
+	if _, err := Simulate(tr, rec, so); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("Simulate(BillingPeriod=90s): got %v, want errors.Is(ErrInvalidConfig)", err)
+	}
+	fo = DefaultFleetOptions()
+	fo.BillingPeriod = 90 * time.Second
+	tenants := []TenantSpec{{
+		Name:           "t0",
+		Trace:          tr,
+		NewRecommender: func() (Recommender, error) { return NewReactive(DefaultConfig(8), 40) },
+		Resources:      so.Resources,
+	}}
+	if _, err := RunFleet(tenants, fo); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("RunFleet(BillingPeriod=90s): got %v, want errors.Is(ErrInvalidConfig)", err)
+	}
+	sched, err := ScheduleForCores("sentinel", MixedOLTP(), TracePattern(tr), time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := DatabaseA(2, 8)
+	lo.BillingPeriod = 1500 * time.Millisecond
+	if _, err := RunLive(sched, rec, lo); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("RunLive(BillingPeriod=1500ms): got %v, want errors.Is(ErrInvalidConfig)", err)
+	}
 }
 
 func TestSentinelEmptyTrace(t *testing.T) {

@@ -1,52 +1,43 @@
 // Package billing implements the resource-based pay-as-you-go model of the
 // paper's DBaaS offerings (§3.1, §6.1): users are charged for the *peak*
-// CPU limits provisioned within each billing period, rounded up to whole
-// cores, at a fixed price per core-period. Memory is not billed. The
-// whole-core round-up and peak-based metering are the service invariants
-// (R1) that shape CaaSPER's integral scaling decisions.
+// limits provisioned within each billing period, rounded up to whole units
+// (cores for CPU, GB for RAM and disk), at unit price. The whole-core
+// round-up and peak-based metering are the service invariants (R1) that
+// shape CaaSPER's integral scaling decisions. Ledger adds the §5 tuning
+// metrics K and C to the CPU bill, one definition for sim and fleet.
 package billing
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
+
+	"caasper/internal/errs"
 )
 
-// Meter accumulates billable usage under the pay-as-you-go model.
+// Meter accumulates the bill of one dimension under the pay-as-you-go
+// model: per period, the peak recorded limit rounded up to a whole unit.
 type Meter struct {
-	// PricePerCorePeriod is the price of one core held for one period.
-	PricePerCorePeriod float64
-	// Period is the metering granularity ("minutely or hourly depending
-	// on configuration" per §3.1).
-	Period time.Duration
-	// SampleInterval is the spacing of samples passed to Record.
-	SampleInterval time.Duration
-
 	samplesPerPeriod int
 	sampleInPeriod   int
 	peakThisPeriod   float64
-	periods          []float64 // peak cores per completed period
+	billed           float64 // Σ ⌈peak⌉ over the closed periods
 }
 
-// NewMeter builds a billing meter. SampleInterval must evenly divide
-// Period.
-func NewMeter(pricePerCorePeriod float64, period, sampleInterval time.Duration) (*Meter, error) {
-	if pricePerCorePeriod < 0 {
-		return nil, errors.New("billing: negative price")
+// NewMeter builds a billing meter. A zero period bills hourly; the sample
+// interval must evenly divide the period. Every failure wraps
+// errs.ErrInvalidConfig.
+func NewMeter(period, sampleInterval time.Duration) (*Meter, error) {
+	if period == 0 {
+		period = time.Hour
 	}
-	if period <= 0 || sampleInterval <= 0 {
-		return nil, errors.New("billing: non-positive period or interval")
+	if period < 0 || sampleInterval <= 0 {
+		return nil, fmt.Errorf("billing: non-positive period %v or interval %v: %w", period, sampleInterval, errs.ErrInvalidConfig)
 	}
 	if period%sampleInterval != 0 {
-		return nil, fmt.Errorf("billing: interval %v does not divide period %v", sampleInterval, period)
+		return nil, fmt.Errorf("billing: interval %v does not divide period %v: %w", sampleInterval, period, errs.ErrInvalidConfig)
 	}
-	return &Meter{
-		PricePerCorePeriod: pricePerCorePeriod,
-		Period:             period,
-		SampleInterval:     sampleInterval,
-		samplesPerPeriod:   int(period / sampleInterval),
-	}, nil
+	return &Meter{samplesPerPeriod: int(period / sampleInterval)}, nil
 }
 
 // Record registers the provisioned limits (in cores, possibly fractional)
@@ -72,10 +63,7 @@ func (m *Meter) RecordN(limitsCores float64, n int) {
 		if limitsCores > m.peakThisPeriod {
 			m.peakThisPeriod = limitsCores
 		}
-		take := m.samplesPerPeriod - m.sampleInPeriod
-		if take > n {
-			take = n
-		}
+		take := min(m.samplesPerPeriod-m.sampleInPeriod, n)
 		m.sampleInPeriod += take
 		n -= take
 		if m.sampleInPeriod == m.samplesPerPeriod {
@@ -85,7 +73,7 @@ func (m *Meter) RecordN(limitsCores float64, n int) {
 }
 
 func (m *Meter) closePeriod() {
-	m.periods = append(m.periods, m.peakThisPeriod)
+	m.billed += math.Ceil(m.peakThisPeriod)
 	m.peakThisPeriod = 0
 	m.sampleInPeriod = 0
 }
@@ -98,47 +86,80 @@ func (m *Meter) Flush() {
 	}
 }
 
-// TotalCost returns the accumulated cost over all closed periods: the
-// per-period peak, rounded up to whole cores, times the price.
-func (m *Meter) TotalCost() float64 {
-	var total float64
-	for _, peak := range m.periods {
-		total += math.Ceil(peak) * m.PricePerCorePeriod
+// BilledCorePeriods returns the bill so far: the per-period peaks of the
+// closed periods, each rounded up to a whole unit, summed in period
+// order.
+func (m *Meter) BilledCorePeriods() float64 { return m.billed }
+
+// Ledger is the CPU account of one replay, started as Ledger{Meter: *m}:
+// K (Slack, Σ max(0, limit − demand)), C (Short, Σ max(0, demand −
+// limit)), the throttled samples and the Meter's bill. The simulator adds
+// a minute at a time, the fleet a constant-demand run at a time.
+type Ledger struct {
+	Slack, Short float64
+	Throttled    int
+	Meter
+}
+
+// Add accounts one sample at the given limit and demand and returns
+// demand − limit, the shortfall when positive. It inlines.
+func (l *Ledger) Add(limit, demand float64) (short float64) {
+	if slack := limit - demand; slack > 0 {
+		l.Slack += slack
 	}
-	return total
-}
-
-// BilledCorePeriods returns the total billed core-periods (cost at unit
-// price) — convenient for price ratios, which is how the paper reports
-// every cost figure.
-func (m *Meter) BilledCorePeriods() float64 {
-	var total float64
-	for _, peak := range m.periods {
-		total += math.Ceil(peak)
+	if short = demand - limit; short > 0 {
+		l.Short += short
+		l.Throttled++
 	}
-	return total
+	l.Record(limit)
+	return short
 }
 
-// Periods returns the per-period peaks recorded so far (closed periods
-// only). The slice is a copy.
-func (m *Meter) Periods() []float64 {
-	return append([]float64(nil), m.periods...)
-}
-
-// Reset clears all accumulated state.
-func (m *Meter) Reset() {
-	m.periods = m.periods[:0]
-	m.peakThisPeriod = 0
-	m.sampleInPeriod = 0
-}
-
-// CostRatio is a convenience: cost of run over cost of baseline, the form
-// every price figure in the paper takes (e.g. "0.74x"). It returns 0 when
-// the baseline cost is 0.
-func CostRatio(run, baseline *Meter) float64 {
-	b := baseline.BilledCorePeriods()
-	if b == 0 {
-		return 0
+// AddRun accounts n consecutive samples at the same limit and demand, as
+// n calls of Add would, bit for bit: the sums still grow one sample at a
+// time, since repeated float64 addition has no closed form with the same
+// rounding.
+func (l *Ledger) AddRun(limit, demand float64, n int) (short float64) {
+	if n == 1 {
+		return l.Add(limit, demand)
 	}
-	return run.BilledCorePeriods() / b
+	if slack := limit - demand; slack > 0 {
+		l.Slack = addN(l.Slack, slack, n)
+	}
+	if short = demand - limit; short > 0 {
+		l.Short = addN(l.Short, short, n)
+		l.Throttled += n
+	}
+	l.RecordN(limit, n)
+	return short
+}
+
+// addN returns s + x + … + x (n additions, in order).
+func addN(s, x float64, n int) float64 {
+	for ; n > 0; n-- {
+		s += x
+	}
+	return s
+}
+
+// Close flushes the meter and returns the totals: slack, shortfall,
+// throttled samples and the bill.
+func (l *Ledger) Close() (slack, short float64, throttled int, billed float64) {
+	l.Flush()
+	return l.Slack, l.Short, l.Throttled, l.BilledCorePeriods()
+}
+
+// Rates prices each scalable dimension per billing period: one core, one
+// GB of RAM and one GB of disk held for one period. RAM and disk follow
+// the CaaS pattern of cheaper secondary dimensions (Zerops bills RAM at a
+// fraction of a core and disk at a fraction of RAM).
+type Rates struct {
+	CPUCorePeriod, RAMGBPeriod, DiskGBPeriod float64
+}
+
+// DefaultRates returns the reference price vector the simulator weighs a
+// vector run's bills with: CPU at unit price, RAM at a quarter of a core
+// per GB, disk at a fiftieth.
+func DefaultRates() Rates {
+	return Rates{CPUCorePeriod: 1, RAMGBPeriod: 0.25, DiskGBPeriod: 0.02}
 }

@@ -1,13 +1,17 @@
 package billing
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
+
+	"caasper/internal/errs"
 )
 
-func hourlyMeter(t *testing.T, price float64) *Meter {
+func hourlyMeter(t *testing.T) *Meter {
 	t.Helper()
-	m, err := NewMeter(price, time.Hour, time.Minute)
+	m, err := NewMeter(time.Hour, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -15,22 +19,34 @@ func hourlyMeter(t *testing.T, price float64) *Meter {
 }
 
 func TestNewMeterValidation(t *testing.T) {
-	if _, err := NewMeter(-1, time.Hour, time.Minute); err == nil {
-		t.Error("negative price should error")
+	for _, tc := range []struct {
+		name             string
+		period, interval time.Duration
+	}{
+		{"negative period", -time.Hour, time.Minute},
+		{"zero interval", time.Hour, 0},
+		{"non-dividing interval", time.Hour, 7 * time.Minute},
+		{"90s period on a 1m grid", 90 * time.Second, time.Minute},
+	} {
+		if _, err := NewMeter(tc.period, tc.interval); !errors.Is(err, errs.ErrInvalidConfig) {
+			t.Errorf("%s: got %v, want errors.Is(ErrInvalidConfig)", tc.name, err)
+		}
 	}
-	if _, err := NewMeter(1, 0, time.Minute); err == nil {
-		t.Error("zero period should error")
+	// A zero period selects hourly billing.
+	m, err := NewMeter(0, time.Minute)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewMeter(1, time.Hour, 0); err == nil {
-		t.Error("zero interval should error")
+	for i := 0; i < 60; i++ {
+		m.Record(3)
 	}
-	if _, err := NewMeter(1, time.Hour, 7*time.Minute); err == nil {
-		t.Error("non-dividing interval should error")
+	if got := m.BilledCorePeriods(); got != 3 {
+		t.Errorf("zero period: billed %v after one hour at 3 cores, want 3 (hourly)", got)
 	}
 }
 
 func TestMeterPeakPerPeriod(t *testing.T) {
-	m := hourlyMeter(t, 2)
+	m := hourlyMeter(t)
 	// Hour 1: limits mostly 4, one spike to 6.
 	for i := 0; i < 59; i++ {
 		m.Record(4)
@@ -43,16 +59,10 @@ func TestMeterPeakPerPeriod(t *testing.T) {
 	if got := m.BilledCorePeriods(); got != 9 { // 6 + 3
 		t.Errorf("billed = %v, want 9", got)
 	}
-	if got := m.TotalCost(); got != 18 {
-		t.Errorf("cost = %v, want 18", got)
-	}
-	if p := m.Periods(); len(p) != 2 || p[0] != 6 || p[1] != 3 {
-		t.Errorf("periods = %v", p)
-	}
 }
 
 func TestMeterRoundsUpWholeCores(t *testing.T) {
-	m := hourlyMeter(t, 1)
+	m := hourlyMeter(t)
 	for i := 0; i < 60; i++ {
 		m.Record(2.1) // fractional limits bill as 3 whole cores
 	}
@@ -62,7 +72,7 @@ func TestMeterRoundsUpWholeCores(t *testing.T) {
 }
 
 func TestMeterFlushPartialPeriod(t *testing.T) {
-	m := hourlyMeter(t, 1)
+	m := hourlyMeter(t)
 	for i := 0; i < 30; i++ {
 		m.Record(5)
 	}
@@ -80,39 +90,9 @@ func TestMeterFlushPartialPeriod(t *testing.T) {
 	}
 }
 
-func TestMeterReset(t *testing.T) {
-	m := hourlyMeter(t, 1)
-	for i := 0; i < 120; i++ {
-		m.Record(4)
-	}
-	m.Reset()
-	m.Flush()
-	if got := m.BilledCorePeriods(); got != 0 {
-		t.Errorf("after reset = %v", got)
-	}
-}
-
-func TestCostRatio(t *testing.T) {
-	a := hourlyMeter(t, 1)
-	b := hourlyMeter(t, 1)
-	for i := 0; i < 60; i++ {
-		a.Record(3)
-		b.Record(6)
-	}
-	a.Flush()
-	b.Flush()
-	if got := CostRatio(a, b); got != 0.5 {
-		t.Errorf("ratio = %v, want 0.5", got)
-	}
-	empty := hourlyMeter(t, 1)
-	if got := CostRatio(a, empty); got != 0 {
-		t.Errorf("ratio vs empty baseline = %v, want 0", got)
-	}
-}
-
 func TestMeterMinutelyPeriod(t *testing.T) {
 	// §3.1: "this time period may be minutely or hourly".
-	m, err := NewMeter(1, time.Minute, time.Minute)
+	m, err := NewMeter(time.Minute, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,5 +101,53 @@ func TestMeterMinutelyPeriod(t *testing.T) {
 	m.Record(3)
 	if got := m.BilledCorePeriods(); got != 9 {
 		t.Errorf("minutely billed = %v, want 9", got)
+	}
+}
+
+// TestLedgerAddRunMatchesPerSample pins AddRun's contract: one call over
+// n samples leaves the ledger bit-identical to n one-sample calls and to
+// the per-sample arithmetic written out by hand, including runs that
+// straddle billing periods and demands that round when summed.
+func TestLedgerAddRunMatchesPerSample(t *testing.T) {
+	type run struct {
+		limit, demand float64
+		n             int
+	}
+	runs := []run{
+		{4, 1.1, 37}, {4, 4, 5}, {4, 6.3, 90}, {2, 0.7, 1}, {6, 0.1, 300},
+		{6, 6.000001, 7}, {3, 0, 61}, {3, math.Pi, 13},
+	}
+	bulk, single := Ledger{Meter: *hourlyMeter(t)}, Ledger{Meter: *hourlyMeter(t)}
+	ref := hourlyMeter(t)
+	var slack, short float64
+	throttled := 0
+	for _, r := range runs {
+		got := bulk.AddRun(r.limit, r.demand, r.n)
+		if want := r.demand - r.limit; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("AddRun(%v, %v) returned %v, want demand − limit = %v", r.limit, r.demand, got, want)
+		}
+		for k := 0; k < r.n; k++ {
+			single.Add(r.limit, r.demand)
+			if s := r.limit - r.demand; s > 0 {
+				slack += s
+			}
+			if s := r.demand - r.limit; s > 0 {
+				short += s
+				throttled++
+			}
+			ref.Record(r.limit)
+		}
+	}
+	ref.Flush()
+	want := [4]float64{slack, short, float64(throttled), ref.BilledCorePeriods()}
+	for name, l := range map[string]*Ledger{"AddRun": &bulk, "Add": &single} {
+		s, c, n, b := l.Close()
+		got := [4]float64{s, c, float64(n), b}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: totals %v, want %v (bit for bit)", name, got, want)
+				break
+			}
+		}
 	}
 }

@@ -182,55 +182,21 @@ func RunLive(sched *workload.LoadSchedule, rec recommend.Recommender, opts Harne
 	}
 	op.OnPodDown = db.OnPodDown
 
-	period := opts.BillingPeriod
-	if period == 0 {
-		period = time.Hour
-	}
-	meter, err := billing.NewMeter(1, period, time.Second)
+	res := &LiveResult{}
+	tl, err := newTally(res, opts.BillingPeriod)
 	if err != nil {
 		return nil, err
 	}
 
 	seconds := int64(sched.Duration / time.Second)
-	res := &LiveResult{}
-	var minuteLimit, minuteUsage float64
-	var lastThrottled, lastUsed float64
-
 	for now := int64(0); now < seconds; now++ {
 		op.Tick(now)
 		db.Tick(now, ms)
 		scaler.Tick(now)
-
-		limit := float64(set.CPULimit())
-		meter.Record(limit)
-
-		// Primary-side slack/insufficiency accounting (core-seconds).
-		if p := set.Primary(); p != nil {
-			dThrottled := p.ThrottledCPUSeconds - lastThrottled
-			dUsed := p.UsedCPUSeconds - lastUsed
-			// A failover switches pods; re-baseline on role change by
-			// detecting negative deltas.
-			if dThrottled < 0 || dUsed < 0 {
-				dThrottled, dUsed = 0, 0
-			}
-			lastThrottled = p.ThrottledCPUSeconds
-			lastUsed = p.UsedCPUSeconds
-			res.SumInsufficient += dThrottled / 60 // core-minutes
-			if slack := limit - dUsed; slack > 0 {
-				res.SumSlack += slack / 60
-			}
-			minuteUsage += dUsed
-		}
-		minuteLimit += limit
-
-		if (now+1)%60 == 0 {
-			res.LimitsPerMinute = append(res.LimitsPerMinute, minuteLimit/60)
-			res.PrimaryUsagePerMinute = append(res.PrimaryUsagePerMinute, minuteUsage/60)
-			minuteLimit, minuteUsage = 0, 0
-		}
+		tl.second(now, float64(set.CPULimit()), set.Primary())
 	}
 
-	meter.Flush()
+	tl.close()
 	res.DB = db.Stats()
 	res.NumScalings = op.ResizeCount
 	res.Failovers = op.FailoverCount
@@ -238,7 +204,6 @@ func RunLive(sched *workload.LoadSchedule, rec recommend.Recommender, opts Harne
 	res.RestartRetries = op.RestartRetries
 	res.ResizesAborted = op.ResizesAborted
 	res.FaultCounts = inj.Counts()
-	res.BilledCorePeriods = meter.BilledCorePeriods()
 	res.DecisionSeries = append([]float64(nil), scaler.DecisionSeries...)
 	if m := h.Metrics; m != nil {
 		m.Counter("live.seconds").Add(seconds)
@@ -246,4 +211,61 @@ func RunLive(sched *workload.LoadSchedule, rec recommend.Recommender, opts Harne
 		m.Counter("live.failovers").Add(int64(op.FailoverCount))
 	}
 	return res, nil
+}
+
+// tally is the live harness's per-second accounting, shared by RunLive
+// and RunHorizontal: the bill, the primary's slack and clipped demand in
+// core-minutes (K and C), and the per-minute limit and usage series.
+type tally struct {
+	res                      *LiveResult
+	meter                    *billing.Meter
+	lastThrottled, lastUsed  float64 // the primary's cumulative counters
+	minuteLimit, minuteUsage float64 // sums over the current minute
+}
+
+// newTally starts the accounting of res, billed per period (zero: hourly)
+// on one-second samples.
+func newTally(res *LiveResult, period time.Duration) (*tally, error) {
+	meter, err := billing.NewMeter(period, time.Second)
+	if err != nil {
+		return nil, err
+	}
+	return &tally{res: res, meter: meter}, nil
+}
+
+// second accounts simulated second now: billed is the set's billed cores
+// this second and p its primary (nil while none serves). It returns the
+// primary's CPU-seconds used this second.
+func (tl *tally) second(now int64, billed float64, p *k8s.Pod) (dUsed float64) {
+	tl.meter.Record(billed)
+	if p != nil {
+		dThrottled := p.ThrottledCPUSeconds - tl.lastThrottled
+		dUsed = p.UsedCPUSeconds - tl.lastUsed
+		// A failover switches pods; re-baseline on role change by
+		// detecting negative deltas.
+		if dThrottled < 0 || dUsed < 0 {
+			dThrottled, dUsed = 0, 0
+		}
+		tl.lastThrottled = p.ThrottledCPUSeconds
+		tl.lastUsed = p.UsedCPUSeconds
+		tl.res.SumInsufficient += dThrottled / 60 // core-minutes
+		if slack := p.CPULimit() - dUsed; slack > 0 {
+			tl.res.SumSlack += slack / 60
+		}
+		tl.minuteUsage += dUsed
+	}
+	tl.minuteLimit += billed
+
+	if (now+1)%60 == 0 {
+		tl.res.LimitsPerMinute = append(tl.res.LimitsPerMinute, tl.minuteLimit/60)
+		tl.res.PrimaryUsagePerMinute = append(tl.res.PrimaryUsagePerMinute, tl.minuteUsage/60)
+		tl.minuteLimit, tl.minuteUsage = 0, 0
+	}
+	return dUsed
+}
+
+// close bills the last, possibly partial, period.
+func (tl *tally) close() {
+	tl.meter.Flush()
+	tl.res.BilledCorePeriods = tl.meter.BilledCorePeriods()
 }

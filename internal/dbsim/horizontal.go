@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"caasper/internal/billing"
 	"caasper/internal/errs"
 	"caasper/internal/k8s"
 	"caasper/internal/workload"
@@ -92,19 +91,13 @@ func RunHorizontal(sched *workload.LoadSchedule, opts HorizontalOptions) (*LiveR
 		return nil, err
 	}
 
-	period := h.BillingPeriod
-	if period == 0 {
-		period = time.Hour
-	}
-	meter, err := billing.NewMeter(1, period, time.Second)
+	res := &LiveResult{}
+	tl, err := newTally(res, h.BillingPeriod)
 	if err != nil {
 		return nil, err
 	}
 
 	seconds := int64(sched.Duration / time.Second)
-	res := &LiveResult{}
-	var minuteLimit, minuteUsage float64
-	var lastThrottled, lastUsed float64
 	var windowUsed float64 // primary cpu-seconds since last decision
 	nextDecision := opts.DecisionEverySeconds
 	var seeding *k8s.Pod
@@ -126,30 +119,7 @@ func RunHorizontal(sched *workload.LoadSchedule, opts HorizontalOptions) (*LiveR
 		for _, p := range set.Pods {
 			totalLimit += p.CPULimit()
 		}
-		meter.Record(totalLimit)
-
-		if p := set.Primary(); p != nil {
-			dThrottled := p.ThrottledCPUSeconds - lastThrottled
-			dUsed := p.UsedCPUSeconds - lastUsed
-			if dThrottled < 0 || dUsed < 0 {
-				dThrottled, dUsed = 0, 0
-			}
-			lastThrottled = p.ThrottledCPUSeconds
-			lastUsed = p.UsedCPUSeconds
-			res.SumInsufficient += dThrottled / 60
-			if slack := p.CPULimit() - dUsed; slack > 0 {
-				res.SumSlack += slack / 60
-			}
-			windowUsed += dUsed
-			minuteUsage += dUsed
-		}
-		minuteLimit += totalLimit
-
-		if (now+1)%60 == 0 {
-			res.LimitsPerMinute = append(res.LimitsPerMinute, minuteLimit/60)
-			res.PrimaryUsagePerMinute = append(res.PrimaryUsagePerMinute, minuteUsage/60)
-			minuteLimit, minuteUsage = 0, 0
-		}
+		windowUsed += tl.second(now, totalLimit, set.Primary())
 
 		// HPA decision: scale out when the primary ran hot on average.
 		if now >= nextDecision {
@@ -171,8 +141,7 @@ func RunHorizontal(sched *workload.LoadSchedule, opts HorizontalOptions) (*LiveR
 		}
 	}
 
-	meter.Flush()
+	tl.close()
 	res.DB = db.Stats()
-	res.BilledCorePeriods = meter.BilledCorePeriods()
 	return res, nil
 }

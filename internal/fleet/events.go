@@ -15,10 +15,9 @@
 // analytically — its trace is walked run by run (trace.RunStarts, or a
 // scan of the values for traces whose runs do not compress), observation
 // windows are advanced with one bulk ring append per run
-// (recommend.RunObserver), accounting loops run as tight constant-operand
-// sums (preserving the per-minute replay's exact float rounding), and
-// billing advances whole periods at a time (billing.Meter.RecordN). It
-// then decides exactly as a per-minute replay would and computes its next
+// (recommend.RunObserver), and K, C and the bill advance one run at a time
+// (billing.Ledger.AddRun, keeping the per-minute replay's float rounding).
+// It then decides exactly as a per-minute replay would and computes its next
 // wake-up:
 //
 //   - a tenant that filed a proposal, or whose recommender cannot prove
@@ -179,14 +178,9 @@ func uniformWake(ts []*tenant, awake []int) int {
 //     events) and split the append around a first-minute gap, which is
 //     the only minute whose observed value a gap can change; only a
 //     recommender without the bulk form runs the per-minute scrape loop;
-//   - slack/insufficiency accumulate via tight constant-operand loops:
-//     repeated float64 addition has no closed form that reproduces the
-//     same rounding, and bit-equality with a per-minute replay is the
-//     contract, so the adds happen one by one — just without the
-//     surrounding per-minute bookkeeping (the accumulator sequences per
-//     variable are identical because a run is entirely slack or entirely
-//     short, never both);
-//   - billing advances whole periods at a time (RecordN).
+//   - K, C, throttled minutes and the bill advance in one ledger call per
+//     run (billing.Ledger.AddRun sums minute by minute, so the totals stay
+//     bit-equal to a per-minute replay's); only severity is summed here.
 //
 // A multi-resource tenant's CPU trace is its total demand across its
 // replicas: its capacity and bill are limit × replicas, and the
@@ -212,12 +206,8 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 		capf = limf * reps
 	}
 	vs := t.spec.Trace.Values
-	// The accumulators live in locals for the duration of the walk: the
-	// tight loops below are dependent float-add chains, and keeping them
-	// out of memory halves the per-minute cost. The add sequences are
-	// unchanged.
-	sumSlack := t.res.SumSlack
-	sumShort := t.res.SumInsufficient
+	// Severity lives in a local for the walk: its loop is a dependent
+	// float-add chain, which runs twice as fast out of memory.
 	sev := t.severity
 	for t.done < end {
 		now := t.done
@@ -279,32 +269,16 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 			t.bulk.ObserveRun(now, perPod, n)
 		}
 
-		if slack := capf - usage; slack > 0 {
-			for k := 0; k < n; k++ {
-				sumSlack += slack
-			}
-		}
-		if short := demand - capf; short > 0 {
-			for k := 0; k < n; k++ {
-				sumShort += short
-			}
-			t.res.ThrottledMinutes += n
-			lo := now
-			if sevFrom > lo {
-				lo = sevFrom
-			}
-			for k := lo; k < re; k++ {
+		if short := t.acct.AddRun(capf, demand, n); short > 0 {
+			for k := max(now, sevFrom); k < re; k++ {
 				sev += short
 			}
 		}
-		t.meter.RecordN(capf, n)
 		if m != nil {
 			t.advanceMulti(now, re, demand)
 		}
 		t.done = re
 	}
-	t.res.SumSlack = sumSlack
-	t.res.SumInsufficient = sumShort
 	t.severity = sev
 }
 

@@ -323,12 +323,13 @@ type tenant struct {
 	spec TenantSpec
 	rec  recommend.Recommender
 	set  *k8s.StatefulSet
-	// meter is held by value: fleets allocate tenants in one block and the
-	// meter has no identity beyond its tenant.
-	meter billing.Meter
-	inj   *faults.Injector
-	sink  *obs.MemorySink
-	res   TenantResult
+	// acct is the tenant's CPU ledger, copied into res by finish. It is
+	// held by value: fleets allocate tenants in one block and the ledger
+	// has no identity beyond its tenant.
+	acct billing.Ledger
+	inj  *faults.Injector
+	sink *obs.MemorySink
+	res  TenantResult
 	// pod caches the ordinal-0 pod name, the tenant's fault-draw key.
 	pod string
 
@@ -455,10 +456,6 @@ func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 	if cluster == nil {
 		cluster = k8s.LargeCluster()
 	}
-	period := opts.BillingPeriod
-	if period == 0 {
-		period = time.Hour
-	}
 	warmup := opts.WarmupMinutes
 	if warmup == 0 {
 		warmup = opts.DecisionEveryMinutes
@@ -510,7 +507,7 @@ func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 	// live in one backing block, and every meter is a value copy of one
 	// validated prototype — construction garbage used to dominate
 	// short-horizon fleet benchmarks.
-	meterProto, err := billing.NewMeter(1, period, time.Minute)
+	meterProto, err := billing.NewMeter(opts.BillingPeriod, time.Minute)
 	if err != nil {
 		return nil, err
 	}
@@ -538,7 +535,7 @@ func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 			return nil, fmt.Errorf("fleet: onboarding %q: %w", spec.Name, err)
 		}
 		t := &tstore[i]
-		t.spec, t.rec, t.set, t.meter, t.pod = spec, rec, set, *meterProto, set.Pods[0].Name
+		t.spec, t.rec, t.set, t.acct, t.pod = spec, rec, set, billing.Ledger{Meter: *meterProto}, set.Pods[0].Name
 		// The tenant's copy carries the resolved bounds: everything
 		// past onboarding reads t.spec.Resources.
 		t.spec.Resources = rr
@@ -602,9 +599,8 @@ func newRun(tenants []TenantSpec, opts Options) (*runState, error) {
 func (s *runState) finish() *Result {
 	res := s.res
 	for i, t := range s.ts {
-		t.meter.Flush()
+		t.res.SumSlack, t.res.SumInsufficient, t.res.ThrottledMinutes, t.res.BilledCorePeriods = t.acct.Close()
 		t.res.FinalCores = t.set.CPULimit()
-		t.res.BilledCorePeriods = t.meter.BilledCorePeriods()
 		t.res.FaultCounts = t.inj.Counts()
 		if t.mr != nil {
 			t.finishMulti()

@@ -45,7 +45,7 @@ type multiState struct {
 	peak     recommend.WindowPeaks
 	ramShort float64 // RAM shortfall GB-minutes since the last decision
 
-	// Meters for the non-CPU dimensions, value-held like tenant.meter.
+	// Meters for the non-CPU dimensions, value-held like tenant.acct.
 	ramMeter, diskMeter billing.Meter
 }
 

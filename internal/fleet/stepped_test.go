@@ -87,14 +87,14 @@ func (s *runState) runStepped() error {
 					t.rec.Observe(now, observed)
 
 					if slack := limf - usage; slack > 0 {
-						t.res.SumSlack += slack
+						t.acct.Slack += slack
 					}
 					if short := demand - limf; short > 0 {
-						t.res.SumInsufficient += short
+						t.acct.Short += short
 						t.severity += short
-						t.res.ThrottledMinutes++
+						t.acct.Throttled++
 					}
-					t.meter.Record(limf)
+					t.acct.Record(limf)
 				}
 			}
 			if decision >= 0 {
@@ -152,15 +152,15 @@ func (t *tenant) steppedMulti(segStart, segEnd int) {
 
 		// Ground-truth accounting in total core-minutes.
 		if slack := capf - usage; slack > 0 {
-			t.res.SumSlack += slack
+			t.acct.Slack += slack
 		}
 		if short := demand - capf; short > 0 {
-			t.res.SumInsufficient += short
+			t.acct.Short += short
 			t.severity += short
-			t.res.ThrottledMinutes++
+			t.acct.Throttled++
 		}
 		pods := float64(len(t.set.Pods))
-		t.meter.Record(limf * pods)
+		t.acct.Record(limf * pods)
 
 		if m.ram != nil {
 			rdemand := m.ram[now] + t.inj.MemPressureGB(t.pod, int64(now))

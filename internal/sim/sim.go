@@ -234,10 +234,11 @@ func Run(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Result, err
 	rr := opts.Resources.WithDefaults()
 	minCores, maxCores := rr.Min.CPUCores, rr.Max.CPUCores
 
-	meter, err := billing.NewMeter(1, opts.BillingPeriod, time.Minute)
+	meter, err := billing.NewMeter(opts.BillingPeriod, time.Minute)
 	if err != nil {
 		return nil, err
 	}
+	led := billing.Ledger{Meter: *meter} // K, C, throttled minutes, bill
 
 	warmup := opts.WarmupMinutes
 	if warmup <= 0 {
@@ -359,19 +360,14 @@ func Run(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Result, err
 
 		res.Usage[t] = usage
 		res.Limits[t] = capf
-		res.SumSlack += capf - usage
 		slackSinceTick += capf - usage
-		if insuff := demand - capf; insuff > 0 {
-			res.SumInsufficient += insuff
-			res.ThrottledMinutes++
-			if events {
-				evf = append(evf[:0],
-					obs.F("demand", demand),
-					obs.F("limit", capf),
-					obs.F("insufficient", insuff),
-				)
-				h.Events.Emit(obs.Event{T: int64(t), Type: "sim.throttle", Fields: evf})
-			}
+		if insuff := led.Add(capf, demand); insuff > 0 && events {
+			evf = append(evf[:0],
+				obs.F("demand", demand),
+				obs.F("limit", capf),
+				obs.F("insufficient", insuff),
+			)
+			h.Events.Emit(obs.Event{T: int64(t), Type: "sim.throttle", Fields: evf})
 		}
 
 		// The recommender sees the capped usage — unless the scrape for
@@ -384,7 +380,6 @@ func Run(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Result, err
 			lastObserved = usage
 		}
 		rec.Observe(t, observed)
-		meter.Record(capf)
 
 		// Decision tick: only when idle (no resize in flight).
 		if t >= warmup && t%opts.DecisionEveryMinutes == 0 && pendingTarget < 0 {
@@ -433,9 +428,8 @@ func Run(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Result, err
 		}
 	}
 
-	meter.Flush()
+	res.SumSlack, res.SumInsufficient, res.ThrottledMinutes, res.BilledCorePeriods = led.Close()
 	res.FaultCounts = inj.Counts()
-	res.BilledCorePeriods = meter.BilledCorePeriods()
 	res.ThrottledPct = float64(res.ThrottledMinutes) / float64(n)
 	res.AvgSlack = res.SumSlack / float64(n)
 	res.AvgInsufficient = res.SumInsufficient / float64(n)

@@ -40,8 +40,6 @@ type VectorResult struct {
 	// BilledRAMGBPeriods / BilledDiskGBPeriods are the non-CPU bills in
 	// native units (GB-periods at unit rate).
 	BilledRAMGBPeriods, BilledDiskGBPeriods float64
-	// MemPressureWindows counts injected memory-pressure windows.
-	MemPressureWindows int64
 }
 
 // TotalCost sums the dimensions at the billing DefaultRates weights.
@@ -100,7 +98,7 @@ func RunVector(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Vecto
 		if ramTr.Len() < n {
 			return nil, fmt.Errorf("sim: RAM trace covers %d of %d minutes: %w", ramTr.Len(), n, errs.ErrInvalidConfig)
 		}
-		meter, err := billing.NewMeter(1, opts.BillingPeriod, time.Minute)
+		meter, err := billing.NewMeter(opts.BillingPeriod, time.Minute)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +150,7 @@ func RunVector(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Vecto
 		if dskTr.Len() < n {
 			return nil, fmt.Errorf("sim: disk trace covers %d of %d minutes: %w", dskTr.Len(), n, errs.ErrInvalidConfig)
 		}
-		meter, err := billing.NewMeter(1, opts.BillingPeriod, time.Minute)
+		meter, err := billing.NewMeter(opts.BillingPeriod, time.Minute)
 		if err != nil {
 			return nil, err
 		}
@@ -187,6 +185,6 @@ func RunVector(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Vecto
 		res.BilledDiskGBPeriods = meter.BilledCorePeriods()
 	}
 
-	res.MemPressureWindows = inj.Counts().MemPressureWindows
+	res.FaultCounts.MemPressureWindows = inj.Counts().MemPressureWindows
 	return res, nil
 }

@@ -107,8 +107,11 @@ func TestRunVectorMemPressureFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MemPressureWindows == 0 {
+	if res.FaultCounts.MemPressureWindows == 0 {
 		t.Fatal("p=0.6 over 5 windows should fire at least once")
+	}
+	if !res.FaultCounts.Any() {
+		t.Fatal("FaultCounts.Any() is false for a run whose only faults are mem-pressure windows")
 	}
 	var sawFault, sawOOM bool
 	var buf []byte
@@ -130,9 +133,9 @@ func TestRunVectorMemPressureFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.MemPressureWindows != res.MemPressureWindows || res2.OOMMinutes != res.OOMMinutes {
-		t.Fatalf("nondeterministic fault stream: %d/%d vs %d/%d",
-			res.MemPressureWindows, res.OOMMinutes, res2.MemPressureWindows, res2.OOMMinutes)
+	if res2.FaultCounts != res.FaultCounts || res2.OOMMinutes != res.OOMMinutes {
+		t.Fatalf("nondeterministic fault stream: %+v/%d vs %+v/%d",
+			res.FaultCounts, res.OOMMinutes, res2.FaultCounts, res2.OOMMinutes)
 	}
 }
 

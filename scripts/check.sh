@@ -17,6 +17,10 @@ fi
 echo "==> go vet ./..."
 go vet ./...
 
+# The bench module has its own go.mod, so the root ./... pattern skips it.
+echo "==> bench module: go vet ./..."
+(cd bench && go vet ./...)
+
 echo "==> go build ./..."
 go build ./...
 
@@ -42,6 +46,13 @@ go test -race -run 'Chaos|Fault|Operator|ScalerCursor|ScalerCarries|ScalerHolds|
 # node-disjoint group tests run twice more under -race as a named gate.
 echo "==> fleet oracle equivalence (-race, count=2)"
 go test -race -count=2 -run 'Equivalence|Sharded' ./internal/fleet
+
+# The sim ↔ fleet oracle replays each trace through Simulate (instant
+# resizes) and an uncontended one-tenant RunFleet, and requires bit-equal
+# K, C, throttled minutes, N and bill plus the same resize sequence: the
+# cross-surface check behind the shared billing.Ledger.
+echo "==> sim ↔ fleet oracle (-race)"
+go test -race -run 'TestSimFleetOracle' .
 
 # Public-API drift gate: exported symbols of the root package must match
 # the checked-in snapshot (regenerate: UPDATE=1 sh scripts/apicheck.sh).
