@@ -206,29 +206,6 @@ func NewEnsemble(mode EnsembleMode, members ...Forecaster) Forecaster {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-resource scaling (paper §8 future work)
-
-// UsageSample is one multi-dimensional resource observation
-// (e.g. {"cpu": 3.2, "mem_gib": 18}).
-type UsageSample = pvp.UsageSample
-
-// ResourceLadder bounds one scalable dimension.
-type ResourceLadder = core.ResourceLadder
-
-// MultiResourceConfig configures independent per-dimension decisions.
-type MultiResourceConfig = core.MultiResourceConfig
-
-// MultiResourceDecision carries per-dimension targets and explanations.
-type MultiResourceDecision = core.MultiResourceDecision
-
-// NewMultiResource builds the multi-dimensional recommender: one
-// Algorithm 1 evaluation per resource dimension (CPU, memory, ...) over
-// its marginal usage distribution.
-func NewMultiResource(cfg MultiResourceConfig) (*core.MultiResourceRecommender, error) {
-	return core.NewMultiResource(cfg)
-}
-
-// ---------------------------------------------------------------------------
 // Resource vectors
 //
 // The resource-vector API generalises the CPU-only bounds to
@@ -254,21 +231,6 @@ type ResourceRange = core.ResourceRange
 // dimension's initial value; a range bounds its scaling).
 var ParseResourceSpec = core.ParseResourceSpec
 
-// MemoryPolicy is the dual-threshold RAM policy (grow when free memory
-// falls under max(MinFreeGB, MinFreePct·alloc), shrink with hysteresis).
-type MemoryPolicy = recommend.MemoryPolicy
-
-// DiskPolicy is the grow-only volume policy (keep HeadroomPct free,
-// round up to StepGB, never shrink).
-type DiskPolicy = recommend.DiskPolicy
-
-// DefaultMemoryPolicy / DefaultDiskPolicy return the running defaults
-// used wherever a zero policy is supplied.
-var (
-	DefaultMemoryPolicy = recommend.DefaultMemoryPolicy
-	DefaultDiskPolicy   = recommend.DefaultDiskPolicy
-)
-
 // BillingRates prices the resource vector per billing period.
 type BillingRates = billing.Rates
 
@@ -291,8 +253,12 @@ type VectorSimResult = sim.VectorResult
 
 // SimulateVector replays a demand trace through a recommender across the
 // full resource vector: the CPU dimension runs through Simulate
-// unchanged, RAM scales under MemoryPolicy, disk grows under DiskPolicy.
-// SimOptions.Resources must manage at least one non-CPU dimension.
+// unchanged, RAM follows the dual-threshold rule (grow when free memory
+// falls under max(0.5 GB, 20% of the grant), shrink with hysteresis) and
+// disk only grows (20% headroom, 5 GB steps) — the same RAM and disk
+// rule RunFleet and caasper-serve apply. SimOptions.Resources must
+// manage RAM or disk and must leave replicas unmanaged: the simulator
+// models one pod, so horizontal overflow is RunFleet's and the server's.
 func SimulateVector(tr *Trace, rec Recommender, opts SimOptions) (*VectorSimResult, error) {
 	return sim.RunVector(tr, rec, opts)
 }

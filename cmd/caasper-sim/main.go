@@ -16,7 +16,8 @@
 //	caasper-sim -workload cyclical3d -recommender caasper,vpa,autopilot -workers 4
 //
 // A -resources vector adds RAM (dual-threshold policy), grow-only disk
-// and their bills on top of the unchanged CPU replay:
+// and their bills on top of the unchanged CPU replay (the simulator
+// models one pod: replicas scale only in caasper-fleet and caasper-serve):
 //
 //	caasper-sim -workload workday12h -recommender caasper -resources ram=4-16
 //	caasper-sim -workload cyclical3d -resources "ram=4-32,disk=20-100"
@@ -58,7 +59,7 @@ func main() {
 		decisionInt  = flag.Int("decision-interval", 10, "minutes between decisions")
 		resizeDelay  = flag.Int("resize-delay", 10, "minutes for a resize to take effect")
 		seed         = flag.Uint64("seed", 1, "workload seed")
-		resourceSpec = flag.String("resources", "", `resource-vector spec enabling the multi-resource simulator, e.g. "ram=4-16" or "cpu=2-12,ram=4-32,disk=20-100" (CPU bounds default to -initial/-max when no cpu= entry is given)`)
+		resourceSpec = flag.String("resources", "", `resource-vector spec enabling the multi-resource simulator, e.g. "ram=4-16" or "cpu=2-12,ram=4-32,disk=20-100" (needs ram= or disk=; replicas= is rejected, the simulator models one pod; CPU bounds default to -initial/-max when no cpu= entry is given)`)
 		faultSpec    = flag.String("faults", "", `fault-injection spec, e.g. "restart-fail:p=0.2,metrics-gap:p=0.05" (times in minutes; empty: fault-free)`)
 		faultSeed    = flag.Uint64("fault-seed", 1, "fault-injection seed (same seed, same faults, byte-identical stream)")
 		workers      = flag.Int("workers", 0, "worker goroutines for multi-recommender runs (default: GOMAXPROCS)")

@@ -91,6 +91,18 @@ func TestSentinelInvalidConfig(t *testing.T) {
 	if _, err := Simulate(tr, rec, so); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("Simulate(BillingPeriod=90s): got %v, want errors.Is(ErrInvalidConfig)", err)
 	}
+
+	// The simulator models one pod: a managed replica count has nowhere
+	// to go, so SimulateVector refuses it instead of ignoring it.
+	rr, err := ParseResourceSpec("replicas=1-4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vo := DefaultSimOptions(2, 8)
+	vo.Resources = rr.OrCPU(vo.Resources)
+	if _, err := SimulateVector(tr, rec, vo); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("SimulateVector(replicas=1-4): got %v, want errors.Is(ErrInvalidConfig)", err)
+	}
 	fo = DefaultFleetOptions()
 	fo.BillingPeriod = 90 * time.Second
 	tenants := []TenantSpec{{

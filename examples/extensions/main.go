@@ -3,8 +3,10 @@
 //  1. In-place pod resize — resizes with no restarts, no dropped
 //     connections, no failovers (§2.2 fn.4, §6.2 fn.10).
 //
-//  2. Multi-resource scaling — independent CaaSPER decisions per resource
-//     dimension (CPU and memory) over a multi-dimensional usage stream.
+//  2. Multi-resource scaling — CPU under CaaSPER, RAM under the
+//     dual-threshold rule and grow-only disk, replayed through the vector
+//     simulator (the same RAM and disk rule the fleet and caasper-serve
+//     run).
 //
 //  3. Forecast-confidence prefilter and ensemble forecasting for the
 //     proactive mode (§4.3).
@@ -58,31 +60,26 @@ func inPlaceDemo() {
 }
 
 func multiResourceDemo() {
-	fmt.Println("── 2. multi-resource scaling (CPU + memory) ──────────────────")
-	m, err := caasper.NewMultiResource(caasper.MultiResourceConfig{
-		Ladders: map[string]caasper.ResourceLadder{
-			"cpu":     {Min: 2, Max: 16, Step: 1},
-			"mem_gib": {Min: 8, Max: 64, Step: 4},
-		},
-		Base: caasper.DefaultConfig(16),
-	})
+	fmt.Println("── 2. multi-resource scaling (CPU + RAM + disk) ──────────────")
+	rr, err := caasper.ParseResourceSpec("cpu=2-16,ram=8-64,disk=20-100")
 	if err != nil {
 		log.Fatal(err)
 	}
-	// CPU is throttled at its 4-core cap while memory idles at 12 of 48.
-	samples := make([]caasper.UsageSample, 90)
-	for i := range samples {
-		samples[i] = caasper.UsageSample{"cpu": 4, "mem_gib": 12}
-	}
-	current := map[string]int{"cpu": 4, "mem_gib": 48}
-	d, err := m.Decide(current, samples)
+	rec, err := caasper.NewReactive(caasper.DefaultConfig(16), 40)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, dim := range []string{"cpu", "mem_gib"} {
-		fmt.Printf("%-8s %2d -> %2d   %s\n", dim, current[dim], d.Targets[dim],
-			d.PerDimension[dim].Explanation)
+	opts := caasper.DefaultSimOptions(2, 16)
+	opts.Resources = rr
+	res, err := caasper.SimulateVector(caasper.Workloads["cyclical3d"](9), rec, opts)
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("%-6s %8s %10s\n", "dim", "final", "scalings")
+	fmt.Printf("%-6s %5.0f c  %10d\n", "cpu", res.Limits[len(res.Limits)-1], res.NumScalings)
+	fmt.Printf("%-6s %5d GB %10d\n", "ram", res.FinalRAMGB, res.RAMScalings)
+	fmt.Printf("%-6s %5d GB %10d\n", "disk", res.FinalDiskGB, res.DiskScalings)
+	fmt.Printf("OOM minutes %d, total cost %.2f at default rates\n", res.OOMMinutes, res.TotalCost())
 	fmt.Println()
 }
 

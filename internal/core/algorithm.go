@@ -32,8 +32,8 @@ const (
 type Decision struct {
 	// Current is the full allocation vector the decision was made
 	// against. Algorithm 1 itself only populates the CPU dimension; the
-	// multi-resource policies (recommend.MemoryPolicy, DiskPolicy and
-	// the fleet's horizontal overflow) fill the rest.
+	// vector rule (recommend.NextResources: RAMTarget, DiskTarget and
+	// the horizontal overflow) fills the rest.
 	Current Resources
 	// Target is the recommended allocation vector; Target.CPUCores is
 	// the guardrailed whole-core recommendation.

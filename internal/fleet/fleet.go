@@ -78,14 +78,15 @@ type TenantSpec struct {
 
 	// Resources holds the tenant's initial allocation and bounds.
 	// Managing any non-CPU dimension (a non-zero Max.RAMGB, Max.DiskGB
-	// or Max.Replicas) makes the tenant multi-resource: RAM scales by the
-	// dual-threshold MemoryPolicy, disk grows off its high-water mark,
-	// and — for Stateless tenants — replicas overflow horizontally once
-	// the vertical CPU ceiling pins. Every tenant decides and enacts
-	// through the same vector rule (recommend.NextResources); a CPU-only
-	// tenant is the vector whose other dimensions are unmanaged. Every
-	// tenant catches up through the same run-by-run walk (advanceTo);
-	// only CPU-only tenants may sleep through steady ticks (events.go).
+	// or Max.Replicas) makes the tenant multi-resource: RAM scales by
+	// the dual-threshold recommend.RAMTarget, disk grows off its
+	// high-water mark (recommend.DiskTarget), and — for Stateless tenants
+	// — replicas overflow horizontally once the vertical CPU ceiling
+	// pins. Every tenant decides and enacts through the same vector rule
+	// (recommend.NextResources); a CPU-only tenant is the vector whose
+	// other dimensions are unmanaged. Every tenant catches up through
+	// the same run-by-run walk (advanceTo); only CPU-only tenants may
+	// sleep through steady ticks (events.go).
 	Resources core.ResourceRange
 	// RAMTrace is the per-minute per-pod RAM demand series in GB; nil
 	// derives one deterministically from Trace (workload.DeriveRAM).
@@ -98,10 +99,6 @@ type TenantSpec struct {
 	// pay the size-of-data copy that seeds a new replica, which the paper
 	// warns about).
 	Stateless bool
-	// Mem tunes the RAM policy (zero value: defaults).
-	Mem recommend.MemoryPolicy
-	// Disk tunes the disk policy (zero value: defaults).
-	Disk recommend.DiskPolicy
 }
 
 // Range resolves the tenant's resource bounds: Resources with its unset
@@ -385,15 +382,15 @@ func (t *tenant) decide(limit int) {
 	cur := t.alloc(limit)
 	severity := t.severity
 	var peak recommend.WindowPeaks
-	var pol recommend.VectorPolicy
+	horizontal := false
 	if m := t.mr; m != nil {
-		peak, pol = m.peak, m.pol
+		peak, horizontal = m.peak, t.spec.Stateless
 		// RAM shortfall joins CPU insufficiency as the arbiter's priority
 		// signal: an OOM-ing tenant outranks a merely-throttled one.
 		severity += m.ramShort
 		m.ramShort, m.peak.RAMGB, m.peak.TotalCPU = 0, 0, 0
 	}
-	if next := recommend.NextResources(t.rec.Recommend(limit), cur, peak, t.spec.Resources.Limits, pol); next != cur {
+	if next := recommend.NextResources(t.rec.Recommend(limit), cur, peak, t.spec.Resources.Limits, horizontal); next != cur {
 		t.prop = proposal{target: next, severity: severity}
 		t.hasProp = true
 	}

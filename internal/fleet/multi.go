@@ -29,8 +29,6 @@ import (
 // exactly one tenant and touched from its phase-1 goroutine plus the
 // sequential phase 2.
 type multiState struct {
-	pol recommend.VectorPolicy
-
 	// ram / dsk are the per-minute per-pod demand/usage series in GB
 	// (nil when the dimension is unmanaged).
 	ram, dsk []float64
@@ -53,10 +51,7 @@ type multiState struct {
 // (derived deterministically from the CPU trace when absent), initial
 // grants from the resolved range, and per-dimension meters.
 func (t *tenant) initMulti(rr core.ResourceRange, replicas, minutes int, meter *billing.Meter) error {
-	m := &multiState{
-		pol:      recommend.VectorPolicy{Mem: t.spec.Mem, Disk: t.spec.Disk, Horizontal: t.spec.Stateless},
-		replicas: replicas,
-	}
+	m := &multiState{replicas: replicas}
 	if rr.Max.RAMGB > 0 {
 		ram, err := dimTrace("RAM", t.spec.RAMTrace, func() *trace.Trace {
 			return workload.DeriveRAM(t.spec.Trace, 1, 0.5)

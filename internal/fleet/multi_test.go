@@ -261,13 +261,13 @@ func multiOpts(t *testing.T) Options {
 	return opts
 }
 
-// TestMultiResourceEquivalence pins multi-resource tenants on the tick
-// loop to the stepped oracle at workers 1/4/8: the scale-out fleet with a
-// sink (results and stream), and — the only multi-group coverage for
+// TestMultiEquivalence pins multi-resource tenants on the tick loop to
+// the stepped oracle at workers 1/4/8: the scale-out fleet with a sink
+// (results and stream), and — the only multi-group coverage for
 // vector tenants — the same fleet without scale-out and without a sink,
 // whose node-disjoint groups run concurrently (results, the merged
 // arbitration and pressure counters included).
-func TestMultiResourceEquivalence(t *testing.T) {
+func TestMultiEquivalence(t *testing.T) {
 	base := checkEquivalent(t,
 		func() []TenantSpec { return multiFleet(t, true) },
 		func() Options { return multiOpts(t) })

@@ -6,77 +6,38 @@ import (
 	"caasper/internal/core"
 )
 
-// MemoryPolicy sizes the RAM dimension with Zerops' dual-threshold rule:
-// scale up when free memory falls below the HIGHER of an absolute
-// min-free floor (GB) and a percent-free floor (fraction of the granted
-// allocation). The absolute floor protects small allocations where a
-// percentage is meaningless; the percentage protects large ones where a
-// fixed floor is too tight. Scale-down uses the same threshold with a
-// hysteresis multiplier so allocations don't flap around the boundary.
-type MemoryPolicy struct {
-	// MinFreeGB is the absolute free-memory floor (default 0.5 GB).
-	MinFreeGB float64
-	// MinFreePct is the fractional free-memory floor, 0–1 exclusive
-	// (default 0.2, i.e. keep 20% of the grant free).
-	MinFreePct float64
-	// MaxStepUpGB caps a single upward step (default 4 GB).
-	MaxStepUpGB int
-	// MaxStepDownGB caps a single downward step (default 2 GB).
-	MaxStepDownGB int
-	// DownFactor scales the threshold for shrinking: only shrink when
-	// free exceeds DownFactor × threshold (default 2 — hysteresis).
-	DownFactor float64
-}
+// RAM is sized with Zerops' dual-threshold rule: scale up when free
+// memory falls below the HIGHER of an absolute min-free floor and a
+// percent-free floor (a fraction of the granted allocation). The absolute
+// floor protects small allocations where a percentage is meaningless;
+// the percentage protects large ones where a fixed floor is too tight.
+// Scale-down uses the same threshold with a hysteresis multiplier so
+// allocations don't flap around the boundary.
+const (
+	ramMinFreeGB  = 0.5 // absolute free-memory floor
+	ramMinFreePct = 0.2 // keep 20% of the grant free
+	ramStepUpGB   = 4   // cap on one upward step
+	ramStepDownGB = 2   // cap on one downward step
+	ramDownFactor = 2   // shrink only when free exceeds 2 × the threshold
+)
 
-// DefaultMemoryPolicy returns the production-shaped defaults.
-func DefaultMemoryPolicy() MemoryPolicy {
-	return MemoryPolicy{MinFreeGB: 0.5, MinFreePct: 0.2, MaxStepUpGB: 4, MaxStepDownGB: 2, DownFactor: 2}
-}
-
-func (p MemoryPolicy) withDefaults() MemoryPolicy {
-	d := DefaultMemoryPolicy()
-	if p.MinFreeGB <= 0 {
-		p.MinFreeGB = d.MinFreeGB
-	}
-	if p.MinFreePct <= 0 || p.MinFreePct >= 1 {
-		p.MinFreePct = d.MinFreePct
-	}
-	if p.MaxStepUpGB < 1 {
-		p.MaxStepUpGB = d.MaxStepUpGB
-	}
-	if p.MaxStepDownGB < 1 {
-		p.MaxStepDownGB = d.MaxStepDownGB
-	}
-	if p.DownFactor < 1 {
-		p.DownFactor = d.DownFactor
-	}
-	return p
-}
-
-// Threshold is the dual-threshold free-memory floor for an allocation:
-// max(MinFreeGB, MinFreePct × allocGB). Higher wins.
-func (p MemoryPolicy) Threshold(allocGB float64) float64 {
-	p = p.withDefaults()
-	if pct := p.MinFreePct * allocGB; pct > p.MinFreeGB {
-		return pct
-	}
-	return p.MinFreeGB
-}
-
-// Target recommends an integer RAM allocation in [minGB, maxGB] given
+// RAMTarget recommends an integer RAM allocation in [minGB, maxGB] given
 // the current allocation and the peak resident usage (GB) observed over
 // the decision window. Deterministic: pure integer/float arithmetic.
-func (p MemoryPolicy) Target(allocGB int, peakUsedGB float64, minGB, maxGB int) int {
-	p = p.withDefaults()
+func RAMTarget(allocGB int, peakUsedGB float64, minGB, maxGB int) int {
 	if allocGB < minGB {
 		allocGB = minGB
 	}
-	thr := p.Threshold(float64(allocGB))
+	// The dual-threshold floor: max(ramMinFreeGB, ramMinFreePct × alloc).
+	thr := ramMinFreeGB
+	if pct := ramMinFreePct * float64(allocGB); pct > thr {
+		thr = pct
+	}
 	free := float64(allocGB) - peakUsedGB
 
 	// The allocation both thresholds would be satisfied at.
-	needed := int(math.Ceil(peakUsedGB + p.MinFreeGB))
-	if n := int(math.Ceil(peakUsedGB / (1 - p.MinFreePct))); n > needed {
+	needed := int(math.Ceil(peakUsedGB + ramMinFreeGB))
+	if n := int(math.Ceil(peakUsedGB / (1 - ramMinFreePct))); n > needed {
 		needed = n
 	}
 	if needed < minGB {
@@ -89,8 +50,8 @@ func (p MemoryPolicy) Target(allocGB int, peakUsedGB float64, minGB, maxGB int) 
 	switch {
 	case free < thr: // under-provisioned: grow toward needed, capped step
 		target := needed
-		if target > allocGB+p.MaxStepUpGB {
-			target = allocGB + p.MaxStepUpGB
+		if target > allocGB+ramStepUpGB {
+			target = allocGB + ramStepUpGB
 		}
 		if target <= allocGB {
 			target = allocGB + 1
@@ -99,8 +60,8 @@ func (p MemoryPolicy) Target(allocGB int, peakUsedGB float64, minGB, maxGB int) 
 			target = maxGB
 		}
 		return target
-	case free > p.DownFactor*thr: // comfortably over: shrink, capped step
-		target := allocGB - p.MaxStepDownGB
+	case free > ramDownFactor*thr: // comfortably over: shrink, capped step
+		target := allocGB - ramStepDownGB
 		if target < needed {
 			target = needed
 		}
@@ -116,38 +77,20 @@ func (p MemoryPolicy) Target(allocGB int, peakUsedGB float64, minGB, maxGB int) 
 	}
 }
 
-// DiskPolicy sizes persistent volumes. Disk is grow-only (shrinking a
-// volume in place is destructive on every major CaaS), so the target is
-// monotone in the high-water usage mark.
-type DiskPolicy struct {
-	// HeadroomPct keeps this fraction of the volume free (default 0.2).
-	HeadroomPct float64
-	// StepGB rounds growth up to a multiple of this (default 5 GB).
-	StepGB int
-}
+// Disk is grow-only: shrinking a volume in place is destructive on every
+// major CaaS, so the target is monotone in the high-water usage mark.
+const (
+	diskHeadroomPct = 0.2 // keep 20% of the volume free
+	diskStepGB      = 5   // round growth up to a multiple of 5 GB
+)
 
-// DefaultDiskPolicy returns the grow-only defaults.
-func DefaultDiskPolicy() DiskPolicy { return DiskPolicy{HeadroomPct: 0.2, StepGB: 5} }
-
-func (p DiskPolicy) withDefaults() DiskPolicy {
-	d := DefaultDiskPolicy()
-	if p.HeadroomPct <= 0 || p.HeadroomPct >= 1 {
-		p.HeadroomPct = d.HeadroomPct
-	}
-	if p.StepGB < 1 {
-		p.StepGB = d.StepGB
-	}
-	return p
-}
-
-// Target recommends an integer volume size ≥ allocGB (grow-only) that
-// keeps HeadroomPct free above the high-water usage mark, rounded up to
-// a StepGB multiple and clamped to maxGB.
-func (p DiskPolicy) Target(allocGB int, usedGB float64, maxGB int) int {
-	p = p.withDefaults()
-	need := int(math.Ceil(usedGB / (1 - p.HeadroomPct)))
-	if rem := need % p.StepGB; rem != 0 {
-		need += p.StepGB - rem
+// DiskTarget recommends an integer volume size ≥ allocGB that keeps
+// diskHeadroomPct free above the high-water usage mark, rounded up to a
+// diskStepGB multiple and clamped to maxGB (0: unbounded).
+func DiskTarget(allocGB int, usedGB float64, maxGB int) int {
+	need := int(math.Ceil(usedGB / (1 - diskHeadroomPct)))
+	if rem := need % diskStepGB; rem != 0 {
+		need += diskStepGB - rem
 	}
 	if need <= allocGB {
 		return allocGB // grow-only: never shrink
@@ -178,45 +121,36 @@ type WindowPeaks struct {
 	TotalCPU float64
 }
 
-// VectorPolicy holds the per-dimension policies of a resource vector.
-// The zero value runs the RAM and disk defaults with horizontal scaling
-// off.
-type VectorPolicy struct {
-	Mem  MemoryPolicy
-	Disk DiskPolicy
-	// Horizontal allows replica moves (stateless tiers only).
-	Horizontal bool
-}
-
 // NextResources is the one vector decision rule. From the CPU target a
 // recommender proposed, the current grants, the decision window's peaks
 // and the bounds, it returns the next grants:
 //
 //   - CPU is the proposed target clamped to its bounds (lim.Clamp);
 //   - RAM, when managed (lim.Max.RAMGB > 0), follows the dual-threshold
-//     MemoryPolicy against the peak per-pod demand;
+//     RAMTarget against the peak per-pod demand;
 //   - disk, when the tenant has a volume (cur.DiskGB > 0), only grows,
-//     off the high-water usage (lim.Max.DiskGB 0 leaves it unbounded);
-//   - replicas, when pol.Horizontal is set, overflow vertical-first: one
-//     is added only when the clamped CPU target pins at the per-pod
-//     ceiling and the peak total demand exceeds what the set carries with
-//     headroom (lim.Max.Replicas 0 is unbounded); one is removed only
+//     off the high-water usage (DiskTarget; lim.Max.DiskGB 0 leaves it
+//     unbounded);
+//   - replicas, when horizontal is set (stateless tiers only), overflow
+//     vertical-first: one is added only when the clamped CPU target pins
+//     at the per-pod ceiling and the peak total demand exceeds what the
+//     set carries with headroom (lim.Max.Replicas 0 is unbounded); one is removed only
 //     when the target is off the ceiling and the smaller set, never below
 //     max(lim.Min.Replicas, 1) pods, would still carry the peak with the
 //     same headroom.
 //
 // Every other dimension keeps its current grant, so a CPU-only vector
 // comes back CPU-only.
-func NextResources(cpu int, cur core.Resources, peak WindowPeaks, lim core.Limits, pol VectorPolicy) core.Resources {
+func NextResources(cpu int, cur core.Resources, peak WindowPeaks, lim core.Limits, horizontal bool) core.Resources {
 	next := cur
 	next.CPUCores = lim.Clamp(core.Resources{CPUCores: cpu}).CPUCores
 	if lim.Max.RAMGB > 0 {
-		next.RAMGB = pol.Mem.Target(cur.RAMGB, peak.RAMGB, lim.Min.RAMGB, lim.Max.RAMGB)
+		next.RAMGB = RAMTarget(cur.RAMGB, peak.RAMGB, lim.Min.RAMGB, lim.Max.RAMGB)
 	}
 	if cur.DiskGB > 0 {
-		next.DiskGB = pol.Disk.Target(cur.DiskGB, peak.DiskGB, lim.Max.DiskGB)
+		next.DiskGB = DiskTarget(cur.DiskGB, peak.DiskGB, lim.Max.DiskGB)
 	}
-	if pol.Horizontal {
+	if horizontal {
 		next.Replicas = nextReplicas(next.CPUCores, cur.Replicas, peak.TotalCPU, lim)
 	}
 	return next

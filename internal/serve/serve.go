@@ -437,8 +437,7 @@ func (s *Server) apply(b batch) {
 func (s *Server) decide(t *tenantState, enq time.Time) {
 	cur := core.Resources{CPUCores: t.cores, RAMGB: t.ramGB, DiskGB: t.diskGB, Replicas: t.replicas}
 	peak := recommend.WindowPeaks{RAMGB: t.ramPeak, DiskGB: t.diskHigh, TotalCPU: t.cpuPeak * float64(t.replicas)}
-	next := recommend.NextResources(t.rec.Recommend(t.cores), cur, peak, t.cfg.limits(),
-		recommend.VectorPolicy{Horizontal: t.cfg.MaxReplicas > 0})
+	next := recommend.NextResources(t.rec.Recommend(t.cores), cur, peak, t.cfg.limits(), t.cfg.MaxReplicas > 0)
 	t.seq++
 	rec := DecisionRecord{
 		Seq:    t.seq,

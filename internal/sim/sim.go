@@ -49,17 +49,14 @@ type Options struct {
 	// safety clamps (Figure 1, step 5 performs "health and resource
 	// safety checks"). Run reads the CPU entries: Initial.CPUCores is the
 	// allocation at trace start (0 defaults to Min.CPUCores, and Run
-	// clamps it into [Min, Max]). Managing a non-CPU dimension (non-zero
-	// Max.RAMGB or Max.DiskGB) is meaningful only to RunVector.
+	// clamps it into [Min, Max]). Managing RAM or disk (non-zero
+	// Max.RAMGB or Max.DiskGB) is meaningful only to RunVector, which
+	// rejects a managed replica count.
 	Resources core.ResourceRange
 	// RAMTrace / DiskTrace are the per-minute RAM demand and disk usage
 	// series in GB for RunVector; nil derives them deterministically
 	// from the CPU trace (workload.DeriveRAM / DeriveDisk).
 	RAMTrace, DiskTrace *trace.Trace
-	// Mem / Disk tune RunVector's RAM and disk policies (zero values:
-	// defaults).
-	Mem  recommend.MemoryPolicy
-	Disk recommend.DiskPolicy
 	// DecisionEveryMinutes is the recommender polling cadence.
 	DecisionEveryMinutes int
 	// ResizeDelayMinutes models the rolling-update latency: a decision

@@ -4,10 +4,13 @@ package sim
 // RunVector replays the CPU dimension through the unchanged Run (so the
 // CPU metrics, decisions and event stream stay byte-identical to a
 // CPU-only run) and layers the RAM and disk loops on top — RAM under the
-// dual-threshold MemoryPolicy with mem-pressure fault injection, disk
-// under the grow-only DiskPolicy. Both non-CPU loops resize in place at
-// decision ticks (memory hot-add and volume expansion do not restart the
-// pod, unlike the CPU rolling update Run models).
+// dual-threshold recommend.RAMTarget with mem-pressure fault injection,
+// disk under the grow-only recommend.DiskTarget (the functions
+// recommend.NextResources applies in the fleet and caasper-serve). The
+// simulator models one pod, so it has no replica dimension: horizontal
+// overflow is the fleet's and the server's. Both non-CPU loops resize in
+// place at decision ticks (memory hot-add and volume expansion do not
+// restart the pod, unlike the CPU rolling update Run models).
 
 import (
 	"fmt"
@@ -59,12 +62,15 @@ func (r *VectorResult) String() string {
 
 // RunVector replays the demand trace through the recommender across the
 // full resource vector. The CPU dimension runs through Run unchanged;
-// opts.Resources must manage at least one non-CPU dimension (use Run for
-// CPU-only work).
+// opts.Resources must manage RAM or disk (use Run for CPU-only work) and
+// must leave replicas unmanaged (the simulator models one pod).
 func RunVector(tr *trace.Trace, rec recommend.Recommender, opts Options) (*VectorResult, error) {
 	rr := opts.Resources.WithDefaults()
-	if !rr.Multi() {
-		return nil, fmt.Errorf("sim: RunVector needs a managed non-CPU dimension (use Run): %w", errs.ErrInvalidConfig)
+	if rr.Max.Replicas > 0 {
+		return nil, fmt.Errorf("sim: RunVector models one pod; replicas scale only in the fleet and caasper-serve: %w", errs.ErrInvalidConfig)
+	}
+	if rr.Max.RAMGB == 0 && rr.Max.DiskGB == 0 {
+		return nil, fmt.Errorf("sim: RunVector needs RAM or disk managed (use Run): %w", errs.ErrInvalidConfig)
 	}
 	if err := rr.Validate(); err != nil {
 		return nil, err
@@ -122,7 +128,7 @@ func RunVector(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Vecto
 			}
 			meter.Record(float64(alloc))
 			if t >= warmup && t%opts.DecisionEveryMinutes == 0 {
-				target := opts.Mem.Target(alloc, peak, rr.Min.RAMGB, rr.Max.RAMGB)
+				target := recommend.RAMTarget(alloc, peak, rr.Min.RAMGB, rr.Max.RAMGB)
 				if target != alloc {
 					if events {
 						h.Events.Emit(obs.Event{T: int64(t), Type: "sim.ram-resize", Fields: []obs.Field{
@@ -167,7 +173,7 @@ func RunVector(tr *trace.Trace, rec recommend.Recommender, opts Options) (*Vecto
 			}
 			meter.Record(float64(alloc))
 			if t >= warmup && t%opts.DecisionEveryMinutes == 0 {
-				if target := opts.Disk.Target(alloc, high, rr.Max.DiskGB); target > alloc {
+				if target := recommend.DiskTarget(alloc, high, rr.Max.DiskGB); target > alloc {
 					if events {
 						h.Events.Emit(obs.Event{T: int64(t), Type: "sim.disk-resize", Fields: []obs.Field{
 							obs.I("from", int64(alloc)),

@@ -39,36 +39,6 @@ func TestPublicEnsemble(t *testing.T) {
 	}
 }
 
-func TestPublicMultiResource(t *testing.T) {
-	m, err := NewMultiResource(MultiResourceConfig{
-		Ladders: map[string]ResourceLadder{
-			"cpu":     {Min: 2, Max: 16, Step: 1},
-			"mem_gib": {Min: 8, Max: 64, Step: 4},
-		},
-		Base: DefaultConfig(16),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := make([]UsageSample, 60)
-	for i := range samples {
-		samples[i] = UsageSample{"cpu": 4, "mem_gib": 12}
-	}
-	d, err := m.Decide(map[string]int{"cpu": 4, "mem_gib": 48}, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d.Targets) != 2 {
-		t.Errorf("targets = %+v", d.Targets)
-	}
-	if d.Targets["cpu"] <= 4 {
-		t.Error("capped cpu should scale up")
-	}
-	if d.Targets["mem_gib"] >= 48 {
-		t.Error("idle memory should scale down")
-	}
-}
-
 func TestPublicInPlaceResize(t *testing.T) {
 	demand := Workloads["workday12h"](4)
 	short := NewTrace("short", time.Minute, demand.Values[:120])

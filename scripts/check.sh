@@ -54,6 +54,24 @@ go test -race -count=2 -run 'Equivalence|Sharded' ./internal/fleet
 echo "==> sim ↔ fleet oracle (-race)"
 go test -race -run 'TestSimFleetOracle' .
 
+# Examples: every examples/* main must build and run to a zero exit, so
+# a public-API change that breaks one fails here rather than in a
+# reader's terminal.
+echo "==> examples (run every examples/* main)"
+EXBIN=$(mktemp -d)
+for dir in examples/*/; do
+    name=$(basename "$dir")
+    echo "    $name"
+    go build -o "$EXBIN/$name" "./$dir"
+    if ! "$EXBIN/$name" > "$EXBIN/$name.out" 2>&1; then
+        echo "==> FAIL: examples/$name exited non-zero:" >&2
+        sed 's/^/    /' "$EXBIN/$name.out" >&2
+        rm -rf "$EXBIN"
+        exit 1
+    fi
+done
+rm -rf "$EXBIN"
+
 # Public-API drift gate: exported symbols of the root package must match
 # the checked-in snapshot (regenerate: UPDATE=1 sh scripts/apicheck.sh).
 echo "==> apicheck (exported API vs testdata/api.txt)"
