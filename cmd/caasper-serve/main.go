@@ -37,6 +37,10 @@ import (
 	"caasper/internal/obs"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a
+// request's headers, so a slow client cannot hold a connection open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address (use 127.0.0.1:0 for an ephemeral port)")
@@ -90,7 +94,7 @@ func main() {
 	}
 	fmt.Printf("caasper-serve: listening on %s\n", bound)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

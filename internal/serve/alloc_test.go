@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -100,6 +101,26 @@ func TestParseSampleFastRandomizedNumbers(t *testing.T) {
 			t.Errorf("number %q: fast %v/%v, json %v/%v", n, fast.CPU, fast.RAMGB, ref.CPU, ref.RAMGB)
 		}
 	}
+}
+
+// FuzzParseSampleFast is the differential fuzz of the ingest fast path:
+// whatever line parseSampleFast accepts, json.Unmarshal must accept too
+// and decode to the same sample, floats bit for bit. Its seeds are in
+// testdata/fuzz/FuzzParseSampleFast.
+func FuzzParseSampleFast(f *testing.F) {
+	f.Fuzz(func(t *testing.T, line []byte) {
+		fast := sample{CPU: -1}
+		if !parseSampleFast(line, &fast) {
+			return
+		}
+		ref := sample{CPU: -1}
+		if err := json.Unmarshal(line, &ref); err != nil {
+			t.Fatalf("fast path accepts %q, json.Unmarshal rejects it: %v", line, err)
+		}
+		if !sameBits(reflect.ValueOf(fast), reflect.ValueOf(ref)) {
+			t.Fatalf("parseSampleFast(%q) = %+v, json.Unmarshal = %+v", line, fast, ref)
+		}
+	})
 }
 
 // TestParseSampleFastAllocBudget pins the fast parser at zero

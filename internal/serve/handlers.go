@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -179,10 +180,15 @@ func (s *Server) handleTenantGet(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxSamplesBody caps one ingest body in bytes. A week of minute samples
+// with all three fields is under 1 MB.
+const maxSamplesBody = 4 << 20
+
 // handleSamples ingests an NDJSON body of samples. The whole batch is
 // parsed before anything is enqueued, so a malformed line rejects the
-// request (400) without applying a prefix of it. A full shard queue
-// answers 429 with Retry-After — the backpressure contract.
+// request (400) without applying a prefix of it. A body over
+// maxSamplesBody answers 413, and a full shard queue answers 429 with
+// Retry-After — the backpressure contract.
 func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sh := s.shardFor(id)
@@ -210,10 +216,15 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 			samplesPool.Put(box)
 		}
 	}()
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxSamplesBody))
 	sc.Buffer(*bufp, 1<<20)
 	line := 0
 	for sc.Scan() {
+		if sc.Err() != nil {
+			// The read failed under the buffered lines, and the last may
+			// be cut short: the read error answers the request.
+			break
+		}
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
@@ -235,6 +246,11 @@ func (s *Server) handleSamples(w http.ResponseWriter, r *http.Request) {
 		samples = append(samples, smp)
 	}
 	if err := sc.Err(); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "sample batch over %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "reading samples: %v", err)
 		return
 	}

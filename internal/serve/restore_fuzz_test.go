@@ -2,6 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -11,6 +14,35 @@ import (
 // the pre-vector keys a v1 checkpoint carries.
 var v1Decisions = regexp.MustCompile(`"Current":\{"CPUCores":(\d+),"RAMGB":0,"DiskGB":0,"Replicas":0\},"Target":\{"CPUCores":(\d+),"RAMGB":0,"DiskGB":0,"Replicas":0\}`)
 
+// v1Checkpoint checkpoints a mixedServer of n CPU-only tenants (n ≤ 3)
+// and rewrites it into the v1 format: version 1 in the header and every
+// decision's allocation under its pre-vector keys.
+func v1Checkpoint(t testing.TB, n int) string {
+	t.Helper()
+	v1 := strings.Replace(string(snapshotBytes(t, mixedServer(t, n))), `"version":2`, `"version":1`, 1)
+	if !v1Decisions.MatchString(v1) {
+		t.Fatalf("no decision vectors to rewrite: %s", v1)
+	}
+	return v1Decisions.ReplaceAllString(v1, `"CurrentCores":$1,"TargetCores":$2`)
+}
+
+// nonCanonical rewrites one checkpoint line into JSON Snapshot never
+// writes but json.Unmarshal reads the same: keys sorted, a space after
+// every colon, and the ID's first letter escaped.
+func nonCanonical(t testing.TB, line string) string {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(line), &m); err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := strings.ReplaceAll(string(b), `":`, `": `)
+	return strings.Replace(out, `"id": "t`, `"id": "\u0074`, 1) + "\n"
+}
+
 // FuzzRestore feeds Restore arbitrary checkpoint streams. Restore must
 // never panic; a failed restore must leave the server without a tenant;
 // a successful one must re-encode to a checkpoint that restores and
@@ -19,35 +51,38 @@ var v1Decisions = regexp.MustCompile(`"Current":\{"CPUCores":(\d+),"RAMGB":0,"Di
 func FuzzRestore(f *testing.F) {
 	v2 := string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs))))
 	lines := strings.SplitAfter(v2, "\n")
-	v1 := strings.Replace(string(snapshotBytes(f, mixedServer(f, 1))), `"version":2`, `"version":1`, 1)
-	if !v1Decisions.MatchString(v1) {
-		f.Fatalf("no decision vectors to rewrite: %s", v1)
-	}
-	v1 = v1Decisions.ReplaceAllString(v1, `"CurrentCores":$1,"TargetCores":$2`)
+	v1 := v1Checkpoint(f, 1)
 	var multi string
 	for _, line := range lines {
 		if strings.Contains(line, `"replicas"`) {
 			multi = `{"format":"caasper-serve","version":2,"tenants":1}` + "\n" + line
 		}
 	}
-	for _, seed := range []struct{ data, err string }{
-		{v1, ""},
-		{v2, ""},
-		{multi, ""},
-		{v2[:len(v2)/2], "tenant line"}, // truncated mid-line
-		{lines[0] + "{\"id\":\x00garbage\n", "tenant line 1"}, // garbage
-		{strings.Replace(v2, `"tenants":5`, `"tenants":6`, 1) + lines[1], "duplicate tenant"},
-		{strings.Replace(v2, `{"seq":2,`, `{"seq":1,`, 1), "tenant line 1: decision log seq 1 after 1"}, // forked cursor stream
+	// mixed restores lines 1 and 4 through json.Unmarshal and the rest
+	// through the canonical-line decoder, to the same tenants as v2.
+	mixed := lines[0] + nonCanonical(f, lines[1]) + lines[2] + lines[3] + nonCanonical(f, lines[4]) + strings.Join(lines[5:], "")
+	for _, seed := range []struct{ data, err, reencodes string }{
+		{v1, "", ""},
+		{v2, "", v2},
+		{multi, "", multi},
+		{mixed, "", v2},
+		{v2[:len(v2)/2], "tenant line", ""}, // truncated mid-line
+		{lines[0] + "{\"id\":\x00garbage\n", "tenant line 1", ""}, // garbage
+		{strings.Replace(v2, `"tenants":5`, `"tenants":6`, 1) + lines[1], "duplicate tenant", ""},
+		{strings.Replace(v2, `{"seq":2,`, `{"seq":1,`, 1), "tenant line 1: decision log seq 1 after 1", ""}, // forked cursor stream
 	} {
 		s, err := New(Options{})
 		if err != nil {
 			f.Fatal(err)
 		}
 		err = s.Restore(strings.NewReader(seed.data))
-		s.Close()
 		if (err == nil) != (seed.err == "") || err != nil && !strings.Contains(err.Error(), seed.err) {
 			f.Fatalf("seed restores with error %v, want %q:\n%s", err, seed.err, seed.data)
 		}
+		if got := snapshotBytes(f, s); seed.reencodes != "" && string(got) != seed.reencodes {
+			f.Fatalf("seed re-encodes to\n%s\nwant\n%s", got, seed.reencodes)
+		}
+		s.Close()
 		f.Add([]byte(seed.data))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -75,4 +110,73 @@ func FuzzRestore(f *testing.F) {
 			t.Fatalf("snapshot → restore → snapshot changed the bytes:\n%s\nvs\n%s", first, second)
 		}
 	})
+}
+
+// FuzzSnapshotLine is the differential test of the canonical-line
+// decoder: whatever line decodeTenantLine accepts, json.Unmarshal must
+// decode to the same snapshotTenant, floats bit for bit. Every line of a
+// mixedServer checkpoint is a seed and must take the fast path.
+func FuzzSnapshotLine(f *testing.F) {
+	v2 := strings.TrimSuffix(string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs)))), "\n")
+	for _, line := range strings.Split(v2, "\n")[1:] {
+		var st snapshotTenant
+		if !decodeTenantLine([]byte(line), &st) {
+			f.Fatalf("a line Snapshot wrote takes the fallback: %s", line)
+		}
+		f.Add([]byte(line))
+	}
+	for _, seed := range []string{
+		`{}`,
+		`{"id":"a","cores":-0,"seq":999999999999999999}`,
+		`{"seq":9223372036854775807}`,
+		`{"id":"ü","state":{"window":[],"total":1,"memo":{"Window":null,"ExpKind":255}},"log":[]}`,
+		`{"state":{"memo":{"ExpKind":-0}}}`,
+		`{"state":{"memo":{"Window":[1e400]}}}`,
+		`{"ram_peak":12345678901234567890123,"cpu_peak":-0}`,
+		`{"id":"a\u0062"}`,
+		`{"cores":1.0}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var fast snapshotTenant
+		if !decodeTenantLine(line, &fast) {
+			return
+		}
+		var ref snapshotTenant
+		if err := json.Unmarshal(line, &ref); err != nil {
+			t.Fatalf("fast decoder accepts a line json.Unmarshal rejects (%v): %s", err, line)
+		}
+		if !sameBits(reflect.ValueOf(fast), reflect.ValueOf(ref)) {
+			t.Fatalf("decoders disagree on %s:\nfast %+v\njson %+v", line, fast, ref)
+		}
+	})
+}
+
+// sameBits reports whether a and b are deeply equal, with floats compared
+// bit for bit (0 and -0 differ) and nil and empty slices told apart.
+func sameBits(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	default:
+		return a.Equal(b)
+	}
 }

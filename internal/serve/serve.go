@@ -366,18 +366,23 @@ func New(opts Options) (*Server, error) {
 // no-ops.
 type serveMetrics struct {
 	samples, decisions, batches, rejected, requests *obs.Counter
-	decisionLatency, requestLatency                 *obs.Histogram
+	// restoreLines counts restored tenant lines, restoreFallbacks those
+	// json.Unmarshal decoded rather than decodeTenantLine.
+	restoreLines, restoreFallbacks  *obs.Counter
+	decisionLatency, requestLatency *obs.Histogram
 }
 
 func newServeMetrics(r *obs.Registry) serveMetrics {
 	return serveMetrics{
-		samples:         r.Counter("serve.samples"),
-		decisions:       r.Counter("serve.decisions"),
-		batches:         r.Counter("serve.batches"),
-		rejected:        r.Counter("serve.rejected"),
-		requests:        r.Counter("serve.requests"),
-		decisionLatency: r.Histogram("serve.decision_latency"),
-		requestLatency:  r.Histogram("serve.request_latency"),
+		samples:          r.Counter("serve.samples"),
+		decisions:        r.Counter("serve.decisions"),
+		batches:          r.Counter("serve.batches"),
+		rejected:         r.Counter("serve.rejected"),
+		requests:         r.Counter("serve.requests"),
+		restoreLines:     r.Counter("serve.restore_lines"),
+		restoreFallbacks: r.Counter("serve.restore_fallback_lines"),
+		decisionLatency:  r.Histogram("serve.decision_latency"),
+		requestLatency:   r.Histogram("serve.request_latency"),
 	}
 }
 

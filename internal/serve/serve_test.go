@@ -265,6 +265,26 @@ func TestBackpressure429(t *testing.T) {
 	waitSamples(t, ts.URL, "alpha", 2)
 }
 
+// TestOversizedBatch413 posts a body one line over maxSamplesBody: it is
+// refused with 413 and applies nothing, and the next normal POST is
+// accepted.
+func TestOversizedBatch413(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	register(t, ts.URL, "alpha", `{"max_cores":8}`)
+	line := `{"cpu":1}` + "\n"
+	big := strings.Repeat(line, maxSamplesBody/len(line)+1)
+	if code, body, _ := do(t, http.MethodPost, ts.URL+"/v1/tenants/alpha/samples", big); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized post: %d %s", code, body)
+	}
+	if code, body, _ := do(t, http.MethodPost, ts.URL+"/v1/tenants/alpha/samples", line); code != http.StatusAccepted {
+		t.Fatalf("post after the oversized one: %d %s", code, body)
+	}
+	waitSamples(t, ts.URL, "alpha", 1)
+	if n := s.opts.Metrics.Counter("serve.samples").Value(); n != 1 {
+		t.Fatalf("serve.samples = %d, want 1: the oversized batch applied a prefix", n)
+	}
+}
+
 func TestPolicyHotSwapMidStream(t *testing.T) {
 	_, ts := testServer(t, Options{DecisionEveryMinutes: 10})
 	register(t, ts.URL, "alpha", `{"policy":"caasper","max_cores":8,"initial_cores":4}`)

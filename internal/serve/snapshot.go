@@ -11,7 +11,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
+	"sync/atomic"
+	"time"
+	"unicode/utf8"
 
+	"caasper/internal/core"
 	"caasper/internal/parallel"
 	"caasper/internal/recommend"
 )
@@ -217,6 +222,7 @@ func backfillV1Decisions(line []byte, st *recommend.State) error {
 // matches, so a failed Restore leaves the server without a single
 // restored tenant.
 func (s *Server) Restore(r io.Reader) error {
+	start := time.Now()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), 64<<20)
 	if !sc.Scan() {
@@ -231,10 +237,11 @@ func (s *Server) Restore(r io.Reader) error {
 	}
 
 	var (
-		tenants []*tenantState
-		seen    = make(map[string]struct{})
-		arena   []byte // the batch's lines, back to back
-		ends    []int  // ends[i] is line i's end in arena
+		tenants   []*tenantState
+		fallbacks atomic.Int64 // lines json.Unmarshal decoded
+		seen      = make(map[string]struct{})
+		arena     []byte // the batch's lines, back to back
+		ends      []int  // ends[i] is line i's end in arena
 	)
 	// flush decodes the batch in parallel, then checks IDs in line order,
 	// so the error reported is the lowest failing line's.
@@ -245,7 +252,7 @@ func (s *Server) Restore(r io.Reader) error {
 			if i > 0 {
 				lo = ends[i-1]
 			}
-			return s.restoreTenant(arena[lo:ends[i]], first+i, hdr.Version)
+			return s.restoreTenant(arena[lo:ends[i]], first+i, hdr.Version, &fallbacks)
 		})
 		for i, t := range batch {
 			if t == nil {
@@ -288,17 +295,26 @@ func (s *Server) Restore(r io.Reader) error {
 		sh.tenants[t.id] = t
 		sh.mu.Unlock()
 	}
-	s.opts.Log.Infof("restore: %d tenants from snapshot", len(tenants))
+	s.met.restoreLines.Add(int64(len(tenants)))
+	s.met.restoreFallbacks.Add(fallbacks.Load())
+	s.opts.Log.Infof("restore: %d tenants from snapshot in %v (%d lines via json.Unmarshal)",
+		len(tenants), time.Since(start).Round(time.Microsecond), fallbacks.Load())
 	return nil
 }
 
 // restoreTenant rebuilds one tenant from its checkpoint line (tenant
 // line number no) without publishing it. It returns a nil tenant exactly
-// when it fails.
-func (s *Server) restoreTenant(line []byte, no, version int) (*tenantState, error) {
+// when it fails. A v2 line in the layout Snapshot writes is decoded by
+// decodeTenantLine; any other line — v1, hand-edited or hostile — by
+// json.Unmarshal, counted in fallbacks.
+func (s *Server) restoreTenant(line []byte, no, version int, fallbacks *atomic.Int64) (*tenantState, error) {
 	var st snapshotTenant
-	if err := json.Unmarshal(line, &st); err != nil {
-		return nil, fmt.Errorf("serve: restore: tenant line %d: %w", no, err)
+	if version != snapshotVersion || !decodeTenantLine(line, &st) {
+		fallbacks.Add(1)
+		st = snapshotTenant{}
+		if err := json.Unmarshal(line, &st); err != nil {
+			return nil, fmt.Errorf("serve: restore: tenant line %d: %w", no, err)
+		}
 	}
 	if version == snapshotVersionV1 && st.HasState {
 		if err := backfillV1Decisions(line, &st.State); err != nil {
@@ -342,4 +358,363 @@ func (s *Server) restoreTenant(line []byte, no, version int) (*tenantState, erro
 		}
 	}
 	return t, nil
+}
+
+// decodeTenantLine decodes one v2 tenant line in the exact layout
+// Snapshot writes — encoding/json's field order and omitempty rules, no
+// whitespace, plain integers, strings with no escapes and valid UTF-8 —
+// without reflection. Floats take parseNumberFast and fall back to
+// strconv.ParseFloat, so each keeps the bits json.Unmarshal gives it.
+// Any member may be absent, as omitempty allows, but the ones present
+// must come in struct order. Anything else reports false, st is then
+// partly filled, and the caller decodes the line with json.Unmarshal:
+// every line this accepts decodes to the struct json.Unmarshal would
+// build (FuzzSnapshotLine).
+func decodeTenantLine(b []byte, st *snapshotTenant) bool {
+	d := lineDecoder{b: b, ok: true}
+	d.open()
+	d.strField("id", &st.ID)
+	if d.key("config") {
+		d.config(&st.Config)
+	}
+	intField(&d, "cores", &st.Cores)
+	intField(&d, "minute", &st.Minute)
+	intField(&d, "seq", &st.Seq)
+	d.boolField("has_state", &st.HasState)
+	if d.key("state") {
+		d.state(&st.State)
+	}
+	if d.key("log") {
+		st.Log = array(&d, d.countToClose('{'), d.record)
+	}
+	intField(&d, "ram_gb", &st.RAMGB)
+	intField(&d, "disk_gb", &st.DiskGB)
+	intField(&d, "replicas", &st.Replicas)
+	d.floatField("ram_peak", &st.RAMPeak)
+	d.floatField("disk_high", &st.DiskHigh)
+	d.floatField("cpu_peak", &st.CPUPeak)
+	d.close()
+	return d.ok && d.i == len(b)
+}
+
+// lineDecoder is decodeTenantLine's cursor over b. ok turns false at the
+// first byte outside the canonical layout and stays false, which makes
+// every later step a no-op.
+type lineDecoder struct {
+	b  []byte
+	i  int
+	ok bool
+}
+
+// lit consumes s if the input continues with it.
+func (d *lineDecoder) lit(s string) bool {
+	if !d.ok || len(d.b)-d.i < len(s) || string(d.b[d.i:d.i+len(s)]) != s {
+		return false
+	}
+	d.i += len(s)
+	return true
+}
+
+func (d *lineDecoder) open() {
+	if !d.lit("{") {
+		d.ok = false
+	}
+}
+
+func (d *lineDecoder) close() {
+	if !d.lit("}") {
+		d.ok = false
+	}
+}
+
+// key consumes the member name, with its leading comma unless it opens
+// the object, when it is the next member. Otherwise it consumes nothing:
+// the member is absent, and a member out of order is left for close to
+// reject.
+func (d *lineDecoder) key(name string) bool {
+	if !d.ok {
+		return false
+	}
+	j := d.i
+	if d.b[j-1] != '{' { // no value ends in '{', so this is not the first member
+		if j >= len(d.b) || d.b[j] != ',' {
+			return false
+		}
+		j++
+	}
+	n := len(name)
+	if len(d.b)-j < n+3 || d.b[j] != '"' || string(d.b[j+1:j+1+n]) != name || d.b[j+1+n] != '"' || d.b[j+2+n] != ':' {
+		return false
+	}
+	d.i = j + n + 3
+	return true
+}
+
+// intField decodes member name, when present, as a plain integer that
+// fits *p.
+func intField[T int | int64 | uint8](d *lineDecoder, name string, p *T) {
+	if !d.key(name) {
+		return
+	}
+	i := d.i
+	neg := i < len(d.b) && d.b[i] == '-'
+	if neg {
+		if ^T(0) > 0 { // unsigned: json.Unmarshal rejects a sign, even on -0
+			d.ok = false
+			return
+		}
+		i++
+	}
+	var v int64
+	digits := 0
+	for ; i < len(d.b) && d.b[i] >= '0' && d.b[i] <= '9'; i++ {
+		if digits++; digits > 18 || digits == 2 && v == 0 {
+			d.ok = false // may overflow, or a leading zero
+			return
+		}
+		v = v*10 + int64(d.b[i]-'0')
+	}
+	if neg {
+		v = -v
+	}
+	if t := T(v); digits > 0 && int64(t) == v {
+		*p, d.i = t, i
+	} else {
+		d.ok = false
+	}
+}
+
+func (d *lineDecoder) floatField(name string, p *float64) {
+	if d.key(name) {
+		*p = d.float()
+	}
+}
+
+func (d *lineDecoder) strField(name string, p *string) {
+	if d.key(name) {
+		*p = d.str()
+	}
+}
+
+func (d *lineDecoder) boolField(name string, p *bool) {
+	switch {
+	case !d.key(name):
+	case d.lit("true"):
+		*p = true
+	case !d.lit("false"):
+		d.ok = false
+	}
+}
+
+// float reads a JSON number: parseNumberFast where it is exact,
+// strconv.ParseFloat on the number's bytes otherwise.
+func (d *lineDecoder) float() float64 {
+	if !d.ok {
+		return 0
+	}
+	if v, ok := parseNumberFast(d.b, &d.i); ok {
+		return v
+	}
+	end := numberEnd(d.b, d.i)
+	if end < 0 {
+		d.ok = false
+		return 0
+	}
+	v, err := strconv.ParseFloat(string(d.b[d.i:end]), 64)
+	if err != nil {
+		d.ok = false // out of range: json.Unmarshal fails too
+		return 0
+	}
+	d.i = end
+	return v
+}
+
+// numberEnd returns the end of the RFC 8259 number at b[i:], or -1.
+func numberEnd(b []byte, i int) int {
+	digits := func() bool {
+		j := i
+		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+			i++
+		}
+		return i > j
+	}
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if !digits() {
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		i++
+		if !digits() {
+			return -1
+		}
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		if !digits() {
+			return -1
+		}
+	}
+	return i
+}
+
+// str reads a string with no escape and no control byte that is valid
+// UTF-8, which json.Unmarshal decodes to the same bytes.
+func (d *lineDecoder) str() string {
+	if !d.lit(`"`) {
+		d.ok = false
+		return ""
+	}
+	for j := d.i; j < len(d.b) && d.b[j] != '\\' && d.b[j] >= 0x20; j++ {
+		if d.b[j] == '"' {
+			s := d.b[d.i:j]
+			if !utf8.Valid(s) {
+				break
+			}
+			d.i = j + 1
+			return string(s)
+		}
+	}
+	d.ok = false
+	return ""
+}
+
+// array reads an array whose elements elem decodes in place into a slice
+// of capacity n. null is a nil slice and [] an empty one, as
+// json.Unmarshal gives them.
+func array[T any](d *lineDecoder, n int, elem func(*T)) []T {
+	if d.lit("null") {
+		return nil
+	}
+	if !d.lit("[") {
+		d.ok = false
+		return nil
+	}
+	out := make([]T, 0, n)
+	if d.lit("]") {
+		return out
+	}
+	for d.ok {
+		out = append(out, *new(T))
+		elem(&out[len(out)-1])
+		if d.lit("]") {
+			return out
+		}
+		if !d.lit(",") {
+			d.ok = false
+		}
+	}
+	return nil
+}
+
+// countToClose counts the bytes c before the next ']', to size an array
+// up front: an array of n numbers holds n−1 commas, a decision log of n
+// records n '{'.
+func (d *lineDecoder) countToClose(c byte) int {
+	rest := d.b[d.i:]
+	return bytes.Count(rest[:max(bytes.IndexByte(rest, ']'), 0)], []byte{c})
+}
+
+func (d *lineDecoder) floats() []float64 {
+	return array(d, 1+d.countToClose(','), func(v *float64) { *v = d.float() })
+}
+
+func (d *lineDecoder) config(c *TenantConfig) {
+	d.open()
+	d.strField("policy", &c.Policy)
+	intField(d, "min_cores", &c.MinCores)
+	intField(d, "max_cores", &c.MaxCores)
+	intField(d, "initial_cores", &c.InitialCores)
+	intField(d, "window", &c.Window)
+	intField(d, "horizon", &c.Horizon)
+	intField(d, "season", &c.Season)
+	intField(d, "min_ram_gb", &c.MinRAMGB)
+	intField(d, "max_ram_gb", &c.MaxRAMGB)
+	intField(d, "initial_ram_gb", &c.InitialRAMGB)
+	intField(d, "disk_gb", &c.DiskGB)
+	intField(d, "max_disk_gb", &c.MaxDiskGB)
+	intField(d, "max_replicas", &c.MaxReplicas)
+	d.close()
+}
+
+func (d *lineDecoder) state(st *recommend.State) {
+	d.open()
+	if d.key("window") {
+		st.Window = d.floats()
+	}
+	intField(d, "total", &st.Total)
+	if d.key("memo") {
+		m := &st.Memo
+		d.open()
+		d.boolField("Valid", &m.Valid)
+		intField(d, "Cores", &m.Cores)
+		if d.key("Window") {
+			m.Window = d.floats()
+		}
+		if d.key("Decision") {
+			d.decision(&m.Decision)
+		}
+		intField(d, "ExpKind", &m.ExpKind)
+		d.floatField("ExpPeak", &m.ExpPeak)
+		intField(d, "Now", &m.Now)
+		d.close()
+	}
+	if d.key("last_decision") {
+		d.decision(&st.LastDecision)
+	}
+	d.boolField("last_used_forecast", &st.LastUsedForecast)
+	d.close()
+}
+
+func (d *lineDecoder) decision(dec *core.Decision) {
+	d.open()
+	if d.key("Current") {
+		d.resources(&dec.Current)
+	}
+	if d.key("Target") {
+		d.resources(&dec.Target)
+	}
+	intField(d, "Delta", &dec.Delta)
+	d.strField("Branch", (*string)(&dec.Branch))
+	d.floatField("Slope", &dec.Slope)
+	d.floatField("Skew", &dec.Skew)
+	d.floatField("RawSF", &dec.RawSF)
+	d.floatField("Quantile", &dec.Quantile)
+	d.strField("Explanation", &dec.Explanation)
+	d.close()
+}
+
+func (d *lineDecoder) resources(r *core.Resources) {
+	d.open()
+	intField(d, "CPUCores", &r.CPUCores)
+	intField(d, "RAMGB", &r.RAMGB)
+	intField(d, "DiskGB", &r.DiskGB)
+	intField(d, "Replicas", &r.Replicas)
+	d.close()
+}
+
+func (d *lineDecoder) record(r *DecisionRecord) {
+	d.open()
+	intField(d, "seq", &r.Seq)
+	intField(d, "minute", &r.Minute)
+	d.strField("policy", &r.Policy)
+	intField(d, "from", &r.From)
+	intField(d, "to", &r.To)
+	d.strField("branch", &r.Branch)
+	d.floatField("slope", &r.Slope)
+	d.floatField("skew", &r.Skew)
+	d.floatField("raw_sf", &r.RawSF)
+	d.floatField("quantile", &r.Quantile)
+	d.strField("explanation", &r.Explanation)
+	intField(d, "ram_from", &r.RAMFrom)
+	intField(d, "ram_to", &r.RAMTo)
+	intField(d, "disk_to", &r.DiskTo)
+	intField(d, "replicas", &r.Replicas)
+	d.close()
 }

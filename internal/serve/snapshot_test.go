@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"caasper/internal/obs"
 )
 
 // feedHalves posts usage to a server in two halves with an optional
@@ -253,4 +256,40 @@ func TestColdStartWithoutSnapshot(t *testing.T) {
 		t.Fatalf("missing snapshot must cold-start: %v", err)
 	}
 	s.Close()
+}
+
+// TestRestoreDecodePaths pins which decoder reads each checkpoint line,
+// through the serve.restore_* counters and the restore log line: every
+// line of a checkpoint Snapshot wrote (reactive, proactive, VPA-cold,
+// RAM/disk and replica tenants) takes the canonical-line decoder, every
+// line of a v1 checkpoint json.Unmarshal.
+func TestRestoreDecodePaths(t *testing.T) {
+	n := 4 * len(mixedTenantConfigs)
+	for _, tc := range []struct {
+		name      string
+		data      []byte
+		lines     int64
+		fallbacks int64
+	}{
+		{"v2", snapshotBytes(t, mixedServer(t, n)), int64(n), 0},
+		{"v1", []byte(v1Checkpoint(t, 3)), 3, 3},
+	} {
+		reg := obs.NewRegistry()
+		var log bytes.Buffer
+		s, err := New(Options{Metrics: reg, Log: obs.NewLogger(&log, obs.LevelInfo)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(bytes.NewReader(tc.data)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		s.Close()
+		lines, fallbacks := reg.Counter("serve.restore_lines").Value(), reg.Counter("serve.restore_fallback_lines").Value()
+		if lines != tc.lines || fallbacks != tc.fallbacks {
+			t.Errorf("%s: restore_lines %d, restore_fallback_lines %d; want %d, %d", tc.name, lines, fallbacks, tc.lines, tc.fallbacks)
+		}
+		if want := fmt.Sprintf("(%d lines via json.Unmarshal)", tc.fallbacks); !strings.Contains(log.String(), want) {
+			t.Errorf("%s: restore log %q lacks %q", tc.name, log.String(), want)
+		}
+	}
 }

@@ -111,6 +111,17 @@ go test -run '^$' -fuzz FuzzQuantileMax -fuzztime 10s -fuzzminimizetime 100x ./i
 echo "==> fuzz FuzzRestore (10s)"
 go test -run '^$' -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 
+# Fuzz stage: the reflection-free checkpoint-line decoder against
+# json.Unmarshal. Whatever line it accepts must decode to the same
+# tenant struct, floats bit for bit.
+echo "==> fuzz FuzzSnapshotLine (10s)"
+go test -run '^$' -fuzz FuzzSnapshotLine -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+
+# Fuzz stage: the ingest sample fast path against json.Unmarshal, the
+# same differential rule.
+echo "==> fuzz FuzzParseSampleFast (10s)"
+go test -run '^$' -fuzz FuzzParseSampleFast -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+
 # The parallel checkpoint encode/decode (worker buffers, batch decode,
 # all-or-nothing publish) and since= polls of a decision ring that wraps
 # under ingest, under the race detector, as a named gate.
