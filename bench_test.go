@@ -589,6 +589,81 @@ func BenchmarkFleetMonth10k(b *testing.B) {
 	}
 }
 
+// benchWeekEventsSpecs builds the contended events fleet: n CPU-only
+// tenants on noisy traces (the four paper workload families, tenant i
+// from seed i) over the 6-node large cluster, whose nodes hold 60% of the
+// summed MaxCores, so arbitration defers every day.
+func benchWeekEventsSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, caasper.FleetOptions) {
+	b.Helper()
+	families := []string{"workday12h", "cyclical3d", "step62h", "customer"}
+	specs := make([]caasper.TenantSpec, n)
+	sumMax := 0
+	for i := range specs {
+		base := caasper.Workloads[families[i%len(families)]](uint64(i + 1))
+		vals := make([]float64, minutes)
+		for m := range vals {
+			vals[m] = base.Values[m%len(base.Values)]
+		}
+		maxc := 8 + 4*(i%3)
+		sumMax += maxc
+		specs[i] = caasper.TenantSpec{
+			Name:  fmt.Sprintf("t%04d", i),
+			Trace: caasper.NewTrace(base.Name, time.Minute, vals),
+			NewRecommender: func() (caasper.Recommender, error) {
+				return caasper.NewReactive(caasper.DefaultConfig(maxc), 40)
+			},
+			Resources:    core.CPURange(2, 1, maxc),
+			Replicas:     1,
+			MemGiBPerPod: 1,
+		}
+	}
+	cluster := caasper.LargeCluster()
+	for _, node := range cluster.Nodes() {
+		node.Allocatable.CPUCores = 0.6 * float64(sumMax) / 6
+		node.Allocatable.MemoryGiB = 1e9
+	}
+	opts := caasper.DefaultFleetOptions()
+	opts.Cluster = cluster
+	opts.Minutes = minutes
+	return specs, opts
+}
+
+// BenchmarkFleetWeekEvents replays a contended 6-node, 96-tenant fleet
+// with an NDJSON sink over io.Discard, for one day and for one week. The
+// placement splits into six node-disjoint groups that run concurrently,
+// and the epoch merge rebuilds the one-group stream; its buffers are
+// reused from epoch to epoch. events/op and allocs/op both grow with the
+// horizon (every event allocates its field slice), so compare allocs/op
+// minus events/op across the two horizons: it must stay flat.
+func BenchmarkFleetWeekEvents(b *testing.B) {
+	const tenants = 96
+	for _, h := range []struct {
+		name    string
+		minutes int
+	}{{"day", 24 * 60}, {"week", 7 * 24 * 60}} {
+		b.Run(h.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var events int64
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				specs, opts := benchWeekEventsSpecs(b, tenants, h.minutes)
+				sink := caasper.NewNDJSONSink(io.Discard)
+				opts.Events = sink
+				b.StartTimer()
+				if _, err := caasper.RunFleet(specs, opts); err != nil {
+					b.Fatal(err)
+				}
+				if err := sink.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				events += sink.Count()
+			}
+			b.ReportMetric(float64(tenants*h.minutes*b.N)/b.Elapsed().Seconds(), "tenant_minutes/s")
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
+	}
+}
+
 func BenchmarkRandomSearch(b *testing.B) {
 	tr := caasper.Workloads["workday12h"](1)
 	opts := caasper.DefaultSimOptions(6, 8)

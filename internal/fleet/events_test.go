@@ -74,8 +74,14 @@ func chaos16Opts(t *testing.T) Options {
 // same configuration scripts/fleet.sh pins as the chaos golden: a
 // 16-tenant heterogeneous fleet on the small cluster with every CPU fault
 // active must reproduce the stepped oracle bit for bit — results and
-// NDJSON stream — at every worker count.
+// NDJSON stream — at every worker count. The fleet splits into
+// node-disjoint groups, so the stream goes through the epoch merge.
 func TestEventEngineEquivalenceChaos16(t *testing.T) {
+	withSink := chaos16Opts(t)
+	withSink.Events = obs.NewMemorySink()
+	if n := groupCount(t, mixedFleet(t, 16), withSink); n < 2 {
+		t.Fatalf("sink-attached chaos fleet runs as %d group; the golden must cover the merge", n)
+	}
 	base := checkEquivalent(t,
 		func() []TenantSpec { return mixedFleet(t, 16) },
 		func() Options { return chaos16Opts(t) })

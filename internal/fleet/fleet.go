@@ -417,6 +417,12 @@ type runState struct {
 	ups []int
 	arb *arbScratch
 
+	// buf, when set, collects a split group's phase-2 events for the
+	// epoch merge, each keyed by enacting: the tenant phase 2 is on
+	// (merge.go).
+	buf      *epochBuf
+	enacting mergeKey
+
 	// defBits is the minute bitmap of ticks on which the arbiter deferred
 	// a tenant, shared by every tenant group of the run: a tick counts
 	// once however many groups deferred on it.
@@ -665,9 +671,15 @@ func (s *runState) finish() *Result {
 // enactTick runs phase 2 at one decision tick and closes its books: a
 // tick that deferred at least one tenant is marked in the shared
 // arbitration bitmap and, with a sink attached, summarized by a
-// "fleet.arbitration" event.
+// "fleet.arbitration" event — by the epoch merge, from every group's
+// tallies, when the fleet runs split.
 func (s *runState) enactTick(cands []int, pressure float64, now int) {
 	contenders, granted, deferred := s.enactPhase(cands, pressure, now)
+	if s.buf != nil {
+		s.buf.ticks = append(s.buf.ticks, tickTally{
+			at: int32(now), contenders: int32(contenders), granted: int32(granted), deferred: int32(deferred),
+		})
+	}
 	if deferred == 0 {
 		return
 	}
@@ -680,13 +692,8 @@ func (s *runState) enactTick(cands []int, pressure float64, now int) {
 			break
 		}
 	}
-	if s.events {
-		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.arbitration", Fields: []obs.Field{
-			obs.I("contenders", int64(contenders)),
-			obs.I("granted", int64(granted)),
-			obs.I("deferred", int64(deferred)),
-			obs.F("pressure", pressure),
-		}})
+	if s.events && s.buf == nil {
+		s.h.Events.Emit(arbitrationEvent(now, contenders, granted, deferred, pressure))
 	}
 }
 
@@ -710,6 +717,7 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 			continue
 		}
 		if !t.prop.grows(t) {
+			s.enacting = mergeKey{idx: int32(i)}
 			s.enact(t, now)
 		} else {
 			ups = append(ups, i)
@@ -740,11 +748,12 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 		}
 		for _, i := range ups {
 			t := ts[i]
+			s.enacting = mergeKey{idx: int32(i), up: true, sev: t.prop.severity}
 			if node, short := infeasible(t, s.cluster, pressure, s.arb); node != "" {
 				t.res.Deferrals++
 				deferred++
 				if s.events {
-					s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
+					s.emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
 						obs.S("tenant", t.spec.Name),
 						obs.I("from", int64(t.set.CPULimit())),
 						obs.I("want", int64(t.prop.target.CPUCores)),
@@ -863,7 +872,7 @@ func (s *runState) enact(t *tenant, now int) {
 				obs.I("replicas", int64(m.replicas)),
 			)
 		}
-		s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: fields})
+		s.emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: fields})
 	}
 }
 
@@ -878,7 +887,7 @@ func (s *runState) resize(t *tenant, cur core.Resources, now int) bool {
 	aborted := func(reason string) bool {
 		t.res.ResizesAborted++
 		if s.events {
-			s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
+			s.emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
 				obs.S("tenant", t.spec.Name),
 				obs.I("from", int64(cur.CPUCores)),
 				obs.I("to", int64(target.CPUCores)),

@@ -145,7 +145,7 @@ func (s *runState) moveReplicas(t *tenant, now int) {
 		if err != nil {
 			t.res.Deferrals++
 			if s.events {
-				s.h.Events.Emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
+				s.emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
 					obs.S("tenant", t.spec.Name),
 					obs.S("reason", "scale-out"),
 					obs.I("want_replicas", int64(prop.target.Replicas)),

@@ -11,12 +11,8 @@
 // the whole run: placements are fixed at onboarding, so the partition
 // never changes mid-run.
 //
-// The fleet runs as ONE group when any of these holds:
+// The fleet runs as ONE group when either of these holds:
 //
-//   - an event sink is attached: the stream interleaves every group's
-//     phase-2 events tick by tick, and reproducing that order from
-//     separate groups means buffering every event of the run and merging
-//     them afterwards — memory that grows with the event count;
 //   - the placement graph is connected (there is only one group);
 //   - a stateless multi-resource tenant can scale out: AddReplica
 //     schedules the new pod on any node and reads the live cluster
@@ -33,6 +29,12 @@
 // deferral-tick bitmap is a commutative OR, and the authoritative
 // injector sweeps the pressure windows once after the join (coverage is
 // batching-independent: draws and edge dedupe are window-keyed).
+//
+// With a sink attached, a split fleet still emits the one-group stream:
+// the groups run in epochs of decision ticks, each buffering its phase-2
+// events, and a serial merge after every epoch emits them in the one
+// group's order and advances the authoritative injector tick by tick
+// (merge.go). Memory is bounded by one epoch's events.
 package fleet
 
 import (
@@ -127,7 +129,8 @@ type group struct {
 }
 
 // runGroups partitions the fleet into groups (see the file comment), runs
-// every group's tick loop and finishes the pressure coverage.
+// every group's tick loop — in merge epochs when a split fleet streams
+// events — and finishes the pressure coverage.
 func (s *runState) runGroups() error {
 	s.prepTenants()
 	n := len(s.ts)
@@ -137,6 +140,12 @@ func (s *runState) runGroups() error {
 	upsBack := make([]int, n)
 	groups := make([]group, len(offsets)-1)
 	arbs := make([]arbScratch, len(groups))
+	split := len(groups) > 1
+	var bufs []epochBuf
+	if split && s.events {
+		bufs = make([]epochBuf, len(groups))
+	}
+	d0 := s.nextDecisionAt(0)
 	for k := range groups {
 		// Carved three-index slices: a tenant holds at most one pending
 		// wake, so no group's heap, awake list or scale-up list outgrows
@@ -148,23 +157,67 @@ func (s *runState) runGroups() error {
 		g.heap = heapBack[lo:lo:hi]
 		g.awake = awakeBack[lo:lo:hi]
 		g.ups = upsBack[lo:lo:hi]
-		g.one = len(groups) == 1
-		if !g.one {
+		g.one = !split
+		if split {
 			// The groups fan out instead of each group's phase 1.
 			g.finj = s.finj.Clone()
 			g.arb = &arbs[k]
 			g.workers = 1
 		}
+		if bufs != nil {
+			g.buf = &bufs[k]
+		}
+		if d0 >= 0 {
+			// Every tenant's first wake is the first decision tick. Equal
+			// keys in index order are already a valid min-heap.
+			for _, i := range g.idxs {
+				g.heap = append(g.heap, wakeEntry{at: int32(d0), idx: i})
+			}
+		}
 	}
-	err := parallel.ForEach(context.Background(), len(groups), s.workers, func(k int) error {
-		return groups[k].run()
+
+	ctx := context.Background()
+	var m *merger
+	until, span := s.minutes, s.minutes // one pass: nothing to merge
+	if bufs != nil && d0 >= 0 {
+		m = &merger{}
+		span = max(1, epochTenantTicks/n) * s.d
+		until = d0 + span
+	}
+	epochs := 0
+	for {
+		err := parallel.ForEach(ctx, len(groups), s.workers, func(k int) error {
+			return groups[k].run(until)
+		})
+		if err != nil {
+			return err
+		}
+		if m != nil {
+			s.merge(groups, m)
+			epochs++
+		}
+		if until >= s.minutes {
+			break
+		}
+		until += span
+	}
+	err := parallel.ForEach(ctx, len(groups), s.workers, func(k int) error {
+		return groups[k].epilogue()
 	})
 	if err != nil {
 		return err
 	}
+	if reg := s.h.Metrics; reg != nil {
+		reg.Gauge("fleet.groups").Set(float64(len(groups)))
+		reg.Counter("fleet.merge_epochs").Add(int64(epochs))
+	}
+
 	clock := 0
-	if len(groups) == 1 {
+	switch {
+	case !split:
 		clock = groups[0].clock
+	case m != nil:
+		clock = m.clock
 	}
 	if s.finj != nil && clock < s.minutes {
 		s.cluster.SetPressure(s.finj.AdvancePressure(int64(clock), int64(s.minutes)))
@@ -176,7 +229,7 @@ func (s *runState) runGroups() error {
 // one group holding every tenant when the fleet must run as one (see the
 // file comment), the node-disjoint groups otherwise.
 func (s *runState) partition() (idxs, offsets []int32) {
-	one := s.events
+	one := false
 	for _, t := range s.ts {
 		one = one || (t.mr != nil && t.spec.Stateless)
 	}
@@ -190,22 +243,17 @@ func (s *runState) partition() (idxs, offsets []int32) {
 	return idxs, []int32{0, int32(len(s.ts))}
 }
 
-// run executes the group's tick loop. See events.go for the catch-up and
-// sleep rules, and the file comment for what one group owns.
-func (g *group) run() error {
+// run executes the group's tick loop over every decision tick before
+// until, leaving later wakes on the heap for the next call. See events.go
+// for the catch-up and sleep rules, and the file comment for what one
+// group owns.
+func (g *group) run(until int) error {
 	ts := g.ts
 	ctx := context.Background()
 	heap := g.heap
-	if d0 := g.nextDecisionAt(0); d0 >= 0 {
-		// Every tenant's first wake is the first decision tick. Equal keys
-		// in index order are already a valid min-heap.
-		for _, i := range g.idxs {
-			heap = append(heap, wakeEntry{at: int32(d0), idx: i})
-		}
-	}
 	pressure := 0.0
-	step := g.step // one method value for the run, not one per tick
-	for len(heap) > 0 {
+	step := g.step // one method value for the call, not one per tick
+	for len(heap) > 0 && int(heap[0].at) < until {
 		d := int(heap[0].at)
 		g.awake = g.awake[:0]
 		for len(heap) > 0 && int(heap[0].at) == d {
@@ -252,7 +300,7 @@ func (g *group) run() error {
 			}
 
 			if len(heap) == 0 {
-				if w := uniformWake(ts, g.awake); w >= 0 {
+				if w := uniformWake(ts, g.awake); w >= 0 && w < until {
 					d = w // lockstep group: rerun the tick on the same list
 					continue
 				}
@@ -265,11 +313,16 @@ func (g *group) run() error {
 			break
 		}
 	}
+	g.heap = heap
+	return nil
+}
 
-	// Horizon epilogue: account every tenant's tail minutes after its last
-	// wake. Severity after the final decision is never read, so catch-up
-	// skips it (sevFrom = minutes).
-	return parallel.ForEach(ctx, len(g.idxs), g.workers, func(k int) error {
+// epilogue accounts every tenant's tail minutes after its last wake.
+// Severity after the final decision is never read, so catch-up skips it
+// (sevFrom = minutes).
+func (g *group) epilogue() error {
+	ts := g.ts
+	return parallel.ForEach(context.Background(), len(g.idxs), g.workers, func(k int) error {
 		ts[g.idxs[k]].advanceTo(g.minutes, g.minutes)
 		return nil
 	})

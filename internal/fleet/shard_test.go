@@ -101,9 +101,9 @@ func groupCount(t *testing.T, specs []TenantSpec, opts Options) int {
 	return len(offsets) - 1
 }
 
-// checkGroupsEquivalent runs the fleet without an event sink — the only
-// configuration that splits it into node-disjoint groups — on the stepped
-// oracle and then on the tick loop at workers 1, 4 and 8, requiring
+// checkGroupsEquivalent runs the fleet without an event sink — so its
+// node-disjoint groups run straight through, with no merge epochs — on
+// the stepped oracle and then on the tick loop at workers 1, 4 and 8, requiring
 // bit-equal results, the merged ArbitrationTicks and PressureWindows
 // counters included. It fails unless the fleet really splits.
 func checkGroupsEquivalent(t *testing.T, specs func() []TenantSpec, opts func() Options) *Result {
@@ -163,19 +163,20 @@ func TestShardedEquivalenceRandomized64(t *testing.T) {
 }
 
 // TestOneGroupRules pins when the fleet must run as one group even though
-// its placement graph splits: with a sink attached (the stream interleaves
-// groups tick by tick), and with a single stateless multi-resource tenant
-// (scale-out schedules on any node).
+// its placement graph splits: only with a stateless multi-resource tenant
+// (scale-out schedules on any node). An attached sink no longer merges
+// the groups: a split run rebuilds the one-group stream (merge.go).
 func TestOneGroupRules(t *testing.T) {
 	opts := func() Options { return randomized64Opts(t) }
-	if n := groupCount(t, singlePodSpecs(t), opts()); n < 2 {
+	n := groupCount(t, singlePodSpecs(t), opts())
+	if n < 2 {
 		t.Fatalf("premise: the fuzz fleet splits into %d group(s)", n)
 	}
 
 	withSink := opts()
 	withSink.Events = obs.NewMemorySink()
-	if n := groupCount(t, singlePodSpecs(t), withSink); n != 1 {
-		t.Errorf("run with a sink split into %d groups, want 1", n)
+	if got := groupCount(t, singlePodSpecs(t), withSink); got != n {
+		t.Errorf("run with a sink split into %d groups, want %d", got, n)
 	}
 
 	specs := singlePodSpecs(t)
@@ -186,5 +187,29 @@ func TestOneGroupRules(t *testing.T) {
 	specs[5].Stateless = true
 	if n := groupCount(t, specs, opts()); n != 1 {
 		t.Errorf("fleet with a scale-out tenant split into %d groups, want 1", n)
+	}
+	if n := groupCount(t, specs, withSink); n != 1 {
+		t.Errorf("fleet with a scale-out tenant and a sink split into %d groups, want 1", n)
+	}
+}
+
+// TestRunReportsGroups pins the run's own account of how it ran: a split
+// sink-attached run reports its groups and merge epochs, a connected
+// fleet one group and no epochs.
+func TestRunReportsGroups(t *testing.T) {
+	run := func(specs []TenantSpec, opts Options) (groups float64, epochs int64) {
+		reg := obs.NewRegistry()
+		opts.Metrics = reg
+		opts.Events = obs.NewMemorySink()
+		if _, err := Run(specs, opts); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Gauge("fleet.groups").Value(), reg.Counter("fleet.merge_epochs").Value()
+	}
+	if g, e := run(mixedFleet(t, 16), chaos16Opts(t)); g < 2 || e < 1 {
+		t.Errorf("split chaos fleet reported %v groups and %d merge epochs, want ≥ 2 and ≥ 1", g, e)
+	}
+	if g, e := run(randomized64Specs(t), randomized64Opts(t)); g != 1 || e != 0 {
+		t.Errorf("connected fleet reported %v groups and %d merge epochs, want 1 and 0", g, e)
 	}
 }

@@ -564,8 +564,15 @@ func numberEnd(b []byte, i int) int {
 	return i
 }
 
+// knownNames are the policy and branch names every checkpoint line
+// repeats: str returns these shared strings instead of a fresh copy.
+var knownNames = append(recommend.Names(), "caasper-reactive",
+	string(core.BranchScaleUp), string(core.BranchScaleDown), string(core.BranchWalkDown), string(core.BranchHold))
+
 // str reads a string with no escape and no control byte that is valid
-// UTF-8, which json.Unmarshal decodes to the same bytes.
+// UTF-8, which json.Unmarshal decodes to the same bytes. A knownNames
+// entry comes back shared (the comparison does not allocate), any other
+// value as a copy.
 func (d *lineDecoder) str() string {
 	if !d.lit(`"`) {
 		d.ok = false
@@ -578,6 +585,11 @@ func (d *lineDecoder) str() string {
 				break
 			}
 			d.i = j + 1
+			for _, n := range knownNames {
+				if string(s) == n {
+					return n
+				}
+			}
 			return string(s)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"caasper/internal/obs"
 )
@@ -291,5 +292,51 @@ func TestRestoreDecodePaths(t *testing.T) {
 		if want := fmt.Sprintf("(%d lines via json.Unmarshal)", tc.fallbacks); !strings.Contains(log.String(), want) {
 			t.Errorf("%s: restore log %q lacks %q", tc.name, log.String(), want)
 		}
+	}
+}
+
+// TestDecodeInternsNames pins the decoder's name interning: every policy
+// and branch name in a mixedServer checkpoint comes back as the shared
+// knownNames string, not a per-line copy, and an unknown name is still
+// read as itself.
+func TestDecodeInternsNames(t *testing.T) {
+	shared := func(s string) bool {
+		for _, n := range knownNames {
+			if unsafe.StringData(s) == unsafe.StringData(n) {
+				return true
+			}
+		}
+		return false
+	}
+	v2 := strings.TrimSuffix(string(snapshotBytes(t, mixedServer(t, len(mixedTenantConfigs)))), "\n")
+	names := 0
+	for _, line := range strings.Split(v2, "\n")[1:] {
+		var st snapshotTenant
+		if !decodeTenantLine([]byte(line), &st) {
+			t.Fatalf("line takes the fallback: %s", line)
+		}
+		check := func(what, s string) {
+			if s == "" {
+				return
+			}
+			names++
+			if !shared(s) {
+				t.Errorf("%s %q of %s is a fresh copy", what, s, st.ID)
+			}
+		}
+		check("config policy", st.Config.Policy)
+		check("memo branch", string(st.State.Memo.Decision.Branch))
+		check("last branch", string(st.State.LastDecision.Branch))
+		for _, r := range st.Log {
+			check("record policy", r.Policy)
+			check("record branch", r.Branch)
+		}
+	}
+	if names == 0 {
+		t.Fatal("checkpoint holds no policy or branch names")
+	}
+	var st snapshotTenant
+	if !decodeTenantLine([]byte(`{"id":"a","config":{"policy":"custom"}}`), &st) || st.Config.Policy != "custom" {
+		t.Errorf("unknown policy decoded as %q", st.Config.Policy)
 	}
 }

@@ -10,7 +10,9 @@
 # 1,4,8 with each GOMAXPROCS variant kept as its own row (the bare name
 # is the 1-cpu run; Go only suffixes names when GOMAXPROCS > 1), so the
 # sharded engine's multi-core curve is pinned alongside the single-core
-# numbers.
+# numbers. Entries of the -cpu list above the machine's online CPU count
+# are dropped (and named on stderr): a GOMAXPROCS wider than the machine
+# measures time slicing, not scaling.
 #
 #   scripts/bench.sh                # default filter + count
 #   BENCH_FILTER=BenchmarkDecide scripts/bench.sh
@@ -24,6 +26,19 @@ cd "$(dirname "$0")/.."
 FILTER="${BENCH_FILTER:-BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday|BenchmarkRecommenderMonthTrace|BenchmarkFleetTick\$|BenchmarkFleetWeek1k\$|BenchmarkFleetMonth100k\$|BenchmarkRandomSearch\$|BenchmarkServeIngest\$}"
 SCALE_FILTER="${BENCH_SCALE_FILTER:-BenchmarkFleetMonth10k\$}"
 SCALE_CPUS="${BENCH_SCALE_CPUS:-1,4,8}"
+NCPU="$(getconf _NPROCESSORS_ONLN)"
+KEEP="" SKIP=""
+for c in $(printf '%s' "$SCALE_CPUS" | tr ',' ' '); do
+    if [ "$c" -le "$NCPU" ]; then
+        KEEP="${KEEP:+$KEEP,}$c"
+    else
+        SKIP="${SKIP:+$SKIP,}$c"
+    fi
+done
+if [ -n "$SKIP" ]; then
+    echo "==> skipping -cpu $SKIP: above this machine's $NCPU online CPUs" >&2
+fi
+SCALE_CPUS="$KEEP"
 BENCHTIME="${BENCH_BENCHTIME:-1s}"
 OUT="${BENCH_OUT:-BENCH_sim.json}"
 
@@ -55,8 +70,11 @@ parse() {
 echo "==> go test -bench '$FILTER' -benchtime $BENCHTIME -benchmem ."
 RAW="$(go test -run xxx -bench "$FILTER" -benchtime "$BENCHTIME" -benchmem . | tee /dev/stderr)"
 
-echo "==> go test -bench '$SCALE_FILTER' -cpu $SCALE_CPUS -benchtime $BENCHTIME -benchmem ."
-SCALERAW="$(go test -run xxx -bench "$SCALE_FILTER" -cpu "$SCALE_CPUS" -benchtime "$BENCHTIME" -benchmem . | tee /dev/stderr)"
+SCALERAW=""
+if [ -n "$SCALE_CPUS" ]; then
+    echo "==> go test -bench '$SCALE_FILTER' -cpu $SCALE_CPUS -benchtime $BENCHTIME -benchmem ."
+    SCALERAW="$(go test -run xxx -bench "$SCALE_FILTER" -cpu "$SCALE_CPUS" -benchtime "$BENCHTIME" -benchmem . | tee /dev/stderr)"
+fi
 
 {
     printf '%s\n' "$RAW" | parse 0
