@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"caasper/internal/errs"
+	"caasper/internal/stats"
 )
 
 // Meter accumulates the bill of one dimension under the pay-as-you-go
@@ -116,30 +117,23 @@ func (l *Ledger) Add(limit, demand float64) (short float64) {
 }
 
 // AddRun accounts n consecutive samples at the same limit and demand, as
-// n calls of Add would, bit for bit: the sums still grow one sample at a
-// time, since repeated float64 addition has no closed form with the same
-// rounding.
+// n calls of Add would, bit for bit. Repeated float64 addition has no
+// closed form across powers of two, but within one binade each step adds
+// the same rounded increment, so stats.AddN jumps a binade at a time and
+// returns the very sum the n additions would.
 func (l *Ledger) AddRun(limit, demand float64, n int) (short float64) {
 	if n == 1 {
 		return l.Add(limit, demand)
 	}
 	if slack := limit - demand; slack > 0 {
-		l.Slack = addN(l.Slack, slack, n)
+		l.Slack = stats.AddN(l.Slack, slack, n)
 	}
 	if short = demand - limit; short > 0 {
-		l.Short = addN(l.Short, short, n)
+		l.Short = stats.AddN(l.Short, short, n)
 		l.Throttled += n
 	}
 	l.RecordN(limit, n)
 	return short
-}
-
-// addN returns s + x + … + x (n additions, in order).
-func addN(s, x float64, n int) float64 {
-	for ; n > 0; n-- {
-		s += x
-	}
-	return s
 }
 
 // Close flushes the meter and returns the totals: slack, shortfall,

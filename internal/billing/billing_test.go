@@ -107,7 +107,8 @@ func TestMeterMinutelyPeriod(t *testing.T) {
 // TestLedgerAddRunMatchesPerSample pins AddRun's contract: one call over
 // n samples leaves the ledger bit-identical to n one-sample calls and to
 // the per-sample arithmetic written out by hand, including runs that
-// straddle billing periods and demands that round when summed.
+// straddle billing periods, demands that round when summed and
+// month-long runs whose sums cross many powers of two.
 func TestLedgerAddRunMatchesPerSample(t *testing.T) {
 	type run struct {
 		limit, demand float64
@@ -116,6 +117,7 @@ func TestLedgerAddRunMatchesPerSample(t *testing.T) {
 	runs := []run{
 		{4, 1.1, 37}, {4, 4, 5}, {4, 6.3, 90}, {2, 0.7, 1}, {6, 0.1, 300},
 		{6, 6.000001, 7}, {3, 0, 61}, {3, math.Pi, 13},
+		{4, 0.35, 43_200}, {1, 2.62, 43_200}, {2.5, 2.45, 10_000},
 	}
 	bulk, single := Ledger{Meter: *hourlyMeter(t)}, Ledger{Meter: *hourlyMeter(t)}
 	ref := hourlyMeter(t)

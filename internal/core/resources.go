@@ -240,5 +240,8 @@ func ParseResourceSpec(s string) (ResourceRange, error) {
 			return rr, fmt.Errorf("%w: unknown resource dimension %q (cpu, ram, disk, replicas)", errs.ErrInvalidConfig, name)
 		}
 	}
+	if len(seen) == 0 {
+		return rr, fmt.Errorf("%w: -resources spec %q has no dimension clause", errs.ErrInvalidConfig, s)
+	}
 	return rr, nil
 }

@@ -119,7 +119,7 @@ func TestParseResourceSpec(t *testing.T) {
 	if rr.Min.DiskGB != 50 || rr.Max.DiskGB != 50 {
 		t.Fatalf("fixed disk wrong: %+v", rr)
 	}
-	for _, s := range []string{"", "ram", "ram=0-4", "ram=8-4", "gpu=1-2", "ram=1-2,ram=2-4"} {
+	for _, s := range []string{"", "ram", "ram=0-4", "ram=8-4", "gpu=1-2", "ram=1-2,ram=2-4", ",", " , ,"} {
 		if _, err := ParseResourceSpec(s); !errors.Is(err, errs.ErrInvalidConfig) {
 			t.Fatalf("spec %q: want ErrInvalidConfig, got %v", s, err)
 		}
@@ -174,4 +174,45 @@ func TestDecisionBackfillV1(t *testing.T) {
 	if err := d.BackfillV1([]byte(`{"CurrentCores":9,"TargetCores":9}`)); err != nil || d != want {
 		t.Fatalf("legacy keys overrode the vectors: %+v, %v", d, err)
 	}
+}
+
+// FuzzParseResourceSpec feeds arbitrary strings to the -resources
+// grammar. It must never panic; an accepted range manages at least one
+// dimension, passes Validate, and starts every managed dimension at its
+// low bound: Initial = Min, 1 ≤ Min ≤ Max. Seeds live in
+// testdata/fuzz/FuzzParseResourceSpec.
+func FuzzParseResourceSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		rr, err := ParseResourceSpec(s)
+		if err != nil {
+			if !errors.Is(err, errs.ErrInvalidConfig) {
+				t.Fatalf("ParseResourceSpec(%q): error %v does not wrap ErrInvalidConfig", s, err)
+			}
+			return
+		}
+		if err := rr.Validate(); err != nil {
+			t.Fatalf("ParseResourceSpec(%q) = %+v fails Validate: %v", s, rr, err)
+		}
+		managed := 0
+		for _, d := range []struct {
+			name              string
+			initial, min, max int
+		}{
+			{"cpu", rr.Initial.CPUCores, rr.Min.CPUCores, rr.Max.CPUCores},
+			{"ram", rr.Initial.RAMGB, rr.Min.RAMGB, rr.Max.RAMGB},
+			{"disk", rr.Initial.DiskGB, rr.Min.DiskGB, rr.Max.DiskGB},
+			{"replicas", rr.Initial.Replicas, rr.Min.Replicas, rr.Max.Replicas},
+		} {
+			if d.initial == 0 && d.min == 0 && d.max == 0 {
+				continue
+			}
+			managed++
+			if d.initial != d.min || d.min < 1 || d.min > d.max {
+				t.Fatalf("ParseResourceSpec(%q): %s initial %d, min %d, max %d", s, d.name, d.initial, d.min, d.max)
+			}
+		}
+		if managed == 0 {
+			t.Fatalf("ParseResourceSpec(%q) accepted a range that manages nothing", s)
+		}
+	})
 }

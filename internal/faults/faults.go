@@ -34,6 +34,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -101,6 +102,24 @@ func defaults(k Kind) (Fault, error) {
 	}
 }
 
+// takes reports whether a fault kind has the named parameter: every kind
+// has p, the windowed and stuck kinds dur, and only sched-pressure cores
+// and mem-pressure gb. String renders exactly these, so a parsed spec
+// renders back to itself.
+func takes(k Kind, key string) bool {
+	switch key {
+	case "p":
+		return true
+	case "dur":
+		return k == RestartStuck || k == SchedPressure || k == MemPressure
+	case "cores":
+		return k == SchedPressure
+	case "gb":
+		return k == MemPressure
+	}
+	return false
+}
+
 // Spec is a parsed fault specification: at most one fault per kind.
 type Spec struct {
 	faults map[Kind]Fault
@@ -132,10 +151,15 @@ func ParseSpec(s string) (*Spec, error) {
 			if !ok {
 				return nil, fmt.Errorf("faults: %s: parameter %q is not key=value", f.Kind, kv)
 			}
+			if !takes(f.Kind, key) {
+				return nil, fmt.Errorf("faults: %s: unknown parameter %q", f.Kind, key)
+			}
+			// The comparisons are written so that NaN fails them, and the
+			// upper bounds reject +Inf.
 			switch key {
 			case "p":
 				p, err := strconv.ParseFloat(val, 64)
-				if err != nil || p < 0 || p > 1 {
+				if err != nil || !(p >= 0 && p <= 1) {
 					return nil, fmt.Errorf("faults: %s: p=%q is not a probability in [0,1]", f.Kind, val)
 				}
 				f.P = p
@@ -147,18 +171,16 @@ func ParseSpec(s string) (*Spec, error) {
 				f.Dur = d
 			case "cores":
 				c, err := strconv.ParseFloat(val, 64)
-				if err != nil || c <= 0 {
-					return nil, fmt.Errorf("faults: %s: cores=%q is not a positive core count", f.Kind, val)
+				if err != nil || !(c > 0 && c <= math.MaxFloat64) {
+					return nil, fmt.Errorf("faults: %s: cores=%q is not a finite positive core count", f.Kind, val)
 				}
 				f.Cores = c
 			case "gb":
 				g, err := strconv.ParseFloat(val, 64)
-				if err != nil || g <= 0 {
-					return nil, fmt.Errorf("faults: %s: gb=%q is not a positive GB count", f.Kind, val)
+				if err != nil || !(g > 0 && g <= math.MaxFloat64) {
+					return nil, fmt.Errorf("faults: %s: gb=%q is not a finite positive GB count", f.Kind, val)
 				}
 				f.GB = g
-			default:
-				return nil, fmt.Errorf("faults: %s: unknown parameter %q", f.Kind, key)
 			}
 		}
 		spec.faults[f.Kind] = f
@@ -199,13 +221,13 @@ func (s *Spec) String() string {
 		}
 		f := s.faults[Kind(k)]
 		fmt.Fprintf(&b, "%s:p=%s", k, strconv.FormatFloat(f.P, 'g', -1, 64))
-		if f.Kind == RestartStuck || f.Kind == SchedPressure || f.Kind == MemPressure {
+		if takes(f.Kind, "dur") {
 			fmt.Fprintf(&b, ":dur=%d", f.Dur)
 		}
-		if f.Kind == SchedPressure {
+		if takes(f.Kind, "cores") {
 			fmt.Fprintf(&b, ":cores=%s", strconv.FormatFloat(f.Cores, 'g', -1, 64))
 		}
-		if f.Kind == MemPressure {
+		if takes(f.Kind, "gb") {
 			fmt.Fprintf(&b, ":gb=%s", strconv.FormatFloat(f.GB, 'g', -1, 64))
 		}
 	}
@@ -231,12 +253,12 @@ func (c Counts) Any() bool {
 // contract: a nil *Injector is valid and injects nothing, so callers hold
 // one pointer and the fault-free path is a single nil check per hook.
 //
-// Determinism contract (same as PR 2's golden NDJSON test): every draw
-// seeds a fresh stdlib math/rand PRNG from a mix of (seed, kind, pod,
-// simulated time), so a fixed seed yields a byte-identical fault stream
-// at any worker count and in any query order. The injector itself is
-// queried from the single-threaded control loop of one run; concurrent
-// runs each own their injector.
+// Determinism contract (the golden NDJSON streams rest on it): every
+// draw is the first value of a stdlib math/rand PRNG freshly seeded from
+// a mix of (seed, kind, pod, simulated time), so a fixed seed yields a
+// byte-identical fault stream at any worker count and in any query
+// order. The injector itself is queried from the single-threaded control
+// loop of one run; concurrent runs each own their injector.
 type Injector struct {
 	spec *Spec
 	seed uint64
@@ -254,12 +276,6 @@ type Injector struct {
 	// memWindow is the last mem-pressure window whose activation edge
 	// was emitted (-1 before any query).
 	memWindow int64
-	// src/rng are the reusable draw PRNG: re-seeded from the draw key on
-	// every query, so each value still depends only on (seed, kind, pod,
-	// time) — but the catch-up scans of NextGap make thousands of draws
-	// per wake, and reusing one source keeps them allocation-free.
-	src rand.Source
-	rng *rand.Rand
 }
 
 // New builds an injector for the spec. A nil or empty spec returns a nil
@@ -268,17 +284,16 @@ func New(spec *Spec, seed uint64) *Injector {
 	if spec.Empty() {
 		return nil
 	}
-	src := rand.NewSource(0)
-	return &Injector{spec: spec, seed: seed, pressureWindow: -1, memWindow: -1, src: src, rng: rand.New(src)}
+	return &Injector{spec: spec, seed: seed, pressureWindow: -1, memWindow: -1}
 }
 
 // Clone returns an independent silent replayer of the same fault
 // stream: identical spec and seed — so every (kind, pod, time)-keyed
-// draw matches the original's — but its own PRNG scratch (draws re-seed
-// per query, so clones running concurrently stay deterministic), fresh
-// edge-dedupe state, zero counts and no Events/Stats sinks. Callers
-// that shard a run across clones re-derive counts and edge events from
-// one authoritative injector; the clones only need the draw values.
+// draw matches the original's (draws keep no state, so clones running
+// concurrently stay deterministic) — fresh edge-dedupe state, zero
+// counts and no Events/Stats sinks. Callers that shard a run across
+// clones re-derive counts and edge events from one authoritative
+// injector; the clones only need the draw values.
 // Nil-safe: cloning a nil injector returns nil.
 func (in *Injector) Clone() *Injector {
 	if in == nil {
@@ -339,12 +354,10 @@ func (in *Injector) key(k Kind, pod string) uint64 {
 	return h
 }
 
-// drawAt returns a uniform [0,1) value for a key prefix and time. It
-// fully re-seeds the injector's PRNG from the mixed key, so the value
-// depends only on the key, never on how many draws other layers made
-// before this one — the same stream a fresh per-draw PRNG would yield,
-// without the per-draw allocation. The injector is queried from the
-// single-threaded control loop of one run, so the shared PRNG is safe.
+// drawAt returns a uniform [0,1) value for a key prefix and time: the
+// first Float64 of a math/rand source seeded with the mixed key, so the
+// value depends only on the key, never on how many draws other layers
+// made before this one.
 func (in *Injector) drawAt(h uint64, t int64) float64 {
 	h ^= uint64(t) * 0xFF51_AFD7_ED55_8CCD
 	// splitmix64 finalizer: decorrelate adjacent seconds before the
@@ -352,8 +365,64 @@ func (in *Injector) drawAt(h uint64, t int64) float64 {
 	h ^= h >> 33
 	h *= 0xC4CE_B9FE_1A85_EC53
 	h ^= h >> 33
-	in.src.Seed(int64(h))
-	return in.rng.Float64()
+	return firstFloat64(int64(h))
+}
+
+// The first value of a freshly seeded math/rand source reads two of the
+// 607 state words its Seed fills: after Seed the feed index steps to 333
+// and the tap index wraps to 606, and Uint64 returns vec[333] + vec[606]
+// (rngSource in $GOROOT/src/math/rand/rng.go). Seed fills vec[i] from
+// steps 21+3i, 22+3i and 23+3i of the Lehmer recurrence x ← 48271·x mod
+// (2³¹−1) (seedrand) started at the normalised seed x₀, shifted left by
+// 40, 20 and 0 and XORed with rngCooked[i]. Step k is x₀·48271ᵏ mod
+// (2³¹−1), so the two words take six multiplications by the precomputed
+// powers below instead of 1,841 recurrence steps.
+const (
+	lehmerMod  = 1<<31 - 1
+	lehmerBase = 48271
+	// rngCooked[333] and rngCooked[606], copied from rngCooked in
+	// $GOROOT/src/math/rand/rng.go.
+	rngCooked333 = -4633371852008891965
+	rngCooked606 = 4152330101494654406
+)
+
+// lehmerPow holds 48271ᵏ mod (2³¹−1) for the steps k that fill vec[333]
+// (1020–1022) and vec[606] (1839–1841).
+var lehmerPow = func() (p [6]uint64) {
+	for i, k := range [6]int{1020, 1021, 1022, 1839, 1840, 1841} {
+		p[i] = 1
+		for ; k > 0; k-- {
+			p[i] = p[i] * lehmerBase % lehmerMod
+		}
+	}
+	return p
+}()
+
+// firstFloat64 returns rand.New(rand.NewSource(seed)).Float64(), bit for
+// bit, without filling the source's state.
+func firstFloat64(seed int64) float64 {
+	// Seed's normalisation of its argument.
+	seed %= lehmerMod
+	if seed < 0 {
+		seed += lehmerMod
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	x := uint64(seed)
+	word := func(p []uint64, cooked int64) int64 {
+		return int64(x*p[0]%lehmerMod)<<40 ^ int64(x*p[1]%lehmerMod)<<20 ^ int64(x*p[2]%lehmerMod) ^ cooked
+	}
+	v := word(lehmerPow[:3], rngCooked333) + word(lehmerPow[3:], rngCooked606)
+	f := float64(v&(1<<63-1)) / (1 << 63) // Float64 of Int63
+	if f == 1 {
+		// Float64 redraws when its value rounds up to 1, reading further
+		// state words: run the full source. A scan of all 2³¹−1 normalised
+		// seeds found none that does (the largest first Int63 falls 4.4·10⁹
+		// short of 2⁶³, rounding needs 2⁹), so this only guards the rule.
+		return rand.New(rand.NewSource(seed)).Float64()
+	}
+	return f
 }
 
 // draw returns a uniform [0,1) value for the (kind, pod, t) key.

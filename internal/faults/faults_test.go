@@ -44,6 +44,17 @@ func TestParseSpecEmptyAndErrors(t *testing.T) {
 		"restart-fail:p",            // not key=value
 		"restart-fail,restart-fail", // duplicate kind
 		",",                         // nothing but separators
+		"metrics-gap:p=NaN",         // non-finite parameters
+		"restart-fail:p=-Inf",
+		"sched-pressure:cores=Inf",
+		"sched-pressure:cores=+Inf",
+		"sched-pressure:cores=NaN",
+		"mem-pressure:gb=NaN",
+		"mem-pressure:gb=infinity",
+		"restart-fail:dur=5", // parameters the kind does not have
+		"metrics-gap:cores=2",
+		"restart-stuck:gb=1",
+		"mem-pressure:cores=1",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) should fail", bad)

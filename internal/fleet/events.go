@@ -45,6 +45,7 @@ package fleet
 import (
 	"caasper/internal/faults"
 	"caasper/internal/recommend"
+	"caasper/internal/stats"
 	"caasper/internal/trace"
 )
 
@@ -179,8 +180,9 @@ func uniformWake(ts []*tenant, awake []int) int {
 //     the only minute whose observed value a gap can change; only a
 //     recommender without the bulk form runs the per-minute scrape loop;
 //   - K, C, throttled minutes and the bill advance in one ledger call per
-//     run (billing.Ledger.AddRun sums minute by minute, so the totals stay
-//     bit-equal to a per-minute replay's); only severity is summed here.
+//     run, and severity in one stats.AddN call: both jump a binade at a
+//     time (billing.Ledger.AddRun), yet return the very float sums a
+//     per-minute replay's additions give, bit for bit.
 //
 // A multi-resource tenant's CPU trace is its total demand across its
 // replicas: its capacity and bill are limit × replicas, and the
@@ -206,9 +208,6 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 		capf = limf * reps
 	}
 	vs := t.spec.Trace.Values
-	// Severity lives in a local for the walk: its loop is a dependent
-	// float-add chain, which runs twice as fast out of memory.
-	sev := t.severity
 	for t.done < end {
 		now := t.done
 		re := t.runEnd(now, end)
@@ -270,16 +269,13 @@ func (t *tenant) advanceTo(end, sevFrom int) {
 		}
 
 		if short := t.acct.AddRun(capf, demand, n); short > 0 {
-			for k := max(now, sevFrom); k < re; k++ {
-				sev += short
-			}
+			t.severity = stats.AddN(t.severity, short, re-max(now, sevFrom))
 		}
 		if m != nil {
 			t.advanceMulti(now, re, demand)
 		}
 		t.done = re
 	}
-	t.severity = sev
 }
 
 // runEnd returns the end (exclusive) of the constant-demand run holding

@@ -122,6 +122,21 @@ go test -run '^$' -fuzz FuzzSnapshotLine -fuzztime 10s -fuzzminimizetime 100x ./
 echo "==> fuzz FuzzParseSampleFast (10s)"
 go test -run '^$' -fuzz FuzzParseSampleFast -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 
+# Fuzz stage: stats.AddN's binade jump against the plain repeated
+# addition it replaces in the ledger and the fleet's severity sum,
+# compared bit for bit.
+echo "==> fuzz FuzzAddN (10s)"
+go test -run '^$' -fuzz FuzzAddN -fuzztime 10s -fuzzminimizetime 100x ./internal/stats
+
+# Fuzz stages: the two CLI grammars. Neither parser may panic; an
+# accepted -faults spec has finite in-range parameters and renders back
+# to itself, an accepted -resources range validates.
+echo "==> fuzz FuzzParseSpec (10s)"
+go test -run '^$' -fuzz FuzzParseSpec -fuzztime 10s -fuzzminimizetime 100x ./internal/faults
+
+echo "==> fuzz FuzzParseResourceSpec (10s)"
+go test -run '^$' -fuzz FuzzParseResourceSpec -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+
 # The parallel checkpoint encode/decode (worker buffers, batch decode,
 # all-or-nothing publish) and since= polls of a decision ring that wraps
 # under ingest, under the race detector, as a named gate.
