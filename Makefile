@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-all benchdiff check chaos fleet serve-smoke apicheck
+.PHONY: build test race bench bench-all benchdiff check chaos fleet serve-smoke apicheck deadcode
 
 build:
 	$(GO) build ./...
@@ -47,3 +47,7 @@ serve-smoke:
 # Regenerate after an intentional API change: UPDATE=1 make apicheck
 apicheck:
 	sh scripts/apicheck.sh
+
+# Exported internal/ identifiers with no non-test caller; fails on any.
+deadcode:
+	$(GO) run ./scripts/deadcode

@@ -3,8 +3,11 @@ package caasper
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
+
+	"caasper/internal/recommend"
 )
 
 // Tests for the sentinel-error contract: every public constructor and
@@ -77,6 +80,33 @@ func TestSentinelInvalidConfig(t *testing.T) {
 
 	if _, err := NewRecommenderByName("caasper", RecommenderSettings{}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("NewRecommenderByName(MaxCores=0): got %v, want errors.Is(ErrInvalidConfig)", err)
+	}
+	// Settings past their bounds are refused, before anything is sized
+	// by them: a recommender's history rings grow with the sample counts
+	// and its PvP curve with the cores.
+	const samples = recommend.SamplesLimit + 1
+	for _, c := range []struct {
+		name string
+		s    RecommenderSettings
+	}{
+		{"caasper", RecommenderSettings{MaxCores: recommend.CoresLimit + 1}},
+		{"caasper-proactive", RecommenderSettings{MaxCores: recommend.CoresLimit + 1}},
+		{"caasper", RecommenderSettings{MaxCores: 8, Window: samples}},
+		{"caasper-proactive", RecommenderSettings{MaxCores: 8, Window: samples}},
+		{"caasper-proactive", RecommenderSettings{MaxCores: 8, Horizon: samples}},
+		{"caasper-proactive", RecommenderSettings{MaxCores: 8, Season: samples}},
+		{"control", RecommenderSettings{MaxCores: 8, ControlCores: -2}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewRecommenderByName(c.name, c.s)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("NewRecommenderByName(%q, %+v): got %v, want errors.Is(ErrInvalidConfig)", c.name, c.s, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16<<10 {
+			t.Errorf("NewRecommenderByName(%q, %+v): rejecting allocated %d B", c.name, c.s, n)
+		}
 	}
 
 	// A billing period the sample interval does not divide is a

@@ -95,15 +95,10 @@ func (r *Recommender) Config() Config { return r.cfg }
 // preprocessing.
 var ErrNoUsage = errors.New("core: empty usage window")
 
-// Preprocess cleans a usage window the way Algorithm 1 line 2 does:
-// NaN/Inf samples (metric-gap artifacts around restarts) and negatives
-// are dropped. The input is not mutated.
-func Preprocess(usage []float64) []float64 {
-	return appendPreprocessed(make([]float64, 0, len(usage)), usage)
-}
-
-// appendPreprocessed appends the Preprocess-surviving samples of usage to
-// dst and returns it.
+// appendPreprocessed cleans a usage window the way Algorithm 1 line 2
+// does, appending the surviving samples to dst: NaN/Inf samples
+// (metric-gap artifacts around restarts) and negatives are dropped. The
+// input is not mutated.
 func appendPreprocessed(dst, usage []float64) []float64 {
 	for _, v := range usage {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {

@@ -83,13 +83,13 @@ func TestConfigValidate(t *testing.T) {
 
 func TestPreprocess(t *testing.T) {
 	in := []float64{1, math.NaN(), -2, math.Inf(1), 3}
-	out := Preprocess(in)
+	out := appendPreprocessed(nil, in)
 	if len(out) != 2 || out[0] != 1 || out[1] != 3 {
-		t.Errorf("Preprocess = %v", out)
+		t.Errorf("appendPreprocessed = %v", out)
 	}
 	// Input untouched.
 	if !math.IsNaN(in[1]) {
-		t.Error("Preprocess must not mutate input")
+		t.Error("appendPreprocessed must not mutate input")
 	}
 }
 

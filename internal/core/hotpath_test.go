@@ -64,7 +64,7 @@ func TestExplanationMatchesFmt(t *testing.T) {
 		}
 		seen[d.Branch]++
 
-		clean := Preprocess(usage)
+		clean := appendPreprocessed(nil, usage)
 		peak := stats.Max(clean)
 		xc := d.Current.CPUCores
 		capf := float64(xc)

@@ -179,7 +179,7 @@ func TestDecideScratchMemoBufferSwap(t *testing.T) {
 			if gotHit := sc.MemoHits > hits; gotHit != step.hit {
 				t.Fatalf("n=%d step %d: hit = %v, want %v", n, i, gotHit, step.hit)
 			}
-			want := Preprocess(step.usage)
+			want := appendPreprocessed(nil, step.usage)
 			got := sc.MemoSnapshot().Window
 			if len(got) != len(want) {
 				t.Fatalf("n=%d step %d: memo window has %d samples, want %d", n, i, len(got), len(want))

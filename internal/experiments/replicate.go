@@ -36,16 +36,10 @@ func (m ReplicatedMetric) String() string {
 	return fmt.Sprintf("%.1f±%.1f", m.Mean, m.Std)
 }
 
-// Replicate runs fn once per seed and aggregates the returned metrics by
-// name. Every run must return the same metric set; mismatches error. It
-// fans the seeds out across runtime.GOMAXPROCS(0) workers; use
-// ReplicateWorkers to bound the pool explicitly.
-func Replicate(seeds []uint64, fn func(seed uint64) ([]MetricSample, error)) ([]ReplicatedMetric, error) {
-	return ReplicateWorkers(seeds, 0, fn)
-}
-
-// ReplicateWorkers is Replicate with an explicit worker count (values
-// below 1 select runtime.GOMAXPROCS(0)). fn must be safe for concurrent
+// ReplicateWorkers runs fn once per seed and aggregates the returned
+// metrics by name. Every run must return the same metric set; mismatches
+// error. It fans the seeds out across workers goroutines (values below 1
+// select runtime.GOMAXPROCS(0)). fn must be safe for concurrent
 // calls — every experiment here derives all state from its seed. Replica
 // results are written by seed index and aggregated sequentially in seed
 // order afterwards, so the output (including metric ordering and the

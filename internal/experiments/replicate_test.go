@@ -8,7 +8,7 @@ import (
 
 func TestReplicateAggregates(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
-	metrics, err := Replicate(seeds, func(seed uint64) ([]MetricSample, error) {
+	metrics, err := ReplicateWorkers(seeds, 0, func(seed uint64) ([]MetricSample, error) {
 		return []MetricSample{
 			{Name: "a", Value: float64(seed)},      // 1, 2, 3
 			{Name: "b", Value: float64(seed * 10)}, // 10, 20, 30
@@ -32,17 +32,17 @@ func TestReplicateAggregates(t *testing.T) {
 }
 
 func TestReplicateValidation(t *testing.T) {
-	if _, err := Replicate(nil, nil); err == nil {
+	if _, err := ReplicateWorkers(nil, 0, nil); err == nil {
 		t.Error("no seeds should fail")
 	}
-	if _, err := Replicate([]uint64{1}, func(uint64) ([]MetricSample, error) {
+	if _, err := ReplicateWorkers([]uint64{1}, 0, func(uint64) ([]MetricSample, error) {
 		return nil, errors.New("boom")
 	}); err == nil {
 		t.Error("run error should propagate")
 	}
 	// Inconsistent metric sets across runs are rejected.
 	call := 0
-	_, err := Replicate([]uint64{1, 2}, func(uint64) ([]MetricSample, error) {
+	_, err := ReplicateWorkers([]uint64{1, 2}, 0, func(uint64) ([]MetricSample, error) {
 		call++
 		if call == 1 {
 			return []MetricSample{{Name: "x", Value: 1}}, nil

@@ -101,31 +101,3 @@ func yuleWalker(x []float64, p int) ([]float64, bool) {
 	}
 	return phi, true
 }
-
-// Accuracy reports forecast error on a held-out split: the forecaster is
-// fit on history[:split] and scored on history[split:split+horizon].
-// It returns MAE and MAPE. This is the tooling used to compare candidate
-// forecasters the way the paper's §4.3 evaluation did.
-func Accuracy(f Forecaster, history []float64, split, horizon int) (mae, mape float64, err error) {
-	if split <= 0 || split >= len(history) {
-		return 0, 0, fmt.Errorf("forecast: split %d out of range", split)
-	}
-	if split+horizon > len(history) {
-		horizon = len(history) - split
-	}
-	pred, err := f.Forecast(history[:split], horizon)
-	if err != nil {
-		return 0, 0, err
-	}
-	actual := history[split : split+horizon]
-	mae, err = stats.MAE(pred, actual)
-	if err != nil {
-		return 0, 0, err
-	}
-	mape, err = stats.MAPE(pred, actual)
-	if err != nil {
-		// All-zero actuals: MAPE undefined, report MAE only.
-		return mae, 0, nil
-	}
-	return mae, mape, nil
-}

@@ -96,7 +96,7 @@ func TestEnsembleWithRealMembers(t *testing.T) {
 		Members: []Forecaster{
 			&SeasonalNaive{Season: 60},
 			&MovingAverage{Window: 30},
-			Naive{},
+			&SeasonalNaive{Season: 1},
 		},
 		Mode: EnsembleMax,
 	}
@@ -125,7 +125,7 @@ func TestEnsembleWithRealMembers(t *testing.T) {
 }
 
 func TestEnsembleZeroHorizon(t *testing.T) {
-	e := &Ensemble{Members: []Forecaster{Naive{}}}
+	e := &Ensemble{Members: []Forecaster{&SeasonalNaive{Season: 1}}}
 	got, err := e.Forecast([]float64{1}, 0)
 	if err != nil || got != nil {
 		t.Errorf("zero horizon: %v, %v", got, err)

@@ -2,15 +2,18 @@
 // CaaSPER's proactive mode (paper §4.3). The paper evaluated OpenShift's
 // predictors, sktime's naïve and ARIMA forecasters, and Prophet, and chose
 // the seasonal-naïve forecaster for production because it is the most
-// lightweight and explainable; this package implements the same candidate
-// set behind one small interface so callers can swap algorithms freely:
+// lightweight and explainable; this package implements stand-ins for that
+// candidate set behind one small interface so callers can swap algorithms
+// freely:
 //
 //   - SeasonalNaive: repeat the last full season (the production choice)
 //   - HoltWinters:   additive triple exponential smoothing
 //   - AR:            autoregressive model fit by Yule–Walker equations
-//   - MovingAverage / ExponentialMovingAverage: the lightweight right-
-//     sizing baselines of Zhao & Uta (paper §7)
-//   - Drift:         linear extrapolation of the recent trend
+//   - MovingAverage: the lightweight right-sizing baseline of Zhao & Uta
+//     (paper §7)
+//   - Ensemble:      the mean, max or median of several members
+//
+// The paper's accuracy bake-off that chose among them is not re-run here.
 //
 // Forecasters are deterministic and allocation-light; Fit is cheap enough
 // to call at every decision tick (the paper's OpenShift criticism is that
@@ -122,20 +125,6 @@ func (f *SeasonalNaive) HistoryNeed() int {
 	return f.Season
 }
 
-// Naive forecasts the last observed value for the whole horizon.
-type Naive struct{}
-
-// Name implements Forecaster.
-func (Naive) Name() string { return "naive" }
-
-// HistoryNeed implements HistoryBound: only the last value matters.
-func (Naive) HistoryNeed() int { return 1 }
-
-// Forecast implements Forecaster.
-func (Naive) Forecast(history []float64, horizon int) ([]float64, error) {
-	return (&SeasonalNaive{Season: 1}).Forecast(history, horizon)
-}
-
 // MovingAverage forecasts the mean of the last Window samples, held flat.
 type MovingAverage struct {
 	// Window is the averaging window length in samples.
@@ -170,80 +159,6 @@ func (f *MovingAverage) Forecast(history []float64, horizon int) ([]float64, err
 	out := make([]float64, horizon)
 	for i := range out {
 		out[i] = m
-	}
-	return clampNonNegative(out), nil
-}
-
-// ExponentialMovingAverage forecasts the exponentially weighted mean of
-// the history, held flat.
-type ExponentialMovingAverage struct {
-	// Alpha is the smoothing factor in (0, 1]; larger reacts faster.
-	Alpha float64
-}
-
-// Name implements Forecaster.
-func (f *ExponentialMovingAverage) Name() string { return fmt.Sprintf("ema(%.2f)", f.Alpha) }
-
-// Forecast implements Forecaster.
-func (f *ExponentialMovingAverage) Forecast(history []float64, horizon int) ([]float64, error) {
-	if len(history) == 0 {
-		return nil, ErrShortHistory
-	}
-	if horizon <= 0 {
-		return nil, nil
-	}
-	a := f.Alpha
-	if a <= 0 || a > 1 {
-		return nil, fmt.Errorf("forecast: ema alpha %v out of (0,1]", f.Alpha)
-	}
-	level := history[0]
-	for _, v := range history[1:] {
-		level = a*v + (1-a)*level
-	}
-	out := make([]float64, horizon)
-	for i := range out {
-		out[i] = level
-	}
-	return clampNonNegative(out), nil
-}
-
-// Drift extrapolates the straight line through the first and last points
-// of the recent window — the classic "drift" benchmark forecaster.
-type Drift struct {
-	// Window bounds how much history the trend is fit over; ≤0 uses all.
-	Window int
-}
-
-// Name implements Forecaster.
-func (f *Drift) Name() string { return fmt.Sprintf("drift(%d)", f.Window) }
-
-// HistoryNeed implements HistoryBound. Window ≤ 1 fits the trend over
-// the whole series, so it reports unbounded.
-func (f *Drift) HistoryNeed() int {
-	if f.Window <= 1 {
-		return -1
-	}
-	return f.Window
-}
-
-// Forecast implements Forecaster.
-func (f *Drift) Forecast(history []float64, horizon int) ([]float64, error) {
-	if len(history) < 2 {
-		return nil, ErrShortHistory
-	}
-	if horizon <= 0 {
-		return nil, nil
-	}
-	w := f.Window
-	if w <= 1 || w > len(history) {
-		w = len(history)
-	}
-	recent := history[len(history)-w:]
-	first, last := recent[0], recent[len(recent)-1]
-	slope := (last - first) / float64(len(recent)-1)
-	out := make([]float64, horizon)
-	for h := 0; h < horizon; h++ {
-		out[h] = last + slope*float64(h+1)
 	}
 	return clampNonNegative(out), nil
 }

@@ -17,7 +17,7 @@ func sinusoid(n, period int, mean, amp float64) []float64 {
 }
 
 func TestNaiveLastValue(t *testing.T) {
-	f := Naive{}
+	f := &SeasonalNaive{Season: 1}
 	got, err := f.Forecast([]float64{1, 2, 3}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -100,47 +100,6 @@ func TestMovingAverage(t *testing.T) {
 	}
 	if _, err := f.Forecast(nil, 1); err != ErrShortHistory {
 		t.Error("empty history should error")
-	}
-}
-
-func TestEMA(t *testing.T) {
-	f := &ExponentialMovingAverage{Alpha: 0.5}
-	got, err := f.Forecast([]float64{0, 10}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 5 {
-		t.Errorf("EMA = %v, want 5", got[0])
-	}
-	bad := &ExponentialMovingAverage{Alpha: 0}
-	if _, err := bad.Forecast([]float64{1}, 1); err == nil {
-		t.Error("alpha 0 should error")
-	}
-	bad.Alpha = 1.5
-	if _, err := bad.Forecast([]float64{1}, 1); err == nil {
-		t.Error("alpha > 1 should error")
-	}
-}
-
-func TestDrift(t *testing.T) {
-	f := &Drift{}
-	got, err := f.Forecast([]float64{0, 1, 2, 3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{4, 5, 6}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Errorf("drift[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Downward drift floors at zero.
-	got, _ = f.Forecast([]float64{3, 2, 1}, 5)
-	if got[4] != 0 {
-		t.Errorf("drift should floor at 0, got %v", got[4])
-	}
-	if _, err := f.Forecast([]float64{1}, 1); err != ErrShortHistory {
-		t.Error("short history should error")
 	}
 }
 
@@ -265,11 +224,8 @@ func centered(x []float64) []float64 {
 func TestForecastsNonNegative(t *testing.T) {
 	hist := []float64{5, 3, 1, 0.2, 0.1}
 	forecasters := []Forecaster{
-		Naive{},
 		&SeasonalNaive{Season: 2},
 		&MovingAverage{Window: 3},
-		&ExponentialMovingAverage{Alpha: 0.5},
-		&Drift{},
 		&AR{P: 2},
 	}
 	for _, f := range forecasters {
@@ -290,11 +246,8 @@ func TestForecasterNames(t *testing.T) {
 		f    Forecaster
 		want string
 	}{
-		{Naive{}, "naive"},
 		{&SeasonalNaive{Season: 1440}, "seasonal-naive(1440)"},
 		{&MovingAverage{Window: 5}, "moving-average(5)"},
-		{&ExponentialMovingAverage{Alpha: 0.25}, "ema(0.25)"},
-		{&Drift{Window: 10}, "drift(10)"},
 		{&AR{P: 3}, "ar(3)"},
 		{&HoltWinters{Alpha: 0.1, Beta: 0.2, Gamma: 0.3, Season: 7}, "holt-winters"},
 	}
@@ -302,44 +255,6 @@ func TestForecasterNames(t *testing.T) {
 		if got := c.f.Name(); !strings.HasPrefix(got, strings.Split(c.want, "(")[0]) {
 			t.Errorf("Name = %q, want prefix of %q", got, c.want)
 		}
-	}
-}
-
-func TestAccuracy(t *testing.T) {
-	period := 48
-	hist := sinusoid(period*5, period, 5, 2)
-	mae, mape, err := Accuracy(&SeasonalNaive{Season: period}, hist, period*4, period)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mae > 1e-9 || mape > 1e-9 {
-		t.Errorf("seasonal-naive on periodic series: mae=%v mape=%v, want 0", mae, mape)
-	}
-	// The plain naive forecaster should do worse on a seasonal series.
-	nmae, _, err := Accuracy(Naive{}, hist, period*4, period)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nmae <= mae {
-		t.Errorf("naive MAE %v should exceed seasonal MAE %v", nmae, mae)
-	}
-	if _, _, err := Accuracy(Naive{}, hist, 0, 10); err == nil {
-		t.Error("split 0 should error")
-	}
-	if _, _, err := Accuracy(Naive{}, hist, len(hist), 10); err == nil {
-		t.Error("split at end should error")
-	}
-}
-
-func TestAccuracyHorizonClamp(t *testing.T) {
-	hist := []float64{1, 2, 3, 4, 5}
-	mae, _, err := Accuracy(Naive{}, hist, 3, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Forecast value is 3; actuals are {4, 5} -> MAE 1.5.
-	if math.Abs(mae-1.5) > 1e-9 {
-		t.Errorf("clamped-horizon MAE = %v, want 1.5", mae)
 	}
 }
 
@@ -359,9 +274,7 @@ func TestHistoryNeedContract(t *testing.T) {
 	bounded := []Forecaster{
 		&SeasonalNaive{Season: 48},
 		&SeasonalNaive{Season: 0},
-		Naive{},
 		&MovingAverage{Window: 30},
-		&Drift{Window: 25},
 		&Ensemble{Members: []Forecaster{&SeasonalNaive{Season: 48}, &MovingAverage{Window: 30}}},
 	}
 	for _, f := range bounded {
@@ -385,13 +298,10 @@ func TestHistoryNeedContract(t *testing.T) {
 	}
 
 	unbounded := []Forecaster{
-		&ExponentialMovingAverage{Alpha: 0.3},
 		&MovingAverage{Window: 0},
-		&Drift{Window: 0},
 		&HoltWinters{Alpha: 0.3, Beta: 0.1, Gamma: 0.1, Season: 48},
 		&AR{P: 4},
-		&AutoSeasonalNaive{MinLag: 2, MaxLag: 96},
-		&Ensemble{Members: []Forecaster{Naive{}, &ExponentialMovingAverage{Alpha: 0.3}}},
+		&Ensemble{Members: []Forecaster{&SeasonalNaive{Season: 1}, &MovingAverage{Window: 0}}},
 	}
 	for _, f := range unbounded {
 		if need := HistoryNeed(f); need >= 0 {

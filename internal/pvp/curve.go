@@ -201,8 +201,7 @@ func BuildCurveInto(c *Curve, usage []float64, r SKURange) error {
 }
 
 // appendSlopes appends the scaled forward differences of the points'
-// performance values to dst and returns it (nil when fewer than 2 points,
-// matching stats.Slopes).
+// performance values to dst and returns it (nil when fewer than 2 points).
 func appendSlopes(dst []float64, points []Point) []float64 {
 	if len(points) < 2 {
 		return nil

@@ -264,7 +264,7 @@ func TestCurveString(t *testing.T) {
 }
 
 func TestScalingFactorShape(t *testing.T) {
-	p := DefaultScalingFactorParams()
+	p := ScalingFactorParams{CMin: 2, SkewWeight: 1}
 	// SF is zero-floored and monotone in s.
 	if sf := ScalingFactor(0, 0, p); math.Abs(sf-math.Log(2)) > 1e-9 {
 		t.Errorf("SF(0) = %v, want ln(cmin)=ln 2", sf)
@@ -310,7 +310,7 @@ func TestScalingFactorPaperExample(t *testing.T) {
 }
 
 func TestScalingFactorCurve(t *testing.T) {
-	slopes, factors := ScalingFactorCurve(2, DefaultScalingFactorParams(), 10, 21)
+	slopes, factors := ScalingFactorCurve(2, ScalingFactorParams{CMin: 2, SkewWeight: 1}, 10, 21)
 	if len(slopes) != 21 || len(factors) != 21 {
 		t.Fatalf("lengths = %d, %d", len(slopes), len(factors))
 	}
@@ -323,7 +323,7 @@ func TestScalingFactorCurve(t *testing.T) {
 		}
 	}
 	// Degenerate n clamps to 2.
-	s2, f2 := ScalingFactorCurve(1, DefaultScalingFactorParams(), 5, 1)
+	s2, f2 := ScalingFactorCurve(1, ScalingFactorParams{CMin: 2, SkewWeight: 1}, 5, 1)
 	if len(s2) != 2 || len(f2) != 2 {
 		t.Errorf("clamped lengths = %d, %d", len(s2), len(f2))
 	}

@@ -21,12 +21,6 @@ type ScalingFactorParams struct {
 	SkewWeight float64
 }
 
-// DefaultScalingFactorParams mirrors the paper's running example: a 2-core
-// operational floor and unit skew weight.
-func DefaultScalingFactorParams() ScalingFactorParams {
-	return ScalingFactorParams{CMin: 2, SkewWeight: 1}
-}
-
 // ScalingFactor evaluates SF(s, skew) = ln(skewWeight·skew·s + c_min) in
 // cores (fractional; Algorithm 1 rounds and clamps it afterwards).
 // Negative or NaN inputs are treated as zero; the log argument is floored

@@ -357,9 +357,11 @@ func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "range: %v", err)
 		return
 	}
-	if body.MinCores < 1 || body.MaxCores < body.MinCores {
-		httpError(w, http.StatusBadRequest, "range: need 1 ≤ min_cores ≤ max_cores, got [%d, %d]",
-			body.MinCores, body.MaxCores)
+	// The cap is NewByName's, so a retuned tenant still rebuilds from its
+	// config on a policy swap or a restore.
+	if body.MinCores < 1 || body.MaxCores < body.MinCores || body.MaxCores > recommend.CoresLimit {
+		httpError(w, http.StatusBadRequest, "range: need 1 ≤ min_cores ≤ max_cores ≤ %d, got [%d, %d]",
+			recommend.CoresLimit, body.MinCores, body.MaxCores)
 		return
 	}
 	if body.MinRAMGB > 0 && body.MaxRAMGB == 0 {

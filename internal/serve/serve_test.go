@@ -193,6 +193,11 @@ func TestMalformedAndUnknown(t *testing.T) {
 		{"bad policy", "PUT", "/v1/tenants/beta", `{"policy":"nope","max_cores":4}`, http.StatusBadRequest},
 		{"missing max", "PUT", "/v1/tenants/beta", `{"policy":"caasper"}`, http.StatusBadRequest},
 		{"bad range", "PUT", "/v1/admin/tenants/alpha/range", `{"min_cores":5,"max_cores":2}`, http.StatusBadRequest},
+		{"range above core cap", "PUT", "/v1/admin/tenants/alpha/range", `{"min_cores":1,"max_cores":4097}`, http.StatusBadRequest},
+		{"max_cores above cap", "PUT", "/v1/tenants/beta", `{"max_cores":4097}`, http.StatusBadRequest},
+		{"window above cap", "PUT", "/v1/tenants/beta", `{"max_cores":8,"window":40321}`, http.StatusBadRequest},
+		{"horizon above cap", "PUT", "/v1/tenants/beta", `{"policy":"caasper-proactive","max_cores":8,"horizon":40321}`, http.StatusBadRequest},
+		{"season above cap", "PUT", "/v1/tenants/beta", `{"policy":"caasper-proactive","max_cores":8,"season":40321}`, http.StatusBadRequest},
 	} {
 		code, body, _ := do(t, tc.method, ts.URL+tc.path, tc.body)
 		if code != tc.want {

@@ -109,25 +109,15 @@ func quantileRank(n int, q float64) (pos float64, lo int, err error) {
 	return pos, int(math.Floor(pos)), nil
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between closest ranks (the "R-7" method used by most
-// statistics packages). It returns an error for an empty sample or a NaN
-// q and clamps q into [0, 1]. xs is not modified.
-//
-// A single quantile needs at most two order statistics, not a total
-// order; see QuantileMax for how they are found without sorting. The
-// result is bit-identical to QuantileSorted on a sorted copy.
-func Quantile(xs []float64, q float64) (float64, error) {
-	v, _, err := QuantileMax(xs, q, nil)
-	return v, err
-}
-
 // topMax bounds the top-m scan of QuantileMax: up to this many of the
 // largest values are kept in a stack array; more fall back to quickselect.
 const topMax = 8
 
-// QuantileMax returns the R-7 q-quantile (as Quantile) and the maximum of
-// xs in one read-only pass. xs is not modified.
+// QuantileMax returns the q-quantile (0 ≤ q ≤ 1) of xs and its maximum
+// in one read-only pass. The quantile interpolates linearly between
+// closest ranks (the "R-7" method used by most statistics packages). It
+// returns an error for an empty sample or a NaN q and clamps q into
+// [0, 1]. xs is not modified.
 //
 // The quantile reads the order statistics at ascending ranks ⌊q·(n−1)⌋
 // and ⌈q·(n−1)⌉, which are the m-th and (m−1)-th largest values for
@@ -181,9 +171,9 @@ func QuantileMax(xs []float64, q float64, spare *[]float64) (quantile, peak floa
 	return vlo*(1-frac) + top[m-2]*frac, top[0], nil
 }
 
-// quantileInPlace is Quantile evaluated destructively in the caller's
-// buffer: xs is partially reordered (no allocation). Bit-identical to
-// Quantile and to QuantileSorted on a sorted copy.
+// quantileInPlace is QuantileMax's quantile evaluated destructively in
+// the caller's buffer: xs is partially reordered (no allocation).
+// Bit-identical to QuantileSorted on a sorted copy.
 func quantileInPlace(xs []float64, q float64) (float64, error) {
 	pos, lo, err := quantileRank(len(xs), q)
 	if err != nil {
@@ -261,9 +251,9 @@ func selectNth(xs []float64, k int) {
 	}
 }
 
-// QuantileSorted is Quantile for inputs already sorted ascending. It avoids
-// the defensive copy; callers on hot paths (the simulator evaluates a
-// quantile per decision) should sort once and reuse.
+// QuantileSorted is QuantileMax's quantile for inputs already sorted
+// ascending. It avoids the defensive copy; callers on hot paths (the
+// simulator evaluates a quantile per decision) should sort once and reuse.
 func QuantileSorted(sorted []float64, q float64) (float64, error) {
 	pos, lo, err := quantileRank(len(sorted), q)
 	if err != nil {
@@ -304,19 +294,6 @@ func Skewness(xs []float64) float64 {
 	g1 := m3 / math.Pow(m2, 1.5)
 	// Bias correction: G1 = g1 * sqrt(n(n-1)) / (n-2).
 	return g1 * math.Sqrt(n*(n-1)) / (n - 2)
-}
-
-// Slopes returns the forward differences of ys: out[i] = ys[i+1] - ys[i].
-// The result has length len(ys)-1; a slice shorter than 2 yields nil.
-func Slopes(ys []float64) []float64 {
-	if len(ys) < 2 {
-		return nil
-	}
-	out := make([]float64, len(ys)-1)
-	for i := 0; i+1 < len(ys); i++ {
-		out[i] = ys[i+1] - ys[i]
-	}
-	return out
 }
 
 // LinearFit fits y = a + b*x by ordinary least squares and returns the
@@ -364,41 +341,4 @@ func ClampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// MAE returns the mean absolute error between predictions and actuals.
-func MAE(pred, actual []float64) (float64, error) {
-	if len(pred) != len(actual) {
-		return 0, errors.New("stats: MAE length mismatch")
-	}
-	if len(pred) == 0 {
-		return 0, ErrEmpty
-	}
-	var s float64
-	for i := range pred {
-		s += math.Abs(pred[i] - actual[i])
-	}
-	return s / float64(len(pred)), nil
-}
-
-// MAPE returns the mean absolute percentage error between predictions and
-// actuals, skipping points where the actual value is zero (they would
-// otherwise divide by zero). If every actual is zero it returns ErrEmpty.
-func MAPE(pred, actual []float64) (float64, error) {
-	if len(pred) != len(actual) {
-		return 0, errors.New("stats: MAPE length mismatch")
-	}
-	var s float64
-	var n int
-	for i := range pred {
-		if actual[i] == 0 {
-			continue
-		}
-		s += math.Abs((pred[i] - actual[i]) / actual[i])
-		n++
-	}
-	if n == 0 {
-		return 0, ErrEmpty
-	}
-	return s / float64(n), nil
 }

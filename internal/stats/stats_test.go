@@ -76,25 +76,25 @@ func TestQuantile(t *testing.T) {
 		{-0.5, 1}, {1.5, 5}, // clamped
 	}
 	for _, c := range cases {
-		got, err := Quantile(xs, c.q)
+		got, _, err := QuantileMax(xs, c.q, nil)
 		if err != nil {
-			t.Fatalf("Quantile(%v): %v", c.q, err)
+			t.Fatalf("QuantileMax(%v): %v", c.q, err)
 		}
 		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
+			t.Errorf("QuantileMax(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
-	if _, err := Quantile(nil, 0.5); err != ErrEmpty {
-		t.Errorf("Quantile(empty) err = %v, want ErrEmpty", err)
+	if _, _, err := QuantileMax(nil, 0.5, nil); err != ErrEmpty {
+		t.Errorf("QuantileMax(empty) err = %v, want ErrEmpty", err)
 	}
-	if _, err := Quantile(xs, math.NaN()); err != ErrNaNQuantile {
-		t.Errorf("Quantile(q=NaN) err = %v, want ErrNaNQuantile", err)
+	if _, _, err := QuantileMax(xs, math.NaN(), nil); err != ErrNaNQuantile {
+		t.Errorf("QuantileMax(q=NaN) err = %v, want ErrNaNQuantile", err)
 	}
 	if _, err := QuantileSorted(xs, math.NaN()); err != ErrNaNQuantile {
 		t.Errorf("QuantileSorted(q=NaN) err = %v, want ErrNaNQuantile", err)
 	}
 	// Interpolation between ranks.
-	got, _ := Quantile([]float64{10, 20}, 0.5)
+	got, _, _ := QuantileMax([]float64{10, 20}, 0.5, nil)
 	if !almostEqual(got, 15, 1e-12) {
 		t.Errorf("median of {10,20} = %v, want 15", got)
 	}
@@ -109,10 +109,10 @@ func TestQuantileSortedMatchesQuantile(t *testing.T) {
 	sorted := append([]float64(nil), xs...)
 	sortFloats(sorted)
 	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.95, 1} {
-		a, _ := Quantile(xs, q)
+		a, _, _ := QuantileMax(xs, q, nil)
 		b, _ := QuantileSorted(sorted, q)
 		if a != b {
-			t.Errorf("q=%v: Quantile=%v QuantileSorted=%v", q, a, b)
+			t.Errorf("q=%v: QuantileMax=%v QuantileSorted=%v", q, a, b)
 		}
 	}
 }
@@ -151,22 +151,6 @@ func TestSkewness(t *testing.T) {
 	}
 }
 
-func TestSlopes(t *testing.T) {
-	if Slopes(nil) != nil || Slopes([]float64{1}) != nil {
-		t.Error("Slopes of short input should be nil")
-	}
-	got := Slopes([]float64{1, 3, 2, 2})
-	want := []float64{2, -1, 0}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Slopes[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestLinearFit(t *testing.T) {
 	xs := []float64{0, 1, 2, 3}
 	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
@@ -199,29 +183,6 @@ func TestClamp(t *testing.T) {
 	}
 }
 
-func TestMAEAndMAPE(t *testing.T) {
-	pred := []float64{1, 2, 3}
-	act := []float64{2, 2, 5}
-	mae, err := MAE(pred, act)
-	if err != nil || !almostEqual(mae, 1, 1e-12) {
-		t.Errorf("MAE = %v, %v", mae, err)
-	}
-	mape, err := MAPE(pred, act)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (0.5 + 0 + 0.4) / 3
-	if !almostEqual(mape, want, 1e-12) {
-		t.Errorf("MAPE = %v, want %v", mape, want)
-	}
-	if _, err := MAPE([]float64{1}, []float64{0}); err != ErrEmpty {
-		t.Errorf("MAPE all-zero actuals err = %v", err)
-	}
-	if _, err := MAE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("MAE length mismatch should error")
-	}
-}
-
 func TestQuantilePropertyBounds(t *testing.T) {
 	// Property: any quantile lies within [min, max] of the sample.
 	f := func(raw []float64, q float64) bool {
@@ -239,7 +200,7 @@ func TestQuantilePropertyBounds(t *testing.T) {
 			return true
 		}
 		qq := math.Mod(math.Abs(q), 1)
-		got, err := Quantile(xs, qq)
+		got, _, err := QuantileMax(xs, qq, nil)
 		if err != nil {
 			return false
 		}
@@ -261,7 +222,7 @@ func TestQuantilePropertyMonotone(t *testing.T) {
 		}
 		prev := math.Inf(-1)
 		for q := 0.0; q <= 1.0; q += 0.05 {
-			v, _ := Quantile(xs, q)
+			v, _, _ := QuantileMax(xs, q, nil)
 			if v < prev-1e-9 {
 				t.Fatalf("quantile not monotone at q=%v: %v < %v", q, v, prev)
 			}
@@ -312,12 +273,12 @@ func TestQuantileInPlaceMatchesSorted(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d n=%d q=%v: in-place %v != sorted %v", trial, n, q, got, want)
 			}
-			got2, err := Quantile(xs, q)
+			got2, _, err := QuantileMax(xs, q, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got2 != want {
-				t.Fatalf("trial %d n=%d q=%v: Quantile %v != sorted %v", trial, n, q, got2, want)
+				t.Fatalf("trial %d n=%d q=%v: QuantileMax %v != sorted %v", trial, n, q, got2, want)
 			}
 		}
 	}

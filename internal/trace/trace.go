@@ -240,18 +240,6 @@ func (t *Trace) Summarize() Summary {
 	return s
 }
 
-// FeatureVector returns a fixed-length numeric description of the trace
-// used for k-means clustering when selecting representative workloads
-// (paper §6.3): mean, stddev, p50, p90, max, and a burstiness ratio.
-func (t *Trace) FeatureVector() []float64 {
-	s := t.Summarize()
-	burst := 0.0
-	if s.Mean > 0 {
-		burst = s.Max / s.Mean
-	}
-	return []float64{s.Mean, s.StdDev, s.P50, s.P90, s.Max, burst}
-}
-
 // String summarises the trace.
 func (t *Trace) String() string {
 	s := t.Summarize()

@@ -192,24 +192,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestFeatureVector(t *testing.T) {
-	tr := minuteTrace(2, 2, 2, 8)
-	fv := tr.FeatureVector()
-	if len(fv) != 6 {
-		t.Fatalf("feature vector length = %d", len(fv))
-	}
-	if fv[0] != 3.5 {
-		t.Errorf("mean feature = %v", fv[0])
-	}
-	if fv[5] != 8.0/3.5 {
-		t.Errorf("burstiness = %v", fv[5])
-	}
-	flat := minuteTrace()
-	if got := flat.FeatureVector(); got[5] != 0 {
-		t.Errorf("empty burstiness = %v", got[5])
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	tr := minuteTrace(1.5, 2.25, 0)
 	var buf bytes.Buffer

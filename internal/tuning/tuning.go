@@ -417,28 +417,6 @@ func SampleAlphas(n int, lnLo, lnHi float64, seed uint64) []float64 {
 	return out
 }
 
-// OptimalSet implements Eq. 6: the set of G-minimising combinations over
-// all sampled α values, deduplicated, ordered by ascending α of first
-// appearance.
-func OptimalSet(evals []Evaluation, alphas []float64) ([]Evaluation, error) {
-	if len(alphas) == 0 {
-		return nil, errors.New("tuning: no alphas")
-	}
-	seen := map[Params]bool{}
-	var out []Evaluation
-	for _, a := range alphas {
-		best, err := BestForAlpha(a, evals)
-		if err != nil {
-			return nil, err
-		}
-		if !seen[best.Params] {
-			seen[best.Params] = true
-			out = append(out, best)
-		}
-	}
-	return out, nil
-}
-
 // ParetoFrontier returns the evaluations not dominated in the (K, C)
 // plane: no other evaluation is at least as good on both metrics and
 // strictly better on one. The result is sorted by ascending K.

@@ -174,7 +174,7 @@ func TestRandomSearchValidation(t *testing.T) {
 	}
 }
 
-func TestBestForAlphaAndOptimalSet(t *testing.T) {
+func TestBestForAlpha(t *testing.T) {
 	evals := []Evaluation{
 		{Params: Params{MinCores: 2}, K: 100, C: 0, N: 5},  // high slack, no throttle
 		{Params: Params{MinCores: 3}, K: 10, C: 50, N: 3},  // balanced
@@ -200,22 +200,6 @@ func TestBestForAlphaAndOptimalSet(t *testing.T) {
 	}
 	if _, err := BestForAlpha(1, nil); err == nil {
 		t.Error("empty evaluations should fail")
-	}
-
-	set, err := OptimalSet(evals, []float64{0, 1, 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set) != 3 {
-		t.Errorf("optimal set size = %d, want 3 distinct", len(set))
-	}
-	// Duplicates collapse.
-	set, _ = OptimalSet(evals, []float64{1, 1, 1})
-	if len(set) != 1 {
-		t.Errorf("duplicate alphas should dedupe, got %d", len(set))
-	}
-	if _, err := OptimalSet(evals, nil); err == nil {
-		t.Error("no alphas should fail")
 	}
 }
 

@@ -60,21 +60,6 @@ func AlibabaTrace(id string, seed uint64) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// AllAlibabaTraces synthesizes every stand-in trace.
-func AllAlibabaTraces(seed uint64) []*trace.Trace {
-	out := make([]*trace.Trace, 0, len(AlibabaIDs))
-	for _, id := range AlibabaIDs {
-		tr, err := AlibabaTrace(id, seed)
-		if err != nil {
-			// Unreachable for the fixed ID list; panic preserves the
-			// invariant loudly in tests.
-			panic(err)
-		}
-		out = append(out, tr)
-	}
-	return out
-}
-
 func hashID(id string) uint64 {
 	var h uint64 = 14695981039346656037 // FNV-1a
 	for i := 0; i < len(id); i++ {
@@ -162,29 +147,4 @@ func randomBursts(rng *stats.RNG, days, nPerDay int, height, width float64) Patt
 		}
 		return 0
 	}
-}
-
-// SelectRepresentatives mimics the paper's §6.3 methodology: it clusters
-// trace feature vectors with k-means and returns the trace closest to each
-// centroid. The paper selected 9 representative Alibaba traces this way.
-func SelectRepresentatives(traces []*trace.Trace, k int, seed uint64) ([]*trace.Trace, error) {
-	if k > len(traces) {
-		k = len(traces)
-	}
-	points := make([][]float64, len(traces))
-	for i, tr := range traces {
-		points[i] = tr.FeatureVector()
-	}
-	res, err := stats.KMeans(points, k, 200, stats.NewRNG(seed))
-	if err != nil {
-		return nil, err
-	}
-	reps := res.Representatives(points)
-	out := make([]*trace.Trace, 0, len(reps))
-	for _, idx := range reps {
-		if idx >= 0 {
-			out = append(out, traces[idx])
-		}
-	}
-	return out, nil
 }

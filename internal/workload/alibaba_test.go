@@ -78,13 +78,13 @@ func TestAlibabaSpikeOnDay3(t *testing.T) {
 }
 
 func TestAllAlibabaTraces(t *testing.T) {
-	traces := AllAlibabaTraces(0)
-	if len(traces) != len(AlibabaIDs) {
-		t.Fatalf("got %d traces", len(traces))
-	}
-	for i, tr := range traces {
-		if tr.Name != AlibabaIDs[i] {
-			t.Errorf("trace %d name = %q, want %q", i, tr.Name, AlibabaIDs[i])
+	for _, id := range AlibabaIDs {
+		tr, err := AlibabaTrace(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Name != id {
+			t.Errorf("trace name = %q, want %q", tr.Name, id)
 		}
 	}
 }
@@ -96,31 +96,5 @@ func TestAlibabaDeterminism(t *testing.T) {
 		if a.Values[i] != b.Values[i] {
 			t.Fatal("same-seed alibaba trace diverged")
 		}
-	}
-}
-
-func TestSelectRepresentatives(t *testing.T) {
-	traces := AllAlibabaTraces(0)
-	reps, err := SelectRepresentatives(traces, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) == 0 || len(reps) > 4 {
-		t.Errorf("got %d representatives", len(reps))
-	}
-	seen := map[string]bool{}
-	for _, r := range reps {
-		if seen[r.Name] {
-			t.Errorf("duplicate representative %s", r.Name)
-		}
-		seen[r.Name] = true
-	}
-	// k > n clamps.
-	reps, err = SelectRepresentatives(traces[:2], 10, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) > 2 {
-		t.Errorf("k should clamp to n, got %d", len(reps))
 	}
 }

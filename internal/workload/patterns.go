@@ -155,11 +155,6 @@ func Add(ps ...Pattern) Pattern {
 	}
 }
 
-// ScalePattern multiplies a pattern by a constant factor.
-func ScalePattern(p Pattern, f float64) Pattern {
-	return func(m float64) float64 { return p(m) * f }
-}
-
 // WithNoise perturbs a pattern with Gaussian noise of the given standard
 // deviation, floored at zero. The RNG is consumed sample by sample, so the
 // pattern must be evaluated on a monotone grid (as Render does) for

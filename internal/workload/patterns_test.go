@@ -122,14 +122,10 @@ func TestPiecewiseAndRepeat(t *testing.T) {
 	}
 }
 
-func TestAddAndScalePattern(t *testing.T) {
+func TestAddPattern(t *testing.T) {
 	p := Add(Constant(1), Constant(2), Constant(3))
 	if p(0) != 6 {
 		t.Errorf("Add = %v", p(0))
-	}
-	sp := ScalePattern(Constant(4), 0.5)
-	if sp(0) != 2 {
-		t.Errorf("ScalePattern = %v", sp(0))
 	}
 }
 

@@ -77,6 +77,11 @@ rm -rf "$EXBIN"
 echo "==> apicheck (exported API vs testdata/api.txt)"
 sh scripts/apicheck.sh
 
+# Dead-code gate: every exported package-level name under internal/ must
+# have a caller outside tests (scripts/deadcode lists any that do not).
+echo "==> deadcode (exported internal/ names without a non-test caller)"
+go run ./scripts/deadcode
+
 # Chaos goldens: fixed-seed fault streams — including the multi-resource
 # mem-pressure scenario — must stay byte-identical to testdata/chaos/
 # (regenerate: UPDATE=1 sh scripts/chaos.sh).
