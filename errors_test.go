@@ -81,6 +81,16 @@ func TestSentinelInvalidConfig(t *testing.T) {
 	if _, err := NewRecommenderByName("caasper", RecommenderSettings{}); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("NewRecommenderByName(MaxCores=0): got %v, want errors.Is(ErrInvalidConfig)", err)
 	}
+	// Every error comes with a nil interface, never a typed nil pointer
+	// a caller checking rec != nil would call Observe on. The CaaSPER
+	// policies refuse a 1-core ladder and a negative window themselves.
+	for _, name := range RecommenderNames() {
+		for _, s := range []RecommenderSettings{{MaxCores: 1}, {MaxCores: 8, Window: -1}, {MaxCores: 8, ControlCores: 9}} {
+			if rec, err := NewRecommenderByName(name, s); err != nil && rec != nil {
+				t.Errorf("NewRecommenderByName(%q, %+v): error %v with a non-nil %T", name, s, err, rec)
+			}
+		}
+	}
 	// Settings past their bounds are refused, before anything is sized
 	// by them: a recommender's history rings grow with the sample counts
 	// and its PvP curve with the cores.
@@ -96,6 +106,7 @@ func TestSentinelInvalidConfig(t *testing.T) {
 		{"caasper-proactive", RecommenderSettings{MaxCores: 8, Horizon: samples}},
 		{"caasper-proactive", RecommenderSettings{MaxCores: 8, Season: samples}},
 		{"control", RecommenderSettings{MaxCores: 8, ControlCores: -2}},
+		{"control", RecommenderSettings{MaxCores: 8, ControlCores: 20}}, // above the ladder
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -95,20 +95,6 @@ func (r *Recommender) Config() Config { return r.cfg }
 // preprocessing.
 var ErrNoUsage = errors.New("core: empty usage window")
 
-// appendPreprocessed cleans a usage window the way Algorithm 1 line 2
-// does, appending the surviving samples to dst: NaN/Inf samples
-// (metric-gap artifacts around restarts) and negatives are dropped. The
-// input is not mutated.
-func appendPreprocessed(dst, usage []float64) []float64 {
-	for _, v := range usage {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			continue
-		}
-		dst = append(dst, v)
-	}
-	return dst
-}
-
 // Scratch holds the reusable per-caller evaluation state of Decide: the
 // preprocessed-window buffer, the PvP curve storage, and a memo of the
 // most recent decision. A long-lived caller (the simulator adapters, the
@@ -261,18 +247,34 @@ func (s *Scratch) MemoSnapshot() MemoState {
 // RestoreMemo re-arms a snapshotted memo on a scratch that will be used
 // with this recommender, binding the scratch's owner so the next
 // DecideScratch call does not wipe the restored state. The scratch's Sink
-// survives, mirroring the reset contract.
+// survives, mirroring the reset contract. A key that no preprocessed
+// window can equal (empty, or holding a negative or infinite sample)
+// could never answer, so its memo is restored disarmed.
 func (r *Recommender) RestoreMemo(sc *Scratch, m MemoState) {
 	if sc.owner != r {
 		*sc = Scratch{owner: r, Sink: sc.Sink, evFields: sc.evFields}
 	}
 	sc.Now = m.Now
-	sc.memoValid = m.Valid
+	// DecideScratch probes the key with the raw window, so an armed key
+	// must be one line 2 would leave untouched.
+	sc.memoValid = m.Valid && len(m.Window) > 0
+	for _, v := range m.Window {
+		sc.memoValid = sc.memoValid && v >= 0 && v <= math.MaxFloat64
+	}
 	sc.memoCores = m.Cores
 	sc.memoClean = append(sc.memoClean[:0], m.Window...)
 	sc.memoDec = m.Decision
 	sc.expKind = expKind(m.ExpKind)
 	sc.expPeak = m.ExpPeak
+}
+
+// memoHit answers a decision from the memo.
+func (sc *Scratch) memoHit() Decision {
+	sc.MemoHits++
+	if obs.Enabled(sc.Sink) {
+		sc.emitDecision(sc.memoDec, true)
+	}
+	return sc.memoDec
 }
 
 // emitDecision writes the per-evaluation audit event. Callers guard on
@@ -320,35 +322,75 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 		// a sink installed before the first decision must survive this.
 		*sc = Scratch{owner: r, Sink: sc.Sink, Now: sc.Now, evFields: sc.evFields}
 	}
-	cfg := r.cfg
+	cfg := &r.cfg
 	xc := stats.ClampInt(currentCores, cfg.SKUs.MinCores, cfg.SKUs.MaxCores)
 
-	// Line 2: preprocess CPU into the reusable buffer, sized to the whole
-	// window up front: this buffer and the memo key trade places below,
-	// so both stay that size rather than append's next doubling.
-	buf := sc.clean[:0]
-	if cap(buf) < len(usage) {
-		buf = make([]float64, 0, len(usage))
-	}
-	clean := appendPreprocessed(buf, usage)
-	sc.clean = clean
-	if len(clean) == 0 {
-		return Decision{}, ErrNoUsage
+	// Identical window + allocation ⇒ identical decision: Algorithm 1 is
+	// a pure function of (window, current cores, config), so the whole
+	// evaluation can be skipped when the preprocessed window is unchanged
+	// since the previous full one — common while usage sits flat or
+	// pinned at the cap. The memo key is a preprocessed window, so it is
+	// all-valid (RestoreMemo disarms any other): a raw window equal to it
+	// is one that line 2 leaves untouched, and the probe can run before
+	// preprocessing. (Equality is stricter than the multiset equality the
+	// algorithm depends on; it trades a few extra misses for a sort-free
+	// hot path.)
+	if sc.memoValid && xc == sc.memoCores && equalFloats(usage, sc.memoClean) {
+		return sc.memoHit(), nil
 	}
 
-	// Identical raw window + allocation ⇒ identical decision: Algorithm 1
-	// is a pure function of (window, current cores, config), so the PvP
-	// curve rebuild can be skipped outright when the window is unchanged
-	// since the previous tick — common while usage sits flat or pinned at
-	// the cap. (Raw equality is stricter than the multiset equality the
-	// algorithm actually depends on; it trades a few extra misses for a
-	// sort-free hot path.)
-	if sc.memoValid && xc == sc.memoCores && equalFloats(clean, sc.memoClean) {
-		sc.MemoHits++
-		if obs.Enabled(sc.Sink) {
-			sc.emitDecision(sc.memoDec, true)
+	// Lines 2–7 read the window through one pass. Per sample it drops
+	// NaN/±Inf/negatives (line 2, metric-gap artifacts around restarts),
+	// appends the survivor to the buffer that becomes the memo key, counts
+	// it into the PvP curve's exceed histogram (line 3) and offers it to
+	// the top-m accumulator behind the slack quantile and the walk-down's
+	// peak. A sample equal to its predecessor reuses its histogram slot: a
+	// run of equal samples is counted, and offered, at once. The
+	// accumulator is armed for the raw length: m is non-decreasing in the
+	// sample count, so it holds at least the order statistics the cleaned
+	// window's quantile reads. The buffer is sized to the whole window: it
+	// and the memo key trade places below, so both stay that size rather
+	// than append's next doubling.
+	buf := sc.clean
+	if cap(buf) < len(usage) {
+		buf = make([]float64, len(usage))
+	}
+	buf = buf[:len(usage)]
+	var hist pvp.Histogram
+	if err := hist.Reset(cfg.SKUs, &sc.curve); err != nil {
+		return Decision{}, err
+	}
+	var top stats.TopM
+	topOK := top.Reset(len(usage), cfg.QuantileP)
+	n := 0
+	prev, at, run := -1.0, 0, 0 // the current run: run samples of prev, in slot at
+	flush := func() {
+		hist.Count(at, run)
+		// Once a copy is refused, so is every later one.
+		for k := run; topOK && k > 0 && top.Add(prev); k-- {
 		}
-		return sc.memoDec, nil
+	}
+	for _, u := range usage {
+		if !(u >= 0) || u > math.MaxFloat64 {
+			continue
+		}
+		buf[n] = u
+		n++
+		if u != prev {
+			flush()
+			prev, at, run = u, hist.Slot(u), 0
+		}
+		run++
+	}
+	flush()
+	clean := buf[:n]
+	sc.clean = clean
+	if n == 0 {
+		return Decision{}, ErrNoUsage
+	}
+	// Line 2 dropped samples: the cleaned window may still equal the key.
+	if n < len(usage) && sc.memoValid && xc == sc.memoCores && equalFloats(clean, sc.memoClean) {
+		return sc.memoHit(), nil
 	}
 	sc.MemoMisses++
 	// Invalidate before touching memo state: an error return below must
@@ -359,9 +401,9 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	sc.clean, sc.memoClean = sc.memoClean, clean
 	sc.memoCores = xc
 
-	// Line 3: build the PvP curve (the refactored SKU recommendation
-	// tool of §4.2, CPU-only), reusing the scratch storage.
-	if err := pvp.BuildCurveInto(&sc.curve, clean, cfg.SKUs); err != nil {
+	// Line 3: the PvP curve (the refactored SKU recommendation tool of
+	// §4.2, CPU-only) from the histogram, reusing the scratch storage.
+	if err := pvp.BuildCurveFrom(&sc.curve, &hist); err != nil {
 		return Decision{}, err
 	}
 	curve := &sc.curve
@@ -371,14 +413,17 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	s := curve.SlopeAt(xc)
 	rawSF := pvp.ScalingFactor(s, skew, cfg.SF)
 
-	// The slack quantile and the walk-down's peak from one read-only
-	// top-m scan: exact order statistics, so both are bit-identical to
-	// sorting first and reading the R-7 quantile and the last element.
-	// The quickselect fallback copies into sc.clean, the old memo key,
-	// which is free until the next call preprocesses into it.
-	q, peak, err := stats.QuantileMax(clean, cfg.QuantileP, &sc.clean)
-	if err != nil {
-		return Decision{}, err
+	// The slack quantile and the walk-down's peak: exact order
+	// statistics, so both are bit-identical to sorting first and reading
+	// the R-7 quantile and the last element. A quantile deeper than the
+	// accumulator quickselects instead, copying into sc.clean, the old
+	// memo key, which is free until the next call preprocesses into it.
+	q, peak, ok := top.QuantileMax(n, cfg.QuantileP)
+	if !ok {
+		var err error
+		if q, peak, err = stats.QuantileMax(clean, cfg.QuantileP, &sc.clean); err != nil {
+			return Decision{}, err
+		}
 	}
 
 	d := Decision{
@@ -513,8 +558,8 @@ func (e *expBuilder) num(v int) *expBuilder {
 	return e
 }
 
-// equalFloats reports element-wise equality (inputs are NaN-free: both
-// come out of the line 2 preprocessing).
+// equalFloats reports element-wise equality. A NaN equals nothing, so a
+// window holding one never equals a memo key.
 func equalFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

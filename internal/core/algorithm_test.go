@@ -81,15 +81,21 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestPreprocess: line 2 drops NaN, ±Inf and negative samples, keeps the
+// rest in order as the memo key, and leaves the input untouched.
 func TestPreprocess(t *testing.T) {
-	in := []float64{1, math.NaN(), -2, math.Inf(1), 3}
-	out := appendPreprocessed(nil, in)
-	if len(out) != 2 || out[0] != 1 || out[1] != 3 {
-		t.Errorf("appendPreprocessed = %v", out)
+	r := mustRecommender(t, 16)
+	in := []float64{1, math.NaN(), -2, math.Inf(1), 3, math.Inf(-1)}
+	var sc Scratch
+	if _, err := r.DecideScratch(&sc, 4, in); err != nil {
+		t.Fatal(err)
 	}
-	// Input untouched.
-	if !math.IsNaN(in[1]) {
-		t.Error("appendPreprocessed must not mutate input")
+	out := sc.MemoSnapshot().Window
+	if len(out) != 2 || out[0] != 1 || out[1] != 3 {
+		t.Errorf("preprocessed window = %v", out)
+	}
+	if !math.IsNaN(in[1]) || in[2] != -2 || !math.IsInf(in[3], 1) {
+		t.Error("DecideScratch must not mutate its input")
 	}
 }
 

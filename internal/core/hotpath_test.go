@@ -64,7 +64,7 @@ func TestExplanationMatchesFmt(t *testing.T) {
 		}
 		seen[d.Branch]++
 
-		clean := appendPreprocessed(nil, usage)
+		clean := referenceClean(usage)
 		peak := stats.Max(clean)
 		xc := d.Current.CPUCores
 		capf := float64(xc)

@@ -10,19 +10,15 @@ import (
 )
 
 // referenceDecide is an independent Algorithm 1 oracle: it builds the PvP
-// curve with pvp.BuildCurve, takes the quantile from a fully sorted copy
+// curve by the direct per-SKU scan of Eq. 1 (count the samples above
+// cores·0.98 for every SKU), takes the quantile from a fully sorted copy
 // via stats.QuantileSorted and the peak from a plain loop, then applies
-// the decision rule. It shares no scratch, memo or selection code with
-// DecideScratch. It returns the decision (without Explanation) and the
-// peak the walk-down read.
+// the decision rule. It shares no scratch, memo, histogram or selection
+// code with DecideScratch. It returns the decision (without Explanation)
+// and the peak the walk-down read.
 func referenceDecide(t *testing.T, cfg Config, currentCores int, usage []float64) (Decision, float64) {
 	t.Helper()
-	var clean []float64
-	for _, v := range usage {
-		if !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 {
-			clean = append(clean, v)
-		}
-	}
+	clean := referenceClean(usage)
 	xc := currentCores
 	if xc < cfg.SKUs.MinCores {
 		xc = cfg.SKUs.MinCores
@@ -30,9 +26,18 @@ func referenceDecide(t *testing.T, cfg Config, currentCores int, usage []float64
 	if xc > cfg.SKUs.MaxCores {
 		xc = cfg.SKUs.MaxCores
 	}
-	curve, err := pvp.BuildCurve(clean, cfg.SKUs)
-	if err != nil {
-		t.Fatal(err)
+	curve := &pvp.Curve{Range: cfg.SKUs}
+	for cores := cfg.SKUs.MinCores; cores <= cfg.SKUs.MaxCores; cores++ {
+		exceed := 0
+		for _, u := range clean {
+			if u > float64(cores)*0.98 {
+				exceed++
+			}
+		}
+		curve.Points = append(curve.Points, pvp.Point{
+			Cores:       cores,
+			Performance: 1 - float64(exceed)/float64(len(clean)),
+		})
 	}
 	sorted := append([]float64(nil), clean...)
 	sort.Float64s(sorted)
@@ -92,6 +97,18 @@ func referenceDecide(t *testing.T, cfg Config, currentCores int, usage []float64
 	d.Target = Resources{CPUCores: tc}
 	d.Delta = tc - xc
 	return d, peak
+}
+
+// referenceClean is Algorithm 1 line 2 written out: the window without
+// its NaN, ±Inf and negative samples, in order.
+func referenceClean(usage []float64) []float64 {
+	var clean []float64
+	for _, v := range usage {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 {
+			clean = append(clean, v)
+		}
+	}
+	return clean
 }
 
 // sameDecision compares every Decision field, floats by their bits.
@@ -179,7 +196,7 @@ func TestDecideScratchMemoBufferSwap(t *testing.T) {
 			if gotHit := sc.MemoHits > hits; gotHit != step.hit {
 				t.Fatalf("n=%d step %d: hit = %v, want %v", n, i, gotHit, step.hit)
 			}
-			want := appendPreprocessed(nil, step.usage)
+			want := referenceClean(step.usage)
 			got := sc.MemoSnapshot().Window
 			if len(got) != len(want) {
 				t.Fatalf("n=%d step %d: memo window has %d samples, want %d", n, i, len(got), len(want))
@@ -192,6 +209,35 @@ func TestDecideScratchMemoBufferSwap(t *testing.T) {
 		}
 		if sc.MemoMisses != 3 || sc.MemoHits != 1 {
 			t.Fatalf("n=%d: misses/hits = %d/%d, want 3/1", n, sc.MemoMisses, sc.MemoHits)
+		}
+	}
+}
+
+// TestRestoreMemoInvalidKeyNeverAnswers: DecideScratch probes the memo
+// with the raw window, so a restored key that line 2 would change (a
+// negative or infinite sample, or no sample at all) must never answer —
+// as it could not when the probe ran on the preprocessed window. The
+// memo's decision is a planted wrong answer; every call must miss and
+// return the oracle's decision, or ErrNoUsage for the empty window.
+func TestRestoreMemoInvalidKeyNeverAnswers(t *testing.T) {
+	r := mustRecommender(t, 16)
+	planted := Decision{Branch: BranchScaleUp, Delta: 7}
+	for _, w := range [][]float64{{-1, 2, 3}, {2, math.Inf(1), 3}, {}} {
+		var sc Scratch
+		r.RestoreMemo(&sc, MemoState{Valid: true, Cores: 4, Window: w, Decision: planted})
+		got, err := r.DecideScratch(&sc, 4, w)
+		if len(referenceClean(w)) == 0 {
+			if err != ErrNoUsage {
+				t.Fatalf("window %v: err = %v, want ErrNoUsage", w, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := referenceDecide(t, r.Config(), 4, w)
+		if sc.MemoHits != 0 || !sameDecision(got, want) {
+			t.Fatalf("window %v: %d hits, decision %+v; want a miss deciding %+v", w, sc.MemoHits, got, want)
 		}
 	}
 }

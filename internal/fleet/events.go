@@ -10,8 +10,13 @@
 // all constant, which makes the in-between minutes pure arithmetic.
 //
 // The loop (shard.go) exploits that: a virtual clock jumps from decision
-// tick to decision tick through a binary-heap wake queue keyed on
-// (minute, tenant index). A tenant woken at tick d first catches up
+// tick to decision tick through a two-part wake queue. Tenants due at
+// the very next decision tick wait on a plain list, appended in
+// ascending index order; only sleepers, due later, wait on a binary heap
+// keyed on (minute, tenant index). A tick's awake set is the list merged
+// with the heap's entries at that tick, so it comes out in ascending
+// index order with no sort, and a tenant awake at every tick never pays
+// for the heap. A tenant woken at tick d first catches up
 // analytically — its trace is walked run by run (trace.RunStarts, or a
 // scan of the values for traces whose runs do not compress), observation
 // windows are advanced with one bulk ring append per run
@@ -55,10 +60,10 @@ type wakeEntry struct {
 	idx int32
 }
 
-// wakeHeap is a binary min-heap of wake-ups ordered by (at, idx). The
-// secondary key makes same-tick pops emerge in ascending tenant order, so
-// the awake list needs no post-sort to match phase 2's index-ordered
-// walk.
+// wakeHeap is the sleepers' binary min-heap of wake-ups ordered by
+// (at, idx). The secondary key makes same-tick pops emerge in ascending
+// tenant order, so merging them with the next-tick list keeps phase 2's
+// index-ordered walk without a sort.
 type wakeHeap []wakeEntry
 
 func wakeLess(a, b wakeEntry) bool {
@@ -144,26 +149,6 @@ func (s *runState) prepTenants() {
 			t.steady, _ = t.rec.(recommend.SteadyObserver)
 		}
 	}
-}
-
-// uniformWake reports the single minute every awake tenant re-wakes at,
-// or −1 when the wakes diverge (or any tenant sleeps forever). When the
-// wake heap is empty, the awake list holds every live tenant, so a
-// uniform wake means the next tick's awake set is *this* list verbatim —
-// the tick loop skips the heap round-trip entirely. Noisy fleets, whose
-// tenants can never prove steadiness and therefore all march tick to
-// tick in lockstep, spend their whole run on this path.
-func uniformWake(ts []*tenant, awake []int) int {
-	w := ts[awake[0]].wakeAt
-	if w < 0 {
-		return -1
-	}
-	for _, i := range awake[1:] {
-		if ts[i].wakeAt != w {
-			return -1
-		}
-	}
-	return w
 }
 
 // advanceTo replays the tenant's minutes [done, end) analytically, run by

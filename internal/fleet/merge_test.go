@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"caasper/internal/core"
 	"caasper/internal/faults"
@@ -181,6 +182,58 @@ func TestSplitStreamEquivalenceEpochs(t *testing.T) {
 		if !late[typ] {
 			t.Errorf("no %s event after the first epoch", typ)
 		}
+	}
+}
+
+// TestSplitStreamEquivalenceSleepers pins the wake queue's carry-over
+// across merge epochs: every group mixes tenants that are awake at every
+// tick (noisy traces: they ride the next-tick list) with plateau tenants
+// that sleep between demand edges (they ride the heap), and the edges
+// fall on both sides of the first epoch's end, so the list is non-empty
+// and sleepers are pending at every until boundary. The stream and
+// result must match the stepped oracle byte for byte.
+func TestSplitStreamEquivalenceSleepers(t *testing.T) {
+	specs := func() []TenantSpec {
+		specs := epochFleetSpecs(t)
+		for i := range specs {
+			if i%3 != 0 {
+				continue
+			}
+			// Held at 4 cores by the floor on the low level, and scaled
+			// up to a new fixed point on the high one: the tenant wakes
+			// off the heap at each edge, proposes beside the list's
+			// tenants, and sleeps again once steady.
+			up, down := 60+i%29, 140+i%17
+			vs := make([]float64, epochFleetMinutes)
+			for m := range vs {
+				vs[m] = 1
+				if m >= up && m < down {
+					vs[m] = 5
+				}
+			}
+			specs[i].Trace = trace.New(fmt.Sprintf("plateau-%03d", i), time.Minute, vs)
+			specs[i].Resources = core.CPURange(4, 4, 8)
+		}
+		return specs
+	}
+	opts := func() Options {
+		o := epochFleetOpts(t)
+		o.Metrics = obs.NewRegistry()
+		return o
+	}
+	_, _, groups, epochs := checkSplitStream(t, specs, opts)
+	if epochs < 3 {
+		t.Fatalf("run merged in %d epoch(s); the test needs several", epochs)
+	}
+	o := opts()
+	o.Events = obs.NewMemorySink()
+	if _, err := Run(specs(), o); err != nil {
+		t.Fatal(err)
+	}
+	wakes, heapWakes := o.Metrics.Counter("fleet.wakes").Value(), o.Metrics.Counter("fleet.heap_wakes").Value()
+	// Each sleeper wakes off the heap at least at its up edge.
+	if sleepers := int64(epochFleetTenants+2) / 3; heapWakes < sleepers || heapWakes >= wakes {
+		t.Fatalf("%d groups: %d wakes, %d off the heap; want ≥ %d sleeper wakes among the list's", groups, wakes, heapWakes, sleepers)
 	}
 }
 

@@ -34,7 +34,9 @@
 // the groups run in epochs of decision ticks, each buffering its phase-2
 // events, and a serial merge after every epoch emits them in the one
 // group's order and advances the authoritative injector tick by tick
-// (merge.go). Memory is bounded by one epoch's events.
+// (merge.go). Memory is bounded by one epoch's events. A group's wake
+// queue, its next-tick list as much as its heap, carries from one epoch
+// to the next.
 package fleet
 
 import (
@@ -115,17 +117,26 @@ func shardPartition(ts []*tenant) (idxs, offsets []int32) {
 
 // group is one tenant group's tick loop: a copy of the run's state with,
 // for split runs, the shared mutable machinery swapped for group-local
-// equivalents, plus the group's wake heap and bookkeeping.
+// equivalents, plus the group's wake queue and bookkeeping.
 type group struct {
 	runState
-	idxs  []int32 // global tenant indices, ascending
-	one   bool    // the whole fleet: owns the cluster pressure
-	heap  wakeHeap
-	awake []int
-	clock int // pressure coverage: windows overlapping [0, clock) are polled
+	idxs []int32 // global tenant indices, ascending
+	one  bool    // the whole fleet: owns the cluster pressure
+	// The wake queue (see events.go): next holds, in ascending index
+	// order, the tenants that wake at the decision tick nextAt, the one
+	// after the last processed tick; heap holds the sleepers, every one
+	// due at or after nextAt. Both carry across run's until boundaries.
+	next   []int
+	nextAt int
+	heap   wakeHeap
+	awake  []int
+	clock  int // pressure coverage: windows overlapping [0, clock) are polled
 
 	// The tick being processed, read by step.
 	tick, sevFrom int
+
+	// Tenant-wakes processed, and those of them that came off the heap.
+	wakes, heapWakes int64
 }
 
 // runGroups partitions the fleet into groups (see the file comment), runs
@@ -136,6 +147,7 @@ func (s *runState) runGroups() error {
 	n := len(s.ts)
 	idxs, offsets := s.partition()
 	heapBack := make([]wakeEntry, n)
+	nextBack := make([]int, n)
 	awakeBack := make([]int, n)
 	upsBack := make([]int, n)
 	groups := make([]group, len(offsets)-1)
@@ -148,12 +160,13 @@ func (s *runState) runGroups() error {
 	d0 := s.nextDecisionAt(0)
 	for k := range groups {
 		// Carved three-index slices: a tenant holds at most one pending
-		// wake, so no group's heap, awake list or scale-up list outgrows
-		// its tenant count.
+		// wake, so no group's next-tick list, heap, awake list or scale-up
+		// list outgrows its tenant count.
 		lo, hi := offsets[k], offsets[k+1]
 		g := &groups[k]
 		g.runState = *s
 		g.idxs = idxs[lo:hi]
+		g.next = nextBack[lo:lo:hi]
 		g.heap = heapBack[lo:lo:hi]
 		g.awake = awakeBack[lo:lo:hi]
 		g.ups = upsBack[lo:lo:hi]
@@ -168,11 +181,11 @@ func (s *runState) runGroups() error {
 			g.buf = &bufs[k]
 		}
 		if d0 >= 0 {
-			// Every tenant's first wake is the first decision tick. Equal
-			// keys in index order are already a valid min-heap.
+			// Every tenant's first wake is the first decision tick.
 			for _, i := range g.idxs {
-				g.heap = append(g.heap, wakeEntry{at: int32(d0), idx: i})
+				g.next = append(g.next, int(i))
 			}
+			g.nextAt = d0
 		}
 	}
 
@@ -208,8 +221,15 @@ func (s *runState) runGroups() error {
 		return err
 	}
 	if reg := s.h.Metrics; reg != nil {
+		var wakes, heapWakes int64
+		for k := range groups {
+			wakes += groups[k].wakes
+			heapWakes += groups[k].heapWakes
+		}
 		reg.Gauge("fleet.groups").Set(float64(len(groups)))
 		reg.Counter("fleet.merge_epochs").Add(int64(epochs))
+		reg.Counter("fleet.wakes").Add(wakes)
+		reg.Counter("fleet.heap_wakes").Add(heapWakes)
 	}
 
 	clock := 0
@@ -244,74 +264,99 @@ func (s *runState) partition() (idxs, offsets []int32) {
 }
 
 // run executes the group's tick loop over every decision tick before
-// until, leaving later wakes on the heap for the next call. See events.go
-// for the catch-up and sleep rules, and the file comment for what one
-// group owns.
+// until, leaving later wakes queued for the next call. See events.go for
+// the catch-up and sleep rules and the wake queue, and the file comment
+// for what one group owns.
 func (g *group) run(until int) error {
 	ts := g.ts
 	ctx := context.Background()
 	heap := g.heap
 	pressure := 0.0
 	step := g.step // one method value for the call, not one per tick
-	for len(heap) > 0 && int(heap[0].at) < until {
-		d := int(heap[0].at)
-		g.awake = g.awake[:0]
-		for len(heap) > 0 && int(heap[0].at) == d {
-			g.awake = append(g.awake, int(heap.pop().idx))
+	for {
+		// The next tick is the earlier of the list's and the heap top's.
+		d := -1
+		if len(g.next) > 0 {
+			d = g.nextAt
 		}
-
-		for {
-			// Catch the fleet-level scheduling pressure up through the
-			// decision minute: one draw per window, so pressure edges for
-			// minutes ≤ d precede this tick's phase-2 events. A clone polls
-			// silently and leaves the shared cluster alone.
-			if g.finj != nil {
-				pressure = g.finj.AdvancePressure(int64(g.clock), int64(d+1))
-				if g.one {
-					g.cluster.SetPressure(pressure)
-				}
-			}
-			g.clock = d + 1
-
-			// Severity is defined as the insufficiency since the previous
-			// decision tick — even for tenants that slept through it — so
-			// catch-up accumulates it only from sevFrom on.
-			g.tick, g.sevFrom = d, d-g.d+1
-			if d == g.warmup {
-				g.sevFrom = 0 // first decision: severity covers the warm-up
-			}
-
-			// Phase 1 — catch-up + decide over the awake tenants only. Each
-			// step touches one tenant's state; sleeping tenants are
-			// untouched and, by the sleep contract, unchanged.
-			if err := parallel.ForEach(ctx, len(g.awake), g.workers, step); err != nil {
-				return err
-			}
-
-			// Phase 2 — sequential, over the awake subset (ascending index,
-			// courtesy of the heap's secondary key).
-			g.enactTick(g.awake, pressure, d)
-			for _, i := range g.awake {
-				if t := ts[i]; t.hasProp {
-					// Only proposers can have been resized (granted, deferred
-					// or fault-aborted — re-read either way).
-					t.lim = t.set.CPULimit()
-				}
-			}
-
-			if len(heap) == 0 {
-				if w := uniformWake(ts, g.awake); w >= 0 && w < until {
-					d = w // lockstep group: rerun the tick on the same list
-					continue
-				}
-			}
-			for _, i := range g.awake {
-				if w := ts[i].wakeAt; w >= 0 {
-					heap.push(wakeEntry{at: int32(w), idx: int32(i)})
-				}
-			}
+		if len(heap) > 0 && (d < 0 || int(heap[0].at) < d) {
+			d = int(heap[0].at)
+		}
+		if d < 0 || d >= until {
 			break
 		}
+
+		// The awake set: the list, when it wakes at d, merged with the
+		// heap's entries at d. Both are in ascending index order, so the
+		// merge is too — phase 2's walk needs no sort.
+		var list []int
+		if len(g.next) > 0 && g.nextAt == d {
+			list = g.next
+			g.next = g.next[:0]
+		}
+		awake := g.awake[:0]
+		for len(heap) > 0 && int(heap[0].at) == d {
+			i := int(heap.pop().idx)
+			for len(list) > 0 && list[0] < i {
+				awake = append(awake, list[0])
+				list = list[1:]
+			}
+			awake = append(awake, i)
+			g.heapWakes++
+		}
+		awake = append(awake, list...)
+		g.awake = awake
+		g.wakes += int64(len(awake))
+
+		// Catch the fleet-level scheduling pressure up through the
+		// decision minute: one draw per window, so pressure edges for
+		// minutes ≤ d precede this tick's phase-2 events. A clone polls
+		// silently and leaves the shared cluster alone.
+		if g.finj != nil {
+			pressure = g.finj.AdvancePressure(int64(g.clock), int64(d+1))
+			if g.one {
+				g.cluster.SetPressure(pressure)
+			}
+		}
+		g.clock = d + 1
+
+		// Severity is defined as the insufficiency since the previous
+		// decision tick — even for tenants that slept through it — so
+		// catch-up accumulates it only from sevFrom on.
+		g.tick, g.sevFrom = d, d-g.d+1
+		if d == g.warmup {
+			g.sevFrom = 0 // first decision: severity covers the warm-up
+		}
+
+		// Phase 1 — catch-up + decide over the awake tenants only. Each
+		// step touches one tenant's state; sleeping tenants are untouched
+		// and, by the sleep contract, unchanged.
+		if err := parallel.ForEach(ctx, len(awake), g.workers, step); err != nil {
+			return err
+		}
+
+		// Phase 2 — sequential, over the awake subset (ascending index).
+		g.enactTick(awake, pressure, d)
+
+		// Requeue: a tenant due at the very next tick joins the list, in
+		// the awake set's index order; only a sleeper pays for the heap.
+		nd := g.nextDecisionAt(d + 1)
+		for _, i := range awake {
+			t := ts[i]
+			if t.hasProp {
+				// Only proposers can have been resized (granted, deferred
+				// or fault-aborted — re-read either way).
+				t.lim = t.set.CPULimit()
+			}
+			switch w := t.wakeAt; {
+			case w < 0: // no decision tick left for it
+			case w == nd:
+				g.next = append(g.next, i)
+			default:
+				heap.push(wakeEntry{at: int32(w), idx: int32(i)})
+			}
+		}
+		g.nextAt = nd
 	}
 	g.heap = heap
 	return nil

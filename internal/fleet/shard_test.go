@@ -1,11 +1,17 @@
 package fleet
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
+	"caasper/internal/core"
 	"caasper/internal/k8s"
 	"caasper/internal/obs"
+	"caasper/internal/recommend"
+	"caasper/internal/trace"
 )
 
 // placedTenant builds a bare tenant whose pods sit on the named nodes —
@@ -211,5 +217,59 @@ func TestRunReportsGroups(t *testing.T) {
 	}
 	if g, e := run(randomized64Specs(t), randomized64Opts(t)); g != 1 || e != 0 {
 		t.Errorf("connected fleet reported %v groups and %d merge epochs, want 1 and 0", g, e)
+	}
+}
+
+// TestRunReportsWakes pins the run's account of how it woke. On a small
+// plateau fleet every wake is one decision, and the sleepers' heap serves
+// only the wakes after a sleep. On a noisy fleet no tenant can prove
+// steadiness, so every tenant is due at every next tick and the heap
+// serves none.
+func TestRunReportsWakes(t *testing.T) {
+	const minutes = 600
+	plateau := make([]float64, minutes)
+	noisy := make([]float64, minutes)
+	rng := rand.New(rand.NewSource(3))
+	for i := range plateau {
+		plateau[i] = 1
+		if i >= 300 {
+			plateau[i] = 3
+		}
+		noisy[i] = 1 + 2*rng.Float64()
+	}
+	run := func(vs []float64) (wakes, heapWakes, calls int64) {
+		specs := make([]TenantSpec, 3)
+		for i := range specs {
+			specs[i] = TenantSpec{
+				Name:  fmt.Sprintf("t%d", i),
+				Trace: trace.New("trace", time.Minute, vs),
+				NewRecommender: func() (recommend.Recommender, error) {
+					r, err := recommend.NewCaaSPERReactive(core.DefaultConfig(8), 40)
+					return &countingRec{CaaSPERReactive: r, calls: &calls}, err
+				},
+				Resources:    core.CPURange(4, 4, 8),
+				Replicas:     1,
+				MemGiBPerPod: 1,
+			}
+		}
+		reg := obs.NewRegistry()
+		opts := DefaultOptions()
+		opts.Cluster = k8s.SmallCluster()
+		opts.Minutes = minutes
+		opts.Metrics = reg
+		if _, err := Run(specs, opts); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter("fleet.wakes").Value(), reg.Counter("fleet.heap_wakes").Value(), calls
+	}
+
+	wakes, heapWakes, calls := run(plateau)
+	if wakes != calls || wakes != 27 || heapWakes != 3 {
+		t.Errorf("plateau fleet: %d wakes (%d decisions), %d off the heap; want 27 (27), 3", wakes, calls, heapWakes)
+	}
+	// 59 decision ticks (10, 20, …, 590) × 3 tenants, all in lockstep.
+	wakes, heapWakes, calls = run(noisy)
+	if wakes != calls || wakes != 59*3 || heapWakes != 0 {
+		t.Errorf("noisy fleet: %d wakes (%d decisions), %d off the heap; want 177 (177), 0", wakes, calls, heapWakes)
 	}
 }

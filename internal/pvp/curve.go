@@ -72,9 +72,8 @@ type Curve struct {
 	// (SlopeAt, Skew, FlatTailAt); recomputing the full vector each time
 	// was the dominant per-decision cost.
 	slopes []float64
-	// buckets is BuildCurveInto's reusable exceed-count histogram
-	// (Count()+1 slots), making the rebuild O(samples + SKUs) instead of
-	// O(samples × SKUs).
+	// buckets is a Histogram's exceed-count buffer for ladders wider
+	// than its inline array (Count()+1 slots).
 	buckets []int
 }
 
@@ -110,84 +109,138 @@ func BuildCurve(usage []float64, r SKURange) (*Curve, error) {
 // rebuilt per decision tick over thousands of ticks. The resulting curve
 // is indistinguishable from a fresh BuildCurve result.
 func BuildCurveInto(c *Curve, usage []float64, r SKURange) error {
+	var h Histogram
+	if err := h.Reset(r, c); err != nil {
+		return err
+	}
+	for i := 0; i < len(usage); {
+		j := i + 1
+		for j < len(usage) && usage[j] == usage[i] {
+			j++
+		}
+		h.Count(h.Slot(usage[i]), j-i)
+		i = j
+	}
+	return BuildCurveFrom(c, &h)
+}
+
+// eps is the capacity tolerance of the exceed predicate: a sample above
+// cores·(1−eps) exceeds the SKU, so one pinned at the cap counts as
+// throttled.
+const eps = 0.02
+
+// Histogram is the one pass a PvP curve is built from: the per-SKU
+// exceed predicate u > cores·(1−eps) is monotone in cores, so each sample
+// exceeds a contiguous prefix of the ladder, and counting every sample
+// in the slot of the LARGEST core count it still exceeds (slot 0: it
+// exceeds none) lets one suffix sum yield every SKU's exceed count. The
+// slot comes from an estimate plus an exact-predicate fix-up, so float
+// rounding at a boundary cannot diverge from the direct comparison: the
+// counts, and therefore every Performance value, are bit-identical to the
+// O(samples × SKUs) scan. Samples are counted a run of equal values at a
+// time (Slot once, then Count), so a plateau or usage pinned at a cap
+// costs one slot lookup.
+//
+// Ladders of up to 64 SKUs count into an array inside the Histogram, so
+// a stack-held Histogram costs no allocation; wider ladders borrow the
+// curve's reusable heap buffer. Reset arms it for a ladder, Slot and
+// Count count samples, and BuildCurveFrom turns the counts into a curve.
+type Histogram struct {
+	r     SKURange
+	k     int // SKUs on the ladder; k+1 slots are in use
+	small [64]int
+	wide  []int // the curve's buffer, when k+1 > len(small)
+}
+
+// Reset validates r and empties h for a new window over that ladder.
+// Ladders wider than the inline array take c's bucket buffer (grown when
+// needed), so h must be finished with BuildCurveFrom before c is built
+// again.
+func (h *Histogram) Reset(r SKURange, c *Curve) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	if len(usage) == 0 {
+	k := r.Count()
+	h.r, h.k = r, k
+	if k+1 <= len(h.small) {
+		h.wide = nil
+		clear(h.small[:k+1])
+		return nil
+	}
+	if cap(c.buckets) < k+1 {
+		c.buckets = make([]int, k+1)
+	}
+	h.wide = c.buckets[:k+1]
+	clear(h.wide)
+	return nil
+}
+
+// Count counts n samples into slot s, a Slot result.
+func (h *Histogram) Count(s, n int) {
+	if h.wide != nil {
+		h.wide[s] += n
+	} else {
+		h.small[s] += n
+	}
+}
+
+// Slot returns the slot a sample of value u counts in: 1 + the index of
+// the largest ladder SKU it exceeds, 0 when it exceeds none. NaN and
+// ±Inf land on the side of every SKU that the direct comparison puts
+// them on.
+func (h *Histogram) Slot(u float64) int {
+	const factor = 1 - eps
+	lo, hi := h.r.MinCores, h.r.MaxCores
+	// Largest cores in [MinCores-1, MaxCores] with u > cores·factor
+	// (MinCores-1 encodes "exceeds none"). int(u·(1/factor)) lands within
+	// one of the truth for finite u; NaN/±Inf hit the clamps and the
+	// exact-predicate loops leave them on the correct side.
+	c := int(u * (1 / factor))
+	if !(c >= lo-1) { // also catches NaN conversions
+		c = lo - 1
+	}
+	if c > hi {
+		c = hi
+	}
+	for c < hi && u > float64(c+1)*factor {
+		c++
+	}
+	for c >= lo && !(u > float64(c)*factor) {
+		c--
+	}
+	return c - (lo - 1)
+}
+
+// BuildCurveFrom builds c from the samples counted in h, reusing c's
+// point and slope storage. An empty histogram is an error.
+func BuildCurveFrom(c *Curve, h *Histogram) error {
+	buckets := h.wide
+	if buckets == nil {
+		buckets = h.small[:h.k+1]
+	}
+	// exceed for the t-th SKU (cores = MinCores+t) = Σ_{j>t} buckets[j];
+	// with slot 0 the sum is the sample count.
+	exceed := 0
+	for t := h.k; t >= 1; t-- {
+		exceed += buckets[t]
+		buckets[t] = exceed // filled in ladder order below
+	}
+	n := exceed + buckets[0]
+	if n == 0 {
 		return errors.New("pvp: empty usage window")
 	}
-	const eps = 0.02 // 2% of capacity: "at the cap" counts as throttled
+	r := h.r
 	price := r.PricePerCore
 	if price <= 0 {
 		price = 1
 	}
-	k := r.Count()
 	points := c.Points[:0]
-	if cap(points) < k {
-		points = make([]Point, 0, k)
+	if cap(points) < h.k {
+		points = make([]Point, 0, h.k)
 	}
-
-	// One histogram pass instead of a per-SKU scan: the per-SKU exceed
-	// predicate u > cores·(1−eps) is monotone in cores, so each sample
-	// contributes to a contiguous prefix of the ladder. Bucket every
-	// sample by the LARGEST core count it still exceeds (found by an
-	// estimate plus an exact-predicate fixup, so float rounding at the
-	// boundary cannot diverge from the direct comparison), then a single
-	// suffix sum yields every SKU's exceed count. The resulting counts —
-	// and therefore every Performance value — are bit-identical to the
-	// O(samples × SKUs) scan.
-	// Small ladders (the common case) histogram into a stack array, so
-	// even one-shot BuildCurve calls pay no extra allocation; only ladders
-	// wider than the array fall back to the reusable heap buffer. The
-	// heap slice is stored through its own variable — never through
-	// `buckets` — so the stack array cannot be forced to escape.
-	var stack [64]int
-	var buckets []int
-	switch {
-	case k+1 <= len(stack):
-		buckets = stack[:k+1] // zeroed at declaration
-	case cap(c.buckets) >= k+1:
-		buckets = c.buckets[:k+1]
-		for i := range buckets {
-			buckets[i] = 0
-		}
-	default:
-		grown := make([]int, k+1)
-		c.buckets = grown
-		buckets = grown
-	}
-	const factor = 1 - eps
-	for _, u := range usage {
-		// Largest cores in [MinCores-1, MaxCores] with u > cores·factor
-		// (MinCores-1 encodes "exceeds none"). int(u/factor) lands within
-		// one of the truth for finite u; NaN/±Inf hit the clamps and the
-		// exact-predicate loops leave them on the correct side.
-		hi := int(u / factor)
-		if !(hi >= r.MinCores-1) { // also catches NaN conversions
-			hi = r.MinCores - 1
-		}
-		if hi > r.MaxCores {
-			hi = r.MaxCores
-		}
-		for hi < r.MaxCores && u > float64(hi+1)*factor {
-			hi++
-		}
-		for hi >= r.MinCores && !(u > float64(hi)*factor) {
-			hi--
-		}
-		buckets[hi-(r.MinCores-1)]++
-	}
-
-	// exceed for the t-th SKU (cores = MinCores+t) = Σ_{j>t} buckets[j].
-	exceed := 0
-	for t := k; t >= 1; t-- {
-		exceed += buckets[t]
-		// Filled in ladder order below; stash the suffix sum in place.
-		buckets[t] = exceed
-	}
-	for t := 0; t < k; t++ {
+	for t := 0; t < h.k; t++ {
 		cores := r.MinCores + t
-		p := float64(buckets[t+1]) / float64(len(usage))
+		p := float64(buckets[t+1]) / float64(n)
 		points = append(points, Point{
 			Cores:        cores,
 			Performance:  1 - p,

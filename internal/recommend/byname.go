@@ -29,7 +29,7 @@ type Settings struct {
 	// day at minute resolution; at most SamplesLimit).
 	Season int
 	// ControlCores is the fixed allocation of the "control" policy
-	// (default: MaxCores; never negative).
+	// (default: MaxCores; in [0, MaxCores]).
 	ControlCores int
 	// Config overrides core.DefaultConfig(MaxCores) for the CaaSPER
 	// policies.
@@ -65,7 +65,8 @@ func Names() []string {
 //	control             fixed limits at ControlCores
 //
 // An unrecognised name wraps errs.ErrUnknownRecommender; settings out of
-// their bounds wrap errs.ErrInvalidConfig.
+// their bounds wrap errs.ErrInvalidConfig. With an error, the Recommender
+// is always a nil interface.
 func NewByName(name string, s Settings) (Recommender, error) {
 	if s.MaxCores < 1 || s.MaxCores > CoresLimit {
 		return nil, fmt.Errorf("recommend: MaxCores %d outside [1, %d]: %w", s.MaxCores, CoresLimit, errs.ErrInvalidConfig)
@@ -74,8 +75,9 @@ func NewByName(name string, s Settings) (Recommender, error) {
 		return nil, fmt.Errorf("recommend: Window %d, Horizon %d and Season %d must each be ≤ %d samples: %w",
 			s.Window, s.Horizon, s.Season, SamplesLimit, errs.ErrInvalidConfig)
 	}
-	if s.ControlCores < 0 {
-		return nil, fmt.Errorf("recommend: negative ControlCores %d: %w", s.ControlCores, errs.ErrInvalidConfig)
+	if s.ControlCores < 0 || s.ControlCores > s.MaxCores {
+		return nil, fmt.Errorf("recommend: ControlCores %d outside [0, MaxCores %d]: %w",
+			s.ControlCores, s.MaxCores, errs.ErrInvalidConfig)
 	}
 	window := s.Window
 	if window == 0 {
@@ -99,18 +101,28 @@ func NewByName(name string, s Settings) (Recommender, error) {
 	}
 	switch name {
 	case "caasper", "caasper-reactive":
-		return NewCaaSPERReactive(cfg, window)
+		return built(NewCaaSPERReactive(cfg, window))
 	case "caasper-proactive":
-		return NewCaaSPERProactive(cfg, &forecast.SeasonalNaive{Season: season}, window, horizon, season)
+		return built(NewCaaSPERProactive(cfg, &forecast.SeasonalNaive{Season: season}, window, horizon, season))
 	case "vpa":
-		return baselines.NewKubernetesVPA(baselines.DefaultKubernetesVPAOptions(s.MaxCores))
+		return built(baselines.NewKubernetesVPA(baselines.DefaultKubernetesVPAOptions(s.MaxCores)))
 	case "openshift":
-		return baselines.NewOpenShiftVPA(baselines.DefaultOpenShiftVPAOptions(s.MaxCores))
+		return built(baselines.NewOpenShiftVPA(baselines.DefaultOpenShiftVPAOptions(s.MaxCores)))
 	case "autopilot":
-		return baselines.NewAutopilot(baselines.DefaultAutopilotOptions(s.MaxCores))
+		return built(baselines.NewAutopilot(baselines.DefaultAutopilotOptions(s.MaxCores)))
 	case "control":
 		return baselines.NewControl(control), nil
 	}
 	return nil, fmt.Errorf("recommend: %w %q (known: %s)",
 		errs.ErrUnknownRecommender, name, strings.Join(Names(), ", "))
+}
+
+// built passes a constructor's result on, dropping the Recommender when
+// there is an error: a typed nil pointer would reach the caller as a
+// non-nil interface.
+func built(r Recommender, err error) (Recommender, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }

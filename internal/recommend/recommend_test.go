@@ -1,9 +1,11 @@
 package recommend
 
 import (
+	"errors"
 	"testing"
 
 	"caasper/internal/core"
+	"caasper/internal/errs"
 	"caasper/internal/forecast"
 )
 
@@ -138,5 +140,49 @@ func TestCaaSPERProactiveAnticipatesSeasonalSpike(t *testing.T) {
 	p.Reset()
 	if got := p.Recommend(3); got != 3 {
 		t.Errorf("after reset should hold, got %d", got)
+	}
+}
+
+// TestNewByNameContract: an error always comes with a nil interface (the
+// constructors behind it return typed nil pointers), and the control
+// policy's fixed allocation must lie on the ladder, so it never
+// recommends above MaxCores.
+func TestNewByNameContract(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    Settings
+	}{
+		{"caasper", Settings{MaxCores: 1}},             // below the 2-core floor
+		{"caasper-proactive", Settings{MaxCores: 1}},   // likewise
+		{"caasper", Settings{MaxCores: 8, Window: -1}}, // bad window
+		{"vpa", Settings{MaxCores: 1}},                 // below the default MinCores
+		{"openshift", Settings{MaxCores: 1}},
+		{"autopilot", Settings{MaxCores: 1}},
+	} {
+		rec, err := NewByName(c.name, c.s)
+		if err == nil {
+			t.Fatalf("NewByName(%q, %+v) succeeded; the row needs a failing constructor", c.name, c.s)
+		}
+		if rec != nil {
+			t.Errorf("NewByName(%q, %+v): error %v with a non-nil %T", c.name, c.s, err, rec)
+		}
+	}
+
+	rec, err := NewByName("control", Settings{MaxCores: 8, ControlCores: 20})
+	if !errors.Is(err, errs.ErrInvalidConfig) || rec != nil {
+		t.Errorf("control above MaxCores: got (%v, %v), want (nil, ErrInvalidConfig)", rec, err)
+	}
+	for _, cc := range []int{0, 1, 8} {
+		rec, err := NewByName("control", Settings{MaxCores: 8, ControlCores: cc})
+		if err != nil {
+			t.Fatalf("ControlCores %d: %v", cc, err)
+		}
+		want := cc
+		if cc == 0 {
+			want = 8 // the default is MaxCores
+		}
+		if got := rec.Recommend(3); got != want {
+			t.Errorf("ControlCores %d: recommends %d, want %d", cc, got, want)
+		}
 	}
 }

@@ -197,14 +197,17 @@ func (c *TenantConfig) limits() core.Limits {
 	}
 }
 
-// settings maps the tenant config onto the shared constructor knobs.
+// settings maps the tenant config onto the shared constructor knobs. A
+// range retune may leave InitialCores above MaxCores; the control
+// policy's allocation is capped there, as every decision is clamped to
+// the range anyway.
 func (c *TenantConfig) settings() recommend.Settings {
 	return recommend.Settings{
 		MaxCores:     c.MaxCores,
 		Window:       c.Window,
 		Horizon:      c.Horizon,
 		Season:       c.Season,
-		ControlCores: c.InitialCores,
+		ControlCores: min(c.InitialCores, c.MaxCores),
 	}
 }
 

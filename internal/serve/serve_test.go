@@ -366,6 +366,38 @@ func TestAdminRangeAndList(t *testing.T) {
 	}
 }
 
+// TestControlSwapAfterRangeTightening: a range retune can leave
+// initial_cores above max_cores, and the control policy's allocation is
+// initial_cores. Swapping to control afterwards must still succeed (the
+// constructor refuses an allocation above the ladder), and its decisions
+// stay within the tightened range.
+func TestControlSwapAfterRangeTightening(t *testing.T) {
+	_, ts := testServer(t, Options{DecisionEveryMinutes: 10})
+	register(t, ts.URL, "c", `{"policy":"caasper","max_cores":8,"initial_cores":6}`)
+	if code, body, _ := do(t, http.MethodPut, ts.URL+"/v1/admin/tenants/c/range", `{"min_cores":1,"max_cores":3}`); code != http.StatusOK {
+		t.Fatalf("range: %d %s", code, body)
+	}
+	if code, body, _ := do(t, http.MethodPut, ts.URL+"/v1/admin/tenants/c/policy", `{"policy":"control"}`); code != http.StatusOK {
+		t.Fatalf("swap to control: %d %s", code, body)
+	}
+	postSamples(t, ts.URL, "c", rampUsage(20))
+	waitSamples(t, ts.URL, "c", 20)
+	_, body, _ := do(t, http.MethodGet, ts.URL+"/v1/tenants/c/decisions", "")
+	lines := strings.Split(strings.TrimSpace(body), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("want 2 decisions, got %d: %s", len(lines), body)
+	}
+	for _, ln := range lines {
+		var r DecisionRecord
+		if err := json.Unmarshal([]byte(ln), &r); err != nil {
+			t.Fatal(err)
+		}
+		if r.Policy != "control" || r.To != 3 {
+			t.Fatalf("decision %+v: want control at the 3-core cap", r)
+		}
+	}
+}
+
 func TestMetricsAndHealth(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	register(t, ts.URL, "alpha", `{"max_cores":8}`)

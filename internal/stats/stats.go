@@ -109,9 +109,72 @@ func quantileRank(n int, q float64) (pos float64, lo int, err error) {
 	return pos, int(math.Floor(pos)), nil
 }
 
-// topMax bounds the top-m scan of QuantileMax: up to this many of the
-// largest values are kept in a stack array; more fall back to quickselect.
+// topMax bounds the top-m scan: up to this many of the largest values
+// are kept in TopM's array; more fall back to quickselect.
 const topMax = 8
+
+// TopM accumulates the m largest values of a stream in a fixed array,
+// descending: the order statistics that an upper quantile and the
+// maximum read. It is the one top-m scan behind QuantileMax and the
+// decision kernel's fused window pass. A new value lands after any equal
+// ones, so the first entry is the first maximum offered, exactly as Max
+// reports it. The zero value must be armed with Reset.
+type TopM struct {
+	top  [topMax]float64
+	k, m int
+}
+
+// Reset empties t and arms it for the q-quantile of up to n values: it
+// keeps the m = n − ⌊q·(n−1)⌋ largest, since m is non-decreasing in n.
+// It reports false, leaving t unusable, when m exceeds the array (the
+// caller quickselects instead, as QuantileMax does), n is 0 or q is NaN.
+func (t *TopM) Reset(n int, q float64) bool {
+	_, lo, err := quantileRank(n, q)
+	t.k, t.m = 0, n-lo
+	return err == nil && t.m <= topMax
+}
+
+// Add offers x and reports whether it entered the top. A refused value
+// costs one comparison and leaves t unchanged, so a copy of it offered
+// next would be refused too.
+func (t *TopM) Add(x float64) bool {
+	if t.k == t.m && x <= t.top[t.m-1] {
+		return false
+	}
+	t.insert(x)
+	return true
+}
+
+func (t *TopM) insert(x float64) {
+	// When full, x evicts the current m-th largest.
+	j := min(t.k, t.m-1)
+	for ; j > 0 && t.top[j-1] < x; j-- {
+		t.top[j] = t.top[j-1]
+	}
+	t.top[j] = x
+	t.k = min(t.k+1, t.m)
+}
+
+// QuantileMax returns the q-quantile (R-7, q clamped into [0, 1]) and the
+// maximum of the n values offered since Reset. n may be smaller than the
+// n Reset was armed with — a stream filtered on the way in — because the
+// m the quantile reads only shrinks with n. It reports false when t
+// cannot answer exactly: n is 0, q is NaN, or m(n) exceeds what Reset
+// armed. The order statistics are exact, so the quantile is bit-identical
+// to QuantileSorted on a sorted copy, and the maximum to Max.
+func (t *TopM) QuantileMax(n int, q float64) (quantile, peak float64, ok bool) {
+	pos, lo, err := quantileRank(n, q)
+	m := n - lo
+	if err != nil || m > t.m || m > t.k {
+		return 0, 0, false
+	}
+	vlo := t.top[m-1]
+	if float64(lo) == pos {
+		return vlo, t.top[0], true
+	}
+	frac := pos - float64(lo)
+	return vlo*(1-frac) + t.top[m-2]*frac, t.top[0], true
+}
 
 // QuantileMax returns the q-quantile (0 ≤ q ≤ 1) of xs and its maximum
 // in one read-only pass. The quantile interpolates linearly between
@@ -122,53 +185,30 @@ const topMax = 8
 // The quantile reads the order statistics at ascending ranks ⌊q·(n−1)⌋
 // and ⌈q·(n−1)⌉, which are the m-th and (m−1)-th largest values for
 // m = n − ⌊q·(n−1)⌋ (3 at P95 over a 40-sample window). When m ≤ topMax
-// one scan keeps the m largest values sorted in a stack array; the
-// quantile interpolates between its last two entries and the maximum is
-// its first. Larger m copies xs into *spare (grown as needed and kept for
-// the next call; a nil spare allocates) and quickselects there. Either
-// way the order statistics are exact, so the quantile is bit-identical to
+// one TopM scan keeps the m largest values; the quantile interpolates
+// between its last two entries and the maximum is its first. Larger m
+// copies xs into *spare (grown as needed and kept for the next call; a
+// nil spare allocates) and quickselects there. Either way the order
+// statistics are exact, so the quantile is bit-identical to
 // QuantileSorted on a sorted copy, and the maximum to Max(xs).
 func QuantileMax(xs []float64, q float64, spare *[]float64) (quantile, peak float64, err error) {
-	pos, lo, err := quantileRank(len(xs), q)
-	if err != nil {
+	if _, _, err := quantileRank(len(xs), q); err != nil {
 		return 0, 0, err
 	}
-	m := len(xs) - lo
-	if m > topMax {
-		if spare == nil {
-			spare = new([]float64)
+	var t TopM
+	if t.Reset(len(xs), q) {
+		for _, x := range xs {
+			t.Add(x)
 		}
-		*spare = append((*spare)[:0], xs...)
-		v, err := quantileInPlace(*spare, q)
-		return v, Max(xs), err
+		quantile, peak, _ = t.QuantileMax(len(xs), q)
+		return quantile, peak, nil
 	}
-
-	// top[:k] holds the k largest values seen so far, descending; a new
-	// value lands after any equal ones, so top[0] is the first maximum in
-	// xs, exactly as Max reports it.
-	var top [topMax]float64
-	k := 0
-	for _, x := range xs {
-		if k == m {
-			if x <= top[m-1] {
-				continue
-			}
-			k-- // x evicts the current m-th largest
-		}
-		j := k
-		for j > 0 && top[j-1] < x {
-			top[j] = top[j-1]
-			j--
-		}
-		top[j] = x
-		k++
+	if spare == nil {
+		spare = new([]float64)
 	}
-	vlo := top[m-1]
-	if float64(lo) == pos {
-		return vlo, top[0], nil
-	}
-	frac := pos - float64(lo)
-	return vlo*(1-frac) + top[m-2]*frac, top[0], nil
+	*spare = append((*spare)[:0], xs...)
+	v, err := quantileInPlace(*spare, q)
+	return v, Max(xs), err
 }
 
 // quantileInPlace is QuantileMax's quantile evaluated destructively in

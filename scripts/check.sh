@@ -109,6 +109,13 @@ sh scripts/serve.sh
 echo "==> fuzz FuzzQuantileMax (10s)"
 go test -run '^$' -fuzz FuzzQuantileMax -fuzztime 10s -fuzzminimizetime 100x ./internal/stats
 
+# Fuzz stage: Algorithm 1's fused window pass (line 2's filter, the PvP
+# exceed histogram and the top-m scan in one loop) against the
+# sort-based oracle, every Decision field bit for bit, plus the memo hit
+# on a repeated window.
+echo "==> fuzz FuzzDecideScratch (10s)"
+go test -run '^$' -fuzz FuzzDecideScratch -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+
 # Fuzz stage: arbitrary checkpoint streams into serve's Restore. It must
 # never panic, a failed restore must leave the server without a tenant,
 # and a successful one must survive snapshot → restore → snapshot byte
