@@ -134,6 +134,11 @@ type Scratch struct {
 	expKind expKind
 	expPeak float64
 
+	// runs records that at least three quarters of the last miss's
+	// window repeated their predecessor, so the next miss counts its
+	// window a run at a time. It only picks the loop, not the result.
+	runs bool
+
 	memoValid bool
 	memoCores int
 	memoClean []float64
@@ -344,13 +349,11 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	// appends the survivor to the buffer that becomes the memo key, counts
 	// it into the PvP curve's exceed histogram (line 3) and offers it to
 	// the top-m accumulator behind the slack quantile and the walk-down's
-	// peak. A sample equal to its predecessor reuses its histogram slot: a
-	// run of equal samples is counted, and offered, at once. The
-	// accumulator is armed for the raw length: m is non-decreasing in the
-	// sample count, so it holds at least the order statistics the cleaned
-	// window's quantile reads. The buffer is sized to the whole window: it
-	// and the memo key trade places below, so both stay that size rather
-	// than append's next doubling.
+	// peak. The accumulator is armed for the raw length: m is
+	// non-decreasing in the sample count, so it holds at least the order
+	// statistics the cleaned window's quantile reads. The buffer is sized
+	// to the whole window: it and the memo key trade places below, so
+	// both stay that size rather than append's next doubling.
 	buf := sc.clean
 	if cap(buf) < len(usage) {
 		buf = make([]float64, len(usage))
@@ -362,27 +365,59 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	}
 	var top stats.TopM
 	topOK := top.Reset(len(usage), cfg.QuantileP)
-	n := 0
-	prev, at, run := -1.0, 0, 0 // the current run: run samples of prev, in slot at
-	flush := func() {
-		hist.Count(at, run)
-		// Once a copy is refused, so is every later one.
-		for k := run; topOK && k > 0 && top.Add(prev); k-- {
+	// A sample equal to its predecessor can reuse its histogram slot, and
+	// a run of them be counted and offered at once: a plateau or usage
+	// pinned at a cap then costs one slot lookup per run. But testing for
+	// a run is a branch on the data, which mispredicts on a noisy window
+	// partly pinned at a cap. So runs are used only when the previous
+	// miss's window was mostly runs; otherwise every sample takes its own
+	// slot lookup, and repeats are only counted (without a branch) for
+	// the next miss's choice. Either way the histogram and the offers to
+	// the accumulator are the same.
+	n, repeats := 0, 0 // repeats: samples equal to their predecessor
+	if sc.runs {
+		prev, at, run := -1.0, 0, 0 // the current run: run samples of prev, in slot at
+		repeats = len(usage)        // less one per run, and per dropped sample
+		flush := func() {
+			hist.Count(at, run)
+			// Once a copy is refused, so is every later one.
+			for k := run; topOK && k > 0 && top.Add(prev); k-- {
+			}
+		}
+		for _, u := range usage {
+			if !(u >= 0) || u > math.MaxFloat64 {
+				continue
+			}
+			buf[n] = u
+			n++
+			if u != prev {
+				flush()
+				prev, at, run = u, hist.Slot(u), 0
+				repeats--
+			}
+			run++
+		}
+		flush()
+		repeats -= len(usage) - n
+	} else {
+		prev := -1.0
+		for _, u := range usage {
+			if !(u >= 0) || u > math.MaxFloat64 {
+				continue
+			}
+			buf[n] = u
+			n++
+			if u == prev {
+				repeats++
+			}
+			prev = u
+			hist.Count(hist.Slot(u), 1)
+			if topOK {
+				top.Add(u)
+			}
 		}
 	}
-	for _, u := range usage {
-		if !(u >= 0) || u > math.MaxFloat64 {
-			continue
-		}
-		buf[n] = u
-		n++
-		if u != prev {
-			flush()
-			prev, at, run = u, hist.Slot(u), 0
-		}
-		run++
-	}
-	flush()
+	sc.runs = 4*repeats >= 3*n
 	clean := buf[:n]
 	sc.clean = clean
 	if n == 0 {

@@ -58,12 +58,14 @@ func decodeDecideInput(data []byte, maxCores int) []float64 {
 // Algorithm 1 oracle. Every Decision field must match bit for bit (and
 // the walk-down's peak), on ladders of 2–100 SKUs (past the 64-slot
 // inline histogram) and quantiles from 1/256 to 1 (deep ones quickselect).
-// The scratch first decides a different window, so the buffer swap is
-// live, and deciding the same window again must be a memo hit returning
-// the same decision. The seeds under testdata/fuzz/FuzzDecideScratch
-// cover a run with a NaN at P95, the 0.98 boundaries with ±Inf, a
-// 100-SKU ladder, a quantile 10 deep, a window line 2 empties, and runs
-// at a wide ladder's boundaries.
+// Each window is decided on a fresh scratch, on one that counts runs
+// (primed with a constant window) and on one that just decided a
+// different window (the buffer swap is live); deciding it again must be
+// a memo hit returning the same decision. The seeds under
+// testdata/fuzz/FuzzDecideScratch cover a run with a NaN at P95, the
+// 0.98 boundaries with ±Inf, a 100-SKU ladder, a quantile 10 deep, a
+// window line 2 empties, runs at a wide ladder's boundaries, and a run
+// of equal values that must enter the top-m more than once.
 func FuzzDecideScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, mc, qp, cb uint8) {
 		maxCores := 2 + int(mc)%99
@@ -76,38 +78,43 @@ func FuzzDecideScratch(f *testing.F) {
 		usage := decodeDecideInput(data, maxCores)
 		cur := 1 + int(cb)%(maxCores+2)
 
-		var sc Scratch
-		if len(usage) > 1 {
-			if _, err := r.DecideScratch(&sc, cur, usage[1:]); err != nil && !errors.Is(err, ErrNoUsage) {
-				t.Fatal(err)
-			}
-		}
-		got, err := r.DecideScratch(&sc, cur, usage)
 		if len(referenceClean(usage)) == 0 {
-			if !errors.Is(err, ErrNoUsage) {
+			if _, err := r.DecideScratch(nil, cur, usage); !errors.Is(err, ErrNoUsage) {
 				t.Fatalf("no valid sample: err = %v, want ErrNoUsage", err)
 			}
 			return
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
 		want, peak := referenceDecide(t, cfg, cur, usage)
-		if !sameDecision(got, want) {
-			t.Fatalf("max %d q=%v cur %d usage %v:\n got  %+v\n want %+v", maxCores, cfg.QuantileP, cur, usage, got, want)
-		}
-		if (sc.expKind == expWalkDown || sc.expKind == expHoldNoCheaper) &&
-			math.Float64bits(sc.expPeak) != math.Float64bits(peak) {
-			t.Fatalf("peak %v, want %v", sc.expPeak, peak)
-		}
+		// Three scratches: a fresh one (one slot lookup per sample), one
+		// that just decided a constant window (so it counts runs), and
+		// one that just decided usage[1:] (so the buffer swap is live).
+		for _, prime := range [][]float64{nil, {1, 1, 1, 1}, usage[1:]} {
+			var sc Scratch
+			if len(prime) > 0 {
+				if _, err := r.DecideScratch(&sc, cur, prime); err != nil && !errors.Is(err, ErrNoUsage) {
+					t.Fatal(err)
+				}
+			}
+			got, err := r.DecideScratch(&sc, cur, usage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameDecision(got, want) {
+				t.Fatalf("max %d q=%v cur %d primed %v usage %v:\n got  %+v\n want %+v", maxCores, cfg.QuantileP, cur, prime, usage, got, want)
+			}
+			if (sc.expKind == expWalkDown || sc.expKind == expHoldNoCheaper) &&
+				math.Float64bits(sc.expPeak) != math.Float64bits(peak) {
+				t.Fatalf("peak %v, want %v", sc.expPeak, peak)
+			}
 
-		hits := sc.MemoHits
-		again, err := r.DecideScratch(&sc, cur, usage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sc.MemoHits != hits+1 || !sameDecision(again, want) {
-			t.Fatalf("repeat: hits %d → %d, decision %+v; want a memo hit returning %+v", hits, sc.MemoHits, again, want)
+			hits := sc.MemoHits
+			again, err := r.DecideScratch(&sc, cur, usage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.MemoHits != hits+1 || !sameDecision(again, want) {
+				t.Fatalf("repeat: hits %d → %d, decision %+v; want a memo hit returning %+v", hits, sc.MemoHits, again, want)
+			}
 		}
 	})
 }
