@@ -107,6 +107,10 @@ func TestSentinelInvalidConfig(t *testing.T) {
 		{"caasper-proactive", RecommenderSettings{MaxCores: 8, Season: samples}},
 		{"control", RecommenderSettings{MaxCores: 8, ControlCores: -2}},
 		{"control", RecommenderSettings{MaxCores: 8, ControlCores: 20}}, // above the ladder
+		// The baselines' default 2-core floor is above a 1-core ladder.
+		{"vpa", RecommenderSettings{MaxCores: 1}},
+		{"openshift", RecommenderSettings{MaxCores: 1}},
+		{"autopilot", RecommenderSettings{MaxCores: 1}},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -17,10 +17,10 @@
 package baselines
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
+	"caasper/internal/errs"
 	"caasper/internal/stats"
 	"caasper/internal/window"
 )
@@ -92,13 +92,13 @@ type KubernetesVPA struct {
 // NewKubernetesVPA builds the baseline.
 func NewKubernetesVPA(opts KubernetesVPAOptions) (*KubernetesVPA, error) {
 	if opts.Percentile <= 0 || opts.Percentile > 1 {
-		return nil, fmt.Errorf("baselines: percentile %v out of (0,1]", opts.Percentile)
+		return nil, fmt.Errorf("baselines: percentile %v out of (0,1]: %w", opts.Percentile, errs.ErrInvalidConfig)
 	}
 	if opts.MinCores < 1 || opts.MaxCores < opts.MinCores {
-		return nil, errors.New("baselines: bad core bounds")
+		return nil, fmt.Errorf("baselines: bad core bounds: %w", errs.ErrInvalidConfig)
 	}
 	if opts.HalfLifeMinutes <= 0 {
-		return nil, errors.New("baselines: non-positive half-life")
+		return nil, fmt.Errorf("baselines: non-positive half-life: %w", errs.ErrInvalidConfig)
 	}
 	v := &KubernetesVPA{opts: opts}
 	v.Reset()
@@ -193,13 +193,13 @@ type OpenShiftVPA struct {
 // NewOpenShiftVPA builds the baseline.
 func NewOpenShiftVPA(opts OpenShiftVPAOptions) (*OpenShiftVPA, error) {
 	if opts.LookbackMinutes < 2 {
-		return nil, errors.New("baselines: lookback must be ≥ 2")
+		return nil, fmt.Errorf("baselines: lookback must be ≥ 2: %w", errs.ErrInvalidConfig)
 	}
 	if opts.HorizonMinutes < 1 {
-		return nil, errors.New("baselines: horizon must be ≥ 1")
+		return nil, fmt.Errorf("baselines: horizon must be ≥ 1: %w", errs.ErrInvalidConfig)
 	}
 	if opts.MinCores < 1 || opts.MaxCores < opts.MinCores {
-		return nil, errors.New("baselines: bad core bounds")
+		return nil, fmt.Errorf("baselines: bad core bounds: %w", errs.ErrInvalidConfig)
 	}
 	xs := make([]float64, opts.LookbackMinutes)
 	for i := range xs {
@@ -298,10 +298,10 @@ type Autopilot struct {
 // NewAutopilot builds the baseline.
 func NewAutopilot(opts AutopilotOptions) (*Autopilot, error) {
 	if opts.WindowMinutes < 1 {
-		return nil, errors.New("baselines: window must be ≥ 1")
+		return nil, fmt.Errorf("baselines: window must be ≥ 1: %w", errs.ErrInvalidConfig)
 	}
 	if opts.MinCores < 1 || opts.MaxCores < opts.MinCores {
-		return nil, errors.New("baselines: bad core bounds")
+		return nil, fmt.Errorf("baselines: bad core bounds: %w", errs.ErrInvalidConfig)
 	}
 	return &Autopilot{opts: opts, history: window.New(opts.WindowMinutes)}, nil
 }

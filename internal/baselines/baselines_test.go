@@ -1,8 +1,10 @@
 package baselines_test
 
 import (
+	"errors"
 	"testing"
 
+	"caasper/internal/errs"
 	"caasper/internal/recommend"
 
 	. "caasper/internal/baselines"
@@ -40,8 +42,8 @@ func TestKubernetesVPAValidation(t *testing.T) {
 		{Percentile: 0.9, MinCores: 2, MaxCores: 8, HalfLifeMinutes: 0},
 	}
 	for i, o := range bad {
-		if _, err := NewKubernetesVPA(o); err == nil {
-			t.Errorf("case %d should fail", i)
+		if _, err := NewKubernetesVPA(o); !errors.Is(err, errs.ErrInvalidConfig) {
+			t.Errorf("case %d: got %v, want errors.Is(ErrInvalidConfig)", i, err)
 		}
 	}
 }
@@ -117,8 +119,8 @@ func TestOpenShiftVPAValidation(t *testing.T) {
 		{LookbackMinutes: 10, HorizonMinutes: 5, MinCores: 9, MaxCores: 8},
 	}
 	for i, o := range bad {
-		if _, err := NewOpenShiftVPA(o); err == nil {
-			t.Errorf("case %d should fail", i)
+		if _, err := NewOpenShiftVPA(o); !errors.Is(err, errs.ErrInvalidConfig) {
+			t.Errorf("case %d: got %v, want errors.Is(ErrInvalidConfig)", i, err)
 		}
 	}
 }
@@ -171,8 +173,8 @@ func TestAutopilotValidation(t *testing.T) {
 		{WindowMinutes: 10, MinCores: 9, MaxCores: 8},
 	}
 	for i, o := range bad {
-		if _, err := NewAutopilot(o); err == nil {
-			t.Errorf("case %d should fail", i)
+		if _, err := NewAutopilot(o); !errors.Is(err, errs.ErrInvalidConfig) {
+			t.Errorf("case %d: got %v, want errors.Is(ErrInvalidConfig)", i, err)
 		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"caasper/internal/obs"
+	"caasper/internal/recommend"
 )
 
 // TestParseSampleFastMatchesJSON cross-checks the fast parser against
@@ -221,5 +222,27 @@ func TestDecideFullLogZeroAlloc(t *testing.T) {
 	}
 	if n, head := len(ts.log.recs), ts.log.head; n != size || head != k%size {
 		t.Fatalf("ring holds %d records at head %d after %d decisions", n, head, k)
+	}
+}
+
+// TestEncodeTenantAllocBudget pins a warm caasper tenant's checkpoint
+// line at the two allocations SnapshotState's window copies cost (its
+// window and its memo key): the line itself is appended to a reused
+// buffer without reflection, so a return to encoding/json fails here.
+func TestEncodeTenantAllocBudget(t *testing.T) {
+	s, ts := logServer(t, 8, logUsage(64))
+	if len(ts.log.recs) != 8 || len(ts.rec.(recommend.StateSnapshotter).SnapshotState().Window) == 0 {
+		t.Fatal("tenant is not warm")
+	}
+	b := make([]byte, 0, 64<<10)
+	var err error
+	allocs := testing.AllocsPerRun(50, func() {
+		b, err = s.encodeTenant(b[:0], "t")
+	})
+	if err != nil || len(b) == 0 {
+		t.Fatalf("encodeTenant wrote %d bytes: %v", len(b), err)
+	}
+	if allocs > 2 {
+		t.Fatalf("encodeTenant allocated %.0f times per line, want at most 2", allocs)
 	}
 }

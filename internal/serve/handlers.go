@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -630,4 +631,42 @@ func parseNumberFast(b []byte, ip *int) (float64, bool) {
 	}
 	*ip = i
 	return v, true
+}
+
+// appendNumberFast is parseNumberFast's inverse: it appends v's shortest
+// round-trip decimal, the bytes strconv.AppendFloat(b, v, 'f', -1, 64)
+// writes, when v is the double nearest to a decimal with at most six
+// fraction digits, and reports !ok otherwise. With m = round(|v|·10⁶)
+// and 1 ≤ m < 2⁵², both operands of m/10⁶ are exact, so the division is
+// correctly rounded: when it gives |v| back, v is the double nearest to
+// m·10⁻⁶. Below 2⁵²·10⁻⁶ < 2³³ the ulp of v is at most 2⁻²⁰ < 10⁻⁶, so
+// no other decimal on the 10⁻⁶ grid, and none with fewer digits, rounds
+// to v: m's digits, trailing zeros trimmed, are the shortest.
+func appendNumberFast(b []byte, v float64) ([]byte, bool) {
+	a := math.Abs(v)
+	x := math.Round(a * 1e6)
+	if !(x >= 1 && x < 1<<52) || x/1e6 != a {
+		return b, false
+	}
+	m := uint64(x)
+	if v < 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, m/1e6, 10)
+	frac := m % 1e6
+	if frac == 0 {
+		return b, true
+	}
+	n := 6
+	for frac%10 == 0 {
+		frac /= 10
+		n--
+	}
+	var d [7]byte
+	d[0] = '.'
+	for i := n; i > 0; i-- {
+		d[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return append(b, d[:n+1]...), true
 }

@@ -3,11 +3,16 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"caasper/internal/core"
 )
 
 // v1Decisions matches a CPU-only decision's vectors, to rewrite them into
@@ -178,5 +183,129 @@ func sameBits(a, b reflect.Value) bool {
 		return true
 	default:
 		return a.Equal(b)
+	}
+}
+
+// FuzzSnapshotEncode is the differential test of the checkpoint-line
+// encoder. A line json.Unmarshal decodes into a snapshotTenant gets a
+// float and a string injected into its ID, decision fields, window, memo
+// and log; appendTenantLine must then write json.Encoder's bytes, or fail
+// where json.Encoder fails, on a NaN or ±Inf. A line with no escaped
+// string must also take decodeTenantLine's fast path back to the tenant
+// it was encoded from, floats bit for bit. Every mixedServer line is a
+// seed; the escapes, float edges and nil-versus-empty slices are seeds
+// in testdata/fuzz/FuzzSnapshotEncode.
+func FuzzSnapshotEncode(f *testing.F) {
+	v2 := strings.TrimSuffix(string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs)))), "\n")
+	for _, line := range strings.Split(v2, "\n")[1:] {
+		f.Add([]byte(line), math.Float64bits(2.5), "")
+	}
+	f.Fuzz(func(t *testing.T, line []byte, bits uint64, s string) {
+		var st snapshotTenant
+		if json.Unmarshal(line, &st) != nil {
+			return
+		}
+		v := math.Float64frombits(bits)
+		st.ID += s
+		st.State.LastDecision.Branch = core.Branch(s)
+		st.State.LastDecision.Slope = v
+		st.State.Memo.Decision.Explanation = s
+		st.State.Memo.ExpPeak = v
+		st.CPUPeak = v
+		if n := len(st.State.Window); n > 0 {
+			st.State.Window[n-1] = v
+		}
+		if n := len(st.State.Memo.Window); n > 0 {
+			st.State.Memo.Window[0] = v
+		}
+		if n := len(st.Log); n > 0 {
+			st.Log[n-1].Explanation = s
+			st.Log[n-1].Quantile = v
+		}
+
+		got, err := appendTenantLine(nil, &st)
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		wantErr := enc.Encode(st)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("appendTenantLine error %v, json.Encoder error %v, float %v", err, wantErr, v)
+		}
+		if err != nil {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				t.Fatalf("a finite line fails: %v", err)
+			}
+			return
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("encoders disagree:\nhand %s\njson %s", got, want.Bytes())
+		}
+		if bytes.IndexByte(got, '\\') >= 0 {
+			return // an escaped string: Restore reads the line via json.Unmarshal
+		}
+		var back snapshotTenant
+		if !decodeTenantLine(got[:len(got)-1], &back) {
+			t.Fatalf("an unescaped line takes the fallback: %s", got)
+		}
+		// What omitempty drops comes back as the zero value.
+		if len(st.State.Window) == 0 {
+			st.State.Window = nil
+		}
+		if len(st.Log) == 0 {
+			st.Log = nil
+		}
+		for _, p := range []*float64{&st.RAMPeak, &st.DiskHigh, &st.CPUPeak} {
+			if *p == 0 {
+				*p = 0 // -0 is omitted too
+			}
+		}
+		for i := range st.Log {
+			for _, p := range []*float64{&st.Log[i].Slope, &st.Log[i].Skew, &st.Log[i].RawSF, &st.Log[i].Quantile} {
+				if *p == 0 {
+					*p = 0
+				}
+			}
+		}
+		if !sameBits(reflect.ValueOf(back), reflect.ValueOf(st)) {
+			t.Fatalf("round trip through %s:\ngot  %+v\nwant %+v", got, back, st)
+		}
+	})
+}
+
+// TestAppendNumberFastMatchesStrconv sweeps appendNumberFast over short
+// decimals and random bits: whatever the fast path writes is strconv's
+// shortest 'f' form, and every decimal with at most six fraction digits
+// in [1e-6, 2³²) takes it. (Below 2³², v·10⁶ lands within 0.49 of m, so
+// the rounding finds m; above, it may miss by one and fall back.)
+func TestAppendNumberFastMatchesStrconv(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(v float64, wantFast bool) {
+		got, ok := appendNumberFast([]byte("x"), v)
+		if ok != wantFast && wantFast {
+			t.Fatalf("%v (bits %#x) misses the fast path", v, math.Float64bits(v))
+		}
+		if want := strconv.AppendFloat([]byte("x"), v, 'f', -1, 64); ok && !bytes.Equal(got, want) {
+			t.Fatalf("%v: fast path writes %s, strconv %s", v, got, want)
+		}
+	}
+	for _, m := range []uint64{1, 9, 10, 999999, 1000000, 1000001, 1<<52 - 1} {
+		check(float64(m)/1e6, true)
+		check(-float64(m)/1e6, true)
+	}
+	check(float64(1<<52)/1e6, false)
+	for i := 0; i < 200000; i++ {
+		frac := rng.Intn(7)
+		m := uint64(rng.Int63n(int64(1) << (1 + rng.Intn(52))))
+		txt := strconv.FormatUint(m, 10)
+		if frac > 0 {
+			txt = fmt.Sprintf("%0*s", frac+1, txt)
+			txt = txt[:len(txt)-frac] + "." + txt[len(txt)-frac:]
+		}
+		v, err := strconv.ParseFloat(txt, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(v, v >= 1e-6 && v < 1<<32)
+		check(math.Float64frombits(rng.Uint64()), false)
 	}
 }

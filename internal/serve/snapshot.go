@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -84,12 +86,14 @@ const (
 // written in ID order, so the file is byte-identical for every worker
 // count.
 func (s *Server) Snapshot(path string) error {
+	start := time.Now()
 	ids := s.tenantIDs()
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".snapshot-*")
 	if err != nil {
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
-	if err := s.writeSnapshot(tmp, ids); err != nil {
+	written, err := s.writeSnapshot(tmp, ids)
+	if err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("serve: snapshot: %w", err)
@@ -102,52 +106,61 @@ func (s *Server) Snapshot(path string) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("serve: snapshot: %w", err)
 	}
-	s.opts.Log.Infof("snapshot: %d tenants → %s", len(ids), path)
+	s.opts.Log.Infof("snapshot: %d tenants → %s in %v (%d bytes)",
+		len(ids), path, time.Since(start).Round(time.Microsecond), written)
 	return nil
 }
 
 // writeSnapshot writes the header and the tenant lines of ids to w.
-func (s *Server) writeSnapshot(w io.Writer, ids []string) error {
+func (s *Server) writeSnapshot(w io.Writer, ids []string) (int64, error) {
 	workers := parallel.Workers(0, len(ids))
-	bufs := make([]bytes.Buffer, workers)
-	encs := make([]*json.Encoder, workers)
-	for k := range encs {
-		encs[k] = json.NewEncoder(&bufs[k])
-		encs[k].SetEscapeHTML(false)
-	}
-	if err := encs[0].Encode(snapshotHeader{Format: "caasper-serve", Version: snapshotVersion, Tenants: len(ids)}); err != nil {
-		return err
-	}
-	if _, err := w.Write(bufs[0].Bytes()); err != nil {
-		return err
+	bufs := make([][]byte, workers)
+	e := lineEncoder{}
+	e.open()
+	e.strField("format", "caasper-serve")
+	putInt(&e, "version", snapshotVersion)
+	putInt(&e, "tenants", len(ids))
+	e.close()
+	n, err := w.Write(append(e.b, '\n'))
+	written := int64(n)
+	if err != nil {
+		return written, err
 	}
 	for lo := 0; lo < len(ids); lo += workers * snapshotBatch {
 		round := ids[lo:min(lo+workers*snapshotBatch, len(ids))]
 		per := (len(round) + workers - 1) / workers
 		err := parallel.ForEach(context.TODO(), workers, workers, func(k int) error {
-			bufs[k].Reset()
-			for _, id := range round[min(k*per, len(round)):min((k+1)*per, len(round))] {
-				if err := s.encodeTenant(encs[k], id); err != nil {
+			b := bufs[k][:0]
+			var err error
+			run := round[min(k*per, len(round)):min((k+1)*per, len(round))]
+			for i, id := range run {
+				if b, err = s.encodeTenant(b, id); err != nil {
 					return err
 				}
+				if i == 0 { // size the buffer once, from the first line
+					b = slices.Grow(b, len(b)*(len(run)-1))
+				}
 			}
+			bufs[k] = b
 			return nil
 		})
 		if err != nil {
-			return err
+			return written, err
 		}
-		for k := range bufs {
-			if _, err := w.Write(bufs[k].Bytes()); err != nil {
-				return err
+		for _, b := range bufs {
+			n, err := w.Write(b)
+			written += int64(n)
+			if err != nil {
+				return written, err
 			}
 		}
 	}
-	return nil
+	return written, nil
 }
 
-// encodeTenant encodes one tenant's checkpoint line under its lock; a
-// tenant that vanished since the ID listing writes nothing.
-func (s *Server) encodeTenant(enc *json.Encoder, id string) error {
+// encodeTenant appends one tenant's checkpoint line to b under its lock;
+// a tenant that vanished since the ID listing writes nothing.
+func (s *Server) encodeTenant(b []byte, id string) ([]byte, error) {
 	var err error
 	s.lookupQuiet(id, func(t *tenantState) {
 		st := snapshotTenant{
@@ -170,9 +183,9 @@ func (s *Server) encodeTenant(enc *json.Encoder, id string) error {
 			st.HasState = true
 			st.State = snap.SnapshotState()
 		}
-		err = enc.Encode(st)
+		b, err = appendTenantLine(b, &st)
 	})
-	return err
+	return b, err
 }
 
 // restoreIfPresent loads the checkpoint at path when one exists; a
@@ -729,4 +742,301 @@ func (d *lineDecoder) record(r *DecisionRecord) {
 	intField(d, "disk_to", &r.DiskTo)
 	intField(d, "replicas", &r.Replicas)
 	d.close()
+}
+
+// appendTenantLine appends st as one checkpoint line, decodeTenantLine's
+// mirror: the bytes a json.Encoder with SetEscapeHTML(false) writes for
+// st, newline included, without reflection. Members come in struct order
+// under the struct's omitempty rules (state is a struct, so it is always
+// written; a nil memo window is null, an empty one []); strings take
+// encoding/json's escapes and floats its number format. A NaN or ±Inf,
+// which JSON cannot carry, fails the line.
+func appendTenantLine(b []byte, st *snapshotTenant) ([]byte, error) {
+	e := lineEncoder{b: b}
+	e.open()
+	e.strField("id", st.ID)
+	e.key("config")
+	e.config(&st.Config)
+	putInt(&e, "cores", st.Cores)
+	putInt(&e, "minute", st.Minute)
+	putInt(&e, "seq", st.Seq)
+	e.boolField("has_state", st.HasState)
+	e.key("state")
+	e.state(&st.State)
+	if len(st.Log) > 0 {
+		e.key("log")
+		e.b = append(e.b, '[')
+		for i := range st.Log {
+			if i > 0 {
+				e.b = append(e.b, ',')
+			}
+			e.record(&st.Log[i])
+		}
+		e.b = append(e.b, ']')
+	}
+	putIntOmitEmpty(&e, "ram_gb", st.RAMGB)
+	putIntOmitEmpty(&e, "disk_gb", st.DiskGB)
+	putIntOmitEmpty(&e, "replicas", st.Replicas)
+	e.floatOmitEmpty("ram_peak", st.RAMPeak)
+	e.floatOmitEmpty("disk_high", st.DiskHigh)
+	e.floatOmitEmpty("cpu_peak", st.CPUPeak)
+	e.close()
+	if e.err != nil {
+		return b, fmt.Errorf("tenant %q: %w", st.ID, e.err)
+	}
+	return append(e.b, '\n'), nil
+}
+
+// lineEncoder is appendTenantLine's output buffer. err records the first
+// float JSON cannot carry; the rest of the line is still appended, and
+// then dropped.
+type lineEncoder struct {
+	b   []byte
+	err error
+}
+
+func (e *lineEncoder) open()  { e.b = append(e.b, '{') }
+func (e *lineEncoder) close() { e.b = append(e.b, '}') }
+
+// key appends the member name, with a leading comma unless it opens the
+// object.
+func (e *lineEncoder) key(name string) {
+	if e.b[len(e.b)-1] != '{' {
+		e.b = append(e.b, ',')
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, name...)
+	e.b = append(e.b, '"', ':')
+}
+
+// putInt appends member name as a plain integer.
+func putInt[T int | int64 | uint8](e *lineEncoder, name string, v T) {
+	e.key(name)
+	e.b = strconv.AppendInt(e.b, int64(v), 10)
+}
+
+// putIntOmitEmpty appends member name unless v is 0.
+func putIntOmitEmpty(e *lineEncoder, name string, v int) {
+	if v != 0 {
+		putInt(e, name, v)
+	}
+}
+
+func (e *lineEncoder) boolField(name string, v bool) {
+	e.key(name)
+	e.b = strconv.AppendBool(e.b, v)
+}
+
+func (e *lineEncoder) floatField(name string, v float64) {
+	e.key(name)
+	e.float(v)
+}
+
+// floatOmitEmpty appends member name unless v is 0 or -0, as omitempty
+// drops both.
+func (e *lineEncoder) floatOmitEmpty(name string, v float64) {
+	if v != 0 {
+		e.floatField(name, v)
+	}
+}
+
+func (e *lineEncoder) strField(name, v string) {
+	e.key(name)
+	e.str(v)
+}
+
+// strOmitEmpty appends member name unless v is empty.
+func (e *lineEncoder) strOmitEmpty(name, v string) {
+	if v != "" {
+		e.strField(name, v)
+	}
+}
+
+// float appends v as encoding/json does: the shortest round-trip digits,
+// in 'f' layout for 1e-6 ≤ |v| < 1e21 and in 'e' layout, with a one-digit
+// negative exponent written without its leading zero, outside it.
+// appendNumberFast writes the short decimals window samples usually are.
+func (e *lineEncoder) float(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		if e.err == nil {
+			e.err = fmt.Errorf("unsupported value: %v", v)
+		}
+		return
+	}
+	var ok bool
+	if e.b, ok = appendNumberFast(e.b, v); ok {
+		return
+	}
+	if a := math.Abs(v); a != 0 && (a < 1e-6 || a >= 1e21) {
+		e.b = strconv.AppendFloat(e.b, v, 'e', -1, 64)
+		if n := len(e.b); e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
+			e.b[n-2] = e.b[n-1] // e-07 → e-7
+			e.b = e.b[:n-1]
+		}
+		return
+	}
+	e.b = strconv.AppendFloat(e.b, v, 'f', -1, 64)
+}
+
+// floats appends a float array; nil is null and empty [], as
+// encoding/json writes them.
+func (e *lineEncoder) floats(vs []float64) {
+	if vs == nil {
+		e.b = append(e.b, "null"...)
+		return
+	}
+	e.b = append(e.b, '[')
+	for i, v := range vs {
+		if i > 0 {
+			e.b = append(e.b, ',')
+		}
+		e.float(v)
+	}
+	e.b = append(e.b, ']')
+}
+
+// str appends s quoted under encoding/json's escaping with HTML escaping
+// off: '"' and '\\' backslashed, \b \f \n \r \t by name, other control
+// bytes as \u00XX, each byte of invalid UTF-8 as \ufffd, and U+2028 and
+// U+2029 as \u2028 and \u2029.
+func (e *lineEncoder) str(s string) {
+	const hex = "0123456789abcdef"
+	b := append(e.b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c >= 0x20 && c != '"' && c != '\\' {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '"', '\\':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(b, s[start:i]...)
+			b = append(b, `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(b, s[start:i]...)
+			b = append(b, '\\', 'u', '2', '0', '2', hex[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	b = append(b, s[start:]...)
+	e.b = append(b, '"')
+}
+
+func (e *lineEncoder) config(c *TenantConfig) {
+	e.open()
+	e.strField("policy", c.Policy)
+	putInt(e, "min_cores", c.MinCores)
+	putInt(e, "max_cores", c.MaxCores)
+	putIntOmitEmpty(e, "initial_cores", c.InitialCores)
+	putIntOmitEmpty(e, "window", c.Window)
+	putIntOmitEmpty(e, "horizon", c.Horizon)
+	putIntOmitEmpty(e, "season", c.Season)
+	putIntOmitEmpty(e, "min_ram_gb", c.MinRAMGB)
+	putIntOmitEmpty(e, "max_ram_gb", c.MaxRAMGB)
+	putIntOmitEmpty(e, "initial_ram_gb", c.InitialRAMGB)
+	putIntOmitEmpty(e, "disk_gb", c.DiskGB)
+	putIntOmitEmpty(e, "max_disk_gb", c.MaxDiskGB)
+	putIntOmitEmpty(e, "max_replicas", c.MaxReplicas)
+	e.close()
+}
+
+func (e *lineEncoder) state(st *recommend.State) {
+	e.open()
+	if len(st.Window) > 0 {
+		e.key("window")
+		e.floats(st.Window)
+	}
+	putInt(e, "total", st.Total)
+	e.key("memo")
+	m := &st.Memo
+	e.open()
+	e.boolField("Valid", m.Valid)
+	putInt(e, "Cores", m.Cores)
+	e.key("Window")
+	e.floats(m.Window)
+	e.key("Decision")
+	e.decision(&m.Decision)
+	putInt(e, "ExpKind", m.ExpKind)
+	e.floatField("ExpPeak", m.ExpPeak)
+	putInt(e, "Now", m.Now)
+	e.close()
+	e.key("last_decision")
+	e.decision(&st.LastDecision)
+	if st.LastUsedForecast {
+		e.boolField("last_used_forecast", true)
+	}
+	e.close()
+}
+
+func (e *lineEncoder) decision(d *core.Decision) {
+	e.open()
+	e.key("Current")
+	e.resources(&d.Current)
+	e.key("Target")
+	e.resources(&d.Target)
+	putInt(e, "Delta", d.Delta)
+	e.strField("Branch", string(d.Branch))
+	e.floatField("Slope", d.Slope)
+	e.floatField("Skew", d.Skew)
+	e.floatField("RawSF", d.RawSF)
+	e.floatField("Quantile", d.Quantile)
+	e.strField("Explanation", d.Explanation)
+	e.close()
+}
+
+func (e *lineEncoder) resources(r *core.Resources) {
+	e.open()
+	putInt(e, "CPUCores", r.CPUCores)
+	putInt(e, "RAMGB", r.RAMGB)
+	putInt(e, "DiskGB", r.DiskGB)
+	putInt(e, "Replicas", r.Replicas)
+	e.close()
+}
+
+func (e *lineEncoder) record(r *DecisionRecord) {
+	e.open()
+	putInt(e, "seq", r.Seq)
+	putInt(e, "minute", r.Minute)
+	e.strField("policy", r.Policy)
+	putInt(e, "from", r.From)
+	putInt(e, "to", r.To)
+	e.strOmitEmpty("branch", r.Branch)
+	e.floatOmitEmpty("slope", r.Slope)
+	e.floatOmitEmpty("skew", r.Skew)
+	e.floatOmitEmpty("raw_sf", r.RawSF)
+	e.floatOmitEmpty("quantile", r.Quantile)
+	e.strOmitEmpty("explanation", r.Explanation)
+	putIntOmitEmpty(e, "ram_from", r.RAMFrom)
+	putIntOmitEmpty(e, "ram_to", r.RAMTo)
+	putIntOmitEmpty(e, "disk_to", r.DiskTo)
+	putIntOmitEmpty(e, "replicas", r.Replicas)
+	e.close()
 }

@@ -96,7 +96,7 @@ func serialSnapshot(t testing.TB, s *Server) []byte {
 func snapshotBytes(t testing.TB, s *Server) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.writeSnapshot(&buf, s.tenantIDs()); err != nil {
+	if _, err := s.writeSnapshot(&buf, s.tenantIDs()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

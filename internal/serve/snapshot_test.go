@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"unsafe"
 
 	"caasper/internal/obs"
+	"caasper/internal/recommend"
 )
 
 // feedHalves posts usage to a server in two halves with an optional
@@ -185,6 +187,42 @@ func TestSnapshotFileShape(t *testing.T) {
 		t.Fatalf("first tenant line = %+v (want sorted, with state)", first)
 	}
 	s.Close()
+}
+
+// TestSnapshotNonFiniteKeepsPrevious pins the encoder's error path: a
+// window sample JSON cannot carry (NaN, ±Inf) fails the checkpoint with
+// an error naming the tenant, the previous checkpoint stays byte for byte,
+// and no temp file is left behind.
+func TestSnapshotNonFiniteKeepsPrevious(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "serve.snapshot")
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := mixedServer(t, 3)
+		if err := s.Snapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := s.tenantIDs()[0] // a caasper tenant
+		ts := s.shardFor(id).tenants[id]
+		s.apply(batch{t: ts, samples: []sample{{CPU: v}}})
+		if w := ts.rec.(recommend.StateSnapshotter).SnapshotState().Window; !math.IsNaN(w[len(w)-1]) && !math.IsInf(w[len(w)-1], 0) {
+			t.Fatalf("window ends in %v, want %v", w[len(w)-1], v)
+		}
+		if err := s.Snapshot(path); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("tenant %q", id)) {
+			t.Fatalf("checkpoint of a %v sample: error %v, want one naming tenant %q", v, err, id)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("failed checkpoint changed the previous one (%v)", err)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 1 {
+			t.Fatalf("%d files left in the snapshot directory (%v), want 1", len(entries), err)
+		}
+	}
 }
 
 // validLine is a well-formed cold tenant line for hand-built snapshots.

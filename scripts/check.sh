@@ -129,6 +129,13 @@ go test -run '^$' -fuzz FuzzRestore -fuzztime 10s -fuzzminimizetime 100x ./inter
 echo "==> fuzz FuzzSnapshotLine (10s)"
 go test -run '^$' -fuzz FuzzSnapshotLine -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 
+# Fuzz stage: the reflection-free checkpoint-line encoder against
+# json.Encoder. Any tenant with an injected float and string must encode
+# to the same bytes (or fail alike on NaN/±Inf), and an unescaped line
+# must decode back through the fast path, floats bit for bit.
+echo "==> fuzz FuzzSnapshotEncode (10s)"
+go test -run '^$' -fuzz FuzzSnapshotEncode -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+
 # Fuzz stage: the ingest sample fast path against json.Unmarshal, the
 # same differential rule.
 echo "==> fuzz FuzzParseSampleFast (10s)"
