@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strconv"
 
+	"caasper/internal/errs"
 	"caasper/internal/obs"
 	"caasper/internal/pvp"
 	"caasper/internal/stats"
@@ -125,6 +127,9 @@ type Scratch struct {
 	clean []float64
 	curve pvp.Curve
 	exp   []byte
+	// counts is the exceed histogram DecideScratch counts a raw window
+	// into, made on first use: DecideCounted's caller keeps its own.
+	counts *WindowCounts
 
 	// expKind/expPeak record which prose template the last full
 	// evaluation would have produced and the one operand (the observed
@@ -133,11 +138,6 @@ type Scratch struct {
 	// strconv.
 	expKind expKind
 	expPeak float64
-
-	// runs records that at least three quarters of the last miss's
-	// window repeated their predecessor, so the next miss counts its
-	// window a run at a time. It only picks the loop, not the result.
-	runs bool
 
 	memoValid bool
 	memoCores int
@@ -235,18 +235,22 @@ type MemoState struct {
 	Now int64
 }
 
-// MemoSnapshot copies out the scratch's memo and explanation-template
-// state. The returned Window is a fresh slice, safe to retain.
-func (s *Scratch) MemoSnapshot() MemoState {
-	return MemoState{
+// MemoView returns the scratch's memo and explanation-template state.
+// Window aliases the memo key (nil when empty) and is valid until the
+// scratch's next decision: copy it to retain it.
+func (s *Scratch) MemoView() MemoState {
+	m := MemoState{
 		Valid:    s.memoValid,
 		Cores:    s.memoCores,
-		Window:   append([]float64(nil), s.memoClean...),
 		Decision: s.memoDec,
 		ExpKind:  uint8(s.expKind),
 		ExpPeak:  s.expPeak,
 		Now:      s.Now,
 	}
+	if len(s.memoClean) > 0 {
+		m.Window = s.memoClean
+	}
+	return m
 }
 
 // RestoreMemo re-arms a snapshotted memo on a scratch that will be used
@@ -264,7 +268,7 @@ func (r *Recommender) RestoreMemo(sc *Scratch, m MemoState) {
 	// must be one line 2 would leave untouched.
 	sc.memoValid = m.Valid && len(m.Window) > 0
 	for _, v := range m.Window {
-		sc.memoValid = sc.memoValid && v >= 0 && v <= math.MaxFloat64
+		sc.memoValid = sc.memoValid && valid(v)
 	}
 	sc.memoCores = m.Cores
 	sc.memoClean = append(sc.memoClean[:0], m.Window...)
@@ -273,18 +277,17 @@ func (r *Recommender) RestoreMemo(sc *Scratch, m MemoState) {
 	sc.expPeak = m.ExpPeak
 }
 
-// memoHit answers a decision from the memo.
-func (sc *Scratch) memoHit() Decision {
+// memoHit counts and audits a decision answered from the memo.
+func (sc *Scratch) memoHit() {
 	sc.MemoHits++
 	if obs.Enabled(sc.Sink) {
-		sc.emitDecision(sc.memoDec, true)
+		sc.emitDecision(&sc.memoDec, true)
 	}
-	return sc.memoDec
 }
 
 // emitDecision writes the per-evaluation audit event. Callers guard on
 // Sink being enabled so the disabled path costs one branch.
-func (sc *Scratch) emitDecision(d Decision, memoHit bool) {
+func (sc *Scratch) emitDecision(d *Decision, memoHit bool) {
 	sc.evFields = append(sc.evFields[:0],
 		obs.I("cores", int64(d.Current.CPUCores)),
 		obs.I("target", int64(d.Target.CPUCores)),
@@ -318,114 +321,128 @@ func (r *Recommender) Decide(currentCores int, usage []float64) (Decision, error
 // nothing at all (the prose lives in the scratch's reusable byte buffer
 // until something actually reads it — the simulator only does on the rare
 // enacted resize). A nil scratch is allowed (one is created per call).
+//
+// It counts usage into the PvP exceed histogram itself; a caller that
+// slides one window from decision to decision keeps the counts current
+// instead and calls DecideCounted. Both enter the same evaluation.
 func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float64) (Decision, error) {
+	sc = r.own(sc)
+	if err := r.decide(sc, currentCores, usage, nil); err != nil {
+		return Decision{}, err
+	}
+	return sc.memoDec, nil
+}
+
+// DecideCounted is DecideScratch for a caller that keeps the exceed
+// counts of its window current as the window slides: w must count
+// exactly the samples of usage (a WindowCounts from NewWindowCounts,
+// updated with Slide or Recount). No sample is slotted, so the only pass
+// over the window copies it into the memo-key buffer; the decision, the
+// memo and the audit event are bit-identical to DecideScratch's on the
+// same scratch.
+func (r *Recommender) DecideCounted(sc *Scratch, currentCores int, usage []float64, w *WindowCounts) (Decision, error) {
+	if w.skus != r.cfg.SKUs {
+		return Decision{}, fmt.Errorf("core: window counts for %d–%d cores, ladder is %d–%d: %w",
+			w.skus.MinCores, w.skus.MaxCores, r.cfg.SKUs.MinCores, r.cfg.SKUs.MaxCores, errs.ErrInvalidConfig)
+	}
+	sc = r.own(sc)
+	if err := r.decide(sc, currentCores, usage, w); err != nil {
+		return Decision{}, err
+	}
+	return sc.memoDec, nil
+}
+
+// decide leaves in sc.memoDec the decision for usage at currentCores:
+// from the memo, or Algorithm 1 evaluated from w, the window's exceed
+// counts; a nil w counts usage into the scratch's own.
+func (r *Recommender) decide(sc *Scratch, currentCores int, usage []float64, w *WindowCounts) error {
+	xc := stats.ClampInt(currentCores, r.cfg.SKUs.MinCores, r.cfg.SKUs.MaxCores)
+	if sc.memoAnswers(xc, usage) {
+		sc.memoHit()
+		return nil
+	}
+	if w == nil {
+		if sc.counts == nil {
+			c := r.NewWindowCounts()
+			sc.counts = &c
+		}
+		sc.counts.Recount(usage)
+		w = sc.counts
+	}
+	return r.evaluate(sc, xc, usage, w)
+}
+
+// own binds sc (a fresh one when nil) to r. A scratch last used with
+// another recommender resets its evaluation state but keeps the
+// caller-attached telemetry: a sink installed before the first decision
+// must survive this.
+func (r *Recommender) own(sc *Scratch) *Scratch {
 	if sc == nil {
 		sc = &Scratch{}
 	}
 	if sc.owner != r {
-		// Reset evaluation state but keep the caller-attached telemetry:
-		// a sink installed before the first decision must survive this.
 		*sc = Scratch{owner: r, Sink: sc.Sink, Now: sc.Now, evFields: sc.evFields}
 	}
+	return sc
+}
+
+// memoAnswers reports whether the memo holds the decision for window at
+// clamped allocation xc. Identical window + allocation ⇒ identical
+// decision: Algorithm 1 is a pure function of (window, current cores,
+// config), so the whole evaluation can be skipped when the preprocessed
+// window is unchanged since the previous full one — common while usage
+// sits flat or pinned at the cap. The memo key is a preprocessed window,
+// so it is all-valid (RestoreMemo disarms any other): a raw window equal
+// to it is one that line 2 leaves untouched, and the probe can run
+// before preprocessing. (Equality is stricter than the multiset equality
+// the algorithm depends on; it trades a few extra misses for a sort-free
+// hot path.)
+func (sc *Scratch) memoAnswers(xc int, window []float64) bool {
+	return sc.memoValid && xc == sc.memoCores && equalFloats(window, sc.memoClean)
+}
+
+// buffer returns the preprocessing buffer with room for n samples. It is
+// sized to the whole raw window: it and the memo key trade places on
+// every miss, so both stay that size rather than append's next doubling.
+func (sc *Scratch) buffer(n int) []float64 {
+	if cap(sc.clean) < n {
+		sc.clean = make([]float64, n)
+	}
+	return sc.clean[:n]
+}
+
+// valid reports whether Algorithm 1's line 2 keeps a usage sample: NaN,
+// ±Inf and negative values are metric-gap artifacts around restarts and
+// are dropped. −0 is kept.
+func valid(u float64) bool { return u >= 0 && u <= math.MaxFloat64 }
+
+// evaluate runs Algorithm 1 on usage at clamped allocation xc, from w,
+// the window's exceed counts. It leaves the decision in sc.memoDec,
+// evaluated or, once line 2 has cleaned the window, answered by the memo.
+func (r *Recommender) evaluate(sc *Scratch, xc int, usage []float64, w *WindowCounts) error {
 	cfg := &r.cfg
-	xc := stats.ClampInt(currentCores, cfg.SKUs.MinCores, cfg.SKUs.MaxCores)
-
-	// Identical window + allocation ⇒ identical decision: Algorithm 1 is
-	// a pure function of (window, current cores, config), so the whole
-	// evaluation can be skipped when the preprocessed window is unchanged
-	// since the previous full one — common while usage sits flat or
-	// pinned at the cap. The memo key is a preprocessed window, so it is
-	// all-valid (RestoreMemo disarms any other): a raw window equal to it
-	// is one that line 2 leaves untouched, and the probe can run before
-	// preprocessing. (Equality is stricter than the multiset equality the
-	// algorithm depends on; it trades a few extra misses for a sort-free
-	// hot path.)
-	if sc.memoValid && xc == sc.memoCores && equalFloats(usage, sc.memoClean) {
-		return sc.memoHit(), nil
-	}
-
-	// Lines 2–7 read the window through one pass. Per sample it drops
-	// NaN/±Inf/negatives (line 2, metric-gap artifacts around restarts),
-	// appends the survivor to the buffer that becomes the memo key, counts
-	// it into the PvP curve's exceed histogram (line 3) and offers it to
-	// the top-m accumulator behind the slack quantile and the walk-down's
-	// peak. The accumulator is armed for the raw length: m is
-	// non-decreasing in the sample count, so it holds at least the order
-	// statistics the cleaned window's quantile reads. The buffer is sized
-	// to the whole window: it and the memo key trade places below, so
-	// both stay that size rather than append's next doubling.
-	buf := sc.clean
-	if cap(buf) < len(usage) {
-		buf = make([]float64, len(usage))
-	}
-	buf = buf[:len(usage)]
-	var hist pvp.Histogram
-	if err := hist.Reset(cfg.SKUs, &sc.curve); err != nil {
-		return Decision{}, err
-	}
-	var top stats.TopM
-	topOK := top.Reset(len(usage), cfg.QuantileP)
-	// A sample equal to its predecessor can reuse its histogram slot, and
-	// a run of them be counted and offered at once: a plateau or usage
-	// pinned at a cap then costs one slot lookup per run. But testing for
-	// a run is a branch on the data, which mispredicts on a noisy window
-	// partly pinned at a cap. So runs are used only when the previous
-	// miss's window was mostly runs; otherwise every sample takes its own
-	// slot lookup, and repeats are only counted (without a branch) for
-	// the next miss's choice. Either way the histogram and the offers to
-	// the accumulator are the same.
-	n, repeats := 0, 0 // repeats: samples equal to their predecessor
-	if sc.runs {
-		prev, at, run := -1.0, 0, 0 // the current run: run samples of prev, in slot at
-		repeats = len(usage)        // less one per run, and per dropped sample
-		flush := func() {
-			hist.Count(at, run)
-			// Once a copy is refused, so is every later one.
-			for k := run; topOK && k > 0 && top.Add(prev); k-- {
-			}
-		}
-		for _, u := range usage {
-			if !(u >= 0) || u > math.MaxFloat64 {
-				continue
-			}
-			buf[n] = u
-			n++
-			if u != prev {
-				flush()
-				prev, at, run = u, hist.Slot(u), 0
-				repeats--
-			}
-			run++
-		}
-		flush()
-		repeats -= len(usage) - n
-	} else {
-		prev := -1.0
-		for _, u := range usage {
-			if !(u >= 0) || u > math.MaxFloat64 {
-				continue
-			}
-			buf[n] = u
-			n++
-			if u == prev {
-				repeats++
-			}
-			prev = u
-			hist.Count(hist.Slot(u), 1)
-			if topOK {
-				top.Add(u)
-			}
-		}
-	}
-	sc.runs = 4*repeats >= 3*n
-	clean := buf[:n]
-	sc.clean = clean
+	n := len(usage) - w.invalid()
 	if n == 0 {
-		return Decision{}, ErrNoUsage
+		return ErrNoUsage
 	}
-	// Line 2 dropped samples: the cleaned window may still equal the key.
-	if n < len(usage) && sc.memoValid && xc == sc.memoCores && equalFloats(clean, sc.memoClean) {
-		return sc.memoHit(), nil
+	// Line 2: drop NaN/±Inf/negatives (metric-gap artifacts around
+	// restarts) into the buffer that becomes the memo key.
+	buf := sc.buffer(len(usage))
+	var clean []float64
+	if w.invalid() == 0 {
+		clean = buf[:copy(buf, usage)]
+	} else {
+		clean = buf[:0]
+		for _, u := range usage {
+			if valid(u) {
+				clean = append(clean, u)
+			}
+		}
+		// The cleaned window may still equal the key.
+		if sc.memoAnswers(xc, clean) {
+			sc.memoHit()
+			return nil
+		}
 	}
 	sc.MemoMisses++
 	// Invalidate before touching memo state: an error return below must
@@ -436,10 +453,27 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	sc.clean, sc.memoClean = sc.memoClean, clean
 	sc.memoCores = xc
 
+	// The slack quantile and the walk-down's peak are the top m order
+	// statistics of the window. The m largest all count in the slots at
+	// or above the highest one whose suffix still holds m samples, so
+	// only the samples above that slot's bound are offered: Slot is
+	// monotone, and Slot(u) ≥ s exactly when u > slotBound(s), so the
+	// filter keeps every one of the m largest and drops only smaller
+	// values, which the accumulator would have refused or evicted.
+	var top stats.TopM
+	if top.Reset(n, cfg.QuantileP) {
+		bound := cfg.SKUs.TopBound(w.ladder(), top.Cap())
+		for _, u := range clean {
+			if u > bound {
+				top.Add(u)
+			}
+		}
+	}
+
 	// Line 3: the PvP curve (the refactored SKU recommendation tool of
-	// §4.2, CPU-only) from the histogram, reusing the scratch storage.
-	if err := pvp.BuildCurveFrom(&sc.curve, &hist); err != nil {
-		return Decision{}, err
+	// §4.2, CPU-only) from the slot counts, reusing the scratch storage.
+	if err := pvp.BuildCurveCounts(&sc.curve, cfg.SKUs, w.ladder()); err != nil {
+		return err
 	}
 	curve := &sc.curve
 
@@ -448,16 +482,16 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	s := curve.SlopeAt(xc)
 	rawSF := pvp.ScalingFactor(s, skew, cfg.SF)
 
-	// The slack quantile and the walk-down's peak: exact order
-	// statistics, so both are bit-identical to sorting first and reading
-	// the R-7 quantile and the last element. A quantile deeper than the
-	// accumulator quickselects instead, copying into sc.clean, the old
-	// memo key, which is free until the next call preprocesses into it.
+	// Both order statistics are exact, so they are bit-identical to
+	// sorting first and reading the R-7 quantile and the last element. A
+	// quantile deeper than the accumulator quickselects instead, copying
+	// into sc.clean, the old memo key, which is free until the next call
+	// preprocesses into it.
 	q, peak, ok := top.QuantileMax(n, cfg.QuantileP)
 	if !ok {
 		var err error
 		if q, peak, err = stats.QuantileMax(clean, cfg.QuantileP, &sc.clean); err != nil {
-			return Decision{}, err
+			return err
 		}
 	}
 
@@ -560,9 +594,9 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	sc.memoDec = d
 	sc.memoValid = true
 	if obs.Enabled(sc.Sink) {
-		sc.emitDecision(d, false)
+		sc.emitDecision(&sc.memoDec, false)
 	}
-	return d, nil
+	return nil
 }
 
 // expBuilder assembles a Decision explanation in Scratch's reusable byte

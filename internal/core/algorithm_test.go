@@ -90,7 +90,7 @@ func TestPreprocess(t *testing.T) {
 	if _, err := r.DecideScratch(&sc, 4, in); err != nil {
 		t.Fatal(err)
 	}
-	out := sc.MemoSnapshot().Window
+	out := sc.MemoView().Window
 	if len(out) != 2 || out[0] != 1 || out[1] != 3 {
 		t.Errorf("preprocessed window = %v", out)
 	}

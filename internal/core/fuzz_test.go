@@ -52,16 +52,16 @@ func decodeDecideInput(data []byte, maxCores int) []float64 {
 	return usage
 }
 
-// FuzzDecideScratch is a differential check of DecideScratch's fused
-// window pass — line 2's filter, the PvP exceed histogram and the top-m
-// quantile scan in one loop — against referenceDecide, the sort-based
-// Algorithm 1 oracle. Every Decision field must match bit for bit (and
-// the walk-down's peak), on ladders of 2–100 SKUs (past the 64-slot
-// inline histogram) and quantiles from 1/256 to 1 (deep ones quickselect).
-// Each window is decided on a fresh scratch, on one that counts runs
-// (primed with a constant window) and on one that just decided a
-// different window (the buffer swap is live); deciding it again must be
-// a memo hit returning the same decision. The seeds under
+// FuzzDecideScratch is a differential check of DecideScratch — line 2's
+// filter, the PvP slot counts and the top-m quantile scan over the
+// samples above the counts' bound — against referenceDecide, the
+// sort-based Algorithm 1 oracle. Every Decision field must match bit for
+// bit (and the walk-down's peak), on ladders of 2–100 SKUs and quantiles
+// from 1/256 to 1 (deep ones quickselect). Each window is decided on a
+// fresh scratch, on one that just decided a short constant window (its
+// buffers must grow) and on one that just decided a different window
+// (the buffer swap is live); deciding it again must be a memo hit
+// returning the same decision. The seeds under
 // testdata/fuzz/FuzzDecideScratch cover a run with a NaN at P95, the
 // 0.98 boundaries with ±Inf, a 100-SKU ladder, a quantile 10 deep, a
 // window line 2 empties, runs at a wide ladder's boundaries, and a run
@@ -85,9 +85,9 @@ func FuzzDecideScratch(f *testing.F) {
 			return
 		}
 		want, peak := referenceDecide(t, cfg, cur, usage)
-		// Three scratches: a fresh one (one slot lookup per sample), one
-		// that just decided a constant window (so it counts runs), and
-		// one that just decided usage[1:] (so the buffer swap is live).
+		// Three scratches: a fresh one, one that just decided a short
+		// constant window, and one that just decided usage[1:] (so the
+		// buffer swap is live).
 		for _, prime := range [][]float64{nil, {1, 1, 1, 1}, usage[1:]} {
 			var sc Scratch
 			if len(prime) > 0 {

@@ -197,7 +197,7 @@ func TestDecideScratchMemoBufferSwap(t *testing.T) {
 				t.Fatalf("n=%d step %d: hit = %v, want %v", n, i, gotHit, step.hit)
 			}
 			want := referenceClean(step.usage)
-			got := sc.MemoSnapshot().Window
+			got := sc.MemoView().Window
 			if len(got) != len(want) {
 				t.Fatalf("n=%d step %d: memo window has %d samples, want %d", n, i, len(got), len(want))
 			}

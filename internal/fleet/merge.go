@@ -19,16 +19,17 @@ package fleet
 //     groups are non-zero, carrying the summed tallies and the tick's
 //     pressure (every clone draws the same value).
 //
-// One tenant's events keep their emission order: they share one key, and
-// the sort is stable. Per-tenant fault events and the "fleet.run" and
-// "fleet.tenant" events do not pass through here.
+// Each group's buffer is already in that order restricted to the group:
+// its ticks ascend, and at each tick enactPhase walks the releases by
+// index and then the scale-ups in the arbiter's order. So the merge is a
+// k-way merge of the group buffers, with no sort: per tick it sums the
+// groups' tallies and repeatedly emits the least head event. Keys of
+// different groups never tie (tenant indices are unique), and one
+// tenant's events, which share one key, stay in emission order. Per-tenant
+// fault events and the "fleet.run" and "fleet.tenant" events do not pass
+// through here.
 
-import (
-	"cmp"
-	"slices"
-
-	"caasper/internal/obs"
-)
+import "caasper/internal/obs"
 
 // epochTenantTicks bounds one merge epoch: the groups run
 // epochTenantTicks / tenants decision ticks (at least one) before
@@ -66,8 +67,9 @@ type epochBuf struct {
 
 // merger is the serial merge's state, reused across epochs.
 type merger struct {
-	evs   []keyedEvent
-	ticks []tickTally
+	// next holds two cursors per group: its next unmerged event, then
+	// its next unmerged tally.
+	next  []int
 	clock int // the shared injector's pressure coverage
 }
 
@@ -92,58 +94,74 @@ func arbitrationEvent(now int, contenders, granted, deferred int, pressure float
 	}}
 }
 
+// before reports whether the event keyed a goes before the one keyed b
+// at the same tick: releases before scale-ups, releases by index,
+// scale-ups by (severity desc, index asc).
+func before(a, b mergeKey) bool {
+	if a.up != b.up {
+		return b.up
+	}
+	if a.up && a.sev != b.sev {
+		return a.sev > b.sev
+	}
+	return a.idx < b.idx
+}
+
 // merge emits the epoch's buffered events in the one-group order (see the
 // file comment) and empties the groups' buffers for the next epoch.
 func (s *runState) merge(groups []group, m *merger) {
-	for k := range groups {
-		b := groups[k].buf
-		m.evs = append(m.evs, b.evs...)
-		m.ticks = append(m.ticks, b.ticks...)
-		clear(b.evs) // drop the Fields references
-		b.evs, b.ticks = b.evs[:0], b.ticks[:0]
+	if cap(m.next) < 2*len(groups) {
+		m.next = make([]int, 2*len(groups))
 	}
-	slices.SortStableFunc(m.evs, func(a, b keyedEvent) int {
-		if c := cmp.Compare(a.ev.T, b.ev.T); c != 0 {
-			return c
-		}
-		ka, kb := a.key, b.key
-		if ka.up != kb.up {
-			if kb.up {
-				return -1
+	next := m.next[:2*len(groups)]
+	clear(next)
+	ev, tk := next[:len(groups)], next[len(groups):]
+	for {
+		d := -1 // the earliest tick a group has not merged yet
+		for k := range groups {
+			if ts := groups[k].buf.ticks; tk[k] < len(ts) && (d < 0 || int(ts[tk[k]].at) < d) {
+				d = int(ts[tk[k]].at)
 			}
-			return 1
 		}
-		if ka.up && ka.sev != kb.sev {
-			if ka.sev > kb.sev {
-				return -1
-			}
-			return 1
+		if d < 0 {
+			break
 		}
-		return cmp.Compare(ka.idx, kb.idx)
-	})
-	slices.SortFunc(m.ticks, func(a, b tickTally) int { return cmp.Compare(a.at, b.at) })
-
-	e := 0
-	for j := 0; j < len(m.ticks); {
-		d := int(m.ticks[j].at)
 		var contenders, granted, deferred int
-		for ; j < len(m.ticks) && int(m.ticks[j].at) == d; j++ {
-			contenders += int(m.ticks[j].contenders)
-			granted += int(m.ticks[j].granted)
-			deferred += int(m.ticks[j].deferred)
+		for k := range groups {
+			ts := groups[k].buf.ticks
+			for ; tk[k] < len(ts) && int(ts[tk[k]].at) == d; tk[k]++ {
+				contenders += int(ts[tk[k]].contenders)
+				granted += int(ts[tk[k]].granted)
+				deferred += int(ts[tk[k]].deferred)
+			}
 		}
 		pressure := 0.0
 		if s.finj != nil {
 			pressure = s.finj.AdvancePressure(int64(m.clock), int64(d+1))
 		}
 		m.clock = d + 1
-		for ; e < len(m.evs) && m.evs[e].ev.T == int64(d); e++ {
-			s.h.Events.Emit(m.evs[e].ev)
+		for {
+			var head *keyedEvent // the least unmerged event at tick d
+			best := -1
+			for k := range groups {
+				evs := groups[k].buf.evs
+				if i := ev[k]; i < len(evs) && evs[i].ev.T == int64(d) && (head == nil || before(evs[i].key, head.key)) {
+					head, best = &evs[i], k
+				}
+			}
+			if head == nil {
+				break
+			}
+			s.h.Events.Emit(head.ev)
+			ev[best]++
 		}
 		if deferred > 0 {
 			s.h.Events.Emit(arbitrationEvent(d, contenders, granted, deferred, pressure))
 		}
 	}
-	clear(m.evs)
-	m.evs, m.ticks = m.evs[:0], m.ticks[:0]
+	for k := range groups {
+		b := groups[k].buf
+		clear(b.evs) // drop the Fields references
+		b.evs, b.ticks = b.evs[:0], b.ticks[:0]
+	}
 }

@@ -323,9 +323,9 @@ func TestSplitStreamOrder(t *testing.T) {
 }
 
 // TestMergeReusesBuffers pins the epoch merge's memory bound: once the
-// group buffers and the merge slice have grown to an epoch's size, later
-// epochs merge without allocating, and every merged slot is cleared so
-// no emitted event's fields stay reachable from the buffers.
+// group buffers have grown to an epoch's size, later epochs merge without
+// allocating (the merge reads the buffers in place), and every merged
+// slot is cleared so no emitted event's fields stay reachable from them.
 func TestMergeReusesBuffers(t *testing.T) {
 	s := &runState{h: hooks.RunHooks{Events: obs.NewNDJSONSink(io.Discard)}, events: true}
 	groups := make([]group, 3)
@@ -359,9 +359,6 @@ func TestMergeReusesBuffers(t *testing.T) {
 			}
 		}
 		return false
-	}
-	if retained(m.evs) {
-		t.Error("merge slice still holds event fields after the merge")
 	}
 	for k := range bufs {
 		if len(bufs[k].evs) != 0 || len(bufs[k].ticks) != 0 || retained(bufs[k].evs) {

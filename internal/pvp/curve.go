@@ -72,9 +72,8 @@ type Curve struct {
 	// (SlopeAt, Skew, FlatTailAt); recomputing the full vector each time
 	// was the dominant per-decision cost.
 	slopes []float64
-	// buckets is a Histogram's exceed-count buffer for ladders wider
-	// than its inline array (Count()+1 slots).
-	buckets []int
+	// counts is BuildCurveInto's reusable slot-count buffer.
+	counts []int32
 }
 
 // SlopeScale converts raw per-core probability differences into the slope
@@ -109,19 +108,23 @@ func BuildCurve(usage []float64, r SKURange) (*Curve, error) {
 // rebuilt per decision tick over thousands of ticks. The resulting curve
 // is indistinguishable from a fresh BuildCurve result.
 func BuildCurveInto(c *Curve, usage []float64, r SKURange) error {
-	var h Histogram
-	if err := h.Reset(r, c); err != nil {
+	if err := r.Validate(); err != nil {
 		return err
 	}
+	if cap(c.counts) < r.Count()+1 {
+		c.counts = make([]int32, r.Count()+1)
+	}
+	counts := c.counts[:r.Count()+1]
+	clear(counts)
 	for i := 0; i < len(usage); {
 		j := i + 1
 		for j < len(usage) && usage[j] == usage[i] {
 			j++
 		}
-		h.Count(h.Slot(usage[i]), j-i)
+		counts[r.Slot(usage[i])] += int32(j - i)
 		i = j
 	}
-	return BuildCurveFrom(c, &h)
+	return BuildCurveCounts(c, r, counts)
 }
 
 // eps is the capacity tolerance of the exceed predicate: a sample above
@@ -129,68 +132,23 @@ func BuildCurveInto(c *Curve, usage []float64, r SKURange) error {
 // throttled.
 const eps = 0.02
 
-// Histogram is the one pass a PvP curve is built from: the per-SKU
-// exceed predicate u > cores·(1−eps) is monotone in cores, so each sample
-// exceeds a contiguous prefix of the ladder, and counting every sample
-// in the slot of the LARGEST core count it still exceeds (slot 0: it
-// exceeds none) lets one suffix sum yield every SKU's exceed count. The
-// slot comes from an estimate plus an exact-predicate fix-up, so float
-// rounding at a boundary cannot diverge from the direct comparison: the
-// counts, and therefore every Performance value, are bit-identical to the
-// O(samples × SKUs) scan. Samples are counted a run of equal values at a
-// time (Slot once, then Count), so a plateau or usage pinned at a cap
-// costs one slot lookup.
-//
-// Ladders of up to 64 SKUs count into an array inside the Histogram, so
-// a stack-held Histogram costs no allocation; wider ladders borrow the
-// curve's reusable heap buffer. Reset arms it for a ladder, Slot and
-// Count count samples, and BuildCurveFrom turns the counts into a curve.
-type Histogram struct {
-	r     SKURange
-	k     int // SKUs on the ladder; k+1 slots are in use
-	small [64]int
-	wide  []int // the curve's buffer, when k+1 > len(small)
-}
-
-// Reset validates r and empties h for a new window over that ladder.
-// Ladders wider than the inline array take c's bucket buffer (grown when
-// needed), so h must be finished with BuildCurveFrom before c is built
-// again.
-func (h *Histogram) Reset(r SKURange, c *Curve) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	k := r.Count()
-	h.r, h.k = r, k
-	if k+1 <= len(h.small) {
-		h.wide = nil
-		clear(h.small[:k+1])
-		return nil
-	}
-	if cap(c.buckets) < k+1 {
-		c.buckets = make([]int, k+1)
-	}
-	h.wide = c.buckets[:k+1]
-	clear(h.wide)
-	return nil
-}
-
-// Count counts n samples into slot s, a Slot result.
-func (h *Histogram) Count(s, n int) {
-	if h.wide != nil {
-		h.wide[s] += n
-	} else {
-		h.small[s] += n
-	}
-}
+// factor is the exceed predicate's capacity share: a sample above
+// cores·factor exceeds the SKU.
+const factor = 1 - eps
 
 // Slot returns the slot a sample of value u counts in: 1 + the index of
-// the largest ladder SKU it exceeds, 0 when it exceeds none. NaN and
-// ±Inf land on the side of every SKU that the direct comparison puts
-// them on.
-func (h *Histogram) Slot(u float64) int {
-	const factor = 1 - eps
-	lo, hi := h.r.MinCores, h.r.MaxCores
+// the largest ladder SKU it exceeds, 0 when it exceeds none; a ladder of
+// k SKUs has k+1 slots. A PvP curve is built from one count per slot:
+// the per-SKU exceed predicate u > cores·(1−eps) is monotone in cores, so
+// each sample exceeds a contiguous prefix of the ladder, and one running
+// sum over the slots yields every SKU's exceed count. The slot comes from
+// an estimate plus an exact-predicate fix-up, so float rounding at a
+// boundary cannot diverge from the direct comparison: the counts, and
+// therefore every Performance value, are bit-identical to the
+// O(samples × SKUs) scan. NaN and ±Inf land on the side of every SKU that
+// the direct comparison puts them on.
+func (r SKURange) Slot(u float64) int {
+	lo, hi := r.MinCores, r.MaxCores
 	// Largest cores in [MinCores-1, MaxCores] with u > cores·factor
 	// (MinCores-1 encodes "exceeds none"). int(u·(1/factor)) lands within
 	// one of the truth for finite u; NaN/±Inf hit the clamps and the
@@ -211,36 +169,60 @@ func (h *Histogram) Slot(u float64) int {
 	return c - (lo - 1)
 }
 
-// BuildCurveFrom builds c from the samples counted in h, reusing c's
-// point and slope storage. An empty histogram is an error.
-func BuildCurveFrom(c *Curve, h *Histogram) error {
-	buckets := h.wide
-	if buckets == nil {
-		buckets = h.small[:h.k+1]
+// slotBound returns the value a sample must exceed to count in slot s or
+// above: Slot(u) ≥ s exactly when u > slotBound(s), for 1 ≤ s ≤ Count().
+// It is the exceed threshold of the s-th SKU, cores MinCores−1+s.
+func (r SKURange) slotBound(s int) float64 {
+	return float64(r.MinCores-1+s) * factor
+}
+
+// TopBound returns the value the m largest of the samples counted in
+// counts (one count per slot of r) all exceed: slotBound of the highest
+// slot s whose suffix (slots s and up) holds at least m samples, or −Inf
+// when only the whole ladder does. A sample that does not exceed it
+// counts below slot s, so it is smaller than every sample that does: the
+// m largest of a window are exactly the m largest of its samples above
+// the bound.
+func (r SKURange) TopBound(counts []int32, m int) float64 {
+	in := 0
+	for s := len(counts) - 1; s >= 1; s-- {
+		if in += int(counts[s]); in >= m {
+			return r.slotBound(s)
+		}
 	}
-	// exceed for the t-th SKU (cores = MinCores+t) = Σ_{j>t} buckets[j];
-	// with slot 0 the sum is the sample count.
-	exceed := 0
-	for t := h.k; t >= 1; t-- {
-		exceed += buckets[t]
-		buckets[t] = exceed // filled in ladder order below
+	return math.Inf(-1)
+}
+
+// BuildCurveCounts builds c over ladder r from per-slot sample counts
+// (Slot's slots, Count()+1 of them), reusing c's point and slope storage.
+// counts is only read. An empty window is an error.
+func BuildCurveCounts(c *Curve, r SKURange, counts []int32) error {
+	k := r.Count()
+	if len(counts) != k+1 {
+		return fmt.Errorf("pvp: %d slot counts for a ladder of %d SKUs: %w", len(counts), k, errs.ErrInvalidConfig)
 	}
-	n := exceed + buckets[0]
+	n := 0
+	for _, m := range counts {
+		n += int(m)
+	}
 	if n == 0 {
 		return errors.New("pvp: empty usage window")
 	}
-	r := h.r
 	price := r.PricePerCore
 	if price <= 0 {
 		price = 1
 	}
 	points := c.Points[:0]
-	if cap(points) < h.k {
-		points = make([]Point, 0, h.k)
+	if cap(points) < k {
+		points = make([]Point, 0, k)
 	}
-	for t := 0; t < h.k; t++ {
+	// exceed for the t-th SKU (cores = MinCores+t) counts the samples in
+	// slots above t.
+	exceed := n
+	for t := 0; t < k; t++ {
+		exceed -= int(counts[t])
 		cores := r.MinCores + t
-		p := float64(buckets[t+1]) / float64(n)
+		p := float64(exceed) / float64(n)
 		points = append(points, Point{
 			Cores:        cores,
 			Performance:  1 - p,

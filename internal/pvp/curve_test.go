@@ -330,10 +330,10 @@ func TestScalingFactorCurve(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram curve build equivalence (the O(samples + SKUs) rebuild)
+// Slot-count curve build equivalence (the O(samples + SKUs) rebuild)
 
-// bruteExceedCurve is the direct O(samples × SKUs) definition the histogram
-// build must reproduce bit-for-bit.
+// bruteExceedCurve is the direct O(samples × SKUs) definition the
+// slot-count build must reproduce bit-for-bit.
 func bruteExceedCurve(usage []float64, r SKURange) []float64 {
 	const eps = 0.02
 	out := make([]float64, 0, r.Count())
@@ -422,5 +422,73 @@ func TestBuildCurveIntoSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("BuildCurveInto steady-state allocs = %v, want 0", allocs)
+	}
+}
+
+// TestSlotBoundRule pins the rule the decision kernel's top-m filter
+// rests on: Slot(u) ≥ s exactly when u > float64(MinCores−1+s)·(1−eps),
+// for every slot s ≥ 1 of the ladder, and slotBound(s) is that value.
+// The samples are every slot boundary with its ±1 ulp neighbours, the
+// boundaries just past both ends of the ladder, 0, −0, NaN and ±Inf, on
+// narrow ladders and on ones wider than 64 SKUs.
+func TestSlotBoundRule(t *testing.T) {
+	for _, r := range []SKURange{
+		{MinCores: 1, MaxCores: 1},
+		{MinCores: 1, MaxCores: 16},
+		{MinCores: 3, MaxCores: 5},
+		{MinCores: 1, MaxCores: 100},
+		{MinCores: 2, MaxCores: 130},
+	} {
+		k := r.Count()
+		us := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -1}
+		for c := r.MinCores - 1; c <= r.MaxCores+1; c++ {
+			b := float64(c) * (1 - 0.02)
+			us = append(us, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
+		}
+		for s := 1; s <= k; s++ {
+			bound := float64(r.MinCores-1+s) * (1 - 0.02)
+			if got := r.slotBound(s); math.Float64bits(got) != math.Float64bits(bound) {
+				t.Fatalf("%+v: slotBound(%d) = %v, want %v", r, s, got, bound)
+			}
+			for _, u := range us {
+				if got, want := r.Slot(u) >= s, u > bound; got != want {
+					t.Fatalf("%+v: Slot(%v) = %d, so ≥ %d is %v, but %v > %v is %v", r, u, r.Slot(u), s, got, u, bound, want)
+				}
+			}
+		}
+		for _, u := range us {
+			if s := r.Slot(u); s < 0 || s > k {
+				t.Fatalf("%+v: Slot(%v) = %d outside [0, %d]", r, u, s, k)
+			}
+		}
+	}
+}
+
+// TestTopBound: the bound is that of the highest slot whose suffix holds
+// m samples, so exactly the samples in that suffix exceed it; −Inf when
+// the whole ladder is needed.
+func TestTopBound(t *testing.T) {
+	r := SKURange{MinCores: 2, MaxCores: 5} // slots 0..4
+	counts := []int32{3, 0, 2, 1, 1}
+	for m, wantSlot := range []int{4, 4, 3, 2, 2, 0, 0, 0} {
+		want := math.Inf(-1)
+		if wantSlot > 0 {
+			want = r.slotBound(wantSlot)
+		}
+		if got := r.TopBound(counts, m); got != want {
+			t.Errorf("TopBound(m=%d) = %v, want %v (slot %d)", m, got, want, wantSlot)
+		}
+	}
+}
+
+// TestBuildCurveCountsRejectsLadderMismatch: counts sized for another
+// ladder are an error, not a misread curve.
+func TestBuildCurveCountsRejectsLadderMismatch(t *testing.T) {
+	var c Curve
+	if err := BuildCurveCounts(&c, defaultRange(), make([]int32, 5)); err == nil {
+		t.Fatal("5 slot counts for a 16-SKU ladder: want an error")
+	}
+	if err := BuildCurveCounts(&c, defaultRange(), make([]int32, 17)); err == nil {
+		t.Fatal("an empty window: want an error")
 	}
 }

@@ -107,6 +107,9 @@ type CaaSPERReactive struct {
 	// memory stays O(window) over a month-long replay, and the
 	// steady-state Observe path is allocation-free.
 	history *win.Ring
+	// counts is history's PvP exceed histogram, slid with every observed
+	// sample, so a decision does not re-slot the whole window.
+	counts core.WindowCounts
 	// scratch reuses the Algorithm 1 evaluation buffers across decision
 	// ticks (an adapter is single-stream state already).
 	scratch core.Scratch
@@ -125,26 +128,30 @@ func NewCaaSPERReactive(cfg core.Config, window int) (*CaaSPERReactive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CaaSPERReactive{algo: algo, window: window, history: win.New(window)}, nil
+	return &CaaSPERReactive{algo: algo, window: window, history: win.New(window), counts: algo.NewWindowCounts()}, nil
 }
 
 // Name implements Recommender.
 func (c *CaaSPERReactive) Name() string { return "caasper-reactive" }
 
-// Observe implements Recommender.
+// Observe implements Recommender. The counts slide before the push: the
+// sample it evicts is still in the ring.
 func (c *CaaSPERReactive) Observe(minute int, usageCores float64) {
 	c.scratch.Now = int64(minute) // timestamp for the next decision audit
+	c.counts.Slide(c.history.View(), c.window, usageCores, 1)
 	c.history.Push(usageCores)
 }
 
 // ObserveRun implements RunObserver: the per-minute Observe only stamps
-// the audit clock and pushes into the ring, so the bulk form is a single
-// clock stamp plus a bulk ring append — bit-identical end state.
+// the audit clock, slides the counts and pushes into the ring, so the
+// bulk form is a single clock stamp, one slide by n and a bulk ring
+// append — bit-identical end state.
 func (c *CaaSPERReactive) ObserveRun(minute int, usageCores float64, n int) {
 	if n <= 0 {
 		return
 	}
 	c.scratch.Now = int64(minute + n - 1)
+	c.counts.Slide(c.history.View(), c.window, usageCores, n)
 	c.history.PushRun(usageCores, n)
 }
 
@@ -162,8 +169,9 @@ func (c *CaaSPERReactive) SteadyObserving(usageCores float64) bool {
 // Recommend implements Recommender.
 func (c *CaaSPERReactive) Recommend(currentCores int) int {
 	// The ring retains exactly the window tail the unbounded adapter
-	// used to slice off, already contiguous — no copy, no allocation.
-	d, err := c.algo.DecideScratch(&c.scratch, currentCores, c.history.View())
+	// used to slice off, already contiguous — no copy, no allocation —
+	// and counts holds its exceed histogram.
+	d, err := c.algo.DecideCounted(&c.scratch, currentCores, c.history.View(), &c.counts)
 	if err != nil {
 		return currentCores // no usable signal: hold
 	}
@@ -175,6 +183,7 @@ func (c *CaaSPERReactive) Recommend(currentCores int) int {
 // starts a new decision stream, not a new telemetry configuration.
 func (c *CaaSPERReactive) Reset() {
 	c.history.Reset()
+	c.counts.Recount(c.history.View())
 	c.scratch = core.Scratch{Sink: c.scratch.Sink}
 	c.LastDecision = core.Decision{}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"caasper/internal/core"
+	win "caasper/internal/window"
 )
 
 // State is the serialisable form of a recommender adapter's mutable
@@ -41,6 +42,8 @@ type StateSnapshotter interface {
 	// RestoreState rebuilds the adapter's mutable state from a snapshot
 	// taken on an identically configured adapter.
 	RestoreState(State) error
+	// stateView is SnapshotState without the copies (see ViewState).
+	stateView() State
 }
 
 // DecisionReporter is implemented by recommenders that expose their most
@@ -53,10 +56,37 @@ type DecisionReporter interface {
 	LastFullDecision() core.Decision
 }
 
+// ViewState returns s's checkpoint state as SnapshotState does, but
+// reads the adapter's own buffers in place: Window and Memo.Window alias
+// its window and memo key, valid only until its next Observe, Recommend,
+// Reset or RestoreState. A caller reads them under the lock that orders
+// those calls, as serve's checkpoint encoder does.
+func ViewState(s StateSnapshotter) State { return s.stateView() }
+
+// viewWindow sets the window half of a State in place: nil when empty, as
+// a copy of it would be.
+func viewWindow(s *State, h *win.Ring) {
+	if v := h.View(); len(v) > 0 {
+		s.Window = v
+	}
+	s.Total = h.Total()
+}
+
+func (c *CaaSPERReactive) stateView() State {
+	s := State{Memo: c.scratch.MemoView(), LastDecision: c.LastDecision}
+	viewWindow(&s, c.history)
+	return s
+}
+
 // SnapshotState implements StateSnapshotter.
 func (c *CaaSPERReactive) SnapshotState() State {
-	s := State{Memo: c.scratch.MemoSnapshot(), LastDecision: c.LastDecision}
-	s.Window, s.Total = c.history.Snapshot(nil)
+	return c.stateView().copied()
+}
+
+// copied returns s with fresh copies of its two windows.
+func (s State) copied() State {
+	s.Window = append([]float64(nil), s.Window...)
+	s.Memo.Window = append([]float64(nil), s.Memo.Window...)
 	return s
 }
 
@@ -65,6 +95,7 @@ func (c *CaaSPERReactive) RestoreState(s State) error {
 	if err := c.history.Restore(s.Window, s.Total); err != nil {
 		return fmt.Errorf("recommend: reactive restore: %w", err)
 	}
+	c.counts.Recount(c.history.View())
 	c.algo.RestoreMemo(&c.scratch, s.Memo)
 	c.LastDecision = s.LastDecision
 	return nil
@@ -73,15 +104,19 @@ func (c *CaaSPERReactive) RestoreState(s State) error {
 // LastFullDecision implements DecisionReporter.
 func (c *CaaSPERReactive) LastFullDecision() core.Decision { return c.LastDecision }
 
-// SnapshotState implements StateSnapshotter.
-func (c *CaaSPERProactive) SnapshotState() State {
+func (c *CaaSPERProactive) stateView() State {
 	s := State{
-		Memo:             c.scratch.MemoSnapshot(),
+		Memo:             c.scratch.MemoView(),
 		LastDecision:     c.LastDecision,
 		LastUsedForecast: c.LastUsedForecast,
 	}
-	s.Window, s.Total = c.history.Snapshot(nil)
+	viewWindow(&s, c.history)
 	return s
+}
+
+// SnapshotState implements StateSnapshotter.
+func (c *CaaSPERProactive) SnapshotState() State {
+	return c.stateView().copied()
 }
 
 // RestoreState implements StateSnapshotter. The forecaster itself is

@@ -180,8 +180,9 @@ func (s *Server) encodeTenant(b []byte, id string) ([]byte, error) {
 			st.CPUPeak = t.cpuPeak
 		}
 		if snap, can := t.rec.(recommend.StateSnapshotter); can {
-			st.HasState = true
-			st.State = snap.SnapshotState()
+			// The line is encoded under the lock, so the state need not
+			// be copied out first.
+			st.HasState, st.State = true, recommend.ViewState(snap)
 		}
 		b, err = appendTenantLine(b, &st)
 	})

@@ -134,6 +134,9 @@ func (t *TopM) Reset(n int, q float64) bool {
 	return err == nil && t.m <= topMax
 }
 
+// Cap returns m, how many of the largest values t keeps.
+func (t *TopM) Cap() int { return t.m }
+
 // Add offers x and reports whether it entered the top. A refused value
 // costs one comparison and leaves t unchanged, so a copy of it offered
 // next would be refused too.

@@ -37,6 +37,9 @@ type Ring struct {
 	// total counts samples ever pushed (the logical history length,
 	// which can exceed the retained length in bounded mode).
 	total int
+	// next is the slot the next Push writes, total mod capacity, kept
+	// by increment so that Push and View divide nothing.
+	next int
 }
 
 // New returns a Ring retaining the last capacity samples. capacity ≤ 0
@@ -57,9 +60,12 @@ func (r *Ring) Push(v float64) {
 		r.total++
 		return
 	}
-	i := r.total % r.capacity
+	i := r.next
 	r.buf[i] = v
 	r.buf[i+r.capacity] = v
+	if r.next++; r.next == r.capacity {
+		r.next = 0
+	}
 	r.total++
 }
 
@@ -86,9 +92,10 @@ func (r *Ring) PushRun(v float64, n int) {
 			r.buf[i] = v
 		}
 		r.total += n
+		r.next = r.total % r.capacity
 		return
 	}
-	i := r.total % r.capacity
+	i := r.next
 	for k := 0; k < n; k++ {
 		r.buf[i] = v
 		r.buf[i+r.capacity] = v
@@ -96,6 +103,7 @@ func (r *Ring) PushRun(v float64, n int) {
 			i = 0
 		}
 	}
+	r.next = i
 	r.total += n
 }
 
@@ -143,8 +151,7 @@ func (r *Ring) View() []float64 {
 	if r.total <= r.capacity {
 		return r.buf[:r.total]
 	}
-	start := r.total % r.capacity
-	return r.buf[start : start+r.capacity]
+	return r.buf[r.next : r.next+r.capacity]
 }
 
 // Tail returns the most recent n retained samples (all of them when
@@ -165,25 +172,18 @@ func (r *Ring) Tail(n int) []float64 {
 
 // Reset clears the window for reuse, keeping the backing storage.
 func (r *Ring) Reset() {
-	r.total = 0
+	r.total, r.next = 0, 0
 	if r.capacity == 0 {
 		r.buf = r.buf[:0]
 	}
 }
 
-// Snapshot appends the retained samples (oldest first) to dst and returns
-// the extended slice together with the total-pushed count — the
-// serialisable form of the window a checkpoint writes out. Restore on a
-// Ring of the same capacity rebuilds bit-identical state.
-func (r *Ring) Snapshot(dst []float64) ([]float64, int) {
-	return append(dst, r.View()...), r.total
-}
-
-// Restore rebuilds the window from a Snapshot: values are the retained
-// samples oldest-first and total the number ever pushed. The restored
-// state — buffer layout, total, View — is bit-identical to the Ring the
-// snapshot was taken from, which is what lets a restarted server resume
-// mid-window with unchanged subsequent decisions.
+// Restore rebuilds the window from a checkpoint of another Ring of the
+// same capacity: values are its View (the retained samples oldest-first)
+// and total its Total. The restored state — buffer layout, total, View —
+// is bit-identical to the Ring the checkpoint was taken from, which is
+// what lets a restarted server resume mid-window with unchanged
+// subsequent decisions.
 func (r *Ring) Restore(values []float64, total int) error {
 	if total < len(values) {
 		return fmt.Errorf("window: snapshot total %d < %d retained samples", total, len(values))
@@ -203,6 +203,9 @@ func (r *Ring) Restore(values []float64, total int) error {
 	// the slot (total mod capacity) it originally occupied, so View reads
 	// from the same offset as the snapshotted ring.
 	r.total = total - len(values)
+	if r.capacity > 0 {
+		r.next = r.total % r.capacity
+	}
 	for _, v := range values {
 		r.Push(v)
 	}

@@ -184,9 +184,9 @@ func TestRingSnapshotRestore(t *testing.T) {
 			for i := 0; i < pushes; i++ {
 				orig.Push(float64(i) * 1.5)
 			}
-			vals, total := orig.Snapshot(nil)
+			vals, total := append([]float64(nil), orig.View()...), orig.Total()
 			if total != pushes {
-				t.Fatalf("cap=%d pushes=%d: Snapshot total = %d", capacity, pushes, total)
+				t.Fatalf("cap=%d pushes=%d: Total = %d", capacity, pushes, total)
 			}
 			rest := New(capacity)
 			if err := rest.Restore(vals, total); err != nil {

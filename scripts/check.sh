@@ -109,12 +109,19 @@ sh scripts/serve.sh
 echo "==> fuzz FuzzQuantileMax (10s)"
 go test -run '^$' -fuzz FuzzQuantileMax -fuzztime 10s -fuzzminimizetime 100x ./internal/stats
 
-# Fuzz stage: Algorithm 1's fused window pass (line 2's filter, the PvP
-# exceed histogram and the top-m scan in one loop) against the
-# sort-based oracle, every Decision field bit for bit, plus the memo hit
-# on a repeated window.
+# Fuzz stage: Algorithm 1's window pass (line 2's filter, the PvP slot
+# counts and the top-m scan above their bound) against the sort-based
+# oracle, every Decision field bit for bit, plus the memo hit on a
+# repeated window.
 echo "==> fuzz FuzzDecideScratch (10s)"
 go test -run '^$' -fuzz FuzzDecideScratch -fuzztime 10s -fuzzminimizetime 100x ./internal/core
+
+# Fuzz stage: the reactive adapter's counted window (slot counts slid at
+# Observe/ObserveRun, rebuilt at Reset/RestoreState) against
+# DecideScratch on the same window: decisions bit for bit, memo hits and
+# misses, and audit events.
+echo "==> fuzz FuzzCountedWindow (10s)"
+go test -run '^$' -fuzz FuzzCountedWindow -fuzztime 10s -fuzzminimizetime 100x ./internal/recommend
 
 # Fuzz stage: arbitrary checkpoint streams into serve's Restore. It must
 # never panic, a failed restore must leave the server without a tenant,
