@@ -1,6 +1,10 @@
 package core
 
-import "caasper/internal/pvp"
+import (
+	"math"
+
+	"caasper/internal/pvp"
+)
 
 // WindowCounts is a sliding usage window's PvP exceed histogram, kept
 // current sample by sample: one count per pvp slot of the window's valid
@@ -65,10 +69,16 @@ func (w *WindowCounts) Slide(view []float64, capacity int, u float64, n int) {
 	w.slots[ps] -= run
 }
 
-// Recount rebuilds the counts from the window's samples.
+// Recount rebuilds the counts from the window's samples. A sample equal
+// to the one before it reuses that one's slot, so a window of runs costs
+// a slot lookup per run.
 func (w *WindowCounts) Recount(window []float64) {
 	clear(w.slots)
+	prev, s := math.NaN(), 0 // NaN equals nothing, so the first sample is slotted
 	for _, u := range window {
-		w.slots[w.slot(u)]++
+		if u != prev {
+			prev, s = u, w.slot(u)
+		}
+		w.slots[s]++
 	}
 }

@@ -12,13 +12,13 @@ import (
 // TestWindowCountsSlideMatchesRecount slides counts through a stream of
 // single samples and runs — NaN, ±Inf, negatives, −0, repeats, runs
 // shorter and longer than the window — and after every step compares
-// them with counts rebuilt from the window itself, for windows of 1 to
-// 41 samples.
+// them, and Recount's, with the window's samples slotted one by one, for
+// windows of 1 to 41 samples.
 func TestWindowCountsSlideMatchesRecount(t *testing.T) {
 	r := mustRecommender(t, 16)
 	values := []float64{3.2, math.NaN(), 15.68, 15.680000000000001, -1, math.Copysign(0, -1), 0, math.Inf(1), 7, 7, 40, math.Inf(-1)}
 	for _, capacity := range []int{1, 2, 5, 40, 41} {
-		slid, want := r.NewWindowCounts(), r.NewWindowCounts()
+		slid, re, want := r.NewWindowCounts(), r.NewWindowCounts(), r.NewWindowCounts()
 		var window []float64
 		for step := 0; step < 300; step++ {
 			u := values[(step*7)%len(values)]
@@ -31,9 +31,13 @@ func TestWindowCountsSlideMatchesRecount(t *testing.T) {
 				window = append(window, u)
 			}
 			window = window[max(len(window)-capacity, 0):]
-			want.Recount(window)
-			if !slices.Equal(slid.slots, want.slots) {
-				t.Fatalf("capacity %d step %d (+%d×%v): slid %v, recounted %v", capacity, step, n, u, slid.slots, want.slots)
+			clear(want.slots)
+			for _, x := range window {
+				want.slots[want.slot(x)]++
+			}
+			re.Recount(window)
+			if !slices.Equal(slid.slots, want.slots) || !slices.Equal(re.slots, want.slots) {
+				t.Fatalf("capacity %d step %d (+%d×%v): slid %v, recounted %v, want %v", capacity, step, n, u, slid.slots, re.slots, want.slots)
 			}
 		}
 	}

@@ -22,12 +22,18 @@ package fleet
 // Each group's buffer is already in that order restricted to the group:
 // its ticks ascend, and at each tick enactPhase walks the releases by
 // index and then the scale-ups in the arbiter's order. So the merge is a
-// k-way merge of the group buffers, with no sort: per tick it sums the
-// groups' tallies and repeatedly emits the least head event. Keys of
-// different groups never tie (tenant indices are unique), and one
-// tenant's events, which share one key, stay in emission order. Per-tenant
-// fault events and the "fleet.run" and "fleet.tenant" events do not pass
-// through here.
+// k-way merge of the group buffers, with no sort. The groups wait on a
+// min-heap by their next tally's tick; at the earliest tick d it sums
+// the tallies of the groups there, and those groups' events at d pass
+// through a second heap keyed by their head event, which emits the least
+// head until none is left at d. Only those groups can have events at d:
+// a group that emits at d processed d, and enactTick records its tally
+// there after the events. An epoch costs O((E + T) log G) for E events,
+// T tallies and G groups, which matters because a fleet can split into
+// as many groups as it has nodes. Keys of different groups never tie (tenant indices are
+// unique), and one tenant's events, which share one key, stay in
+// emission order. Per-tenant fault events and the "fleet.run" and
+// "fleet.tenant" events do not pass through here.
 
 import "caasper/internal/obs"
 
@@ -69,7 +75,12 @@ type epochBuf struct {
 type merger struct {
 	// next holds two cursors per group: its next unmerged event, then
 	// its next unmerged tally.
-	next  []int
+	next []int
+	// ticks heaps the groups with unmerged tallies by their next tally's
+	// tick; evs heaps the groups with an unmerged event at the tick being
+	// merged by that event's key.
+	ticks tickHeap
+	evs   evHeap
 	clock int // the shared injector's pressure coverage
 }
 
@@ -116,52 +127,144 @@ func (s *runState) merge(groups []group, m *merger) {
 	next := m.next[:2*len(groups)]
 	clear(next)
 	ev, tk := next[:len(groups)], next[len(groups):]
-	for {
-		d := -1 // the earliest tick a group has not merged yet
-		for k := range groups {
-			if ts := groups[k].buf.ticks; tk[k] < len(ts) && (d < 0 || int(ts[tk[k]].at) < d) {
-				d = int(ts[tk[k]].at)
-			}
+	th := m.ticks[:0]
+	for k := range groups {
+		if ts := groups[k].buf.ticks; len(ts) > 0 {
+			th = append(th, newTickHead(ts[0].at, k))
 		}
-		if d < 0 {
-			break
-		}
+	}
+	th.init()
+	eh := m.evs[:0]
+	for len(th) > 0 {
+		d := th[0].at()
 		var contenders, granted, deferred int
-		for k := range groups {
-			ts := groups[k].buf.ticks
-			for ; tk[k] < len(ts) && int(ts[tk[k]].at) == d; tk[k]++ {
-				contenders += int(ts[tk[k]].contenders)
-				granted += int(ts[tk[k]].granted)
-				deferred += int(ts[tk[k]].deferred)
+		for len(th) > 0 && th[0].at() == d {
+			k := th[0].group()
+			b := groups[k].buf
+			t := b.ticks[tk[k]]
+			contenders += int(t.contenders)
+			granted += int(t.granted)
+			deferred += int(t.deferred)
+			if i := ev[k]; i < len(b.evs) && b.evs[i].ev.T == int64(d) {
+				eh = append(eh, evEntry{b.evs[i].key, int32(k)})
+			}
+			if tk[k]++; tk[k] < len(b.ticks) {
+				th[0] = newTickHead(b.ticks[tk[k]].at, k)
+				th.down(0)
+			} else {
+				th.pop()
 			}
 		}
 		pressure := 0.0
 		if s.finj != nil {
-			pressure = s.finj.AdvancePressure(int64(m.clock), int64(d+1))
+			pressure = s.finj.AdvancePressure(int64(m.clock), int64(d)+1)
 		}
-		m.clock = d + 1
-		for {
-			var head *keyedEvent // the least unmerged event at tick d
-			best := -1
-			for k := range groups {
-				evs := groups[k].buf.evs
-				if i := ev[k]; i < len(evs) && evs[i].ev.T == int64(d) && (head == nil || before(evs[i].key, head.key)) {
-					head, best = &evs[i], k
-				}
+		m.clock = int(d) + 1
+		eh.init()
+		for len(eh) > 0 {
+			k := eh[0].group
+			evs := groups[k].buf.evs
+			s.h.Events.Emit(evs[ev[k]].ev)
+			if ev[k]++; ev[k] < len(evs) && evs[ev[k]].ev.T == int64(d) {
+				eh[0].key = evs[ev[k]].key
+				eh.down(0)
+			} else {
+				eh.pop()
 			}
-			if head == nil {
-				break
-			}
-			s.h.Events.Emit(head.ev)
-			ev[best]++
 		}
 		if deferred > 0 {
-			s.h.Events.Emit(arbitrationEvent(d, contenders, granted, deferred, pressure))
+			s.h.Events.Emit(arbitrationEvent(int(d), contenders, granted, deferred, pressure))
 		}
 	}
+	m.ticks, m.evs = th, eh
 	for k := range groups {
 		b := groups[k].buf
 		clear(b.evs) // drop the Fields references
 		b.evs, b.ticks = b.evs[:0], b.ticks[:0]
 	}
+}
+
+// tickHead packs a group's next tally tick above its index, so that one
+// integer comparison orders the tick heap.
+type tickHead uint64
+
+func newTickHead(at int32, k int) tickHead {
+	return tickHead(uint64(uint32(at))<<32 | uint64(uint32(k)))
+}
+func (h tickHead) at() int32  { return int32(h >> 32) }
+func (h tickHead) group() int { return int(uint32(h)) }
+
+// tickHeap is a binary min-heap of tick heads.
+type tickHeap []tickHead
+
+func (h tickHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h tickHeap) down(i int) {
+	for {
+		l, m := 2*i+1, i
+		if l < len(h) && h[l] < h[m] {
+			m = l
+		}
+		if l+1 < len(h) && h[l+1] < h[m] {
+			m = l + 1
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func (h *tickHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	*h = q[:n]
+	(*h).down(0)
+}
+
+// evEntry is a group whose next event falls at the tick being merged,
+// with that event's key.
+type evEntry struct {
+	key   mergeKey
+	group int32
+}
+
+// evHeap is a binary min-heap of event heads under before.
+type evHeap []evEntry
+
+func (h evHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h evHeap) down(i int) {
+	for {
+		l, m := 2*i+1, i
+		if l < len(h) && before(h[l].key, h[m].key) {
+			m = l
+		}
+		if l+1 < len(h) && before(h[l+1].key, h[m].key) {
+			m = l + 1
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+func (h *evHeap) pop() {
+	q := *h
+	n := len(q) - 1
+	q[0] = q[n]
+	*h = q[:n]
+	(*h).down(0)
 }

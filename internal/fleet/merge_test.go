@@ -1,10 +1,15 @@
 package fleet
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -364,5 +369,156 @@ func TestMergeReusesBuffers(t *testing.T) {
 		if len(bufs[k].evs) != 0 || len(bufs[k].ticks) != 0 || retained(bufs[k].evs) {
 			t.Errorf("group %d buffer not emptied and cleared after the merge", k)
 		}
+	}
+}
+
+// randomEpoch builds one epoch of group buffers as split groups fill
+// them: tenant i belongs to group i mod len(bufs); a group processes
+// each of ticks ticks with probability pTick, and at a processed tick
+// each of its tenants emits one or two events with probability pEvent,
+// in the group's own order, before the tick's tally. Every event carries
+// a serial number, so reordered events show in the encoded stream.
+func randomEpoch(rng *rand.Rand, bufs []epochBuf, tenants, ticks int, pTick, pEvent float64) {
+	serial := int64(0)
+	for g := range bufs {
+		b := &bufs[g]
+		for d := 0; d < ticks; d++ {
+			if rng.Float64() >= pTick {
+				continue
+			}
+			start := len(b.evs)
+			for i := g; i < tenants; i += len(bufs) {
+				if rng.Float64() >= pEvent {
+					continue
+				}
+				key := mergeKey{idx: int32(i), up: rng.Intn(2) == 0}
+				if key.up {
+					key.sev = float64(rng.Intn(3))
+				}
+				for n := 1 + rng.Intn(2); n > 0; n-- {
+					serial++
+					b.evs = append(b.evs, keyedEvent{key: key, ev: obs.Event{
+						T: int64(d), Type: "fleet.resize", Fields: []obs.Field{obs.I("idx", int64(i)), obs.I("serial", serial)},
+					}})
+				}
+			}
+			slices.SortStableFunc(b.evs[start:], func(x, y keyedEvent) int {
+				if before(x.key, y.key) {
+					return -1
+				}
+				if before(y.key, x.key) {
+					return 1
+				}
+				return 0
+			})
+			b.ticks = append(b.ticks, tickTally{at: int32(d), contenders: int32(rng.Intn(3)), granted: int32(rng.Intn(2)), deferred: int32(rng.Intn(2))})
+		}
+	}
+}
+
+// sortedMerge is the merge's reference: every group's events stably
+// sorted together by (tick, key), every tally summed per tick.
+func sortedMerge(bufs []epochBuf, sink obs.Sink) {
+	var evs []keyedEvent
+	var ticks []tickTally
+	for g := range bufs {
+		evs = append(evs, bufs[g].evs...)
+		ticks = append(ticks, bufs[g].ticks...)
+	}
+	slices.SortStableFunc(evs, func(a, b keyedEvent) int {
+		if c := cmp.Compare(a.ev.T, b.ev.T); c != 0 {
+			return c
+		}
+		if before(a.key, b.key) {
+			return -1
+		}
+		if before(b.key, a.key) {
+			return 1
+		}
+		return 0
+	})
+	slices.SortStableFunc(ticks, func(a, b tickTally) int { return cmp.Compare(a.at, b.at) })
+	e := 0
+	for j := 0; j < len(ticks); {
+		d := ticks[j].at
+		var contenders, granted, deferred int
+		for ; j < len(ticks) && ticks[j].at == d; j++ {
+			contenders += int(ticks[j].contenders)
+			granted += int(ticks[j].granted)
+			deferred += int(ticks[j].deferred)
+		}
+		for ; e < len(evs) && evs[e].ev.T == int64(d); e++ {
+			sink.Emit(evs[e].ev)
+		}
+		if deferred > 0 {
+			sink.Emit(arbitrationEvent(int(d), contenders, granted, deferred, 0))
+		}
+	}
+}
+
+// TestMergeMatchesSort holds the k-way merge to a stable sort of the
+// concatenated group buffers, from one group to more groups than
+// tenants, with same-key runs, idle groups and ticks no group shares.
+func TestMergeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := &merger{}
+	for trial := 0; trial < 200; trial++ {
+		groups := make([]group, 1+rng.Intn(40))
+		bufs := make([]epochBuf, len(groups))
+		for k := range groups {
+			groups[k].buf = &bufs[k]
+		}
+		randomEpoch(rng, bufs, 1+rng.Intn(60), 1+rng.Intn(12), rng.Float64(), rng.Float64())
+		var want, got bytes.Buffer
+		ref := obs.NewNDJSONSink(&want)
+		sortedMerge(bufs, ref)
+		sink := obs.NewNDJSONSink(&got)
+		s := &runState{h: hooks.RunHooks{Events: sink}, events: true}
+		s.merge(groups, m)
+		if err := errors.Join(ref.Flush(), sink.Flush()); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("trial %d (%d groups): merge diverged from the sort:\n%s", trial, len(groups), firstLineDiff(want.String(), got.String()))
+		}
+	}
+}
+
+// firstLineDiff renders the first differing line of two NDJSON streams.
+func firstLineDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("line %d:\nwant %s\n got %s", i+1, wl[i], gl[i])
+		}
+	}
+	return fmt.Sprintf("lengths %d vs %d lines", len(wl), len(gl))
+}
+
+// BenchmarkMerge times one epoch's merge (16 ticks, 1024 tenants, each
+// emitting at a tick with probability 1/4) as the fleet splits into more
+// groups, up to one group per tenant. The events go to a disabled sink,
+// so the time is the merge's own.
+func BenchmarkMerge(b *testing.B) {
+	for _, g := range []int{6, 64, 1024} {
+		b.Run(fmt.Sprintf("groups=%d", g), func(b *testing.B) {
+			tmpl := make([]epochBuf, g)
+			randomEpoch(rand.New(rand.NewSource(1)), tmpl, 1024, 16, 1, 0.25)
+			groups := make([]group, g)
+			bufs := make([]epochBuf, g)
+			for k := range groups {
+				groups[k].buf = &bufs[k]
+			}
+			s := &runState{h: hooks.RunHooks{Events: obs.Discard}, events: true}
+			m := &merger{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k := range bufs {
+					bufs[k].evs = append(bufs[k].evs[:0], tmpl[k].evs...)
+					bufs[k].ticks = append(bufs[k].ticks[:0], tmpl[k].ticks...)
+				}
+				s.merge(groups, m)
+			}
+		})
 	}
 }

@@ -37,13 +37,16 @@ type State struct {
 // bit-identical mid-window, which is why the serve layer reports the
 // capability per tenant.
 type StateSnapshotter interface {
-	// SnapshotState copies out the adapter's mutable state.
+	// SnapshotState returns the adapter's mutable state in place:
+	// Window and Memo.Window alias the adapter's window and memo key, so
+	// they are valid only until its next Observe, Recommend, Reset or
+	// RestoreState, and must not be mutated. A caller encodes them, or
+	// copies them, under the lock that orders those calls.
 	SnapshotState() State
 	// RestoreState rebuilds the adapter's mutable state from a snapshot
-	// taken on an identically configured adapter.
+	// taken on an identically configured adapter. It copies what it
+	// keeps.
 	RestoreState(State) error
-	// stateView is SnapshotState without the copies (see ViewState).
-	stateView() State
 }
 
 // DecisionReporter is implemented by recommenders that expose their most
@@ -56,15 +59,8 @@ type DecisionReporter interface {
 	LastFullDecision() core.Decision
 }
 
-// ViewState returns s's checkpoint state as SnapshotState does, but
-// reads the adapter's own buffers in place: Window and Memo.Window alias
-// its window and memo key, valid only until its next Observe, Recommend,
-// Reset or RestoreState. A caller reads them under the lock that orders
-// those calls, as serve's checkpoint encoder does.
-func ViewState(s StateSnapshotter) State { return s.stateView() }
-
-// viewWindow sets the window half of a State in place: nil when empty, as
-// a copy of it would be.
+// viewWindow sets the window half of a State in place: nil when empty,
+// so the encoded line omits it.
 func viewWindow(s *State, h *win.Ring) {
 	if v := h.View(); len(v) > 0 {
 		s.Window = v
@@ -72,21 +68,10 @@ func viewWindow(s *State, h *win.Ring) {
 	s.Total = h.Total()
 }
 
-func (c *CaaSPERReactive) stateView() State {
-	s := State{Memo: c.scratch.MemoView(), LastDecision: c.LastDecision}
-	viewWindow(&s, c.history)
-	return s
-}
-
 // SnapshotState implements StateSnapshotter.
 func (c *CaaSPERReactive) SnapshotState() State {
-	return c.stateView().copied()
-}
-
-// copied returns s with fresh copies of its two windows.
-func (s State) copied() State {
-	s.Window = append([]float64(nil), s.Window...)
-	s.Memo.Window = append([]float64(nil), s.Memo.Window...)
+	s := State{Memo: c.scratch.MemoView(), LastDecision: c.LastDecision}
+	viewWindow(&s, c.history)
 	return s
 }
 
@@ -104,7 +89,8 @@ func (c *CaaSPERReactive) RestoreState(s State) error {
 // LastFullDecision implements DecisionReporter.
 func (c *CaaSPERReactive) LastFullDecision() core.Decision { return c.LastDecision }
 
-func (c *CaaSPERProactive) stateView() State {
+// SnapshotState implements StateSnapshotter.
+func (c *CaaSPERProactive) SnapshotState() State {
 	s := State{
 		Memo:             c.scratch.MemoView(),
 		LastDecision:     c.LastDecision,
@@ -112,11 +98,6 @@ func (c *CaaSPERProactive) stateView() State {
 	}
 	viewWindow(&s, c.history)
 	return s
-}
-
-// SnapshotState implements StateSnapshotter.
-func (c *CaaSPERProactive) SnapshotState() State {
-	return c.stateView().copied()
 }
 
 // RestoreState implements StateSnapshotter. The forecaster itself is

@@ -180,9 +180,9 @@ func (s *Server) encodeTenant(b []byte, id string) ([]byte, error) {
 			st.CPUPeak = t.cpuPeak
 		}
 		if snap, can := t.rec.(recommend.StateSnapshotter); can {
-			// The line is encoded under the lock, so the state need not
-			// be copied out first.
-			st.HasState, st.State = true, recommend.ViewState(snap)
+			// The line is encoded under the lock, so the state's
+			// windows may alias the adapter's own buffers.
+			st.HasState, st.State = true, snap.SnapshotState()
 		}
 		b, err = appendTenantLine(b, &st)
 	})

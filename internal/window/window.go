@@ -37,9 +37,6 @@ type Ring struct {
 	// total counts samples ever pushed (the logical history length,
 	// which can exceed the retained length in bounded mode).
 	total int
-	// next is the slot the next Push writes, total mod capacity, kept
-	// by increment so that Push and View divide nothing.
-	next int
 }
 
 // New returns a Ring retaining the last capacity samples. capacity ≤ 0
@@ -60,12 +57,9 @@ func (r *Ring) Push(v float64) {
 		r.total++
 		return
 	}
-	i := r.next
+	i := r.total % r.capacity
 	r.buf[i] = v
 	r.buf[i+r.capacity] = v
-	if r.next++; r.next == r.capacity {
-		r.next = 0
-	}
 	r.total++
 }
 
@@ -92,10 +86,9 @@ func (r *Ring) PushRun(v float64, n int) {
 			r.buf[i] = v
 		}
 		r.total += n
-		r.next = r.total % r.capacity
 		return
 	}
-	i := r.next
+	i := r.total % r.capacity
 	for k := 0; k < n; k++ {
 		r.buf[i] = v
 		r.buf[i+r.capacity] = v
@@ -103,7 +96,6 @@ func (r *Ring) PushRun(v float64, n int) {
 			i = 0
 		}
 	}
-	r.next = i
 	r.total += n
 }
 
@@ -151,7 +143,8 @@ func (r *Ring) View() []float64 {
 	if r.total <= r.capacity {
 		return r.buf[:r.total]
 	}
-	return r.buf[r.next : r.next+r.capacity]
+	start := r.total % r.capacity
+	return r.buf[start : start+r.capacity]
 }
 
 // Tail returns the most recent n retained samples (all of them when
@@ -172,7 +165,7 @@ func (r *Ring) Tail(n int) []float64 {
 
 // Reset clears the window for reuse, keeping the backing storage.
 func (r *Ring) Reset() {
-	r.total, r.next = 0, 0
+	r.total = 0
 	if r.capacity == 0 {
 		r.buf = r.buf[:0]
 	}
@@ -203,9 +196,6 @@ func (r *Ring) Restore(values []float64, total int) error {
 	// the slot (total mod capacity) it originally occupied, so View reads
 	// from the same offset as the snapshotted ring.
 	r.total = total - len(values)
-	if r.capacity > 0 {
-		r.next = r.total % r.capacity
-	}
 	for _, v := range values {
 		r.Push(v)
 	}
