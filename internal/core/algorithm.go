@@ -80,6 +80,8 @@ func (d *Decision) BackfillV1(raw []byte) error {
 // single instance may be shared by concurrent callers.
 type Recommender struct {
 	cfg Config
+	// sf0 is Eq. 3 at a zero product, pvp.ScalingFactor(0, 0, cfg.SF).
+	sf0 float64
 }
 
 // New builds a Recommender after validating cfg.
@@ -87,7 +89,7 @@ func New(cfg Config) (*Recommender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Recommender{cfg: cfg}, nil
+	return &Recommender{cfg: cfg, sf0: pvp.ScalingFactor(0, 0, cfg.SF)}, nil
 }
 
 // Config returns the recommender's configuration.
@@ -130,14 +132,18 @@ type Scratch struct {
 	// counts is the exceed histogram DecideScratch counts a raw window
 	// into, made on first use: DecideCounted's caller keeps its own.
 	counts *WindowCounts
+	// skews remembers the skew of recent count vectors, made at the
+	// second full evaluation (see skew).
+	skews *skewTable
 
 	// expKind/expPeak record which prose template the last full
 	// evaluation would have produced and the one operand (the observed
 	// peak) the Decision struct does not carry. Explanation() rebuilds
 	// the string from them on demand; the decision hot path never touches
-	// strconv.
-	expKind expKind
+	// strconv. expKind sits beside memoValid, so the two bytes share one
+	// word of padding.
 	expPeak float64
+	expKind expKind
 
 	memoValid bool
 	memoCores int
@@ -478,9 +484,9 @@ func (r *Recommender) evaluate(sc *Scratch, xc int, usage []float64, w *WindowCo
 	curve := &sc.curve
 
 	// Lines 4–7: slopes, skew, current slope, scaling factor.
-	skew := curve.Skew()
+	skew := sc.skew(curve, w.ladder())
 	s := curve.SlopeAt(xc)
-	rawSF := pvp.ScalingFactor(s, skew, cfg.SF)
+	rawSF := r.scalingFactor(s, skew)
 
 	// Both order statistics are exact, so they are bit-identical to
 	// sorting first and reading the R-7 quantile and the last element. A

@@ -3,7 +3,10 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
+
+	"caasper/internal/pvp"
 )
 
 // decodeDecideInput turns fuzz bytes into a usage window over a ladder of
@@ -66,6 +69,15 @@ func decodeDecideInput(data []byte, maxCores int) []float64 {
 // 0.98 boundaries with ±Inf, a 100-SKU ladder, a quantile 10 deep, a
 // window line 2 empties, runs at a wide ladder's boundaries, and a run
 // of equal values that must enter the top-m more than once.
+//
+// A fourth scratch then decides the window's revisit sequence (see
+// revisits): windows whose slot counts equal the first one's but whose
+// values or order differ, so the memo misses and the skew table answers,
+// between windows whose counts differ from it in one slot each. Every
+// decision must match the oracle's for its own window, which shares no
+// table. The seeds from seed07 on hold two to four occupied slots with
+// distinct counts, where a table that mixes up two vectors returns a
+// wrong skew.
 func FuzzDecideScratch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, mc, qp, cb uint8) {
 		maxCores := 2 + int(mc)%99
@@ -116,5 +128,67 @@ func FuzzDecideScratch(f *testing.F) {
 				t.Fatalf("repeat: hits %d → %d, decision %+v; want a memo hit returning %+v", hits, sc.MemoHits, again, want)
 			}
 		}
+
+		var sc Scratch
+		for i, u := range revisits(usage, cfg.SKUs) {
+			want, _ := referenceDecide(t, cfg, cur, u)
+			got, err := r.DecideScratch(&sc, cur, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameDecision(got, want) {
+				t.Fatalf("max %d q=%v cur %d revisit %d of %v, usage %v:\n got  %+v\n want %+v", maxCores, cfg.QuantileP, cur, i, usage, u, got, want)
+			}
+		}
 	})
+}
+
+// revisits returns the windows one scratch decides, usage (which must
+// hold a valid sample) first: then usage with every valid sample moved
+// down within its slot; for each slot holding two or more samples, usage
+// without its first sample in that slot (the counts differ in that slot
+// alone); then usage reversed, usage moved up and reversed, and usage
+// again. All but the one-slot variants share usage's count vector, so
+// from the second evaluation on the skew table answers them, and it must
+// not take a one-slot variant for them.
+func revisits(usage []float64, skus pvp.SKURange) [][]float64 {
+	seq := [][]float64{usage, moved(usage, skus, 0)}
+	first := make([]int, skus.Count()+1) // slot → index of its first sample
+	count := make([]int, skus.Count()+1)
+	for i, u := range usage {
+		if valid(u) {
+			s := skus.Slot(u)
+			if count[s] == 0 {
+				first[s] = i
+			}
+			count[s]++
+		}
+	}
+	for s, c := range count {
+		if c >= 2 {
+			i := first[s]
+			seq = append(seq, append(append([]float64(nil), usage[:i]...), usage[i+1:]...))
+		}
+	}
+	return append(seq, reversed(usage), reversed(moved(usage, skus, math.Inf(1))), usage)
+}
+
+// moved returns a copy of usage with every valid sample moved one ulp
+// toward dir where that keeps it valid and in its slot.
+func moved(usage []float64, skus pvp.SKURange, dir float64) []float64 {
+	out := make([]float64, len(usage))
+	for i, u := range usage {
+		out[i] = u
+		if v := math.Nextafter(u, dir); valid(u) && valid(v) && skus.Slot(v) == skus.Slot(u) {
+			out[i] = v
+		}
+	}
+	return out
+}
+
+// reversed returns a reversed copy of usage.
+func reversed(usage []float64) []float64 {
+	out := append([]float64(nil), usage...)
+	slices.Reverse(out)
+	return out
 }

@@ -26,6 +26,17 @@ type ScalingFactorParams struct {
 // Negative or NaN inputs are treated as zero; the log argument is floored
 // at 1 so the factor is never negative.
 func ScalingFactor(s, skew float64, p ScalingFactorParams) float64 {
+	arg := p.Product(s, skew) + p.CMin
+	if arg < 1 {
+		arg = 1
+	}
+	return math.Log(arg)
+}
+
+// Product returns the product skewWeight·skew·s that ScalingFactor adds
+// to c_min, after its input rules: a negative or NaN s or skew counts as
+// zero, a non-positive weight as 1.
+func (p ScalingFactorParams) Product(s, skew float64) float64 {
 	if s < 0 || math.IsNaN(s) {
 		s = 0
 	}
@@ -36,11 +47,7 @@ func ScalingFactor(s, skew float64, p ScalingFactorParams) float64 {
 	if w <= 0 {
 		w = 1
 	}
-	arg := w*skew*s + p.CMin
-	if arg < 1 {
-		arg = 1
-	}
-	return math.Log(arg)
+	return w * skew * s
 }
 
 // ScalingFactorCurve tabulates SF over a slope range — the data behind the

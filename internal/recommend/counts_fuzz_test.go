@@ -65,6 +65,10 @@ func fuzzSample(kind, x byte, maxCores int, prev float64) float64 {
 // to 1, so deep quantiles take the quickselect path. The seeds under
 // testdata/fuzz/FuzzCountedWindow cover each operation, window 1, a
 // 100-SKU ladder and runs longer than the window.
+//
+// The reference's scratch holds a skew table too, filled by the same
+// sequence of misses, so a table bug would agree with itself here:
+// core's FuzzDecideScratch checks the table against an oracle with none.
 func FuzzCountedWindow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, mc, wb, qp uint8) {
 		maxCores := 2 + int(mc)%99

@@ -3,6 +3,7 @@ package recommend
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"caasper/internal/core"
 	"caasper/internal/errs"
@@ -13,6 +14,16 @@ var (
 	_ Recommender = (*CaaSPERReactive)(nil)
 	_ Recommender = (*CaaSPERProactive)(nil)
 )
+
+// TestCaaSPERReactiveSize keeps the reactive adapter, one per fleet or
+// serve tenant, inside the 640 B allocation size class: state a tenant
+// needs only on some decisions (the scratch's skew table) hangs off a
+// pointer instead.
+func TestCaaSPERReactiveSize(t *testing.T) {
+	if size := unsafe.Sizeof(CaaSPERReactive{}); size > 640 {
+		t.Fatalf("CaaSPERReactive is %d B, above the 640 B size class", size)
+	}
+}
 
 func TestNewCaaSPERReactiveValidation(t *testing.T) {
 	if _, err := NewCaaSPERReactive(core.DefaultConfig(16), 0); err == nil {

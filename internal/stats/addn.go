@@ -5,13 +5,31 @@ import (
 	"math/bits"
 )
 
+// addNLoop is the run length from which AddN jumps. Below it the plain
+// loop is cheaper than a jump's fixed cost: on a 2-vCPU Xeon VM (Go 1.24)
+// BenchmarkAddN's loop rows read 6, 10 and 9 ns at n = 4, 10 and 16
+// against 14–16 ns for the jumps, and a scratch n = 24 row read 22 ns
+// against 14.
+const addNLoop = 16
+
 // AddN returns s + x + … + x, the n additions made in order, bit for bit
 // what `for ; n > 0; n-- { s += x }` returns, in O(binades crossed)
 // rather than O(n) steps for a non-negative s and a finite positive x.
-// The steps it cannot jump (see jump) are taken one plain s += x at a
-// time, and a step that leaves s unchanged ends the sum: every later
-// step would be the same.
+// A run shorter than addNLoop takes that loop itself.
 func AddN(s, x float64, n int) float64 {
+	if n < addNLoop {
+		for ; n > 0; n-- {
+			s += x
+		}
+		return s
+	}
+	return addNJump(s, x, n)
+}
+
+// addNJump is AddN by jumps. The steps it cannot jump (see jump) are
+// taken one plain s += x at a time, and a step that leaves s unchanged
+// ends the sum: every later step would be the same.
+func addNJump(s, x float64, n int) float64 {
 	for n > 0 {
 		next, k := s+x, 1
 		// A jump gains nothing over one plain step when one step is left,

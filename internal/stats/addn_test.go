@@ -60,9 +60,34 @@ var addNCases = []struct {
 	{123.456, 1e-13, -5},                              // negative n: no additions
 }
 
+// checkAddN fails t unless AddN and its jump path both return what the
+// loop does; the jumps are checked on their own so that the short runs,
+// which AddN loops, still exercise them.
+func checkAddN(t *testing.T, s, x float64, n int) {
+	t.Helper()
+	want := loopAddN(s, x, n)
+	for _, f := range []struct {
+		name string
+		fn   func(s, x float64, n int) float64
+	}{{"AddN", AddN}, {"addNJump", addNJump}} {
+		if got := f.fn(s, x, n); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s(%#x, %#x, %d) = %#x, loop gives %#x",
+				f.name, math.Float64bits(s), math.Float64bits(x), n, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
+// TestAddNCases runs the edge operands through AddN and the jumps.
+func TestAddNCases(t *testing.T) {
+	for _, c := range addNCases {
+		checkAddN(t, c.s, c.x, c.n)
+	}
+}
+
 // TestAddNRandom draws operands the ledger and the severity sum meet —
 // sums of a few thousand at most, small steps, some on an exact grid so
-// ties come up — plus arbitrary bit patterns.
+// ties come up — plus arbitrary bit patterns. A quarter of the runs are
+// shorter than 2·addNLoop, on both sides of the crossover.
 func TestAddNRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 20000; i++ {
@@ -81,11 +106,10 @@ func TestAddNRandom(t *testing.T) {
 			x = math.Float64frombits(rng.Uint64())
 		}
 		n := rng.Intn(5000)
-		want := loopAddN(s, x, n)
-		if got := AddN(s, x, n); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("AddN(%#x, %#x, %d) = %#x, loop gives %#x",
-				math.Float64bits(s), math.Float64bits(x), n, math.Float64bits(got), math.Float64bits(want))
+		if i%16 < 4 {
+			n = rng.Intn(2 * addNLoop)
 		}
+		checkAddN(t, s, x, n)
 	}
 }
 
@@ -107,19 +131,32 @@ func FuzzAddN(f *testing.F) {
 
 var addNSink float64
 
+// BenchmarkAddN times the plain loop, the jumps alone and AddN on
+// ledger-like runs: 540 steps inside one binade and across several, and
+// the short runs of a tenant awake every tick, where the loop and jump
+// rows cross (addNLoop).
 func BenchmarkAddN(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		s    float64
-	}{{"one-binade", 5000}, {"crossing", 12.5}} {
+		n    int
+	}{
+		{"one-binade", 5000, 540}, {"crossing", 12.5, 540},
+		{"n=4", 5000, 4}, {"n=10", 5000, 10}, {"n=16", 5000, 16},
+	} {
 		b.Run(bc.name+"/loop", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				addNSink = loopAddN(bc.s, 1.62, 540)
+				addNSink = loopAddN(bc.s, 1.62, bc.n)
 			}
 		})
 		b.Run(bc.name+"/jump", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				addNSink = AddN(bc.s, 1.62, 540)
+				addNSink = addNJump(bc.s, 1.62, bc.n)
+			}
+		})
+		b.Run(bc.name+"/AddN", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				addNSink = AddN(bc.s, 1.62, bc.n)
 			}
 		})
 	}

@@ -112,7 +112,11 @@ go test -run '^$' -fuzz FuzzQuantileMax -fuzztime 10s -fuzzminimizetime 100x ./i
 # Fuzz stage: Algorithm 1's window pass (line 2's filter, the PvP slot
 # counts and the top-m scan above their bound) against the sort-based
 # oracle, every Decision field bit for bit, plus the memo hit on a
-# repeated window.
+# repeated window. One scratch then decides the window's revisit
+# sequence: the window, its values moved within their slots, each
+# one-slot-fewer variant, the window reversed, moved up and reversed,
+# and the window again, so the skew table answers windows that share a
+# count vector and must tell apart those that do not.
 echo "==> fuzz FuzzDecideScratch (10s)"
 go test -run '^$' -fuzz FuzzDecideScratch -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 
