@@ -83,7 +83,7 @@ func TestSentinelInvalidConfig(t *testing.T) {
 	}
 	// Every error comes with a nil interface, never a typed nil pointer
 	// a caller checking rec != nil would call Observe on. The CaaSPER
-	// policies refuse a 1-core ladder and a negative window themselves.
+	// policies refuse a negative window themselves.
 	for _, name := range RecommenderNames() {
 		for _, s := range []RecommenderSettings{{MaxCores: 1}, {MaxCores: 8, Window: -1}, {MaxCores: 8, ControlCores: 9}} {
 			if rec, err := NewRecommenderByName(name, s); err != nil && rec != nil {
@@ -107,10 +107,11 @@ func TestSentinelInvalidConfig(t *testing.T) {
 		{"caasper-proactive", RecommenderSettings{MaxCores: 8, Season: samples}},
 		{"control", RecommenderSettings{MaxCores: 8, ControlCores: -2}},
 		{"control", RecommenderSettings{MaxCores: 8, ControlCores: 20}}, // above the ladder
-		// The baselines' default 2-core floor is above a 1-core ladder.
+		// Every policy's ladder has at least 2 cores.
 		{"vpa", RecommenderSettings{MaxCores: 1}},
 		{"openshift", RecommenderSettings{MaxCores: 1}},
 		{"autopilot", RecommenderSettings{MaxCores: 1}},
+		{"control", RecommenderSettings{MaxCores: 1}},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

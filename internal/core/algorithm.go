@@ -82,6 +82,9 @@ type Recommender struct {
 	cfg Config
 	// sf0 is Eq. 3 at a zero product, pvp.ScalingFactor(0, 0, cfg.SF).
 	sf0 float64
+	// floor is line 14's lower bound for targets: the larger of the
+	// operational floor c_min and the ladder's bottom.
+	floor int
 }
 
 // New builds a Recommender after validating cfg.
@@ -89,7 +92,11 @@ func New(cfg Config) (*Recommender, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Recommender{cfg: cfg, sf0: pvp.ScalingFactor(0, 0, cfg.SF)}, nil
+	return &Recommender{
+		cfg:   cfg,
+		sf0:   pvp.ScalingFactor(0, 0, cfg.SF),
+		floor: max(cfg.MinCores, cfg.SKUs.MinCores),
+	}, nil
 }
 
 // Config returns the recommender's configuration.
@@ -100,32 +107,29 @@ func (r *Recommender) Config() Config { return r.cfg }
 var ErrNoUsage = errors.New("core: empty usage window")
 
 // Scratch holds the reusable per-caller evaluation state of Decide: the
-// preprocessed-window buffer, the PvP curve storage, and a memo of the
-// most recent decision. A long-lived caller (the simulator adapters, the
-// k8s control loop) keeps one Scratch per decision stream and passes it to
-// DecideScratch, eliminating the per-decision allocations and skipping the
-// curve rebuild entirely when the decision inputs are unchanged — common
-// while usage sits flat or pinned at the cap between ticks.
+// line-2 buffer, the PvP curve storage, the skew table and the result
+// slot of the most recent decision. A long-lived caller (the simulator
+// adapters, the k8s control loop) keeps one Scratch per decision stream
+// and passes it to DecideScratch, eliminating the per-decision
+// allocations.
 //
 // A Scratch must not be shared between goroutines. The zero value is
 // ready to use; a Scratch handed to a different Recommender resets itself,
-// so a stale memo can never cross configurations.
+// so no state crosses configurations.
 type Scratch struct {
 	// Sink, when non-nil and enabled, receives one "core.decision" audit
-	// event per evaluation: branch, slope, skew, raw scaling factor,
-	// quantile and whether the memo answered — the machine-readable form
-	// of the paper's interpretability requirement (R6). It survives owner
-	// resets, so attaching a sink before the first call is safe.
+	// event per evaluation: branch, slope, skew, raw scaling factor and
+	// quantile — the machine-readable form of the paper's
+	// interpretability requirement (R6). It survives owner resets, so
+	// attaching a sink before the first call is safe.
 	Sink obs.Sink
 	// Now is the simulated time stamped on audit events. Loop callers set
 	// it before each decision (the recommend adapters track it from
 	// Observe); it is meaningless when Sink is nil.
 	Now int64
-	// MemoHits / MemoMisses count decisions answered from the memo versus
-	// full Algorithm 1 evaluations — the decision stream's cache telemetry.
-	MemoHits, MemoMisses uint64
 
 	owner *Recommender
+	// clean holds the window line 2 filtered, or the quickselect's copy.
 	clean []float64
 	curve pvp.Curve
 	exp   []byte
@@ -135,20 +139,19 @@ type Scratch struct {
 	// skews remembers the skew of recent count vectors, made at the
 	// second full evaluation (see skew).
 	skews *skewTable
+	// dec is the most recent successful decision: what DecideScratch
+	// returns and Explanation formats.
+	dec Decision
 
 	// expKind/expPeak record which prose template the last full
 	// evaluation would have produced and the one operand (the observed
 	// peak) the Decision struct does not carry. Explanation() rebuilds
 	// the string from them on demand; the decision hot path never touches
-	// strconv. expKind sits beside memoValid, so the two bytes share one
-	// word of padding.
+	// strconv.
 	expPeak float64
 	expKind expKind
-
-	memoValid bool
-	memoCores int
-	memoClean []float64
-	memoDec   Decision
+	// evals counts full evaluations up to 2, when the skew table is due.
+	evals uint8
 
 	// evFields is the reusable audit-event field buffer: Sink.Emit lets
 	// callers reclaim the backing after it returns, so the per-decision
@@ -175,7 +178,7 @@ const (
 // only which template applies (and the one operand the Decision does not
 // carry); this accessor — called by the interpretability surfaces
 // (Explainer.Explain, the one-shot Decide wrappers) and nothing on the
-// steady-state loop — formats the string from the memoised decision, so
+// steady-state loop — formats the string from the last decision, so
 // the hot path pays neither strconv nor the allocation. The result is
 // only valid until the next decision on this scratch.
 func (s *Scratch) Explanation() string {
@@ -183,7 +186,7 @@ func (s *Scratch) Explanation() string {
 		return ""
 	}
 	cfg := s.owner.cfg
-	d := s.memoDec
+	d := &s.dec
 	cur, tgt := d.Current.CPUCores, d.Target.CPUCores
 	capf := float64(cur)
 	e := expBuilder{b: s.exp[:0]}
@@ -217,83 +220,32 @@ func (s *Scratch) Explanation() string {
 	return string(s.exp)
 }
 
-// MemoState is the serialisable form of a Scratch's decision memo and
-// explanation template — what a checkpoint writes out so a restarted
-// decision loop resumes with an identical warm cache: the first
-// post-restore decision hits or misses the memo exactly as the
-// uninterrupted loop would, keeping audit streams (the "memo" field) and
-// MemoHits/MemoMisses counters bit-identical across the restart.
-type MemoState struct {
-	// Valid mirrors the memo's armed flag; the zero MemoState restores a
-	// cold scratch.
-	Valid bool
-	// Cores and Window are the memo key: the clamped allocation and the
-	// preprocessed usage window of the last full evaluation.
-	Cores  int
-	Window []float64
-	// Decision is the memoised result.
-	Decision Decision
-	// ExpKind and ExpPeak are the lazy-explanation template state (which
-	// prose template Explanation() rebuilds, and its one extra operand).
-	ExpKind uint8
-	ExpPeak float64
-	// Now is the audit clock stamped on the next decision event.
-	Now int64
+// Last returns the scratch's most recent successful decision (the zero
+// Decision before the first) with its explanation template: which prose
+// Explanation() formats the decision with, and the one operand the
+// decision does not carry, the peak (0 when the template does not read
+// it). It is what a checkpoint writes of a decision stream, beside the
+// window.
+func (s *Scratch) Last() (d *Decision, expKind uint8, expPeak float64) {
+	if s.expKind == expWalkDown || s.expKind == expHoldNoCheaper {
+		expPeak = s.expPeak
+	}
+	return &s.dec, uint8(s.expKind), expPeak
 }
 
-// MemoView returns the scratch's memo and explanation-template state.
-// Window aliases the memo key (nil when empty) and is valid until the
-// scratch's next decision: copy it to retain it.
-func (s *Scratch) MemoView() MemoState {
-	m := MemoState{
-		Valid:    s.memoValid,
-		Cores:    s.memoCores,
-		Decision: s.memoDec,
-		ExpKind:  uint8(s.expKind),
-		ExpPeak:  s.expPeak,
-		Now:      s.Now,
-	}
-	if len(s.memoClean) > 0 {
-		m.Window = s.memoClean
-	}
-	return m
-}
-
-// RestoreMemo re-arms a snapshotted memo on a scratch that will be used
-// with this recommender, binding the scratch's owner so the next
-// DecideScratch call does not wipe the restored state. The scratch's Sink
-// survives, mirroring the reset contract. A key that no preprocessed
-// window can equal (empty, or holding a negative or infinite sample)
-// could never answer, so its memo is restored disarmed.
-func (r *Recommender) RestoreMemo(sc *Scratch, m MemoState) {
-	if sc.owner != r {
-		*sc = Scratch{owner: r, Sink: sc.Sink, evFields: sc.evFields}
-	}
-	sc.Now = m.Now
-	// DecideScratch probes the key with the raw window, so an armed key
-	// must be one line 2 would leave untouched.
-	sc.memoValid = m.Valid && len(m.Window) > 0
-	for _, v := range m.Window {
-		sc.memoValid = sc.memoValid && valid(v)
-	}
-	sc.memoCores = m.Cores
-	sc.memoClean = append(sc.memoClean[:0], m.Window...)
-	sc.memoDec = m.Decision
-	sc.expKind = expKind(m.ExpKind)
-	sc.expPeak = m.ExpPeak
-}
-
-// memoHit counts and audits a decision answered from the memo.
-func (sc *Scratch) memoHit() {
-	sc.MemoHits++
-	if obs.Enabled(sc.Sink) {
-		sc.emitDecision(&sc.memoDec, true)
-	}
+// Resume binds sc to r with d as its most recent decision, (kind, peak)
+// as its explanation template and now as its audit clock, as Last and Now
+// read them on a scratch of an identically configured recommender: the
+// next decision, its audit event and Explanation() then match that
+// scratch's. The sink survives.
+func (r *Recommender) Resume(sc *Scratch, d Decision, kind uint8, peak float64, now int64) {
+	sc = r.own(sc)
+	sc.dec, sc.expKind, sc.expPeak, sc.Now = d, expKind(kind), peak, now
 }
 
 // emitDecision writes the per-evaluation audit event. Callers guard on
 // Sink being enabled so the disabled path costs one branch.
-func (sc *Scratch) emitDecision(d *Decision, memoHit bool) {
+func (sc *Scratch) emitDecision(d *Decision) {
 	sc.evFields = append(sc.evFields[:0],
 		obs.I("cores", int64(d.Current.CPUCores)),
 		obs.I("target", int64(d.Target.CPUCores)),
@@ -302,7 +254,6 @@ func (sc *Scratch) emitDecision(d *Decision, memoHit bool) {
 		obs.F("skew", d.Skew),
 		obs.F("raw_sf", d.RawSF),
 		obs.F("quantile", d.Quantile),
-		obs.B("memo", memoHit),
 	)
 	sc.Sink.Emit(obs.Event{T: sc.Now, Type: "core.decision", Fields: sc.evFields})
 }
@@ -333,49 +284,34 @@ func (r *Recommender) Decide(currentCores int, usage []float64) (Decision, error
 // instead and calls DecideCounted. Both enter the same evaluation.
 func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float64) (Decision, error) {
 	sc = r.own(sc)
-	if err := r.decide(sc, currentCores, usage, nil); err != nil {
+	if sc.counts == nil {
+		c := r.NewWindowCounts()
+		sc.counts = &c
+	}
+	sc.counts.Recount(usage)
+	if err := r.evaluate(sc, currentCores, usage, sc.counts); err != nil {
 		return Decision{}, err
 	}
-	return sc.memoDec, nil
+	return sc.dec, nil
 }
 
 // DecideCounted is DecideScratch for a caller that keeps the exceed
 // counts of its window current as the window slides: w must count
 // exactly the samples of usage (a WindowCounts from NewWindowCounts,
-// updated with Slide or Recount). No sample is slotted, so the only pass
-// over the window copies it into the memo-key buffer; the decision, the
-// memo and the audit event are bit-identical to DecideScratch's on the
-// same scratch.
-func (r *Recommender) DecideCounted(sc *Scratch, currentCores int, usage []float64, w *WindowCounts) (Decision, error) {
+// updated with Slide or Recount). No sample is slotted, and the decision
+// and the audit event are bit-identical to DecideScratch's on the same
+// scratch. It returns the scratch's result slot, valid until the
+// scratch's next decision, so a decision is not copied out.
+func (r *Recommender) DecideCounted(sc *Scratch, currentCores int, usage []float64, w *WindowCounts) (*Decision, error) {
 	if w.skus != r.cfg.SKUs {
-		return Decision{}, fmt.Errorf("core: window counts for %d–%d cores, ladder is %d–%d: %w",
+		return nil, fmt.Errorf("core: window counts for %d–%d cores, ladder is %d–%d: %w",
 			w.skus.MinCores, w.skus.MaxCores, r.cfg.SKUs.MinCores, r.cfg.SKUs.MaxCores, errs.ErrInvalidConfig)
 	}
 	sc = r.own(sc)
-	if err := r.decide(sc, currentCores, usage, w); err != nil {
-		return Decision{}, err
+	if err := r.evaluate(sc, currentCores, usage, w); err != nil {
+		return nil, err
 	}
-	return sc.memoDec, nil
-}
-
-// decide leaves in sc.memoDec the decision for usage at currentCores:
-// from the memo, or Algorithm 1 evaluated from w, the window's exceed
-// counts; a nil w counts usage into the scratch's own.
-func (r *Recommender) decide(sc *Scratch, currentCores int, usage []float64, w *WindowCounts) error {
-	xc := stats.ClampInt(currentCores, r.cfg.SKUs.MinCores, r.cfg.SKUs.MaxCores)
-	if sc.memoAnswers(xc, usage) {
-		sc.memoHit()
-		return nil
-	}
-	if w == nil {
-		if sc.counts == nil {
-			c := r.NewWindowCounts()
-			sc.counts = &c
-		}
-		sc.counts.Recount(usage)
-		w = sc.counts
-	}
-	return r.evaluate(sc, xc, usage, w)
+	return &sc.dec, nil
 }
 
 // own binds sc (a fresh one when nil) to r. A scratch last used with
@@ -392,72 +328,39 @@ func (r *Recommender) own(sc *Scratch) *Scratch {
 	return sc
 }
 
-// memoAnswers reports whether the memo holds the decision for window at
-// clamped allocation xc. Identical window + allocation ⇒ identical
-// decision: Algorithm 1 is a pure function of (window, current cores,
-// config), so the whole evaluation can be skipped when the preprocessed
-// window is unchanged since the previous full one — common while usage
-// sits flat or pinned at the cap. The memo key is a preprocessed window,
-// so it is all-valid (RestoreMemo disarms any other): a raw window equal
-// to it is one that line 2 leaves untouched, and the probe can run
-// before preprocessing. (Equality is stricter than the multiset equality
-// the algorithm depends on; it trades a few extra misses for a sort-free
-// hot path.)
-func (sc *Scratch) memoAnswers(xc int, window []float64) bool {
-	return sc.memoValid && xc == sc.memoCores && equalFloats(window, sc.memoClean)
-}
-
-// buffer returns the preprocessing buffer with room for n samples. It is
-// sized to the whole raw window: it and the memo key trade places on
-// every miss, so both stay that size rather than append's next doubling.
-func (sc *Scratch) buffer(n int) []float64 {
-	if cap(sc.clean) < n {
-		sc.clean = make([]float64, n)
-	}
-	return sc.clean[:n]
-}
-
 // valid reports whether Algorithm 1's line 2 keeps a usage sample: NaN,
 // ±Inf and negative values are metric-gap artifacts around restarts and
 // are dropped. −0 is kept.
 func valid(u float64) bool { return u >= 0 && u <= math.MaxFloat64 }
 
-// evaluate runs Algorithm 1 on usage at clamped allocation xc, from w,
-// the window's exceed counts. It leaves the decision in sc.memoDec,
-// evaluated or, once line 2 has cleaned the window, answered by the memo.
-func (r *Recommender) evaluate(sc *Scratch, xc int, usage []float64, w *WindowCounts) error {
+// evaluate runs Algorithm 1 on usage at allocation currentCores, from w,
+// the window's exceed counts, and leaves the decision in sc.dec. It reads
+// usage in place: only a window line 2 filters is copied, into sc.clean.
+func (r *Recommender) evaluate(sc *Scratch, currentCores int, usage []float64, w *WindowCounts) error {
 	cfg := &r.cfg
+	xc := stats.ClampInt(currentCores, cfg.SKUs.MinCores, cfg.SKUs.MaxCores)
 	n := len(usage) - w.invalid()
 	if n == 0 {
 		return ErrNoUsage
 	}
 	// Line 2: drop NaN/±Inf/negatives (metric-gap artifacts around
-	// restarts) into the buffer that becomes the memo key.
-	buf := sc.buffer(len(usage))
-	var clean []float64
-	if w.invalid() == 0 {
-		clean = buf[:copy(buf, usage)]
-	} else {
-		clean = buf[:0]
+	// restarts).
+	clean := usage
+	if w.invalid() > 0 {
+		if cap(sc.clean) < n {
+			sc.clean = make([]float64, 0, len(usage))
+		}
+		clean = sc.clean[:0]
 		for _, u := range usage {
 			if valid(u) {
 				clean = append(clean, u)
 			}
 		}
-		// The cleaned window may still equal the key.
-		if sc.memoAnswers(xc, clean) {
-			sc.memoHit()
-			return nil
-		}
+		sc.clean = clean
 	}
-	sc.MemoMisses++
-	// Invalidate before touching memo state: an error return below must
-	// not leave a half-updated memo armed.
-	sc.memoValid = false
-	// Nothing below reorders clean, so it becomes the memo key as is: the
-	// two buffers swap roles and the old key is the next call's scratch.
-	sc.clean, sc.memoClean = sc.memoClean, clean
-	sc.memoCores = xc
+	if sc.evals < 2 {
+		sc.evals++
+	}
 
 	// The slack quantile and the walk-down's peak are the top m order
 	// statistics of the window. The m largest all count in the slots at
@@ -490,18 +393,22 @@ func (r *Recommender) evaluate(sc *Scratch, xc int, usage []float64, w *WindowCo
 
 	// Both order statistics are exact, so they are bit-identical to
 	// sorting first and reading the R-7 quantile and the last element. A
-	// quantile deeper than the accumulator quickselects instead, copying
-	// into sc.clean, the old memo key, which is free until the next call
-	// preprocesses into it.
+	// quantile deeper than the accumulator quickselects instead, in a copy
+	// in sc.clean. That copy may be clean itself (line 2 filtered into
+	// it), which the selection reorders, so the peak is read first, in
+	// window order: Max keeps the first of two equal maxima, which tells
+	// −0 from 0.
 	q, peak, ok := top.QuantileMax(n, cfg.QuantileP)
 	if !ok {
+		peak = stats.Max(clean)
 		var err error
-		if q, peak, err = stats.QuantileMax(clean, cfg.QuantileP, &sc.clean); err != nil {
+		if q, _, err = stats.QuantileMax(clean, cfg.QuantileP, &sc.clean); err != nil {
 			return err
 		}
 	}
 
-	d := Decision{
+	d := &sc.dec
+	*d = Decision{
 		Slope:    s,
 		Skew:     skew,
 		RawSF:    rawSF,
@@ -597,10 +504,8 @@ func (r *Recommender) evaluate(sc *Scratch, xc int, usage []float64, w *WindowCo
 	d.Current = Resources{CPUCores: xc}
 	d.Target = Resources{CPUCores: tc}
 
-	sc.memoDec = d
-	sc.memoValid = true
 	if obs.Enabled(sc.Sink) {
-		sc.emitDecision(&sc.memoDec, false)
+		sc.emitDecision(d)
 	}
 	return nil
 }
@@ -633,20 +538,6 @@ func (e *expBuilder) num(v int) *expBuilder {
 	return e
 }
 
-// equalFloats reports element-wise equality. A NaN equals nothing, so a
-// window holding one never equals a memo key.
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // roundSF converts the fractional Eq. 3 factor into whole cores per the
 // configured rounding mode (paper: round down by default, §4.2).
 func (r *Recommender) roundSF(sf float64) int {
@@ -659,5 +550,5 @@ func (r *Recommender) roundSF(sf float64) int {
 // guardrail applies the Algorithm 1 line 14 guardrails: clamp the target
 // into [max(c_min, ladder bottom), ladder top].
 func (r *Recommender) guardrail(target int) int {
-	return stats.ClampInt(target, r.cfg.floor(), r.cfg.SKUs.MaxCores)
+	return stats.ClampInt(target, r.floor, r.cfg.SKUs.MaxCores)
 }

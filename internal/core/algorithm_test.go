@@ -14,7 +14,12 @@ import (
 
 func mustRecommender(t *testing.T, maxCores int) *Recommender {
 	t.Helper()
-	r, err := New(DefaultConfig(maxCores))
+	return mustNew(t, DefaultConfig(maxCores))
+}
+
+func mustNew(t *testing.T, cfg Config) *Recommender {
+	t.Helper()
+	r, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,20 +86,31 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestPreprocess: line 2 drops NaN, ±Inf and negative samples, keeps the
-// rest in order as the memo key, and leaves the input untouched.
+// TestPreprocess: line 2 drops NaN, ±Inf and negative samples and keeps
+// the rest, so a window decides as its valid samples alone do, at every
+// allocation; and the input is left untouched.
 func TestPreprocess(t *testing.T) {
 	r := mustRecommender(t, 16)
 	in := []float64{1, math.NaN(), -2, math.Inf(1), 3, math.Inf(-1)}
 	var sc Scratch
-	if _, err := r.DecideScratch(&sc, 4, in); err != nil {
-		t.Fatal(err)
+	for cur := 1; cur <= 16; cur++ {
+		got, err := r.DecideScratch(&sc, cur, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotExp := sc.Explanation()
+		want, err := r.DecideScratch(nil, cur, []float64{1, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameDecision(got, want) {
+			t.Fatalf("cores %d: preprocessed decision %+v, want %+v", cur, got, want)
+		}
+		if wantExp, _ := r.Decide(cur, []float64{1, 3}); gotExp != wantExp.Explanation {
+			t.Fatalf("cores %d: explanation %q, want %q", cur, gotExp, wantExp.Explanation)
+		}
 	}
-	out := sc.MemoView().Window
-	if len(out) != 2 || out[0] != 1 || out[1] != 3 {
-		t.Errorf("preprocessed window = %v", out)
-	}
-	if !math.IsNaN(in[1]) || in[2] != -2 || !math.IsInf(in[3], 1) {
+	if !math.IsNaN(in[1]) || in[2] != -2 || !math.IsInf(in[3], 1) || !math.IsInf(in[5], -1) {
 		t.Error("DecideScratch must not mutate its input")
 	}
 }
@@ -456,13 +472,13 @@ func TestDefaultConfigSane(t *testing.T) {
 	if c.SKUs.MaxCores != 40 || c.MinCores != 2 {
 		t.Errorf("defaults: %+v", c)
 	}
-	if c.floor() != 2 {
-		t.Errorf("floor = %d", c.floor())
+	if r := mustNew(t, c); r.floor != 2 {
+		t.Errorf("floor = %d", r.floor)
 	}
 	low := c
 	low.SKUs.MinCores = 5
-	if low.floor() != 5 {
-		t.Errorf("floor with high ladder bottom = %d", low.floor())
+	if r := mustNew(t, low); r.floor != 5 {
+		t.Errorf("floor with high ladder bottom = %d", r.floor)
 	}
 }
 

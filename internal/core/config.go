@@ -140,12 +140,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// floor returns the effective lower bound for targets: the larger of the
-// operational floor and the SKU ladder's bottom.
-func (c Config) floor() int {
-	if c.MinCores > c.SKUs.MinCores {
-		return c.MinCores
-	}
-	return c.SKUs.MinCores
-}

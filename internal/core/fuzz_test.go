@@ -63,8 +63,7 @@ func decodeDecideInput(data []byte, maxCores int) []float64 {
 // from 1/256 to 1 (deep ones quickselect). Each window is decided on a
 // fresh scratch, on one that just decided a short constant window (its
 // buffers must grow) and on one that just decided a different window
-// (the buffer swap is live); deciding it again must be a memo hit
-// returning the same decision. The seeds under
+// (its buffers hold that window's samples). The seeds under
 // testdata/fuzz/FuzzDecideScratch cover a run with a NaN at P95, the
 // 0.98 boundaries with ±Inf, a 100-SKU ladder, a quantile 10 deep, a
 // window line 2 empties, runs at a wide ladder's boundaries, and a run
@@ -72,8 +71,7 @@ func decodeDecideInput(data []byte, maxCores int) []float64 {
 //
 // A fourth scratch then decides the window's revisit sequence (see
 // revisits): windows whose slot counts equal the first one's but whose
-// values or order differ, so the memo misses and the skew table answers,
-// between windows whose counts differ from it in one slot each. Every
+// values or order differ, so the skew table answers, between windows whose counts differ from it in one slot each. Every
 // decision must match the oracle's for its own window, which shares no
 // table. The seeds from seed07 on hold two to four occupied slots with
 // distinct counts, where a table that mixes up two vectors returns a
@@ -98,8 +96,7 @@ func FuzzDecideScratch(f *testing.F) {
 		}
 		want, peak := referenceDecide(t, cfg, cur, usage)
 		// Three scratches: a fresh one, one that just decided a short
-		// constant window, and one that just decided usage[1:] (so the
-		// buffer swap is live).
+		// constant window, and one that just decided usage[1:].
 		for _, prime := range [][]float64{nil, {1, 1, 1, 1}, usage[1:]} {
 			var sc Scratch
 			if len(prime) > 0 {
@@ -117,15 +114,6 @@ func FuzzDecideScratch(f *testing.F) {
 			if (sc.expKind == expWalkDown || sc.expKind == expHoldNoCheaper) &&
 				math.Float64bits(sc.expPeak) != math.Float64bits(peak) {
 				t.Fatalf("peak %v, want %v", sc.expPeak, peak)
-			}
-
-			hits := sc.MemoHits
-			again, err := r.DecideScratch(&sc, cur, usage)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sc.MemoHits != hits+1 || !sameDecision(again, want) {
-				t.Fatalf("repeat: hits %d → %d, decision %+v; want a memo hit returning %+v", hits, sc.MemoHits, again, want)
 			}
 		}
 

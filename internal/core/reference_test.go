@@ -13,7 +13,7 @@ import (
 // curve by the direct per-SKU scan of Eq. 1 (count the samples above
 // cores·0.98 for every SKU), takes the quantile from a fully sorted copy
 // via stats.QuantileSorted and the peak from a plain loop, then applies
-// the decision rule. It shares no scratch, memo, histogram or selection
+// the decision rule. It shares no scratch, skew table, histogram or selection
 // code with DecideScratch. It returns the decision (without Explanation)
 // and the peak the walk-down read.
 func referenceDecide(t *testing.T, cfg Config, currentCores int, usage []float64) (Decision, float64) {
@@ -122,7 +122,7 @@ func sameDecision(a, b Decision) bool {
 }
 
 // TestDecideMatchesSortedReference pins DecideScratch, through a
-// long-lived scratch (memo and buffer swap active) and through a fresh one
+// long-lived scratch (skew table and grown buffers active) and through a fresh one
 // each time, to the sort-based oracle above over every randomWindow regime,
 // windows of 1–200 samples and quantiles from the median to the maximum —
 // so both the top-m scan and the quickselect fallback of
@@ -172,72 +172,73 @@ func TestDecideMatchesSortedReference(t *testing.T) {
 	}
 }
 
-// TestDecideScratchMemoBufferSwap: the preprocessed-window buffer and the
-// memo key swap roles on every miss, so they must never alias, and the
-// quickselect fallback (the window-200 row: P95 is 11 deep) must not
-// scribble on the memo key. Windows A, B, A on one scratch miss three
-// times, A again hits, and after each call the memo window equals the
-// preprocessed input.
-func TestDecideScratchMemoBufferSwap(t *testing.T) {
-	for _, n := range []int{40, 200} {
-		r := mustRecommender(t, 16)
-		a := cappedUsage(4, 6, n, 3)
-		b := cappedUsage(4, 6, n, 4)
-		a[7], b[11] = math.NaN(), -1 // dropped by preprocessing
-		var sc Scratch
-		for i, step := range []struct {
-			usage []float64
-			hit   bool
-		}{{a, false}, {b, false}, {a, false}, {a, true}} {
-			hits := sc.MemoHits
-			if _, err := r.DecideScratch(&sc, 4, step.usage); err != nil {
-				t.Fatal(err)
-			}
-			if gotHit := sc.MemoHits > hits; gotHit != step.hit {
-				t.Fatalf("n=%d step %d: hit = %v, want %v", n, i, gotHit, step.hit)
-			}
-			want := referenceClean(step.usage)
-			got := sc.MemoView().Window
-			if len(got) != len(want) {
-				t.Fatalf("n=%d step %d: memo window has %d samples, want %d", n, i, len(got), len(want))
-			}
-			for j := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("n=%d step %d: memo window[%d] = %v, want %v", n, i, j, got[j], want[j])
+// TestDecideFilteredQuickselect: when line 2 drops a sample, the window
+// is filtered into the scratch's buffer, and a quantile too deep for the
+// top-m scan quickselects in that same buffer, reordering the filtered
+// window. The peak must still be the first maximum in window order, as
+// the oracle's plain loop reads it: a window of zeros whose first is −0
+// peaks at −0 (the walk-down explains with it), and one whose first is +0
+// at +0. Each is decided at P95 over 200 samples (11 deep) on a fresh
+// scratch and on one that just decided the other.
+func TestDecideFilteredQuickselect(t *testing.T) {
+	r := mustRecommender(t, 16)
+	windows := make([][]float64, 2)
+	for i, first := range []float64{math.Copysign(0, -1), 0} {
+		w := make([]float64, 200)
+		for j := range w {
+			w[j] = math.Copysign(0, float64(j%2*2-1)) // −0, +0, −0, …
+		}
+		w[0], w[7], w[100] = first, math.NaN(), -1
+		windows[i] = w
+	}
+	var shared Scratch
+	for round := 0; round < 2; round++ {
+		for i, w := range windows {
+			want, peak := referenceDecide(t, r.Config(), 8, w)
+			for _, sc := range []*Scratch{&shared, {}} {
+				got, err := r.DecideScratch(sc, 8, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameDecision(got, want) || sc.expKind != expWalkDown && sc.expKind != expHoldNoCheaper ||
+					math.Float64bits(sc.expPeak) != math.Float64bits(peak) {
+					t.Fatalf("round %d window %d: %+v peak %v (kind %d), want %+v peak %v",
+						round, i, got, sc.expPeak, sc.expKind, want, peak)
 				}
 			}
-		}
-		if sc.MemoMisses != 3 || sc.MemoHits != 1 {
-			t.Fatalf("n=%d: misses/hits = %d/%d, want 3/1", n, sc.MemoMisses, sc.MemoHits)
+			if !math.IsNaN(w[7]) || w[100] != -1 {
+				t.Fatal("DecideScratch must not mutate its input")
+			}
 		}
 	}
 }
 
-// TestRestoreMemoInvalidKeyNeverAnswers: DecideScratch probes the memo
-// with the raw window, so a restored key that line 2 would change (a
-// negative or infinite sample, or no sample at all) must never answer —
-// as it could not when the probe ran on the preprocessed window. The
-// memo's decision is a planted wrong answer; every call must miss and
-// return the oracle's decision, or ErrNoUsage for the empty window.
-func TestRestoreMemoInvalidKeyNeverAnswers(t *testing.T) {
+// TestResumeRestoresTheLastDecision: a scratch resumed from another's
+// Last reports the same decision and explanation, and its next decision
+// is evaluated afresh, equal to the oracle's; a planted wrong decision
+// never answers it.
+func TestResumeRestoresTheLastDecision(t *testing.T) {
 	r := mustRecommender(t, 16)
-	planted := Decision{Branch: BranchScaleUp, Delta: 7}
-	for _, w := range [][]float64{{-1, 2, 3}, {2, math.Inf(1), 3}, {}} {
-		var sc Scratch
-		r.RestoreMemo(&sc, MemoState{Valid: true, Cores: 4, Window: w, Decision: planted})
+	var src Scratch
+	first := []float64{3.9, 3.95, 4, 3.99}
+	if _, err := r.DecideScratch(&src, 4, first); err != nil {
+		t.Fatal(err)
+	}
+	d, kind, peak := src.Last()
+	var sc Scratch
+	r.Resume(&sc, *d, kind, peak, 0)
+	if got, _, _ := sc.Last(); !sameDecision(*got, *d) || sc.Explanation() != src.Explanation() {
+		t.Fatalf("resumed %+v %q, want %+v %q", *got, sc.Explanation(), *d, src.Explanation())
+	}
+	r.Resume(&sc, Decision{Branch: BranchScaleUp, Delta: 7}, kind, peak, 0)
+	for _, w := range [][]float64{{-1, 2, 3}, {2, math.Inf(1), 3}, first} {
+		want, _ := referenceDecide(t, r.Config(), 4, w)
 		got, err := r.DecideScratch(&sc, 4, w)
-		if len(referenceClean(w)) == 0 {
-			if err != ErrNoUsage {
-				t.Fatalf("window %v: err = %v, want ErrNoUsage", w, err)
-			}
-			continue
-		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := referenceDecide(t, r.Config(), 4, w)
-		if sc.MemoHits != 0 || !sameDecision(got, want) {
-			t.Fatalf("window %v: %d hits, decision %+v; want a miss deciding %+v", w, sc.MemoHits, got, want)
+		if !sameDecision(got, want) {
+			t.Fatalf("window %v: decision %+v, want %+v", w, got, want)
 		}
 	}
 }

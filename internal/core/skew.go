@@ -53,7 +53,7 @@ func skewKey(counts []int32) (key uint64, ok bool) {
 func (sc *Scratch) skew(curve *pvp.Curve, counts []int32) float64 {
 	t := sc.skews
 	if t == nil {
-		if sc.MemoMisses < 2 {
+		if sc.evals < 2 {
 			return curve.Skew()
 		}
 		t = new(skewTable)

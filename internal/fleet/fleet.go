@@ -308,9 +308,11 @@ type proposal struct {
 // grows reports whether the proposal asks its nodes for more capacity
 // (more CPU, more RAM or another replica): such proposals go through the
 // arbiter, while releases — and disk growth, which draws on no node —
-// enact first.
+// enact first. It reads the tenant's cached limit, current in phase 2:
+// only phase 2 resizes, and the tick loop refreshes each proposer's cache
+// after it.
 func (p proposal) grows(t *tenant) bool {
-	cur := t.alloc(t.set.CPULimit())
+	cur := t.alloc(t.lim)
 	return p.target.CPUCores > cur.CPUCores || p.target.RAMGB > cur.RAMGB || p.target.Replicas > cur.Replicas
 }
 

@@ -66,6 +66,7 @@ func (s *runState) runStepped() error {
 		err := parallel.ForEach(ctx, len(ts), s.workers, func(i int) error {
 			t := ts[i]
 			limit := t.set.CPULimit() // constant within the segment
+			t.lim = limit             // phase 2 reads the cache (proposal.grows)
 			t.hasProp = false
 			if t.mr != nil {
 				t.steppedMulti(segStart, segEnd)

@@ -17,16 +17,17 @@ import (
 // policies by name at runtime) can construct recommenders without
 // importing the public package.
 type Settings struct {
-	// MaxCores tops the SKU ladder (required, in [1, CoresLimit]).
+	// MaxCores tops the SKU ladder (required, in [2, CoresLimit]: every
+	// policy but control has a 2-core floor, and control shares the bound).
 	MaxCores int
-	// Window is the reactive decision window in samples (default 40, the
-	// paper's "last 40 minutes of CPU usage"; at most SamplesLimit).
+	// Window is the reactive decision window in samples (0 selects 40,
+	// the paper's "last 40 minutes of CPU usage"; in [0, SamplesLimit]).
 	Window int
-	// Horizon is the proactive forecast horizon in samples (default 60;
-	// at most SamplesLimit).
+	// Horizon is the proactive forecast horizon in samples (0 selects 60;
+	// in [0, SamplesLimit]).
 	Horizon int
-	// Season is the seasonal-naïve period in samples (default 1440, one
-	// day at minute resolution; at most SamplesLimit).
+	// Season is the seasonal-naïve period in samples (0 selects 1440, one
+	// day at minute resolution; in [0, SamplesLimit]).
 	Season int
 	// ControlCores is the fixed allocation of the "control" policy
 	// (default: MaxCores; in [0, MaxCores]).
@@ -68,11 +69,11 @@ func Names() []string {
 // their bounds wrap errs.ErrInvalidConfig. With an error, the Recommender
 // is always a nil interface.
 func NewByName(name string, s Settings) (Recommender, error) {
-	if s.MaxCores < 1 || s.MaxCores > CoresLimit {
-		return nil, fmt.Errorf("recommend: MaxCores %d outside [1, %d]: %w", s.MaxCores, CoresLimit, errs.ErrInvalidConfig)
+	if s.MaxCores < 2 || s.MaxCores > CoresLimit {
+		return nil, fmt.Errorf("recommend: MaxCores %d outside [2, %d]: %w", s.MaxCores, CoresLimit, errs.ErrInvalidConfig)
 	}
-	if max(s.Window, s.Horizon, s.Season) > SamplesLimit {
-		return nil, fmt.Errorf("recommend: Window %d, Horizon %d and Season %d must each be ≤ %d samples: %w",
+	if min(s.Window, s.Horizon, s.Season) < 0 || max(s.Window, s.Horizon, s.Season) > SamplesLimit {
+		return nil, fmt.Errorf("recommend: Window %d, Horizon %d and Season %d must each be in [0, %d] samples: %w",
 			s.Window, s.Horizon, s.Season, SamplesLimit, errs.ErrInvalidConfig)
 	}
 	if s.ControlCores < 0 || s.ControlCores > s.MaxCores {

@@ -59,15 +59,16 @@ func fuzzSample(kind, x byte, maxCores int, prev float64) float64 {
 //	op%8 == 6     Reset
 //	op%8 == 7     SnapshotState → RestoreState onto a fresh adapter
 //
-// Every decision must match the reference's bit for bit, count the same
-// memo hit or miss, and emit the same audit event. Ladders run from 2 to
+// Every decision must match the reference's bit for bit and emit the same
+// audit event, and a restored adapter must report the last decision and
+// explanation its source did. Ladders run from 2 to
 // 100 SKUs, the window from 1 to 48 samples and the quantile from 1/256
 // to 1, so deep quantiles take the quickselect path. The seeds under
 // testdata/fuzz/FuzzCountedWindow cover each operation, window 1, a
 // 100-SKU ladder and runs longer than the window.
 //
 // The reference's scratch holds a skew table too, filled by the same
-// sequence of misses, so a table bug would agree with itself here:
+// sequence of evaluations, so a table bug would agree with itself here:
 // core's FuzzDecideScratch checks the table against an oracle with none.
 func FuzzCountedWindow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, mc, wb, qp uint8) {
@@ -107,22 +108,16 @@ func FuzzCountedWindow(f *testing.F) {
 			case 4, 5:
 				cur := 1 + int(x)%(maxCores+2)
 				view := c.history.View()
-				hits, misses := c.scratch.MemoHits, c.scratch.MemoMisses
-				rhits, rmisses := rs.MemoHits, rs.MemoMisses
-				before := c.LastDecision
+				before := c.LastFullDecision()
 				rs.Now = c.scratch.Now
 				want, werr := ref.DecideScratch(&rs, cur, view)
 				got := c.Recommend(cur)
 				if werr != nil {
-					if got != cur || !sameDecision(c.LastDecision, before) {
+					if got != cur || !sameDecision(c.LastFullDecision(), before) {
 						t.Fatalf("reference failed (%v) but the adapter decided %d from %d", werr, got, cur)
 					}
-				} else if got != want.Target.CPUCores || !sameDecision(c.LastDecision, want) {
-					t.Fatalf("window %v cores %d:\n got  %d %+v\n want %+v", view, cur, got, c.LastDecision, want)
-				}
-				if c.scratch.MemoHits-hits != rs.MemoHits-rhits || c.scratch.MemoMisses-misses != rs.MemoMisses-rmisses {
-					t.Fatalf("window %v cores %d: hits/misses +%d/+%d, reference +%d/+%d", view, cur,
-						c.scratch.MemoHits-hits, c.scratch.MemoMisses-misses, rs.MemoHits-rhits, rs.MemoMisses-rmisses)
+				} else if got != want.Target.CPUCores || !sameDecision(c.LastFullDecision(), want) {
+					t.Fatalf("window %v cores %d:\n got  %d %+v\n want %+v", view, cur, got, c.LastFullDecision(), want)
 				}
 			case 6:
 				c.Reset()
@@ -132,6 +127,9 @@ func FuzzCountedWindow(f *testing.F) {
 				d.SetEventSink(gotEv)
 				if err := d.RestoreState(c.SnapshotState()); err != nil {
 					t.Fatal(err)
+				}
+				if !sameDecision(d.LastFullDecision(), c.LastFullDecision()) || d.Explain() != c.Explain() {
+					t.Fatalf("restored %+v %q, source %+v %q", d.LastFullDecision(), d.Explain(), c.LastFullDecision(), c.Explain())
 				}
 				c = d
 			}

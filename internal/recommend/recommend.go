@@ -111,11 +111,9 @@ type CaaSPERReactive struct {
 	// sample, so a decision does not re-slot the whole window.
 	counts core.WindowCounts
 	// scratch reuses the Algorithm 1 evaluation buffers across decision
-	// ticks (an adapter is single-stream state already).
+	// ticks (an adapter is single-stream state already), and holds the
+	// most recent decision (LastFullDecision, Explain).
 	scratch core.Scratch
-	// LastDecision exposes the most recent full decision (explanation,
-	// slope, branch) for interpretability surfaces.
-	LastDecision core.Decision
 }
 
 // NewCaaSPERReactive builds the reactive adapter. window is the number of
@@ -156,10 +154,9 @@ func (c *CaaSPERReactive) ObserveRun(minute int, usageCores float64, n int) {
 }
 
 // SteadyObserving implements SteadyObserver. Algorithm 1 is a pure
-// function of (window, current cores, config) — DecideScratch's memo
-// documents exactly that — so once the bounded window is saturated and
-// holds nothing but the current usage level, further equal observations
-// cannot move any future recommendation.
+// function of (window, current cores, config), so once the bounded window
+// is saturated and holds nothing but the current usage level, further
+// equal observations cannot move any future recommendation.
 func (c *CaaSPERReactive) SteadyObserving(usageCores float64) bool {
 	return c.history.Bounded() &&
 		c.history.Total() >= c.history.Cap() &&
@@ -175,7 +172,6 @@ func (c *CaaSPERReactive) Recommend(currentCores int) int {
 	if err != nil {
 		return currentCores // no usable signal: hold
 	}
-	c.LastDecision = d
 	return d.Target.CPUCores
 }
 
@@ -185,18 +181,12 @@ func (c *CaaSPERReactive) Reset() {
 	c.history.Reset()
 	c.counts.Recount(c.history.View())
 	c.scratch = core.Scratch{Sink: c.scratch.Sink}
-	c.LastDecision = core.Decision{}
 }
 
 // Explain implements Explainer. The hot path defers explanation
 // materialisation to the scratch buffer (core.Scratch.Explanation), so
 // the string is only built when something actually asks for it.
-func (c *CaaSPERReactive) Explain() string {
-	if e := c.LastDecision.Explanation; e != "" {
-		return e
-	}
-	return c.scratch.Explanation()
-}
+func (c *CaaSPERReactive) Explain() string { return c.scratch.Explanation() }
 
 // SetEventSink implements Instrumentable.
 func (c *CaaSPERReactive) SetEventSink(s obs.Sink) { c.scratch.Sink = s }
@@ -218,7 +208,8 @@ type CaaSPERProactive struct {
 	// LastUsedForecast reports whether the most recent decision
 	// incorporated the forecast (false during the warm-up period).
 	LastUsedForecast bool
-	// LastDecision exposes the most recent full decision.
+	// LastDecision exposes the most recent full decision, with the eager
+	// prefixed explanation of a forecast decision, which the scratch's lacks.
 	LastDecision core.Decision
 }
 

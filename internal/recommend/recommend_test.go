@@ -49,8 +49,8 @@ func TestCaaSPERReactiveScalesUpOnCappedUsage(t *testing.T) {
 	if got <= 3 {
 		t.Errorf("capped usage should scale up, got %d", got)
 	}
-	if r.LastDecision.Branch != core.BranchScaleUp {
-		t.Errorf("branch = %s", r.LastDecision.Branch)
+	if b := r.LastFullDecision().Branch; b != core.BranchScaleUp {
+		t.Errorf("branch = %s", b)
 	}
 }
 
@@ -90,8 +90,8 @@ func TestCaaSPERReactiveReset(t *testing.T) {
 	if got := r.Recommend(8); got != 8 {
 		t.Errorf("after reset should hold, got %d", got)
 	}
-	if r.LastDecision.Explanation != "" {
-		t.Error("reset should clear LastDecision")
+	if r.Explain() != "" || r.LastFullDecision() != (core.Decision{}) {
+		t.Error("reset should clear the last decision")
 	}
 }
 
@@ -155,9 +155,10 @@ func TestCaaSPERProactiveAnticipatesSeasonalSpike(t *testing.T) {
 }
 
 // TestNewByNameContract: an error always comes with a nil interface (the
-// constructors behind it return typed nil pointers), and the control
-// policy's fixed allocation must lie on the ladder, so it never
-// recommends above MaxCores.
+// constructors behind it return typed nil pointers), every policy takes
+// MaxCores in [2, CoresLimit] and refuses 1 with ErrInvalidConfig, and
+// the control policy's fixed allocation must lie on the ladder, so it
+// never recommends above MaxCores.
 func TestNewByNameContract(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -169,6 +170,7 @@ func TestNewByNameContract(t *testing.T) {
 		{"vpa", Settings{MaxCores: 1}},                 // below the default MinCores
 		{"openshift", Settings{MaxCores: 1}},
 		{"autopilot", Settings{MaxCores: 1}},
+		{"control", Settings{MaxCores: 1}}, // one bound for every policy
 	} {
 		rec, err := NewByName(c.name, c.s)
 		if err == nil {
@@ -176,6 +178,16 @@ func TestNewByNameContract(t *testing.T) {
 		}
 		if rec != nil {
 			t.Errorf("NewByName(%q, %+v): error %v with a non-nil %T", c.name, c.s, err, rec)
+		}
+		if c.s.MaxCores == 1 && !errors.Is(err, errs.ErrInvalidConfig) {
+			t.Errorf("NewByName(%q, MaxCores 1): %v, want ErrInvalidConfig", c.name, err)
+		}
+	}
+	for _, name := range Names() {
+		for _, mc := range []int{2, CoresLimit} {
+			if _, err := NewByName(name, Settings{MaxCores: mc}); err != nil {
+				t.Errorf("NewByName(%q, MaxCores %d): %v", name, mc, err)
+			}
 		}
 	}
 

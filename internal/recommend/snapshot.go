@@ -9,22 +9,27 @@ import (
 
 // State is the serialisable form of a recommender adapter's mutable
 // state: the retained observation window, the logical history length and
-// the decision-scratch memo. It is everything a checkpoint must carry so
-// a restored adapter's subsequent decisions are bit-identical to one
-// that never stopped — the pinned guarantee of the serve layer's
-// snapshot/restore test.
+// the last decision with its explanation template. Algorithm 1 is
+// history-independent, so that is everything a checkpoint must carry for
+// a restored adapter's subsequent decisions, explanations and audit
+// events to be bit-identical to one that never stopped — the pinned
+// guarantee of the serve layer's snapshot/restore test.
 type State struct {
 	// Window holds the retained usage samples, oldest first.
 	Window []float64 `json:"window,omitempty"`
 	// Total is the number of samples ever observed (≥ len(Window); the
 	// proactive warm-up gates on this, not on the retained length).
 	Total int `json:"total"`
-	// Memo is the Algorithm 1 raw-window memo and lazy-explanation
-	// template of the adapter's scratch.
-	Memo core.MemoState `json:"memo"`
 	// LastDecision is the most recent full decision, so interpretability
 	// surfaces keep answering across a restart.
 	LastDecision core.Decision `json:"last_decision"`
+	// ExpKind and ExpPeak are the decision's explanation template
+	// (core.Scratch.Last): which prose Explain formats it with, and the
+	// one operand the decision does not carry.
+	ExpKind uint8   `json:"exp_kind,omitempty"`
+	ExpPeak float64 `json:"exp_peak,omitempty"`
+	// Now is the audit clock stamped on the next decision event.
+	Now int64 `json:"now,omitempty"`
 	// LastUsedForecast mirrors CaaSPERProactive.LastUsedForecast
 	// (always false for the reactive adapter).
 	LastUsedForecast bool `json:"last_used_forecast,omitempty"`
@@ -38,9 +43,9 @@ type State struct {
 // capability per tenant.
 type StateSnapshotter interface {
 	// SnapshotState returns the adapter's mutable state in place:
-	// Window and Memo.Window alias the adapter's window and memo key, so
-	// they are valid only until its next Observe, Recommend, Reset or
-	// RestoreState, and must not be mutated. A caller encodes them, or
+	// Window aliases the adapter's window, so it is valid only until its
+	// next Observe, Recommend, Reset or RestoreState, and must not be
+	// mutated. A caller encodes them, or
 	// copies them, under the lock that orders those calls.
 	SnapshotState() State
 	// RestoreState rebuilds the adapter's mutable state from a snapshot
@@ -59,21 +64,20 @@ type DecisionReporter interface {
 	LastFullDecision() core.Decision
 }
 
-// viewWindow sets the window half of a State in place: nil when empty,
-// so the encoded line omits it.
-func viewWindow(s *State, h *win.Ring) {
+// viewState returns sc's half of a State, the decision and its audit
+// clock, with the window half set from h in place: a nil window when
+// empty, so the encoded line omits it.
+func viewState(sc *core.Scratch, h *win.Ring) State {
+	d, kind, peak := sc.Last()
+	s := State{Total: h.Total(), LastDecision: *d, ExpKind: kind, ExpPeak: peak, Now: sc.Now}
 	if v := h.View(); len(v) > 0 {
 		s.Window = v
 	}
-	s.Total = h.Total()
+	return s
 }
 
 // SnapshotState implements StateSnapshotter.
-func (c *CaaSPERReactive) SnapshotState() State {
-	s := State{Memo: c.scratch.MemoView(), LastDecision: c.LastDecision}
-	viewWindow(&s, c.history)
-	return s
-}
+func (c *CaaSPERReactive) SnapshotState() State { return viewState(&c.scratch, c.history) }
 
 // RestoreState implements StateSnapshotter.
 func (c *CaaSPERReactive) RestoreState(s State) error {
@@ -81,33 +85,32 @@ func (c *CaaSPERReactive) RestoreState(s State) error {
 		return fmt.Errorf("recommend: reactive restore: %w", err)
 	}
 	c.counts.Recount(c.history.View())
-	c.algo.RestoreMemo(&c.scratch, s.Memo)
-	c.LastDecision = s.LastDecision
+	c.algo.Resume(&c.scratch, s.LastDecision, s.ExpKind, s.ExpPeak, s.Now)
 	return nil
 }
 
 // LastFullDecision implements DecisionReporter.
-func (c *CaaSPERReactive) LastFullDecision() core.Decision { return c.LastDecision }
+func (c *CaaSPERReactive) LastFullDecision() core.Decision {
+	d, _, _ := c.scratch.Last()
+	return *d
+}
 
-// SnapshotState implements StateSnapshotter.
+// SnapshotState implements StateSnapshotter. LastDecision is the
+// scratch's decision plus its eager explanation, so it stands for both.
 func (c *CaaSPERProactive) SnapshotState() State {
-	s := State{
-		Memo:             c.scratch.MemoView(),
-		LastDecision:     c.LastDecision,
-		LastUsedForecast: c.LastUsedForecast,
-	}
-	viewWindow(&s, c.history)
+	s := viewState(&c.scratch, c.history)
+	s.LastDecision, s.LastUsedForecast = c.LastDecision, c.LastUsedForecast
 	return s
 }
 
 // RestoreState implements StateSnapshotter. The forecaster itself is
 // stateless between decisions (it re-reads the history each tick), so the
-// window plus memo is the complete mutable state.
+// window plus the last decision is the complete mutable state.
 func (c *CaaSPERProactive) RestoreState(s State) error {
 	if err := c.history.Restore(s.Window, s.Total); err != nil {
 		return fmt.Errorf("recommend: proactive restore: %w", err)
 	}
-	c.pro.Reactive.RestoreMemo(&c.scratch, s.Memo)
+	c.pro.Reactive.Resume(&c.scratch, s.LastDecision, s.ExpKind, s.ExpPeak, s.Now)
 	c.LastDecision = s.LastDecision
 	c.LastUsedForecast = s.LastUsedForecast
 	return nil

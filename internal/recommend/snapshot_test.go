@@ -95,7 +95,7 @@ func TestStateSnapshotRoundTrip(t *testing.T) {
 				}
 			}
 			// The lazily materialised explanation must survive too: the
-			// memo's template is part of the snapshot.
+			// decision's template is part of the snapshot.
 			if e1, e2 := ref.(Explainer).Explain(), restored.(Explainer).Explain(); e1 != e2 {
 				t.Fatalf("%s cut=%d: explanation diverged after restore:\n  uninterrupted: %q\n  restored:      %q",
 					name, cut, e1, e2)

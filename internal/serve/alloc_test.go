@@ -226,8 +226,8 @@ func TestDecideFullLogZeroAlloc(t *testing.T) {
 }
 
 // TestEncodeTenantAllocBudget pins a warm caasper tenant's checkpoint
-// line at zero allocations: the encoder reads the window and the memo key
-// in place under the tenant lock (SnapshotState aliases them) and appends the
+// line at zero allocations: the encoder reads the window in place under
+// the tenant lock (SnapshotState aliases it) and appends the
 // line to a reused buffer without reflection, so a copy of the state or
 // a return to encoding/json fails here.
 func TestEncodeTenantAllocBudget(t *testing.T) {

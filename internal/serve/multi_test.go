@@ -1,12 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
@@ -170,105 +170,166 @@ func TestServeMultiConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1MigrationBitIdentical pins the version migration: a v1
-// CPU-only checkpoint (the pre-vector format) restored by the v2 server
-// resumes with bit-identical subsequent decisions and RAM/disk left at
-// their defaults. The second case also rewrites every decision to the
-// pre-vector keys "CurrentCores"/"TargetCores", as real v1 files carry
-// them, on a stream that plateaus before the cut so the first resumed
-// decision is served from the restored memo; the restored server must
-// never write those keys back.
-func TestSnapshotV1MigrationBitIdentical(t *testing.T) {
-	const cut = 87
-	cfg := `{"policy":"caasper","max_cores":10,"initial_cores":5}`
-	plateau := rampUsage(200)
-	for i := 20; i < len(plateau); i++ {
+// v2FixtureCut is the sample count at which testdata/v2.snapshot, a
+// checkpoint written by the v2 server, was taken.
+const v2FixtureCut = 87
+
+// v2FixtureTenant is one tenant of testdata/v2.snapshot: its config and
+// its full sample stream (RAM and disk nil for a CPU-only tenant).
+type v2FixtureTenant struct {
+	id, cfg        string
+	cpu, ram, disk []float64
+}
+
+// v2FixtureTenants returns the tenants of testdata/v2.snapshot in ID
+// order: the reactive policy over a ramp and over a plateau, the
+// proactive one with its forecast active at the cut (its last decision
+// carries the prefixed explanation), and a multi-resource tenant. The v2
+// server registered each, posted the first v2FixtureCut samples over HTTP
+// with a decision every 10 minutes, and wrote the file at Close.
+func v2FixtureTenants() []v2FixtureTenant {
+	const n = 200
+	plateau := rampUsage(n)
+	for i := 20; i < n; i++ {
 		plateau[i] = 3
 	}
+	ram, disk := make([]float64, n), make([]float64, n)
+	for i := range ram {
+		ram[i] = 3 + float64(i%9)
+		disk[i] = 8 + float64(i)*0.1
+	}
+	return []v2FixtureTenant{
+		{id: "multi", cfg: `{"policy":"caasper","max_cores":8,"min_ram_gb":2,"max_ram_gb":16,"disk_gb":10}`, cpu: rampUsage(n), ram: ram, disk: disk},
+		{id: "plateau", cfg: `{"policy":"caasper","max_cores":10,"initial_cores":5}`, cpu: plateau},
+		{id: "pro", cfg: `{"policy":"caasper-proactive","max_cores":10,"initial_cores":5,"window":20,"horizon":15,"season":30}`, cpu: rampUsage(n)},
+		{id: "ramp", cfg: `{"policy":"caasper","max_cores":10,"initial_cores":5}`, cpu: rampUsage(n)},
+	}
+}
 
-	// The pre-vector decision spelling: the CPU allocation under two
-	// scalar keys instead of the Current/Target vectors.
-	vectors := regexp.MustCompile(`"Current":\{"CPUCores":(\d+),"RAMGB":0,"DiskGB":0,"Replicas":0\},"Target":\{"CPUCores":(\d+),"RAMGB":0,"DiskGB":0,"Replicas":0\}`)
-	for _, tc := range []struct {
-		name       string
-		usage      []float64
-		scalarKeys bool
-	}{
-		{"header", rampUsage(200), false},
-		{"scalar-keys", plateau, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			usage, scalarKeys := tc.usage, tc.scalarKeys
-			// Control: uninterrupted server over the full stream.
-			_, ctl := testServer(t, Options{DecisionEveryMinutes: 10})
-			register(t, ctl.URL, "mig", cfg)
-			postSamples(t, ctl.URL, "mig", usage)
-			waitSamples(t, ctl.URL, "mig", len(usage))
-			want := decisionsOf(t, ctl.URL, "mig")
+// post feeds tn samples [lo, hi) and waits until the server applied them.
+func (tn v2FixtureTenant) post(t *testing.T, base string, lo, hi int) {
+	t.Helper()
+	if tn.ram != nil {
+		postMultiSamples(t, base, tn.id, tn.cpu[lo:hi], tn.ram[lo:hi], tn.disk[lo:hi])
+	} else {
+		postSamples(t, base, tn.id, tn.cpu[lo:hi])
+	}
+	waitSamples(t, base, tn.id, hi)
+}
 
-			// First half on a snapshotting server.
-			snap := filepath.Join(t.TempDir(), "serve.snapshot")
-			s1, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: snap})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts1 := newTestFrontend(t, s1)
-			register(t, ts1, "mig", cfg)
-			postSamples(t, ts1, "mig", usage[:cut])
-			waitSamples(t, ts1, "mig", cut)
-			if err := s1.Close(); err != nil {
-				t.Fatal(err)
-			}
+// checkMigration restores checkpoint, taken at v2FixtureCut samples of
+// every tenant's stream, into a fresh server. Its own checkpoint must
+// then be, byte for byte, that of a server fed the same samples, so the
+// migrated state (explanation template and audit clock included) is the
+// state this version keeps. Each tenant is then fed the rest of its
+// stream, and its decisions (explanations included) and its
+// /v1/tenants/{id} row must equal those of a server that never stopped.
+// It returns the checkpoint the restored server writes at Close.
+func checkMigration(t *testing.T, checkpoint []byte, tenants []v2FixtureTenant) []byte {
+	t.Helper()
+	_, ctl := testServer(t, Options{DecisionEveryMinutes: 10})
+	cut, cutURL := testServer(t, Options{DecisionEveryMinutes: 10})
+	for _, tn := range tenants {
+		register(t, ctl.URL, tn.id, tn.cfg)
+		tn.post(t, ctl.URL, 0, len(tn.cpu))
+		register(t, cutURL.URL, tn.id, tn.cfg)
+		tn.post(t, cutURL.URL, 0, v2FixtureCut)
+	}
+	snap := filepath.Join(t.TempDir(), "serve.snapshot")
+	if err := os.WriteFile(snap, checkpoint, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: snap})
+	if err != nil {
+		t.Fatalf("the server must restore the checkpoint: %v", err)
+	}
+	ts := newTestFrontend(t, s)
+	if want, got := snapshotBytes(t, cut), snapshotBytes(t, s); !bytes.Equal(want, got) {
+		t.Fatalf("migrated checkpoint differs from the one this version writes at the cut:\nmigrated:\n%s\nwant:\n%s", got, want)
+	}
+	for _, tn := range tenants {
+		if got := statusRow(t, ts, tn.id); got.Samples != v2FixtureCut || tn.ram == nil && (got.RAMGB != 0 || got.DiskGB != 0 || got.Replicas != 0) {
+			t.Fatalf("%s restored as %+v", tn.id, got)
+		}
+		tn.post(t, ts, v2FixtureCut, len(tn.cpu))
+		if want, got := decisionsOf(t, ctl.URL, tn.id), decisionsOf(t, ts, tn.id); want != got {
+			t.Fatalf("%s: migrated stream diverged:\ncontrol:\n%s\nmigrated:\n%s", tn.id, want, got)
+		}
+		if want, got := statusRow(t, ctl.URL, tn.id), statusRow(t, ts, tn.id); want != got {
+			t.Fatalf("%s: status %+v, control %+v", tn.id, got, want)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(written), fmt.Sprintf(`{"format":"caasper-serve","version":%d,`, snapshotVersion)) || strings.Contains(string(written), `"memo"`) {
+		t.Fatalf("the restored server wrote an old layout: %s", written)
+	}
+	return written
+}
 
-			// Downgrade the checkpoint to the v1 format: every v2 tenant
-			// field is omitempty, so beyond the header only the decision
-			// spelling differs (rewritten in the scalar-keys case).
-			raw, err := os.ReadFile(snap)
-			if err != nil {
-				t.Fatal(err)
+// TestSnapshotV2MigrationBitIdentical pins the v2 → v3 migration on a
+// checkpoint the v2 server wrote (testdata/v2.snapshot): every tenant
+// resumes with the decisions, explanations and status rows of a server
+// that never stopped, although Restore drops each line's memo and lifts
+// its explanation template and audit clock out of it.
+func TestSnapshotV2MigrationBitIdentical(t *testing.T) {
+	raw, err := os.ReadFile("testdata/v2.snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(raw), `{"format":"caasper-serve","version":2,"tenants":4}`) || !strings.Contains(string(raw), `"memo":{`) {
+		t.Fatalf("fixture is not a v2 checkpoint with memos: %.200s", raw)
+	}
+	checkMigration(t, raw, v2FixtureTenants())
+}
+
+// TestSnapshotV1MigrationBitIdentical pins the v1 → v3 migration: the
+// CPU-only tenants of testdata/v2.snapshot, downgraded to the v1 format
+// (every v2 tenant field is omitempty, so beyond the header only the
+// decision spelling differs), resume bit-identically with RAM/disk left
+// at their defaults. The scalar-keys case also rewrites every decision to
+// the pre-vector keys "CurrentCores"/"TargetCores", as real v1 files
+// carry them; the restored server must never write those keys back.
+func TestSnapshotV1MigrationBitIdentical(t *testing.T) {
+	raw, err := os.ReadFile("testdata/v2.snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cpuOnly []v2FixtureTenant
+	v1 := ""
+	for _, tn := range v2FixtureTenants() {
+		if tn.ram != nil {
+			continue
+		}
+		cpuOnly = append(cpuOnly, tn)
+		for _, line := range strings.SplitAfter(string(raw), "\n") {
+			if strings.HasPrefix(line, `{"id":"`+tn.id+`",`) {
+				v1 += line
 			}
-			if !strings.Contains(string(raw), `"version":2`) {
-				t.Fatalf("snapshot not v2: %s", raw)
-			}
-			for _, field := range []string{"ram_gb", "disk_gb", "replicas", "ram_peak"} {
-				if strings.Contains(string(raw), field) {
-					t.Fatalf("CPU-only v2 tenant line leaks %q — v1 compatibility broken: %s", field, raw)
-				}
-			}
-			v1 := strings.Replace(string(raw), `"version":2`, `"version":1`, 1)
+		}
+	}
+	v1 = fmt.Sprintf(`{"format":"caasper-serve","version":1,"tenants":%d}`+"\n", len(cpuOnly)) + v1
+	for _, field := range []string{"ram_gb", "disk_gb", "replicas", "ram_peak"} {
+		if strings.Contains(v1, field) {
+			t.Fatalf("CPU-only v2 tenant line leaks %q — v1 compatibility broken: %s", field, v1)
+		}
+	}
+	for _, scalarKeys := range []bool{false, true} {
+		name := map[bool]string{false: "header", true: "scalar-keys"}[scalarKeys]
+		t.Run(name, func(t *testing.T) {
+			v1 := v1
 			if scalarKeys {
-				if !vectors.MatchString(v1) {
+				if !v1Decisions.MatchString(v1) {
 					t.Fatalf("no decision vectors to rewrite: %s", v1)
 				}
-				v1 = vectors.ReplaceAllString(v1, `"CurrentCores":$1,"TargetCores":$2`)
+				v1 = v1Decisions.ReplaceAllString(v1, `"CurrentCores":$1,"TargetCores":$2`)
 			}
-			if err := os.WriteFile(snap, []byte(v1), 0o644); err != nil {
-				t.Fatal(err)
-			}
-
-			// Restore the v1 file into a fresh v2 server and finish the
-			// stream.
-			s2, err := New(Options{DecisionEveryMinutes: 10, SnapshotPath: snap})
-			if err != nil {
-				t.Fatalf("v2 server must restore a v1 checkpoint: %v", err)
-			}
-			ts2 := newTestFrontend(t, s2)
-			if st := statusRow(t, ts2, "mig"); st.RAMGB != 0 || st.DiskGB != 0 || st.Replicas != 0 {
-				t.Fatalf("v1 tenant restored with non-default multi state: %+v", st)
-			}
-			postSamples(t, ts2, "mig", usage[cut:])
-			waitSamples(t, ts2, "mig", len(usage))
-			got := decisionsOf(t, ts2, "mig")
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if want != got {
-				t.Fatalf("v1-migrated stream diverged:\ncontrol:\n%s\nmigrated:\n%s", want, got)
-			}
-			written, err := os.ReadFile(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
+			written := checkMigration(t, []byte(v1), cpuOnly)
 			if strings.Contains(string(written), "CurrentCores") || strings.Contains(string(written), "TargetCores") {
 				t.Fatalf("restored server wrote a pre-vector decision key: %s", written)
 			}

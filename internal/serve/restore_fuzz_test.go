@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
 	"regexp"
 	"strconv"
@@ -19,14 +20,32 @@ import (
 // the pre-vector keys a v1 checkpoint carries.
 var v1Decisions = regexp.MustCompile(`"Current":\{"CPUCores":(\d+),"RAMGB":0,"DiskGB":0,"Replicas":0\},"Target":\{"CPUCores":(\d+),"RAMGB":0,"DiskGB":0,"Replicas":0\}`)
 
-// v1Checkpoint checkpoints a mixedServer of n CPU-only tenants (n ≤ 3)
-// and rewrites it into the v1 format: version 1 in the header and every
-// decision's allocation under its pre-vector keys.
+// v2Checkpoint returns testdata/v2.snapshot, a checkpoint the v2 server
+// wrote (see v2FixtureTenants).
+func v2Checkpoint(t testing.TB) string {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/v2.snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// v1Checkpoint rewrites the first n ≤ 3 CPU-only tenants of
+// testdata/v2.snapshot into the v1 format: version 1 in the header and
+// every decision's allocation under its pre-vector keys.
 func v1Checkpoint(t testing.TB, n int) string {
 	t.Helper()
-	v1 := strings.Replace(string(snapshotBytes(t, mixedServer(t, n))), `"version":2`, `"version":1`, 1)
-	if !v1Decisions.MatchString(v1) {
-		t.Fatalf("no decision vectors to rewrite: %s", v1)
+	lines := strings.SplitAfter(v2Checkpoint(t), "\n")
+	v1 := fmt.Sprintf(`{"format":"caasper-serve","version":1,"tenants":%d}`+"\n", n)
+	for _, line := range lines[1:] {
+		if n > 0 && !strings.Contains(line, `"ram_gb"`) {
+			v1 += line
+			n--
+		}
+	}
+	if n > 0 || !v1Decisions.MatchString(v1) {
+		t.Fatalf("no CPU-only decision vectors to rewrite: %s", v1)
 	}
 	return v1Decisions.ReplaceAllString(v1, `"CurrentCores":$1,"TargetCores":$2`)
 }
@@ -54,27 +73,28 @@ func nonCanonical(t testing.TB, line string) string {
 // re-encodes to the same bytes (a decision log trimmed to the server's
 // size on the first restore is not trimmed again).
 func FuzzRestore(f *testing.F) {
-	v2 := string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs))))
-	lines := strings.SplitAfter(v2, "\n")
+	v3 := string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs))))
+	lines := strings.SplitAfter(v3, "\n")
 	v1 := v1Checkpoint(f, 1)
 	var multi string
 	for _, line := range lines {
 		if strings.Contains(line, `"replicas"`) {
-			multi = `{"format":"caasper-serve","version":2,"tenants":1}` + "\n" + line
+			multi = lines[0][:strings.Index(lines[0], `"tenants"`)] + `"tenants":1}` + "\n" + line
 		}
 	}
 	// mixed restores lines 1 and 4 through json.Unmarshal and the rest
-	// through the canonical-line decoder, to the same tenants as v2.
+	// through the canonical-line decoder, to the same tenants as v3.
 	mixed := lines[0] + nonCanonical(f, lines[1]) + lines[2] + lines[3] + nonCanonical(f, lines[4]) + strings.Join(lines[5:], "")
 	for _, seed := range []struct{ data, err, reencodes string }{
 		{v1, "", ""},
-		{v2, "", v2},
+		{v2Checkpoint(f), "", ""},
+		{v3, "", v3},
 		{multi, "", multi},
-		{mixed, "", v2},
-		{v2[:len(v2)/2], "tenant line", ""}, // truncated mid-line
+		{mixed, "", v3},
+		{v3[:len(v3)/2], "tenant line", ""}, // truncated mid-line
 		{lines[0] + "{\"id\":\x00garbage\n", "tenant line 1", ""}, // garbage
-		{strings.Replace(v2, `"tenants":5`, `"tenants":6`, 1) + lines[1], "duplicate tenant", ""},
-		{strings.Replace(v2, `{"seq":2,`, `{"seq":1,`, 1), "tenant line 1: decision log seq 1 after 1", ""}, // forked cursor stream
+		{strings.Replace(v3, `"tenants":5`, `"tenants":6`, 1) + lines[1], "duplicate tenant", ""},
+		{strings.Replace(v3, `{"seq":2,`, `{"seq":1,`, 1), "tenant line 1: decision log seq 1 after 1", ""}, // forked cursor stream
 	} {
 		s, err := New(Options{})
 		if err != nil {
@@ -120,10 +140,11 @@ func FuzzRestore(f *testing.F) {
 // FuzzSnapshotLine is the differential test of the canonical-line
 // decoder: whatever line decodeTenantLine accepts, json.Unmarshal must
 // decode to the same snapshotTenant, floats bit for bit. Every line of a
-// mixedServer checkpoint is a seed and must take the fast path.
+// mixedServer checkpoint is a seed and must take the fast path; a line
+// of testdata/v2.snapshot is one too, which must not.
 func FuzzSnapshotLine(f *testing.F) {
-	v2 := strings.TrimSuffix(string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs)))), "\n")
-	for _, line := range strings.Split(v2, "\n")[1:] {
+	v3 := strings.TrimSuffix(string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs)))), "\n")
+	for _, line := range strings.Split(v3, "\n")[1:] {
 		var st snapshotTenant
 		if !decodeTenantLine([]byte(line), &st) {
 			f.Fatalf("a line Snapshot wrote takes the fallback: %s", line)
@@ -134,15 +155,21 @@ func FuzzSnapshotLine(f *testing.F) {
 		`{}`,
 		`{"id":"a","cores":-0,"seq":999999999999999999}`,
 		`{"seq":9223372036854775807}`,
-		`{"id":"ü","state":{"window":[],"total":1,"memo":{"Window":null,"ExpKind":255}},"log":[]}`,
-		`{"state":{"memo":{"ExpKind":-0}}}`,
-		`{"state":{"memo":{"Window":[1e400]}}}`,
+		`{"id":"ü","state":{"window":[],"total":1,"exp_kind":255},"log":[]}`,
+		`{"state":{"exp_kind":-0}}`,
+		`{"state":{"window":null,"exp_peak":1e400}}`,
+		`{"state":{"exp_peak":-0,"now":-9223372036854775808}}`,
 		`{"ram_peak":12345678901234567890123,"cpu_peak":-0}`,
 		`{"id":"a\u0062"}`,
 		`{"cores":1.0}`,
 	} {
 		f.Add([]byte(seed))
 	}
+	v2 := strings.SplitAfter(v2Checkpoint(f), "\n")[1]
+	if decodeTenantLine([]byte(strings.TrimSuffix(v2, "\n")), new(snapshotTenant)) {
+		f.Fatalf("a v2 line takes the v3 decoder: %s", v2)
+	}
+	f.Add([]byte(v2))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var fast snapshotTenant
 		if !decodeTenantLine(line, &fast) {
@@ -188,18 +215,21 @@ func sameBits(a, b reflect.Value) bool {
 
 // FuzzSnapshotEncode is the differential test of the checkpoint-line
 // encoder. A line json.Unmarshal decodes into a snapshotTenant gets a
-// float and a string injected into its ID, decision fields, window, memo
-// and log; appendTenantLine must then write json.Encoder's bytes, or fail
-// where json.Encoder fails, on a NaN or ±Inf. A line with no escaped
-// string must also take decodeTenantLine's fast path back to the tenant
-// it was encoded from, floats bit for bit. Every mixedServer line is a
-// seed; the escapes, float edges and nil-versus-empty slices are seeds
-// in testdata/fuzz/FuzzSnapshotEncode.
+// float and a string injected into its ID, decision fields, window,
+// explanation template and log; appendTenantLine must then write
+// json.Encoder's bytes, or fail where json.Encoder fails, on a NaN or
+// ±Inf. A line with no escaped string must also take decodeTenantLine's
+// fast path back to the tenant it was encoded from, floats bit for bit.
+// Every mixedServer line is a seed, and so is a line of
+// testdata/v2.snapshot, whose memo json.Unmarshal ignores; the escapes,
+// float edges and nil-versus-empty slices are seeds in
+// testdata/fuzz/FuzzSnapshotEncode.
 func FuzzSnapshotEncode(f *testing.F) {
-	v2 := strings.TrimSuffix(string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs)))), "\n")
-	for _, line := range strings.Split(v2, "\n")[1:] {
+	v3 := strings.TrimSuffix(string(snapshotBytes(f, mixedServer(f, len(mixedTenantConfigs)))), "\n")
+	for _, line := range strings.Split(v3, "\n")[1:] {
 		f.Add([]byte(line), math.Float64bits(2.5), "")
 	}
+	f.Add([]byte(strings.SplitAfter(v2Checkpoint(f), "\n")[1]), math.Float64bits(0.5), "")
 	f.Fuzz(func(t *testing.T, line []byte, bits uint64, s string) {
 		var st snapshotTenant
 		if json.Unmarshal(line, &st) != nil {
@@ -209,14 +239,11 @@ func FuzzSnapshotEncode(f *testing.F) {
 		st.ID += s
 		st.State.LastDecision.Branch = core.Branch(s)
 		st.State.LastDecision.Slope = v
-		st.State.Memo.Decision.Explanation = s
-		st.State.Memo.ExpPeak = v
+		st.State.LastDecision.Explanation = s
+		st.State.ExpPeak = v
 		st.CPUPeak = v
 		if n := len(st.State.Window); n > 0 {
 			st.State.Window[n-1] = v
-		}
-		if n := len(st.State.Memo.Window); n > 0 {
-			st.State.Memo.Window[0] = v
 		}
 		if n := len(st.Log); n > 0 {
 			st.Log[n-1].Explanation = s
@@ -254,7 +281,7 @@ func FuzzSnapshotEncode(f *testing.F) {
 		if len(st.Log) == 0 {
 			st.Log = nil
 		}
-		for _, p := range []*float64{&st.RAMPeak, &st.DiskHigh, &st.CPUPeak} {
+		for _, p := range []*float64{&st.RAMPeak, &st.DiskHigh, &st.CPUPeak, &st.State.ExpPeak} {
 			if *p == 0 {
 				*p = 0 // -0 is omitted too
 			}

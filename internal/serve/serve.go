@@ -12,12 +12,12 @@
 // membership plus a bounded ingest queue drained by one worker
 // goroutine, and each tenant carries its own lock for its mutable state. A tenant reuses
 // the same machinery the replay engines do — a window.Ring observation
-// window and a core.Scratch decision memo inside the recommend adapters —
+// window and a core.Scratch inside the recommend adapters —
 // so a serve decision is bit-identical to the decision the simulator
 // would have made on the same sample stream.
 //
 // Durability is a versioned NDJSON checkpoint (Server.Snapshot): ring
-// windows, totals and scratch memos serialise through
+// windows, totals and last decisions serialise through
 // recommend.StateSnapshotter, and a server restarted from its checkpoint
 // resumes mid-window with bit-identical subsequent decisions — the
 // round-trip equality test in snapshot_test.go pins that contract.

@@ -23,15 +23,18 @@ import (
 	"caasper/internal/recommend"
 )
 
-// snapshotVersion is the checkpoint format version. Version 2 added the
-// multi-resource tenant fields (all omitempty) and spells each decision's
-// allocation as Current/Target vectors. Restore still accepts v1
-// checkpoints: their tenants resume with RAM/disk/replicas at their
-// config defaults, and their decisions' pre-vector CPU keys are read by
-// backfillV1Decisions.
-const snapshotVersion = 2
+// snapshotVersion is the checkpoint format version. Version 3 writes a
+// tenant's decision state once: the window, the last decision, its
+// explanation template and the audit clock, as named members of "state".
+// Version 2 added the multi-resource tenant fields (all omitempty) and
+// spells each decision's allocation as Current/Target vectors; it and v1
+// also wrote a "memo" object that repeated the window and the last
+// decision beside the template. Restore still accepts both (migrateState):
+// v1 tenants resume with RAM/disk/replicas at their config defaults.
+const snapshotVersion = 3
 
-// snapshotVersionV1 is the CPU-only predecessor Restore migrates from.
+// snapshotVersionV1 is the CPU-only format, the oldest Restore migrates
+// from.
 const snapshotVersionV1 = 1
 
 // snapshotHeader is the first NDJSON line of a checkpoint.
@@ -41,8 +44,8 @@ type snapshotHeader struct {
 	Tenants int    `json:"tenants"`
 }
 
-// snapshotTenant is one tenant's checkpoint line. PolicyState carries
-// the recommend.StateSnapshotter payload (window, total, scratch memo);
+// snapshotTenant is one tenant's checkpoint line. State carries the
+// recommend.StateSnapshotter payload (window, total, last decision);
 // policies without the interface restore cold, flagged by HasState.
 type snapshotTenant struct {
 	ID       string           `json:"id"`
@@ -203,23 +206,31 @@ func (s *Server) restoreIfPresent(path string) error {
 	return s.Restore(f)
 }
 
-// backfillV1Decisions restores the CPU allocation of a v1 tenant line's
-// decisions, which v1 wrote under pre-vector keys
-// (core.Decision.BackfillV1).
-func backfillV1Decisions(line []byte, st *recommend.State) error {
-	var v1 struct {
+// migrateState lifts into st what a v1 or v2 tenant line kept in its
+// state's "memo" object: the explanation template and the audit clock.
+// The memo's window and decision repeat the line's window and last
+// decision, so they are dropped. A v1 line's last decision wrote its CPU
+// allocation under pre-vector keys (core.Decision.BackfillV1).
+func migrateState(line []byte, version int, st *recommend.State) error {
+	var old struct {
 		State struct {
-			Memo         struct{ Decision json.RawMessage } `json:"memo"`
-			LastDecision json.RawMessage                    `json:"last_decision"`
+			Memo struct {
+				ExpKind uint8
+				ExpPeak float64
+				Now     int64
+			} `json:"memo"`
+			LastDecision json.RawMessage `json:"last_decision"`
 		} `json:"state"`
 	}
-	if err := json.Unmarshal(line, &v1); err != nil {
+	if err := json.Unmarshal(line, &old); err != nil {
 		return err
 	}
-	if err := st.Memo.Decision.BackfillV1(v1.State.Memo.Decision); err != nil {
-		return err
+	m := &old.State.Memo
+	st.ExpKind, st.ExpPeak, st.Now = m.ExpKind, m.ExpPeak, m.Now
+	if version == snapshotVersionV1 {
+		return st.LastDecision.BackfillV1(old.State.LastDecision)
 	}
-	return st.LastDecision.BackfillV1(v1.State.LastDecision)
+	return nil
 }
 
 // Restore rebuilds the tenant map from a Snapshot stream. Each tenant is
@@ -246,7 +257,7 @@ func (s *Server) Restore(r io.Reader) error {
 	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 		return fmt.Errorf("serve: restore: header: %w", err)
 	}
-	if hdr.Format != "caasper-serve" || (hdr.Version != snapshotVersion && hdr.Version != snapshotVersionV1) {
+	if hdr.Format != "caasper-serve" || hdr.Version < snapshotVersionV1 || hdr.Version > snapshotVersion {
 		return fmt.Errorf("serve: restore: unsupported snapshot format %q version %d", hdr.Format, hdr.Version)
 	}
 
@@ -318,8 +329,8 @@ func (s *Server) Restore(r io.Reader) error {
 
 // restoreTenant rebuilds one tenant from its checkpoint line (tenant
 // line number no) without publishing it. It returns a nil tenant exactly
-// when it fails. A v2 line in the layout Snapshot writes is decoded by
-// decodeTenantLine; any other line — v1, hand-edited or hostile — by
+// when it fails. A v3 line in the layout Snapshot writes is decoded by
+// decodeTenantLine; any other line — v1, v2, hand-edited or hostile — by
 // json.Unmarshal, counted in fallbacks.
 func (s *Server) restoreTenant(line []byte, no, version int, fallbacks *atomic.Int64) (*tenantState, error) {
 	var st snapshotTenant
@@ -330,8 +341,8 @@ func (s *Server) restoreTenant(line []byte, no, version int, fallbacks *atomic.I
 			return nil, fmt.Errorf("serve: restore: tenant line %d: %w", no, err)
 		}
 	}
-	if version == snapshotVersionV1 && st.HasState {
-		if err := backfillV1Decisions(line, &st.State); err != nil {
+	if version < snapshotVersion && st.HasState {
+		if err := migrateState(line, version, &st.State); err != nil {
 			return nil, fmt.Errorf("serve: restore: tenant line %d: %w", no, err)
 		}
 	}
@@ -374,7 +385,7 @@ func (s *Server) restoreTenant(line []byte, no, version int, fallbacks *atomic.I
 	return t, nil
 }
 
-// decodeTenantLine decodes one v2 tenant line in the exact layout
+// decodeTenantLine decodes one v3 tenant line in the exact layout
 // Snapshot writes — encoding/json's field order and omitempty rules, no
 // whitespace, plain integers, strings with no escapes and valid UTF-8 —
 // without reflection. Floats take parseNumberFast and fall back to
@@ -675,25 +686,12 @@ func (d *lineDecoder) state(st *recommend.State) {
 		st.Window = d.floats()
 	}
 	intField(d, "total", &st.Total)
-	if d.key("memo") {
-		m := &st.Memo
-		d.open()
-		d.boolField("Valid", &m.Valid)
-		intField(d, "Cores", &m.Cores)
-		if d.key("Window") {
-			m.Window = d.floats()
-		}
-		if d.key("Decision") {
-			d.decision(&m.Decision)
-		}
-		intField(d, "ExpKind", &m.ExpKind)
-		d.floatField("ExpPeak", &m.ExpPeak)
-		intField(d, "Now", &m.Now)
-		d.close()
-	}
 	if d.key("last_decision") {
 		d.decision(&st.LastDecision)
 	}
+	intField(d, "exp_kind", &st.ExpKind)
+	d.floatField("exp_peak", &st.ExpPeak)
+	intField(d, "now", &st.Now)
 	d.boolField("last_used_forecast", &st.LastUsedForecast)
 	d.close()
 }
@@ -749,7 +747,7 @@ func (d *lineDecoder) record(r *DecisionRecord) {
 // mirror: the bytes a json.Encoder with SetEscapeHTML(false) writes for
 // st, newline included, without reflection. Members come in struct order
 // under the struct's omitempty rules (state is a struct, so it is always
-// written; a nil memo window is null, an empty one []); strings take
+// written); strings take
 // encoding/json's escapes and floats its number format. A NaN or ±Inf,
 // which JSON cannot carry, fails the line.
 func appendTenantLine(b []byte, st *snapshotTenant) ([]byte, error) {
@@ -817,7 +815,7 @@ func putInt[T int | int64 | uint8](e *lineEncoder, name string, v T) {
 }
 
 // putIntOmitEmpty appends member name unless v is 0.
-func putIntOmitEmpty(e *lineEncoder, name string, v int) {
+func putIntOmitEmpty[T int | int64 | uint8](e *lineEncoder, name string, v T) {
 	if v != 0 {
 		putInt(e, name, v)
 	}
@@ -976,21 +974,11 @@ func (e *lineEncoder) state(st *recommend.State) {
 		e.floats(st.Window)
 	}
 	putInt(e, "total", st.Total)
-	e.key("memo")
-	m := &st.Memo
-	e.open()
-	e.boolField("Valid", m.Valid)
-	putInt(e, "Cores", m.Cores)
-	e.key("Window")
-	e.floats(m.Window)
-	e.key("Decision")
-	e.decision(&m.Decision)
-	putInt(e, "ExpKind", m.ExpKind)
-	e.floatField("ExpPeak", m.ExpPeak)
-	putInt(e, "Now", m.Now)
-	e.close()
 	e.key("last_decision")
 	e.decision(&st.LastDecision)
+	putIntOmitEmpty(e, "exp_kind", st.ExpKind)
+	e.floatOmitEmpty("exp_peak", st.ExpPeak)
+	putIntOmitEmpty(e, "now", st.Now)
 	if st.LastUsedForecast {
 		e.boolField("last_used_forecast", true)
 	}

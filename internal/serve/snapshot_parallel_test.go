@@ -26,7 +26,7 @@ var mixedTenantConfigs = []string{
 
 // mixedServer builds a server holding n tenants cycling through
 // mixedTenantConfigs, each fed its own sample stream in-process (no HTTP)
-// so that windows, memos, decision logs and peaks all differ.
+// so that windows, last decisions, decision logs and peaks all differ.
 func mixedServer(t testing.TB, n int) *Server {
 	t.Helper()
 	s, err := New(Options{DecisionEveryMinutes: 10, DecisionLogSize: 4})

@@ -301,7 +301,7 @@ func TestColdStartWithoutSnapshot(t *testing.T) {
 // through the serve.restore_* counters and the restore log line: every
 // line of a checkpoint Snapshot wrote (reactive, proactive, VPA-cold,
 // RAM/disk and replica tenants) takes the canonical-line decoder, every
-// line of a v1 checkpoint json.Unmarshal.
+// line of a v2 or v1 checkpoint json.Unmarshal.
 func TestRestoreDecodePaths(t *testing.T) {
 	n := 4 * len(mixedTenantConfigs)
 	for _, tc := range []struct {
@@ -310,7 +310,8 @@ func TestRestoreDecodePaths(t *testing.T) {
 		lines     int64
 		fallbacks int64
 	}{
-		{"v2", snapshotBytes(t, mixedServer(t, n)), int64(n), 0},
+		{"v3", snapshotBytes(t, mixedServer(t, n)), int64(n), 0},
+		{"v2", []byte(v2Checkpoint(t)), 4, 4},
 		{"v1", []byte(v1Checkpoint(t, 3)), 3, 3},
 	} {
 		reg := obs.NewRegistry()
@@ -363,7 +364,6 @@ func TestDecodeInternsNames(t *testing.T) {
 			}
 		}
 		check("config policy", st.Config.Policy)
-		check("memo branch", string(st.State.Memo.Decision.Branch))
 		check("last branch", string(st.State.LastDecision.Branch))
 		for _, r := range st.Log {
 			check("record policy", r.Policy)

@@ -111,8 +111,9 @@ go test -run '^$' -fuzz FuzzQuantileMax -fuzztime 10s -fuzzminimizetime 100x ./i
 
 # Fuzz stage: Algorithm 1's window pass (line 2's filter, the PvP slot
 # counts and the top-m scan above their bound) against the sort-based
-# oracle, every Decision field bit for bit, plus the memo hit on a
-# repeated window. One scratch then decides the window's revisit
+# oracle, every Decision field bit for bit, on a fresh scratch and on
+# scratches whose buffers hold an earlier window. One scratch then
+# decides the window's revisit
 # sequence: the window, its values moved within their slots, each
 # one-slot-fewer variant, the window reversed, moved up and reversed,
 # and the window again, so the skew table answers windows that share a
@@ -122,10 +123,16 @@ go test -run '^$' -fuzz FuzzDecideScratch -fuzztime 10s -fuzzminimizetime 100x .
 
 # Fuzz stage: the reactive adapter's counted window (slot counts slid at
 # Observe/ObserveRun, rebuilt at Reset/RestoreState) against
-# DecideScratch on the same window: decisions bit for bit, memo hits and
-# misses, and audit events.
+# DecideScratch on the same window: decisions bit for bit and audit
+# events, and a restored adapter's last decision and explanation.
 echo "==> fuzz FuzzCountedWindow (10s)"
 go test -run '^$' -fuzz FuzzCountedWindow -fuzztime 10s -fuzzminimizetime 100x ./internal/recommend
+
+# Fuzz stage: NewByName over name × Settings × a short usage stream.
+# Construction fails with ErrInvalidConfig and a nil recommender, or
+# every recommendation stays within [1, MaxCores].
+echo "==> fuzz FuzzNewByName (10s)"
+go test -run '^$' -fuzz FuzzNewByName -fuzztime 10s -fuzzminimizetime 100x ./internal/recommend
 
 # Fuzz stage: arbitrary checkpoint streams into serve's Restore. It must
 # never panic, a failed restore must leave the server without a tenant,
