@@ -1,18 +1,25 @@
-// Command deadcode lists exported package-level identifiers under
-// internal/ that no non-test Go file in the repository references, one
-// "path:line kind pkg.Name" line each, and exits 1 if it printed any.
-// Library code that only its own tests call is dead weight: delete it
-// (and re-run, since a deletion can orphan what only it used) or give it
-// a caller.
+// Command deadcode lists the declarations under internal/ that no
+// non-test Go file in the repository needs, one "path:line kind
+// pkg.Name" line each (kind method: "pkg.Type.Name"), and exits 1 if it
+// printed any. Library code that only its own tests call is dead
+// weight: delete it (and re-run, since a deletion can orphan what only
+// it used) or give it a caller.
 //
-// Every .go file below the working directory counts as a possible
-// caller, the nested bench module included, except _test.go files and
-// anything under testdata/ or a directory whose name starts with "." or
-// "_". A name's own declaration is not a reference to it, and neither is
-// a use of a type inside its own methods. Only package-level funcs,
-// types, vars and consts are checked: whether a method is needed depends
-// on interface satisfaction, which this syntax-only scan cannot see, so
-// methods are out of scope and count as callers of what they use.
+// Every package below the working directory is type-checked once
+// (scripts/internal/load), the nested bench module included; _test.go
+// files and anything under testdata/ or a directory whose name starts
+// with "." or "_" are not loaded, so they call nothing. Two kinds of
+// declaration are checked:
+//
+//   - an exported package-level func, type, var or const is needed when
+//     a loaded file uses it outside its own declaration (a type's own
+//     methods do not count);
+//   - a method, exported or not, is needed when a loaded file selects it
+//     outside its own body; when its receiver, T or *T, implements
+//     (types.Implements) an interface that has a method of that name and
+//     that a loaded file names or a standard-library package the
+//     modules import declares; or when scripts/apidump lists it as a
+//     method of the root package's API.
 //
 // Run from the repository root:
 //
@@ -20,21 +27,24 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
+	"go/types"
 	"os"
 	"path"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"caasper/scripts/internal/load"
 )
 
 func main() {
-	entries, err := scan(".")
+	prog, err := load.Load(".")
+	var entries []entry
+	if err == nil {
+		entries, err = scan(prog)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
 		os.Exit(2)
@@ -47,126 +57,54 @@ func main() {
 	}
 }
 
-// entry is one unreferenced declaration.
+// entry is one unneeded declaration.
 type entry struct {
-	file string // slash path relative to the scanned root
+	file string // slash path relative to the loaded root
 	line int
-	kind string // func, type, var or const
-	pkg  string
-	name string
+	kind string // func, type, var, const or method
+	name string // pkg.Name, or pkg.Type.Name for a method
 }
 
 func (e entry) String() string {
-	return fmt.Sprintf("%s:%d %s %s.%s", e.file, e.line, e.kind, e.pkg, e.name)
+	return fmt.Sprintf("%s:%d %s %s", e.file, e.line, e.kind, e.name)
 }
 
-// ident names a package-level identifier by its package directory.
-type ident struct{ dir, name string }
-
-type goFile struct {
-	dir string // slash path relative to the root
-	f   *ast.File
-}
-
-// scan parses every non-test Go file under root and returns the exported
-// internal/ declarations nothing else references, sorted by position.
-func scan(root string) ([]entry, error) {
-	module, err := modulePath(filepath.Join(root, "go.mod"))
+// scan returns the internal/ declarations of a loaded program that
+// nothing needs, sorted by position.
+func scan(prog *load.Program) ([]entry, error) {
+	api, err := prog.API()
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
-	var files []goFile
-	err = filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if p != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(p))
-		if err != nil {
-			return err
-		}
-		files = append(files, goFile{dir: filepath.ToSlash(rel), f: f})
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	used := map[types.Object]bool{}
+	for _, s := range api {
+		used[s.Obj] = true
 	}
-
-	pkgName := map[string]string{} // dir → package name
-	for _, gf := range files {
-		pkgName[gf.dir] = gf.f.Name.Name
-	}
-
-	decls := map[ident]entry{}
-	for _, gf := range files {
-		if gf.dir != "internal" && !strings.HasPrefix(gf.dir, "internal/") {
-			continue
-		}
-		for _, d := range gf.f.Decls {
-			for _, id := range declared(d) {
-				if !ast.IsExported(id.Name) {
-					continue
-				}
-				pos := fset.Position(id.Pos())
-				rel, err := filepath.Rel(root, pos.Filename)
-				if err != nil {
-					return nil, err
-				}
-				decls[ident{gf.dir, id.Name}] = entry{
-					file: filepath.ToSlash(rel), line: pos.Line,
-					kind: kindOf(d), pkg: gf.f.Name.Name, name: id.Name,
-				}
+	for _, pkg := range prog.Packages {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				markUses(pkg.Info, d, used)
 			}
 		}
 	}
-
-	used := map[ident]bool{}
-	for _, gf := range files {
-		r := refs{dir: gf.dir, imports: map[string]string{}, used: used}
-		for _, imp := range gf.f.Imports {
-			ip := strings.Trim(imp.Path.Value, `"`)
-			if !strings.HasPrefix(ip, module+"/") {
-				continue
-			}
-			dir := strings.TrimPrefix(ip, module+"/")
-			local := pkgName[dir]
-			if local == "" {
-				local = path.Base(dir)
-			}
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			switch local {
-			case "_":
-			case ".":
-				r.dots = append(r.dots, dir)
-			default:
-				r.imports[local] = dir
-			}
-		}
-		for _, d := range gf.f.Decls {
-			r.decl(d)
-		}
-	}
+	ifaces := interfaces(prog)
 
 	var out []entry
-	for id, e := range decls {
-		if !used[id] {
-			out = append(out, e)
+	for _, pkg := range prog.Packages {
+		if pkg.Dir != "internal" && !strings.HasPrefix(pkg.Dir, "internal/") {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				for _, obj := range declared(pkg.Info, d) {
+					if used[obj] || satisfies(obj, ifaces) {
+						continue
+					}
+					pos := prog.Fset.Position(obj.Pos())
+					file := path.Join(pkg.Dir, filepath.Base(pos.Filename))
+					out = append(out, entry{file: file, line: pos.Line, kind: kindOf(obj), name: qualified(obj)})
+				}
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -178,41 +116,29 @@ func scan(root string) ([]entry, error) {
 	return out, nil
 }
 
-// modulePath reads the module line of a go.mod file.
-func modulePath(gomod string) (string, error) {
-	f, err := os.Open(gomod)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		if m, ok := strings.CutPrefix(strings.TrimSpace(sc.Text()), "module "); ok {
-			return strings.Trim(strings.TrimSpace(m), `"`), nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("%s: no module line", gomod)
-}
-
-// declared returns the package-level names a top-level declaration
-// introduces; a method introduces none.
-func declared(d ast.Decl) []*ast.Ident {
+// declared returns the objects of a top-level declaration that the gate
+// checks: every method, and the exported package-level names.
+func declared(info *types.Info, d ast.Decl) []types.Object {
+	var ids []*ast.Ident
 	switch d := d.(type) {
 	case *ast.FuncDecl:
-		if d.Recv == nil {
-			return []*ast.Ident{d.Name}
+		if d.Recv != nil || d.Name.IsExported() {
+			ids = append(ids, d.Name)
 		}
 	case *ast.GenDecl:
-		var ids []*ast.Ident
 		for _, s := range d.Specs {
-			ids = append(ids, specNames(s)...)
+			for _, id := range specNames(s) {
+				if id.IsExported() {
+					ids = append(ids, id)
+				}
+			}
 		}
-		return ids
 	}
-	return nil
+	objs := make([]types.Object, 0, len(ids))
+	for _, id := range ids {
+		objs = append(objs, info.Defs[id])
+	}
+	return objs
 }
 
 // specNames returns the names a type, var or const spec declares.
@@ -226,118 +152,129 @@ func specNames(s ast.Spec) []*ast.Ident {
 	return nil
 }
 
-func kindOf(d ast.Decl) string {
-	if g, ok := d.(*ast.GenDecl); ok {
-		return g.Tok.String()
-	}
-	return "func"
-}
-
-// refs records the references one file makes.
-type refs struct {
-	dir     string
-	imports map[string]string // local package name → directory
-	dots    []string          // dot-imported directories
-	used    map[ident]bool
-	own     map[string]bool // names of the declaration being walked
-}
-
-// decl walks a top-level declaration. Uses of the declaration's own
-// names inside it, and of a method's receiver type inside the method,
-// are not references.
-func (r *refs) decl(d ast.Decl) {
+// markUses records every object a top-level declaration uses, except
+// the names it declares itself and, in a method, the receiver's type.
+func markUses(info *types.Info, d ast.Decl, used map[types.Object]bool) {
+	own := map[types.Object]bool{}
 	switch d := d.(type) {
 	case *ast.FuncDecl:
-		r.own = map[string]bool{d.Name.Name: true}
+		own[info.Defs[d.Name]] = true
 		if d.Recv != nil {
-			r.own = map[string]bool{recvType(d.Recv.List[0].Type): true}
-			r.walk(d.Recv)
-		}
-		r.walk(d.Type)
-		if d.Body != nil {
-			r.walk(d.Body)
+			own[recvNamed(info.Defs[d.Name]).Obj()] = true
 		}
 	case *ast.GenDecl:
 		for _, s := range d.Specs {
-			r.own = map[string]bool{}
 			for _, id := range specNames(s) {
-				r.own[id.Name] = true
+				own[info.Defs[id]] = true
 			}
-			r.walk(s)
 		}
 	}
+	ast.Inspect(d, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := info.Uses[id]; obj != nil {
+				if f, ok := obj.(*types.Func); ok {
+					obj = f.Origin()
+				}
+				if !own[obj] {
+					used[obj] = true
+				}
+			}
+		}
+		return true
+	})
 }
 
-// recvType returns the base type name of a method receiver: T for T,
-// *T, T[K] and *T[K, V].
-func recvType(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return ""
-		}
+// recvNamed returns the named type a method is declared on.
+func recvNamed(m types.Object) *types.Named {
+	t := m.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
+	return t.(*types.Named)
 }
 
-func (r *refs) walk(n ast.Node) { ast.Inspect(n, r.visit) }
-
-// visit counts identifiers as uses, skipping those that only declare a
-// name (fields, parameters, local vars and types, := targets) or name a
-// field or method after a dot.
-func (r *refs) visit(n ast.Node) bool {
-	switch n := n.(type) {
-	case *ast.SelectorExpr:
-		if x, ok := n.X.(*ast.Ident); ok {
-			if dir, ok := r.imports[x.Name]; ok {
-				r.used[ident{dir, n.Sel.Name}] = true
-				return false
-			}
+// interfaces indexes by method name the interfaces a method may be
+// needed to satisfy: every interface type a loaded file names, and
+// every exported interface that a standard-library package a loaded
+// file imports declares, error included.
+func interfaces(prog *load.Program) map[string][]*types.Interface {
+	byName := map[string][]*types.Interface{}
+	seen := map[*types.Interface]bool{}
+	add := func(t types.Type) {
+		if n, ok := t.(*types.Named); ok && n.TypeParams().Len() > n.TypeArgs().Len() {
+			return // generic: only its instances can be implemented
 		}
-		r.walk(n.X)
-		return false
-	case *ast.Field:
-		if n.Type != nil {
-			r.walk(n.Type)
+		it, ok := t.Underlying().(*types.Interface)
+		if !ok || seen[it] {
+			return
 		}
-		return false
-	case *ast.ValueSpec:
-		if n.Type != nil {
-			r.walk(n.Type)
-		}
-		for _, v := range n.Values {
-			r.walk(v)
-		}
-		return false
-	case *ast.TypeSpec:
-		if n.TypeParams != nil {
-			r.walk(n.TypeParams)
-		}
-		r.walk(n.Type)
-		return false
-	case *ast.AssignStmt:
-		if n.Tok == token.DEFINE {
-			for _, v := range n.Rhs {
-				r.walk(v)
-			}
-			return false
-		}
-	case *ast.Ident:
-		if !r.own[n.Name] {
-			r.used[ident{r.dir, n.Name}] = true
-		}
-		for _, dir := range r.dots {
-			r.used[ident{dir, n.Name}] = true
+		seen[it] = true
+		for i := 0; i < it.NumMethods(); i++ {
+			name := it.Method(i).Name()
+			byName[name] = append(byName[name], it)
 		}
 	}
-	return true
+	add(types.Universe.Lookup("error").Type())
+	mine := map[*types.Package]bool{}
+	for _, pkg := range prog.Packages {
+		mine[pkg.Types] = true
+		for _, tv := range pkg.Info.Types {
+			if tv.IsType() {
+				add(tv.Type)
+			}
+		}
+	}
+	for _, pkg := range prog.Packages {
+		for _, imp := range pkg.Types.Imports() {
+			if mine[imp] {
+				continue
+			}
+			scope := imp.Scope()
+			for _, name := range scope.Names() {
+				if tn, ok := scope.Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					add(tn.Type())
+				}
+			}
+		}
+	}
+	return byName
+}
+
+// satisfies reports whether obj is a method whose receiver, T or *T,
+// implements an interface that has a method of its name.
+func satisfies(obj types.Object, ifaces map[string][]*types.Interface) bool {
+	if kindOf(obj) != "method" {
+		return false
+	}
+	t := recvNamed(obj)
+	for _, it := range ifaces[obj.Name()] {
+		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+			return true
+		}
+	}
+	return false
+}
+
+func kindOf(obj types.Object) string {
+	switch obj := obj.(type) {
+	case *types.Func:
+		if obj.Type().(*types.Signature).Recv() != nil {
+			return "method"
+		}
+		return "func"
+	case *types.TypeName:
+		return "type"
+	case *types.Var:
+		return "var"
+	}
+	return "const"
+}
+
+// qualified names obj as pkg.Name, or pkg.Type.Name for a method.
+func qualified(obj types.Object) string {
+	name := obj.Name()
+	if kindOf(obj) == "method" {
+		name = recvNamed(obj).Obj().Name() + "." + name
+	}
+	return obj.Pkg().Name() + "." + name
 }
