@@ -56,9 +56,6 @@ type Decision struct {
 	Explanation string
 }
 
-// ScalingNeeded reports whether the decision changes the allocation.
-func (d Decision) ScalingNeeded() bool { return d.Delta != 0 }
-
 // BackfillV1 fills d's Current and Target, when d carries neither
 // vector, from raw: the JSON of d as a pre-vector (v1) snapshot wrote it,
 // with the CPU allocation under the keys "CurrentCores" and
@@ -98,9 +95,6 @@ func New(cfg Config) (*Recommender, error) {
 		floor: max(cfg.MinCores, cfg.SKUs.MinCores),
 	}, nil
 }
-
-// Config returns the recommender's configuration.
-func (r *Recommender) Config() Config { return r.cfg }
 
 // ErrNoUsage is returned when the usage window is empty after
 // preprocessing.

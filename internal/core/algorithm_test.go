@@ -398,15 +398,6 @@ func TestDecideRoundingModes(t *testing.T) {
 	}
 }
 
-func TestScalingNeeded(t *testing.T) {
-	if (Decision{Delta: 0}).ScalingNeeded() {
-		t.Error("zero delta should not need scaling")
-	}
-	if !(Decision{Delta: -2}).ScalingNeeded() {
-		t.Error("nonzero delta should need scaling")
-	}
-}
-
 func TestDecidePropertyTargetAlwaysWithinLadder(t *testing.T) {
 	r := mustRecommender(t, 24)
 	f := func(seed uint16, cur uint8) bool {
@@ -484,8 +475,8 @@ func TestDefaultConfigSane(t *testing.T) {
 
 func TestSKURangeExposedThroughConfig(t *testing.T) {
 	r := mustRecommender(t, 12)
-	if got := r.Config().SKUs.MaxCores; got != 12 {
-		t.Errorf("Config().SKUs.MaxCores = %d", got)
+	if got := r.cfg.SKUs.MaxCores; got != 12 {
+		t.Errorf("cfg.SKUs.MaxCores = %d", got)
 	}
 	_ = pvp.SKURange{} // keep the import honest in minimal builds
 }

@@ -52,7 +52,7 @@ func windowCur(trial int) int {
 // exactly what fmt would have produced.
 func TestExplanationMatchesFmt(t *testing.T) {
 	r := mustRecommender(t, 16)
-	cfg := r.Config()
+	cfg := r.cfg
 	rng := stats.NewRNG(11)
 	seen := map[Branch]int{}
 	for trial := 0; trial < 400; trial++ {

@@ -88,17 +88,13 @@ func (p *Proactive) Decide(currentCores int, history []float64) (Decision, bool,
 	return d, used, err
 }
 
-// DecideScratch is Decide evaluated through a caller-owned Scratch (see
-// Recommender.DecideScratch): the combined observed+forecast window and
-// every downstream evaluation buffer are reused across calls. A nil
-// scratch allocates fresh state per call.
-func (p *Proactive) DecideScratch(s *Scratch, currentCores int, history []float64) (Decision, bool, error) {
-	return p.DecideHistoryScratch(s, currentCores, history, len(history))
-}
-
-// DecideHistoryScratch is DecideScratch for callers that retain only a
-// bounded tail of the observed series (a window.Ring): history is the
-// retained tail and totalObserved the logical series length. The
+// DecideHistoryScratch is Decide evaluated through a caller-owned Scratch
+// (see Recommender.DecideScratch): the combined observed+forecast window
+// and every downstream evaluation buffer are reused across calls, and a
+// nil scratch allocates fresh state per call. It serves callers that
+// retain only a bounded tail of the observed series (a window.Ring):
+// history is the retained tail and totalObserved the logical series
+// length (len(history) for an unbounded caller). The
 // MinHistory warm-up gates on totalObserved, so a ring-backed caller
 // activates proactive mode at exactly the same tick as an unbounded one.
 // The forecaster still sees only the retained tail — bounded callers are

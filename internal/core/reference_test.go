@@ -194,7 +194,7 @@ func TestDecideFilteredQuickselect(t *testing.T) {
 	var shared Scratch
 	for round := 0; round < 2; round++ {
 		for i, w := range windows {
-			want, peak := referenceDecide(t, r.Config(), 8, w)
+			want, peak := referenceDecide(t, r.cfg, 8, w)
 			for _, sc := range []*Scratch{&shared, {}} {
 				got, err := r.DecideScratch(sc, 8, w)
 				if err != nil {
@@ -232,7 +232,7 @@ func TestResumeRestoresTheLastDecision(t *testing.T) {
 	}
 	r.Resume(&sc, Decision{Branch: BranchScaleUp, Delta: 7}, kind, peak, 0)
 	for _, w := range [][]float64{{-1, 2, 3}, {2, math.Inf(1), 3}, first} {
-		want, _ := referenceDecide(t, r.Config(), 4, w)
+		want, _ := referenceDecide(t, r.cfg, 4, w)
 		got, err := r.DecideScratch(&sc, 4, w)
 		if err != nil {
 			t.Fatal(err)

@@ -383,13 +383,3 @@ func weightedQuantile(samples, weights []float64, q float64) float64 {
 	}
 	return samples[idx[len(idx)-1]]
 }
-
-// Backlog returns the current total queued work in CPU-seconds
-// (observability for tests).
-func (d *Database) Backlog() float64 {
-	var total float64
-	for _, rs := range d.replicas {
-		total += rs.backlogWork
-	}
-	return total
-}

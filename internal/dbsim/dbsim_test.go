@@ -78,8 +78,12 @@ func TestUnderloadedDatabaseCompletesEverything(t *testing.T) {
 	if s.MedLatencyMS <= 0 || s.P99LatencyMS < s.MedLatencyMS {
 		t.Errorf("latency stats inconsistent: %+v", s)
 	}
-	if db.Backlog() > 1 {
-		t.Errorf("backlog = %v, want drained", db.Backlog())
+	var backlog float64
+	for _, rs := range db.replicas {
+		backlog += rs.backlogWork
+	}
+	if backlog > 1 {
+		t.Errorf("backlog = %v, want drained", backlog)
 	}
 }
 

@@ -244,11 +244,6 @@ type Counts struct {
 	MemPressureWindows int64
 }
 
-// Any reports whether any fault was injected.
-func (c Counts) Any() bool {
-	return c.RestartFails+c.RestartStucks+c.MetricsGaps+c.PressureWindows+c.MemPressureWindows > 0
-}
-
 // Injector draws injected faults deterministically. The zero-cost
 // contract: a nil *Injector is valid and injects nothing, so callers hold
 // one pointer and the fault-free path is a single nil check per hook.
@@ -300,22 +295,6 @@ func (in *Injector) Clone() *Injector {
 		return nil
 	}
 	return New(in.spec, in.seed)
-}
-
-// Seed returns the injector's seed (0 for nil).
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
-// Spec returns the injector's parsed spec (nil for nil).
-func (in *Injector) Spec() *Spec {
-	if in == nil {
-		return nil
-	}
-	return in.spec
 }
 
 // Counts returns the injected-fault counts so far (zero for nil).
@@ -610,18 +589,9 @@ func (in *Injector) AdvancePressure(from, to int64) float64 {
 	return p
 }
 
-// Summary renders the chaos section of an end-of-run report ("" for a
-// nil injector).
-func (in *Injector) Summary() string {
-	if in == nil {
-		return ""
-	}
-	return Summarize(in.spec, in.seed, in.counts)
-}
-
 // Summarize renders the chaos section of an end-of-run report from a
-// spec, seed and fault tally — for callers that only hold a result's
-// Counts rather than the injector itself ("" for an empty spec).
+// spec, seed and fault tally, such as a result's Counts ("" for an
+// empty spec).
 func Summarize(spec *Spec, seed uint64, c Counts) string {
 	if spec.Empty() {
 		return ""

@@ -62,9 +62,6 @@ func TestMemPressureDeterministicWindows(t *testing.T) {
 	if ca.MemPressureWindows == 0 {
 		t.Fatal("p=0.5 over 10 windows should activate at least once")
 	}
-	if !ca.Any() {
-		t.Fatal("Counts.Any must include mem-pressure windows")
-	}
 	// Value is all-or-nothing per window.
 	for i, v := range a {
 		if v != 0 && v != 2 {

@@ -450,7 +450,7 @@ func TestOperatorAbortRollsBackUpdatedPods(t *testing.T) {
 		t.Error("no rolling-phase events emitted")
 	}
 	// Scale-up abort: final spec is the old limit for every pod.
-	for now := int64(5000); op.Recovering(); now++ {
+	for now := int64(5000); op.recovering != nil; now++ {
 		op.Tick(now)
 	}
 	for _, p := range set.Pods {
@@ -461,7 +461,7 @@ func TestOperatorAbortRollsBackUpdatedPods(t *testing.T) {
 			t.Errorf("pod %s not running after recovery", p.Name)
 		}
 	}
-	if got := c.TotalAllocated().CPUCores; got != 12 {
+	if got := allocatedCores(c); got != 12 {
 		t.Errorf("allocated = %v, want 12 (3 pods × 4 cores)", got)
 	}
 }
@@ -487,7 +487,7 @@ func TestOperatorScaleDownAbortRollsForward(t *testing.T) {
 	if op.ResizesAborted != 1 {
 		t.Fatalf("ResizesAborted = %d, want 1", op.ResizesAborted)
 	}
-	for now := int64(5000); op.Recovering(); now++ {
+	for now := int64(5000); op.recovering != nil; now++ {
 		op.Tick(now)
 	}
 	for _, p := range set.Pods {
@@ -525,7 +525,7 @@ func TestSchedulingPressureDelaysRestart(t *testing.T) {
 	if err := c.Schedule(p); err != nil {
 		t.Fatalf("schedule after pressure cleared: %v", err)
 	}
-	if got := c.TotalAllocated().CPUCores; got != 4 {
+	if got := allocatedCores(c); got != 4 {
 		t.Errorf("allocated = %v, want 4", got)
 	}
 }
@@ -565,7 +565,7 @@ func TestOperatorInPlaceMidwayFailureRollsBackEarlierPods(t *testing.T) {
 			t.Errorf("pod %s limit = %v after rollback, want 4", p.Name, p.CPULimit())
 		}
 	}
-	if got := c.TotalAllocated().CPUCores; got != 12 {
+	if got := allocatedCores(c); got != 12 {
 		t.Errorf("allocated = %v, want pre-resize 12", got)
 	}
 	free := 0.0

@@ -30,9 +30,6 @@ func NewNode(name string, cpuCores int, memGiB float64) *Node {
 // Free returns the unallocated capacity.
 func (n *Node) Free() Resources { return n.Allocatable.Sub(n.allocated) }
 
-// PodCount returns the number of pods bound to the node.
-func (n *Node) PodCount() int { return len(n.pods) }
-
 // Cluster is a set of nodes plus the scheduler.
 type Cluster struct {
 	nodes []*Node
@@ -49,9 +46,6 @@ type Cluster struct {
 // (0 clears it). The operator refreshes it each tick from its fault
 // injector; with no faults it stays 0 and scheduling is unchanged.
 func (c *Cluster) SetPressure(cores float64) { c.pressure = cores }
-
-// Pressure returns the current transient per-node pressure in cores.
-func (c *Cluster) Pressure() float64 { return c.pressure }
 
 // NewCluster builds a cluster from nodes. The paper's "small cluster" is
 // 6 VMs × 8 CPUs/32 GiB; the "large cluster" 6 VMs × 16 CPUs/56 GiB.
@@ -215,22 +209,4 @@ func (c *Cluster) ResizeInPlace(p *Pod, spec ContainerSpec) error {
 		return nil
 	}
 	return fmt.Errorf("k8s: pod %s bound to unknown node %q", p.Name, p.NodeName)
-}
-
-// TotalAllocatable sums node capacity.
-func (c *Cluster) TotalAllocatable() Resources {
-	var total Resources
-	for _, n := range c.nodes {
-		total = total.Add(n.Allocatable)
-	}
-	return total
-}
-
-// TotalAllocated sums bound requests.
-func (c *Cluster) TotalAllocated() Resources {
-	var total Resources
-	for _, n := range c.nodes {
-		total = total.Add(n.allocated)
-	}
-	return total
 }

@@ -7,7 +7,7 @@ func TestAddCoTenants(t *testing.T) {
 	if err := AddCoTenants(c, 6, 2, 8); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TotalAllocated().CPUCores; got != 12 {
+	if got := allocatedCores(c); got != 12 {
 		t.Errorf("allocated = %v, want 12", got)
 	}
 	// With 2 cores reserved per node, a 7-core pod no longer fits

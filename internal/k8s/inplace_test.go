@@ -15,7 +15,7 @@ func TestResizeInPlaceAdjustsAllocation(t *testing.T) {
 	if err := c.ResizeInPlace(p, NewGuaranteedSpec(6, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TotalAllocated().CPUCores; got != 6 {
+	if got := allocatedCores(c); got != 6 {
 		t.Errorf("allocated = %v, want 6", got)
 	}
 	if p.CPULimit() != 6 {
@@ -32,7 +32,7 @@ func TestResizeInPlaceAdjustsAllocation(t *testing.T) {
 	if err := c.ResizeInPlace(p, NewGuaranteedSpec(2, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TotalAllocated().CPUCores; got != 2 {
+	if got := allocatedCores(c); got != 2 {
 		t.Errorf("allocated after shrink = %v", got)
 	}
 	// Invalid spec rejected.
@@ -117,7 +117,7 @@ func TestOperatorInPlaceInfeasibleRollsBack(t *testing.T) {
 			t.Errorf("pod %s limit = %v after rollback, want 4", p.Name, p.CPULimit())
 		}
 	}
-	if got := c.TotalAllocated().CPUCores; got != 8 {
+	if got := allocatedCores(c); got != 8 {
 		t.Errorf("allocated = %v, want original 8", got)
 	}
 	if op.ResizeCount != 0 {

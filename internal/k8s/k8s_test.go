@@ -21,7 +21,7 @@ func TestResourcesArithmetic(t *testing.T) {
 
 func TestContainerSpec(t *testing.T) {
 	s := NewGuaranteedSpec(4, 16)
-	if !s.Guaranteed() {
+	if s.Requests != s.Limits {
 		t.Error("guaranteed spec should have limits == requests")
 	}
 	if err := s.Validate(); err != nil {
@@ -142,18 +142,32 @@ func TestSchedulerSpreadsAndRespectsCapacity(t *testing.T) {
 	c.Evict(&Pod{Name: "ghost"})
 }
 
+// allocatedCores sums the CPU requests bound to the cluster's nodes.
+func allocatedCores(c *Cluster) float64 {
+	var cores float64
+	for _, n := range c.nodes {
+		cores += n.allocated.CPUCores
+	}
+	return cores
+}
+
 func TestClusterTotals(t *testing.T) {
 	c := SmallCluster()
-	total := c.TotalAllocatable()
+	var total, lt Resources
+	for _, n := range c.Nodes() {
+		total = total.Add(n.Allocatable)
+	}
 	if total.CPUCores != 48 || total.MemoryGiB != 192 {
 		t.Errorf("small cluster totals = %+v", total)
 	}
-	lg := LargeCluster()
-	if lt := lg.TotalAllocatable(); lt.CPUCores != 96 || lt.MemoryGiB != 336 {
+	for _, n := range LargeCluster().Nodes() {
+		lt = lt.Add(n.Allocatable)
+	}
+	if lt.CPUCores != 96 || lt.MemoryGiB != 336 {
 		t.Errorf("large cluster totals = %+v", lt)
 	}
-	if got := c.TotalAllocated(); got.CPUCores != 0 {
-		t.Errorf("fresh cluster allocated = %+v", got)
+	if got := allocatedCores(c); got != 0 {
+		t.Errorf("fresh cluster allocated = %v", got)
 	}
 	if len(c.Nodes()) != 6 {
 		t.Errorf("nodes = %d", len(c.Nodes()))
@@ -178,7 +192,7 @@ func TestNewStatefulSet(t *testing.T) {
 	if set.CPULimit() != 4 {
 		t.Errorf("CPULimit = %d", set.CPULimit())
 	}
-	if got := c.TotalAllocated().CPUCores; got != 12 {
+	if got := allocatedCores(c); got != 12 {
 		t.Errorf("allocated = %v", got)
 	}
 	// HA spread: three replicas on three distinct nodes.

@@ -1,8 +1,6 @@
 package k8s
 
 import (
-	"sort"
-
 	"caasper/internal/faults"
 )
 
@@ -112,19 +110,4 @@ func (m *MetricsServer) IsSilent(pod string, i int) bool {
 func (m *MetricsServer) LastSampleAt(pod string) (int64, bool) {
 	t, ok := m.last[pod]
 	return t, ok
-}
-
-// Pods returns the pods with any recorded samples, sorted by name.
-func (m *MetricsServer) Pods() []string {
-	out := make([]string, 0, len(m.series))
-	for name := range m.series {
-		out = append(out, name)
-	}
-	for name := range m.opened {
-		if _, ok := m.series[name]; !ok {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

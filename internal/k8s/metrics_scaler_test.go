@@ -69,11 +69,12 @@ func TestMetricsServerLateFirstSample(t *testing.T) {
 
 func TestMetricsServerPods(t *testing.T) {
 	ms := NewMetricsServer(60)
-	ms.RecordUsage("b", 0, 1)
-	ms.RecordUsage("a", 0, 1)
-	pods := ms.Pods()
-	if len(pods) != 2 || pods[0] != "a" || pods[1] != "b" {
-		t.Errorf("pods = %v", pods)
+	ms.RecordUsage("b", 0, 60)
+	ms.RecordUsage("a", 0, 120)
+	ms.RecordUsage("a", 60, 0)
+	ms.RecordUsage("b", 60, 0)
+	if a, b := ms.UsageSeries("a"), ms.UsageSeries("b"); len(a) != 1 || a[0] != 2 || len(b) != 1 || b[0] != 1 {
+		t.Errorf("series a = %v, b = %v, want [2] and [1]: one series per pod", a, b)
 	}
 	if NewMetricsServer(0).IntervalSeconds != 60 {
 		t.Error("zero interval should default to 60")

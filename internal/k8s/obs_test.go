@@ -10,7 +10,7 @@ import (
 
 // eventLines encodes a memory sink's stream to NDJSON lines for assertions.
 func eventLines(mem *obs.MemorySink) []string {
-	lines := make([]string, 0, mem.Len())
+	lines := make([]string, 0, len(mem.Events()))
 	var buf []byte
 	for _, e := range mem.Events() {
 		buf = e.AppendNDJSON(buf[:0])

@@ -138,21 +138,12 @@ func NewOperator(set *StatefulSet, cluster *Cluster, restartSeconds int64) (*Ope
 // Updating reports whether a rolling update is in flight.
 func (o *Operator) Updating() bool { return o.updating }
 
-// Recovering reports whether an aborted update's last pod is still being
-// brought back up.
-func (o *Operator) Recovering() bool { return o.recovering != nil }
-
 // TargetCores returns the in-flight resize target (0 when idle).
 func (o *Operator) TargetCores() int {
 	if !o.updating {
 		return 0
 	}
 	return o.targetCores
-}
-
-// ResizeDuration returns the expected wall time of a full rolling update.
-func (o *Operator) ResizeDuration() int64 {
-	return o.RestartSeconds * int64(len(o.Set.Pods))
 }
 
 // maxRestartAttempts returns the attempt budget per pod (first attempt

@@ -28,7 +28,7 @@ func TestAddReplica(t *testing.T) {
 		t.Errorf("set size = %d", len(set.Pods))
 	}
 	// Capacity is reserved immediately even while seeding.
-	if got := c.TotalAllocated().CPUCores; got != 12 {
+	if got := allocatedCores(c); got != 12 {
 		t.Errorf("allocated = %v, want 12", got)
 	}
 	// Running set is unaffected until the seed completes.

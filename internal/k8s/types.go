@@ -99,11 +99,6 @@ func NewGuaranteedSpec(cpuCores int, memGiB float64) ContainerSpec {
 	return ContainerSpec{Requests: r, Limits: r}
 }
 
-// Guaranteed reports whether limits == requests.
-func (c ContainerSpec) Guaranteed() bool {
-	return c.Requests == c.Limits
-}
-
 // Validate checks spec invariants.
 func (c ContainerSpec) Validate() error {
 	if c.Requests.CPUCores <= 0 {

@@ -11,7 +11,7 @@ import (
 //
 //	-events <file>  write the NDJSON structured event stream (- = stderr)
 //	-obs            print the runtime metrics summary table at exit
-//	-v <level>      log verbosity (0 quiet, 1 progress, 2 debug)
+//	-v <level>      log verbosity (0 quiet, 1 progress)
 //
 // Register the flags, flag.Parse, then Start to materialize a Session.
 type CLIConfig struct {
@@ -24,7 +24,7 @@ type CLIConfig struct {
 func (c *CLIConfig) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.EventsPath, "events", "", "write the structured NDJSON event stream to this file (\"-\" for stderr)")
 	fs.BoolVar(&c.Summary, "obs", false, "print the runtime observability summary at exit")
-	fs.IntVar(&c.Verbosity, "v", 0, "log verbosity: 0 quiet, 1 progress, 2 debug")
+	fs.IntVar(&c.Verbosity, "v", 0, "log verbosity: 0 quiet, 1 progress")
 }
 
 // Session is one CLI run's materialized telemetry: an event sink (Discard

@@ -6,13 +6,9 @@ import (
 	"sync"
 )
 
-// Log levels. Errors always print; Info prints at verbosity ≥ 1; Debug at
-// verbosity ≥ 2. The zero verbosity is the CLIs' quiet default.
-const (
-	LevelQuiet = 0
-	LevelInfo  = 1
-	LevelDebug = 2
-)
+// LevelInfo is the verbosity at which Infof prints; errors always print.
+// The zero verbosity is the CLIs' quiet default.
+const LevelInfo = 1
 
 // Logger is a minimal verbosity-leveled line logger. It exists so the
 // CLIs share one leveling convention without pulling a logging framework
@@ -28,14 +24,6 @@ func NewLogger(w io.Writer, level int) *Logger {
 	return &Logger{w: w, level: level}
 }
 
-// Level returns the configured verbosity (LevelQuiet for nil).
-func (l *Logger) Level() int {
-	if l == nil {
-		return LevelQuiet
-	}
-	return l.level
-}
-
 func (l *Logger) printf(min int, format string, args ...any) {
 	if l == nil || l.level < min {
 		return
@@ -48,9 +36,6 @@ func (l *Logger) printf(min int, format string, args ...any) {
 
 // Infof logs a progress line (verbosity ≥ 1).
 func (l *Logger) Infof(format string, args ...any) { l.printf(LevelInfo, format, args...) }
-
-// Debugf logs a detail line (verbosity ≥ 2).
-func (l *Logger) Debugf(format string, args ...any) { l.printf(LevelDebug, format, args...) }
 
 // Errorf logs unconditionally (nil receivers excepted).
 func (l *Logger) Errorf(format string, args ...any) {

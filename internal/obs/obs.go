@@ -304,13 +304,6 @@ func (m *MemorySink) Events() []Event {
 	return out
 }
 
-// Len returns the number of collected events.
-func (m *MemorySink) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.events)
-}
-
 // Reset discards the collected events but keeps the backing storage, so
 // a sink can be pooled across runs instead of reallocated.
 func (m *MemorySink) Reset() {

@@ -131,8 +131,8 @@ func TestMemorySinkReplayPreservesOrder(t *testing.T) {
 		}
 	}
 	mem.ReplayTo(Discard) // must be a no-op, not a panic
-	if mem.Len() != 10 {
-		t.Errorf("Len = %d", mem.Len())
+	if len(mem.Events()) != 10 {
+		t.Errorf("events = %d", len(mem.Events()))
 	}
 }
 
@@ -167,9 +167,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("pool.max_queue")
 	g.Set(3)
-	g.SetMax(10)
-	g.SetMax(7) // lower: ignored
-	if g.Value() != 10 {
+	if g.Value() != 3 {
 		t.Errorf("gauge = %v", g.Value())
 	}
 
@@ -259,21 +257,19 @@ func TestLoggerLevels(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLogger(&buf, LevelInfo)
 	l.Infof("info %d", 1)
-	l.Debugf("debug hidden")
 	l.Errorf("error shown")
 	out := buf.String()
 	if !strings.Contains(out, "info 1") || !strings.Contains(out, "error shown") {
 		t.Errorf("missing lines: %q", out)
 	}
-	if strings.Contains(out, "debug hidden") {
-		t.Errorf("debug leaked at info level: %q", out)
+	var quiet bytes.Buffer
+	NewLogger(&quiet, 0).Infof("info hidden")
+	if quiet.Len() != 0 {
+		t.Errorf("info leaked at quiet level: %q", quiet.String())
 	}
 	var nilLog *Logger
 	nilLog.Infof("x")
 	nilLog.Errorf("x")
-	if nilLog.Level() != LevelQuiet {
-		t.Error("nil logger level")
-	}
 }
 
 func TestCLISessionLifecycle(t *testing.T) {

@@ -43,12 +43,6 @@ func (s *Stats) Workers() int { return int(s.workers.Load()) }
 // worker) observed at any claim.
 func (s *Stats) MaxQueueDepth() int64 { return s.maxQueue.Load() }
 
-// BusyNanos returns summed wall time spent inside task functions.
-func (s *Stats) BusyNanos() int64 { return s.busy.Load() }
-
-// ElapsedNanos returns summed wall time of the runs themselves.
-func (s *Stats) ElapsedNanos() int64 { return s.elapsed.Load() }
-
 // Latency returns the per-task wall-latency histogram (nanoseconds).
 func (s *Stats) Latency() *obs.Histogram { return s.latency }
 

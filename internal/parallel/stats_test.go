@@ -30,11 +30,11 @@ func TestForEachStatsAccounting(t *testing.T) {
 	if st.Latency().Count() != 10 {
 		t.Errorf("latency samples = %d, want 10", st.Latency().Count())
 	}
-	if st.BusyNanos() < 10*int64(time.Millisecond) {
-		t.Errorf("BusyNanos = %d, want ≥ 10ms of summed sleeps", st.BusyNanos())
+	if b := st.busy.Load(); b < 10*int64(time.Millisecond) {
+		t.Errorf("busy = %d ns, want ≥ 10ms of summed sleeps", b)
 	}
-	if st.ElapsedNanos() <= 0 {
-		t.Error("ElapsedNanos not recorded")
+	if st.elapsed.Load() <= 0 {
+		t.Error("elapsed time not recorded")
 	}
 	if u := st.Utilization(); u <= 0 || u > 1 {
 		t.Errorf("Utilization = %v, want in (0, 1]", u)

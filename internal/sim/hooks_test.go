@@ -23,7 +23,7 @@ func TestRunHooksEmbeddedSpelling(t *testing.T) {
 	if _, err := Run(tr, rec, opts); err != nil {
 		t.Fatal(err)
 	}
-	if mem.Len() == 0 {
+	if len(mem.Events()) == 0 {
 		t.Error("embedded RunHooks.Events received no events")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"caasper/internal/errs"
 	"caasper/internal/obs"
@@ -39,15 +38,7 @@ type MatrixCell struct {
 // identical simulator settings.
 type Matrix struct {
 	Cells []MatrixCell
-
-	// Cell-lookup index, built lazily on first use and rebuilt when the
-	// Cells slice has visibly changed length (callers may append).
-	mu       sync.Mutex
-	index    map[cellKey]int
-	indexLen int
 }
-
-type cellKey struct{ traceName, recName string }
 
 // RunMatrix simulates every trace × factory combination across a bounded
 // worker pool (opts.Workers; below 1 selects runtime.GOMAXPROCS(0)). opts
@@ -138,29 +129,6 @@ func RunMatrix(traces []*trace.Trace, factories []RecommenderFactory, opts Optio
 		}
 	}
 	return m, nil
-}
-
-// Cell returns the result for a (trace, recommender) pair, or nil. The
-// first lookup builds a map index over Cells (rebuilt if Cells grows), so
-// repeated lookups over large matrices are O(1) instead of a linear scan.
-func (m *Matrix) Cell(traceName, recName string) *Result {
-	m.mu.Lock()
-	if m.index == nil || m.indexLen != len(m.Cells) {
-		m.index = make(map[cellKey]int, len(m.Cells))
-		for i, c := range m.Cells {
-			k := cellKey{c.TraceName, c.RecommenderName}
-			if _, dup := m.index[k]; !dup { // first match wins, like the scan did
-				m.index[k] = i
-			}
-		}
-		m.indexLen = len(m.Cells)
-	}
-	i, ok := m.index[cellKey{traceName, recName}]
-	m.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return m.Cells[i].Result
 }
 
 // Summary renders a compact comparison table: one row per cell with the

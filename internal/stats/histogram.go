@@ -148,9 +148,6 @@ func (h *DecayingHistogram) Percentile(q float64) float64 {
 // Empty reports whether the histogram holds no weight.
 func (h *DecayingHistogram) Empty() bool { return h.total <= 0 }
 
-// TotalWeight returns the current (decayed, re-based) total weight.
-func (h *DecayingHistogram) TotalWeight() float64 { return h.total }
-
 // String summarises the histogram for debugging.
 func (h *DecayingHistogram) String() string {
 	return fmt.Sprintf("DecayingHistogram{buckets=%d total=%.3f p50=%.3f p90=%.3f}",

@@ -129,8 +129,8 @@ func TestHistogramRebasing(t *testing.T) {
 	if p < 2.5 || p > 3.5 {
 		t.Errorf("P90 after rebasing = %v, want ≈3", p)
 	}
-	if math.IsInf(h.TotalWeight(), 0) || math.IsNaN(h.TotalWeight()) {
-		t.Errorf("total weight overflowed: %v", h.TotalWeight())
+	if math.IsInf(h.total, 0) || math.IsNaN(h.total) {
+		t.Errorf("total weight overflowed: %v", h.total)
 	}
 }
 

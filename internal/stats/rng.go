@@ -88,16 +88,3 @@ func (r *RNG) LogUniform(lnLo, lnHi float64) float64 {
 func (r *RNG) Fork() *RNG {
 	return NewRNG(r.next())
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -57,18 +57,6 @@ func TestRNGLogUniform(t *testing.T) {
 	}
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(4)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGFork(t *testing.T) {
 	r := NewRNG(8)
 	c1 := r.Fork()

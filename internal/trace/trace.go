@@ -144,15 +144,6 @@ func (t *Trace) Clip(lo, hi float64) *Trace {
 	return t
 }
 
-// Round rounds every sample to the nearest integer number of cores in
-// place and returns the trace.
-func (t *Trace) Round() *Trace {
-	for i := range t.Values {
-		t.Values[i] = math.Round(t.Values[i])
-	}
-	return t
-}
-
 // Sanitize replaces NaN/Inf samples with zero and floors negatives at zero,
 // in place, returning the count of repaired samples. Real metric pipelines
 // emit such artifacts around pod restarts.

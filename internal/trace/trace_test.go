@@ -56,7 +56,7 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-func TestScaleClipRound(t *testing.T) {
+func TestScaleClip(t *testing.T) {
 	tr := minuteTrace(0.5, 1.4, 2.6)
 	tr.Scale(2)
 	if tr.Values[0] != 1 || tr.Values[1] != 2.8 || tr.Values[2] != 5.2 {
@@ -65,10 +65,6 @@ func TestScaleClipRound(t *testing.T) {
 	tr.Clip(1.5, 5)
 	if tr.Values[0] != 1.5 || tr.Values[2] != 5 {
 		t.Errorf("Clip: %v", tr.Values)
-	}
-	tr.Round()
-	if tr.Values[0] != 2 || tr.Values[1] != 3 || tr.Values[2] != 5 {
-		t.Errorf("Round: %v", tr.Values)
 	}
 }
 

@@ -33,8 +33,8 @@ func TestRandomSearchSkipReasonsAndEvents(t *testing.T) {
 	if total != 8 {
 		t.Errorf("SkipReasons sum = %d, want 8: %v", total, report.SkipReasons)
 	}
-	if mem.Len() != 8 {
-		t.Fatalf("skip events = %d, want 8", mem.Len())
+	if len(mem.Events()) != 8 {
+		t.Fatalf("skip events = %d, want 8", len(mem.Events()))
 	}
 	var buf []byte
 	for i, e := range mem.Events() {

@@ -112,19 +112,10 @@ func (r *Ring) AllEqual(v float64) bool {
 	return true
 }
 
-// Len returns the number of retained samples: min(Total, Cap) in bounded
-// mode, Total otherwise.
-func (r *Ring) Len() int {
-	if r.capacity == 0 || r.total < r.capacity {
-		return r.total
-	}
-	return r.capacity
-}
-
 // Total returns the number of samples ever pushed — the logical history
 // length. Consumers that gate on "how much history has accumulated"
-// (e.g. core.Proactive's MinHistory warm-up) must use Total, not Len,
-// to stay bit-equal with an unbounded history.
+// (e.g. core.Proactive's MinHistory warm-up) must use Total, not the
+// length of View, to stay bit-equal with an unbounded history.
 func (r *Ring) Total() int { return r.total }
 
 // Cap returns the retention bound (0 = unbounded).
@@ -145,22 +136,6 @@ func (r *Ring) View() []float64 {
 	}
 	start := r.total % r.capacity
 	return r.buf[start : start+r.capacity]
-}
-
-// Tail returns the most recent n retained samples (all of them when
-// n ≥ Len, none when n ≤ 0). Same aliasing rules as View. A negative n is
-// clamped to 0 rather than panicking: callers compute tail lengths from
-// configuration deltas (window − horizon and the like), and a misconfigured
-// difference must degrade to "no samples", not a slice-bounds fault.
-func (r *Ring) Tail(n int) []float64 {
-	v := r.View()
-	if n >= len(v) {
-		return v
-	}
-	if n < 0 {
-		n = 0
-	}
-	return v[len(v)-n:]
 }
 
 // Reset clears the window for reuse, keeping the backing storage.

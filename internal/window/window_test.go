@@ -32,25 +32,10 @@ func TestRingMatchesUnboundedTail(t *testing.T) {
 			if r.Total() != len(hist) {
 				t.Fatalf("cap=%d: Total=%d want %d", capacity, r.Total(), len(hist))
 			}
-			if r.Len() != len(want) {
-				t.Fatalf("cap=%d: Len=%d want %d", capacity, r.Len(), len(want))
+			if len(r.View()) != len(want) {
+				t.Fatalf("cap=%d: len(View)=%d want %d", capacity, len(r.View()), len(want))
 			}
 		}
-	}
-}
-
-func TestRingTail(t *testing.T) {
-	r := New(5)
-	for i := 0; i < 12; i++ {
-		r.Push(float64(i))
-	}
-	// Retained: 7 8 9 10 11.
-	got := r.Tail(3)
-	if len(got) != 3 || got[0] != 9 || got[2] != 11 {
-		t.Fatalf("Tail(3) = %v", got)
-	}
-	if n := len(r.Tail(99)); n != 5 {
-		t.Fatalf("Tail(99) len = %d, want 5", n)
 	}
 }
 
@@ -62,8 +47,8 @@ func TestRingUnbounded(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Push(float64(i))
 	}
-	if r.Len() != 100 || r.Total() != 100 || len(r.View()) != 100 {
-		t.Fatalf("unbounded: Len=%d Total=%d view=%d", r.Len(), r.Total(), len(r.View()))
+	if len(r.View()) != 100 || r.Total() != 100 || len(r.View()) != 100 {
+		t.Fatalf("unbounded: len(View)=%d Total=%d view=%d", len(r.View()), r.Total(), len(r.View()))
 	}
 	if r.View()[99] != 99 {
 		t.Fatalf("unbounded tail sample = %v", r.View()[99])
@@ -72,8 +57,8 @@ func TestRingUnbounded(t *testing.T) {
 	// The zero value is an unbounded window too.
 	var z Ring
 	z.Push(1.5)
-	if z.Len() != 1 || z.View()[0] != 1.5 {
-		t.Fatalf("zero-value ring: Len=%d view=%v", z.Len(), z.View())
+	if len(z.View()) != 1 || z.View()[0] != 1.5 {
+		t.Fatalf("zero-value ring: len(View)=%d view=%v", len(z.View()), z.View())
 	}
 }
 
@@ -83,8 +68,8 @@ func TestRingReset(t *testing.T) {
 		r.Push(float64(i))
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Total() != 0 || len(r.View()) != 0 {
-		t.Fatalf("after Reset: Len=%d Total=%d view=%d", r.Len(), r.Total(), len(r.View()))
+	if len(r.View()) != 0 || r.Total() != 0 || len(r.View()) != 0 {
+		t.Fatalf("after Reset: len(View)=%d Total=%d view=%d", len(r.View()), r.Total(), len(r.View()))
 	}
 	r.Push(42)
 	if v := r.View(); len(v) != 1 || v[0] != 42 {
@@ -94,7 +79,7 @@ func TestRingReset(t *testing.T) {
 	u := New(0)
 	u.Push(1)
 	u.Reset()
-	if u.Len() != 0 {
+	if len(u.View()) != 0 {
 		t.Fatal("unbounded reset must clear")
 	}
 }
@@ -129,50 +114,13 @@ func TestRingBoundedMemory(t *testing.T) {
 	if got := cap(r.buf); got != 2*capacity {
 		t.Fatalf("backing capacity = %d, want %d", got, 2*capacity)
 	}
-	if r.Len() != capacity || r.Total() != 43200 {
-		t.Fatalf("Len=%d Total=%d", r.Len(), r.Total())
-	}
-}
-
-// TestRingTailEdgeCases: Tail must clamp rather than panic across the full
-// edge-case grid — negative n (the former slice-bounds panic), zero, the
-// exact retained length and beyond — in both bounded and unbounded mode.
-func TestRingTailEdgeCases(t *testing.T) {
-	for _, capacity := range []int{0, 5} {
-		mode := "bounded"
-		if capacity == 0 {
-			mode = "unbounded"
-		}
-		r := New(capacity)
-		for i := 0; i < 12; i++ {
-			r.Push(float64(i))
-		}
-		n := r.Len()
-		for _, tc := range []struct {
-			n, wantLen int
-		}{
-			{-1, 0}, {-100, 0}, {0, 0}, {1, 1}, {n, n}, {n + 1, n}, {n + 100, n},
-		} {
-			got := r.Tail(tc.n)
-			if len(got) != tc.wantLen {
-				t.Fatalf("%s: Tail(%d) len = %d, want %d", mode, tc.n, len(got), tc.wantLen)
-			}
-			if tc.wantLen > 0 && got[tc.wantLen-1] != 11 {
-				t.Fatalf("%s: Tail(%d) last = %v, want 11", mode, tc.n, got[tc.wantLen-1])
-			}
-		}
-		// An empty window: every n degrades to the empty tail.
-		empty := New(capacity)
-		for _, n := range []int{-3, 0, 1, 7} {
-			if got := empty.Tail(n); len(got) != 0 {
-				t.Fatalf("%s empty: Tail(%d) = %v, want empty", mode, n, got)
-			}
-		}
+	if len(r.View()) != capacity || r.Total() != 43200 {
+		t.Fatalf("len(View)=%d Total=%d", len(r.View()), r.Total())
 	}
 }
 
 // TestRingSnapshotRestore: a restored ring must be bit-identical to the
-// snapshotted one — same View, Total, Len and, critically, the same
+// snapshotted one — same View, Total and, critically, the same
 // internal offset, so subsequent pushes land in the same slots.
 func TestRingSnapshotRestore(t *testing.T) {
 	for _, capacity := range []int{0, 1, 5, 40} {

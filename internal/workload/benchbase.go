@@ -65,23 +65,6 @@ func (m Mix) WriteFraction() float64 {
 	return w / wsum
 }
 
-// Pick samples a transaction class according to the weights.
-func (m Mix) Pick(rng *stats.RNG) TxnClass {
-	var wsum float64
-	for _, e := range m {
-		wsum += e.Weight
-	}
-	target := rng.Float64() * wsum
-	var cum float64
-	for _, e := range m {
-		cum += e.Weight
-		if cum >= target {
-			return e.Class
-		}
-	}
-	return m[len(m)-1].Class
-}
-
 // The standard mixes. CPU costs are stylised but keep the benchmarks'
 // relative character: YCSB point operations are cheapest, TPC-C
 // transactions are mid-weight with the canonical 45/43/4/4/4 mix, and

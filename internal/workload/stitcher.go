@@ -163,21 +163,3 @@ func (sw *StitchedWorkload) Schedule() *LoadSchedule {
 		Duration: sw.Source.Duration(),
 	}
 }
-
-// RecreatedTrace renders the CPU demand implied by the stitched segments —
-// the synthetic trace that stands in for the customer's. Fidelity is
-// checked in tests: the recreated trace's per-segment means match the
-// source trace's.
-func (sw *StitchedWorkload) RecreatedTrace() *trace.Trace {
-	n := sw.Source.Len()
-	values := make([]float64, n)
-	for _, s := range sw.Segments {
-		mean := s.Mix.MeanCPUSeconds()
-		from := int(s.Start / sw.Source.Interval)
-		to := from + int(s.Length/sw.Source.Interval)
-		for i := from; i < to && i < n; i++ {
-			values[i] = s.RatePerSec * mean
-		}
-	}
-	return trace.New(sw.Name, sw.Source.Interval, values)
-}
