@@ -48,6 +48,8 @@ serve-smoke:
 apicheck:
 	sh scripts/apicheck.sh
 
-# Exported internal/ identifiers with no non-test caller; fails on any.
+# Exported internal/ names and internal/ methods (exported or not) that no
+# non-test file needs: no caller, no interface satisfied, not in the API
+# snapshot. Fails on any.
 deadcode:
 	$(GO) run ./scripts/deadcode

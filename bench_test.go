@@ -181,7 +181,7 @@ func BenchmarkSimCorrectness(b *testing.B) {
 
 func BenchmarkMotivationHorizontal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.MotivationHorizontal(1)
+		res, err := experiments.MotivationHorizontal()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -117,8 +117,8 @@ var runners = []runner{
 		_, report, err := experiments.ReplicatedFigure9([]uint64{seed, seed + 1, seed + 2}, workers)
 		return report, err
 	}},
-	{"motivation", "horizontal vs vertical scaling for single-primary DBs (§1/§3.1)", func(seed uint64, _, _ int) (string, error) {
-		r, err := experiments.MotivationHorizontal(seed)
+	{"motivation", "horizontal vs vertical scaling for single-primary DBs (§1/§3.1)", func(_ uint64, _, _ int) (string, error) {
+		r, err := experiments.MotivationHorizontal()
 		if err != nil {
 			return "", err
 		}

@@ -32,15 +32,15 @@ type MotivationHorizontalResult struct {
 }
 
 // MotivationHorizontal runs the §1/§3.1 contrast: 6 hours of TPC-C
-// (92% writes) demanding ~5 cores against 2-core pods.
-func MotivationHorizontal(seed uint64) (*MotivationHorizontalResult, error) {
+// (92% writes) demanding ~5 cores against 2-core pods. The workload is
+// deterministic, so it takes no seed.
+func MotivationHorizontal() (*MotivationHorizontalResult, error) {
 	mix := workload.TPCCMix()
 	sched, err := workload.ScheduleForCores("write-heavy", mix,
 		workload.Constant(5), 6*time.Hour)
 	if err != nil {
 		return nil, err
 	}
-	_ = seed // the workload is deterministic; seed kept for signature symmetry
 
 	const podCores = 2
 	noRetry := func(o dbsim.HarnessOptions) dbsim.HarnessOptions {

@@ -9,7 +9,7 @@ func TestMotivationHorizontalShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live-loop experiment")
 	}
-	res, err := MotivationHorizontal(1)
+	res, err := MotivationHorizontal()
 	if err != nil {
 		t.Fatal(err)
 	}

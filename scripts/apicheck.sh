@@ -1,9 +1,10 @@
 #!/bin/sh
 # Public-API drift gate: dump the exported symbols of the root caasper
-# package (scripts/apidump) and diff them against the checked-in
-# snapshot. A removed re-export, a renamed constructor or a new symbol
-# fails here as a byte diff instead of surprising downstream callers;
-# every intentional change needs an UPDATE=1 regeneration.
+# package and the exported methods of its types (scripts/apidump) and
+# diff them against the checked-in snapshot. A removed re-export, a
+# renamed constructor, a deleted method or a new symbol fails here as a
+# byte diff instead of surprising downstream callers; every intentional
+# change needs an UPDATE=1 regeneration.
 #
 #   sh scripts/apicheck.sh            # verify against testdata/api.txt
 #   UPDATE=1 sh scripts/apicheck.sh   # regenerate after an intentional change

@@ -14,11 +14,9 @@
 # are dropped (and named on stderr): a GOMAXPROCS wider than the machine
 # measures time slicing, not scaling.
 #
-#   scripts/bench.sh                # default filter + count
+#   scripts/bench.sh                # default filter
 #   BENCH_FILTER=BenchmarkDecide scripts/bench.sh
 #   BENCH_SCALE_CPUS=1,2,4,8 scripts/bench.sh   # wider scaling sweep
-#   BENCH_COUNT=5 scripts/bench.sh  # more samples (go test -count semantics
-#                                   # via -benchtime; last sample wins here)
 set -eu
 
 cd "$(dirname "$0")/.."

@@ -72,14 +72,16 @@ for dir in examples/*/; do
 done
 rm -rf "$EXBIN"
 
-# Public-API drift gate: exported symbols of the root package must match
-# the checked-in snapshot (regenerate: UPDATE=1 sh scripts/apicheck.sh).
-echo "==> apicheck (exported API vs testdata/api.txt)"
+# Public-API drift gate: exported symbols of the root package, and the
+# exported methods of its types, must match the checked-in snapshot
+# (regenerate: UPDATE=1 sh scripts/apicheck.sh).
+echo "==> apicheck (exported API names and methods vs testdata/api.txt)"
 sh scripts/apicheck.sh
 
-# Dead-code gate: every exported package-level name under internal/ must
-# have a caller outside tests (scripts/deadcode lists any that do not).
-echo "==> deadcode (exported internal/ names without a non-test caller)"
+# Dead-code gate: every exported package-level name and every method under
+# internal/ must be needed outside tests: called, satisfying an interface,
+# or in the API snapshot (scripts/deadcode lists any that are not).
+echo "==> deadcode (internal/ names and methods without a non-test caller)"
 go run ./scripts/deadcode
 
 # Chaos goldens: fixed-seed fault streams — including the multi-resource

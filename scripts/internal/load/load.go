@@ -30,7 +30,7 @@ import (
 // Program is every package of a repository, type-checked.
 type Program struct {
 	Fset     *token.FileSet
-	Packages []*Package // sorted by Dir
+	Packages []*Package // sorted by import path
 }
 
 // Package is one type-checked package.
@@ -62,7 +62,6 @@ func Load(root string) (*Program, error) {
 		}
 		prog.Packages = append(prog.Packages, pkg)
 	}
-	sort.Slice(prog.Packages, func(i, j int) bool { return prog.Packages[i].Dir < prog.Packages[j].Dir })
 	return prog, nil
 }
 
