@@ -253,8 +253,13 @@ func (p *Program) API() ([]Symbol, error) {
 			api = append(api, Symbol{"const " + name, obj})
 		case *types.TypeName:
 			api = append(api, Symbol{"type " + name, obj})
-			for _, m := range methods(types.Unalias(obj.Type())) {
-				if m.Exported() {
+			t := types.Unalias(obj.Type())
+			if !types.IsInterface(t) {
+				t = types.NewPointer(t) // its methods and *T's
+			}
+			set := types.NewMethodSet(t)
+			for i := 0; i < set.Len(); i++ {
+				if m := set.At(i).Obj(); m.Exported() {
 					api = append(api, Symbol{"method " + name + "." + m.Name(), m})
 				}
 			}
@@ -262,24 +267,4 @@ func (p *Program) API() ([]Symbol, error) {
 	}
 	sort.Slice(api, func(i, j int) bool { return api[i].Line < api[j].Line })
 	return api, nil
-}
-
-// methods returns the methods callable on a value of type t or on a
-// pointer to one.
-func methods(t types.Type) []*types.Func {
-	var ms []*types.Func
-	if it, ok := t.Underlying().(*types.Interface); ok {
-		for i := 0; i < it.NumMethods(); i++ {
-			ms = append(ms, it.Method(i))
-		}
-		return ms
-	}
-	if _, ok := t.(*types.Named); !ok {
-		return nil
-	}
-	set := types.NewMethodSet(types.NewPointer(t))
-	for i := 0; i < set.Len(); i++ {
-		ms = append(ms, set.At(i).Obj().(*types.Func))
-	}
-	return ms
 }
