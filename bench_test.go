@@ -631,10 +631,10 @@ func benchWeekEventsSpecs(b *testing.B, n, minutes int) ([]caasper.TenantSpec, c
 // BenchmarkFleetWeekEvents replays a contended 6-node, 96-tenant fleet
 // with an NDJSON sink over io.Discard, for one day and for one week. The
 // placement splits into six node-disjoint groups that run concurrently,
-// and the epoch merge rebuilds the one-group stream; its buffers are
-// reused from epoch to epoch. events/op and allocs/op both grow with the
-// horizon (every event allocates its field slice), so compare allocs/op
-// minus events/op across the two horizons: it must stay flat.
+// and the epoch merge rebuilds the one-group stream. The buffered events
+// copy their fields into per-buffer arenas, and two buffer sets are
+// reused from epoch to epoch, so allocs/op grows with the merge epochs
+// (six on the week, one on the day), not with events/op.
 func BenchmarkFleetWeekEvents(b *testing.B) {
 	const tenants = 96
 	for _, h := range []struct {

@@ -424,6 +424,9 @@ type runState struct {
 	// (merge.go).
 	buf      *epochBuf
 	enacting mergeKey
+	// fields is the phase-2 emit sites' Fields scratch, reused for every
+	// event (the obs.Sink contract allows it; emit copies what it buffers).
+	fields []obs.Field
 
 	// defBits is the minute bitmap of ticks on which the arbiter deferred
 	// a tenant, shared by every tenant group of the run: a tick counts
@@ -695,7 +698,9 @@ func (s *runState) enactTick(cands []int, pressure float64, now int) {
 		}
 	}
 	if s.events && s.buf == nil {
-		s.h.Events.Emit(arbitrationEvent(now, contenders, granted, deferred, pressure))
+		e := arbitrationEvent(s.fields, now, contenders, granted, deferred, pressure)
+		s.fields = e.Fields
+		s.h.Events.Emit(e)
 	}
 }
 
@@ -755,14 +760,15 @@ func (s *runState) enactPhase(cands []int, pressure float64, now int) (contender
 				t.res.Deferrals++
 				deferred++
 				if s.events {
-					s.emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
+					s.fields = append(s.fields[:0],
 						obs.S("tenant", t.spec.Name),
 						obs.I("from", int64(t.set.CPULimit())),
 						obs.I("want", int64(t.prop.target.CPUCores)),
 						obs.F("severity", t.prop.severity),
 						obs.S("node", node),
 						obs.F("short_cores", short),
-					}})
+					)
+					s.emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: s.fields})
 				}
 				continue
 			}
@@ -854,12 +860,7 @@ func (s *runState) enact(t *tenant, now int) {
 		s.moveReplicas(t, now)
 	}
 	if s.events {
-		n := 4
-		if m != nil {
-			n = 8
-		}
-		// Sized for the vector fields, so the event costs one allocation.
-		fields := append(make([]obs.Field, 0, n),
+		s.fields = append(s.fields[:0],
 			obs.S("tenant", t.spec.Name),
 			obs.I("from", int64(cur.CPUCores)),
 			obs.I("to", int64(prop.target.CPUCores)),
@@ -867,14 +868,14 @@ func (s *runState) enact(t *tenant, now int) {
 		)
 		if m != nil {
 			// Appended, like fleet.tenant's vector fields.
-			fields = append(fields,
+			s.fields = append(s.fields,
 				obs.I("ram_from", int64(cur.RAMGB)),
 				obs.I("ram_to", int64(m.ramAlloc)),
 				obs.I("disk_gb", int64(m.diskAlloc)),
 				obs.I("replicas", int64(m.replicas)),
 			)
 		}
-		s.emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: fields})
+		s.emit(obs.Event{T: int64(now), Type: "fleet.resize", Fields: s.fields})
 	}
 }
 
@@ -889,12 +890,13 @@ func (s *runState) resize(t *tenant, cur core.Resources, now int) bool {
 	aborted := func(reason string) bool {
 		t.res.ResizesAborted++
 		if s.events {
-			s.emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: []obs.Field{
+			s.fields = append(s.fields[:0],
 				obs.S("tenant", t.spec.Name),
 				obs.I("from", int64(cur.CPUCores)),
 				obs.I("to", int64(target.CPUCores)),
 				obs.S("reason", reason),
-			}})
+			)
+			s.emit(obs.Event{T: int64(now), Type: "fleet.resize-aborted", Fields: s.fields})
 		}
 		return false
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -242,6 +243,22 @@ func TestSplitStreamEquivalenceSleepers(t *testing.T) {
 	}
 }
 
+// TestSplitStreamEquivalenceShortEpochs runs the epoch fleet with one
+// decision tick per epoch, so the epoch scheduler (epochRun) works
+// through 190 epochs, with groups up to one epoch apart and each merge
+// beside the next epoch, at workers 1, 2 and 8. The stream must still
+// match the stepped oracle byte for byte.
+func TestSplitStreamEquivalenceShortEpochs(t *testing.T) {
+	defer func(v int) { epochTenantTicks = v }(epochTenantTicks)
+	epochTenantTicks = epochFleetTenants
+	_, _, _, epochs := checkSplitStream(t,
+		func() []TenantSpec { return epochFleetSpecs(t) },
+		func() Options { return epochFleetOpts(t) })
+	if want := int64(epochFleetMinutes - 10); epochs != want {
+		t.Fatalf("run merged in %d epochs, want one per decision tick (%d)", epochs, want)
+	}
+}
+
 // scriptRec proposes plan(m) after observing minute m: a policy whose
 // proposals are fixed in time, for merge-order tests.
 type scriptRec struct {
@@ -327,48 +344,176 @@ func TestSplitStreamOrder(t *testing.T) {
 	}
 }
 
-// TestMergeReusesBuffers pins the epoch merge's memory bound: once the
-// group buffers have grown to an epoch's size, later epochs merge without
-// allocating (the merge reads the buffers in place), and every merged
-// slot is cleared so no emitted event's fields stay reachable from them.
+// TestMergeReusesBuffers pins the epoch merge's memory bound: the groups
+// fill one buffer set through emit, with the emit sites' reused Fields
+// scratch, while the merge empties the other, and the two swap after
+// every epoch. Once both sets have grown to an epoch's size an epoch
+// allocates nothing — events, tallies and the fields arena included —
+// and every merged slot is cleared, so no emitted event's fields stay
+// reachable from either set.
 func TestMergeReusesBuffers(t *testing.T) {
 	s := &runState{h: hooks.RunHooks{Events: obs.NewNDJSONSink(io.Discard)}, events: true}
-	groups := make([]group, 3)
-	bufs := make([]epochBuf, len(groups))
-	for k := range groups {
-		groups[k].buf = &bufs[k]
-	}
-	fields := []obs.Field{obs.S("tenant", "x")}
+	bufs, prev := make([]epochBuf, 3), make([]epochBuf, 3)
 	m := &merger{}
 	epoch := func() {
 		for k := range bufs {
-			b := &bufs[k]
+			s.buf = &bufs[k]
 			for d := 0; d < 16; d++ {
-				b.ticks = append(b.ticks, tickTally{at: int32(d), contenders: 1, granted: 1})
-				b.evs = append(b.evs, keyedEvent{
-					key: mergeKey{idx: int32(k), up: true, sev: float64(d % 3)},
-					ev:  obs.Event{T: int64(d), Type: "fleet.resize", Fields: fields},
-				})
+				s.enacting = mergeKey{idx: int32(k), up: true, sev: float64(d % 3)}
+				s.fields = append(s.fields[:0], obs.S("tenant", "x"), obs.I("at", int64(d)))
+				s.emit(obs.Event{T: int64(d), Type: "fleet.resize", Fields: s.fields})
+				s.buf.ticks = append(s.buf.ticks, tickTally{at: int32(d), contenders: 1, granted: 1})
 			}
 		}
-		s.merge(groups, m)
+		s.merge(prev, m)
+		bufs, prev = prev, bufs
 	}
 	epoch()
+	epoch()
 	if n := testing.AllocsPerRun(20, epoch); n != 0 {
-		t.Errorf("merge allocated %v times per epoch after the first, want 0", n)
+		t.Errorf("an epoch allocated %v times after the first two, want 0", n)
 	}
-	retained := func(evs []keyedEvent) bool {
-		for _, e := range evs[:cap(evs)] {
-			if e.ev.Fields != nil {
-				return true
+	s.merge(prev, m)
+	for set, bs := range [][]epochBuf{bufs, prev} {
+		for k := range bs {
+			b := &bs[k]
+			if len(b.evs) != 0 || len(b.ticks) != 0 || b.full != 0 {
+				t.Errorf("set %d, group %d: buffer not emptied after the merge", set, k)
+			}
+			if len(b.fields) == 0 {
+				t.Errorf("set %d, group %d: events were not copied into the fields arena", set, k)
+			}
+			for _, e := range b.evs[:cap(b.evs)] {
+				if e.ev.Fields != nil {
+					t.Errorf("set %d, group %d: a merged event still references its fields", set, k)
+					break
+				}
+			}
+			for _, c := range b.fields {
+				if len(c) != 0 || slices.ContainsFunc(c[:cap(c)], func(f obs.Field) bool { return f != obs.Field{} }) {
+					t.Errorf("set %d, group %d: the fields arena still holds fields", set, k)
+					break
+				}
 			}
 		}
-		return false
 	}
-	for k := range bufs {
-		if len(bufs[k].evs) != 0 || len(bufs[k].ticks) != 0 || retained(bufs[k].evs) {
-			t.Errorf("group %d buffer not emptied and cleared after the merge", k)
+}
+
+// TestMergeArenaRegrowth pins emit's copy into the fields arena as it
+// grows: the emit site rewrites one scratch slice for every event, the
+// arena starts with a chunk too small for the epoch and opens several
+// more, and the merge must still emit every event with its own values.
+func TestMergeArenaRegrowth(t *testing.T) {
+	mem := obs.NewMemorySink()
+	s := &runState{h: hooks.RunHooks{Events: mem}, events: true}
+	bufs := []epochBuf{{fields: [][]obs.Field{make([]obs.Field, 0, 3)}}}
+	s.buf = &bufs[0]
+	const n = 2 * fieldChunk
+	fields := func(i int) []obs.Field {
+		return append(s.fields[:0], obs.I("idx", int64(i)), obs.S("tenant", fmt.Sprintf("t%04d", i)))
+	}
+	for i := 0; i < n; i++ {
+		s.enacting = mergeKey{idx: int32(i)}
+		s.fields = fields(i)
+		s.emit(obs.Event{T: 5, Type: "fleet.resize", Fields: s.fields})
+	}
+	bufs[0].ticks = append(bufs[0].ticks, tickTally{at: 5})
+	if chunks := len(bufs[0].fields); chunks < 4 {
+		t.Fatalf("the arena holds %d chunks; the test needs several", chunks)
+	}
+	s.merge(bufs, &merger{})
+	evs := mem.Events()
+	if len(evs) != n {
+		t.Fatalf("merged %d events, want %d", len(evs), n)
+	}
+	for i, e := range evs {
+		want := slices.Clone(fields(i))
+		if !reflect.DeepEqual(e.Fields, want) {
+			t.Fatalf("event %d: fields %v, want %v", i, e.Fields, want)
 		}
+	}
+}
+
+// weekEventsFleet builds the contended events fleet of the root
+// BenchmarkFleetWeekEvents: n CPU-only tenants on noisy traces (the four
+// paper workload families, tenant i from seed i) over the six-node large
+// cluster, whose nodes hold 60% of the summed MaxCores, so arbitration
+// defers every day, with an NDJSON sink over io.Discard.
+func weekEventsFleet(n, minutes int) ([]TenantSpec, Options, *obs.NDJSONSink) {
+	gens := []func(seed uint64) *trace.Trace{
+		workload.Workday12h, workload.Cyclical3Day, workload.StepTrace62h, workload.CustomerTrace,
+	}
+	specs := make([]TenantSpec, n)
+	sumMax := 0
+	for i := range specs {
+		base := gens[i%len(gens)](uint64(i + 1))
+		vals := make([]float64, minutes)
+		for m := range vals {
+			vals[m] = base.Values[m%len(base.Values)]
+		}
+		maxc := 8 + 4*(i%3)
+		sumMax += maxc
+		specs[i] = TenantSpec{
+			Name:  fmt.Sprintf("t%04d", i),
+			Trace: trace.New(base.Name, time.Minute, vals),
+			NewRecommender: func() (recommend.Recommender, error) {
+				return recommend.NewCaaSPERReactive(core.DefaultConfig(maxc), 40)
+			},
+			Resources:    core.CPURange(2, 1, maxc),
+			Replicas:     1,
+			MemGiBPerPod: 1,
+		}
+	}
+	cluster := k8s.LargeCluster()
+	for _, node := range cluster.Nodes() {
+		node.Allocatable.CPUCores = 0.6 * float64(sumMax) / 6
+		node.Allocatable.MemoryGiB = 1e9
+	}
+	sink := obs.NewNDJSONSink(io.Discard)
+	opts := DefaultOptions()
+	opts.Cluster = cluster
+	opts.Minutes = minutes
+	opts.Workers = 2
+	opts.Events = sink
+	opts.Metrics = obs.NewRegistry()
+	return specs, opts, sink
+}
+
+// TestSplitStreamAllocsPerEpoch pins where a sink-attached split run
+// allocates: per merge epoch (the fan-out, the buffers' growth), not per
+// event. A week of the contended fleet emits about 15,000 more events
+// than a day; one allocation per buffered event would put the week that
+// far above the day, but it must stay within a small budget per extra
+// epoch.
+func TestSplitStreamAllocsPerEpoch(t *testing.T) {
+	const tenants, perEpoch = 96, 100
+	type run struct{ allocs, events, epochs int64 }
+	measure := func(minutes int) run {
+		specs, opts, sink := weekEventsFleet(tenants, minutes)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(specs, opts); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if g := opts.Metrics.Gauge("fleet.groups").Value(); g < 2 {
+			t.Fatalf("the fleet ran as %v group; the test needs a split", g)
+		}
+		return run{
+			allocs: int64(after.Mallocs - before.Mallocs),
+			events: sink.Count(),
+			epochs: opts.Metrics.Counter("fleet.merge_epochs").Value(),
+		}
+	}
+	day, week := measure(24*60), measure(7*24*60)
+	t.Logf("day: %+v; week: %+v", day, week)
+	extra, budget := week.allocs-day.allocs, perEpoch*(week.epochs-day.epochs)
+	if events := week.events - day.events; events < 10*budget {
+		t.Fatalf("the week adds %d events over the day; the test needs well over %d", events, budget)
+	}
+	if extra > budget {
+		t.Errorf("the week allocated %d times more than the day for %d more events and %d more epochs, want ≤ %d",
+			extra, week.events-day.events, week.epochs-day.epochs, budget)
 	}
 }
 
@@ -451,7 +596,7 @@ func sortedMerge(bufs []epochBuf, sink obs.Sink) {
 			sink.Emit(evs[e].ev)
 		}
 		if deferred > 0 {
-			sink.Emit(arbitrationEvent(int(d), contenders, granted, deferred, 0))
+			sink.Emit(arbitrationEvent(nil, int(d), contenders, granted, deferred, 0))
 		}
 	}
 }
@@ -463,23 +608,19 @@ func TestMergeMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := &merger{}
 	for trial := 0; trial < 200; trial++ {
-		groups := make([]group, 1+rng.Intn(40))
-		bufs := make([]epochBuf, len(groups))
-		for k := range groups {
-			groups[k].buf = &bufs[k]
-		}
+		bufs := make([]epochBuf, 1+rng.Intn(40))
 		randomEpoch(rng, bufs, 1+rng.Intn(60), 1+rng.Intn(12), rng.Float64(), rng.Float64())
 		var want, got bytes.Buffer
 		ref := obs.NewNDJSONSink(&want)
 		sortedMerge(bufs, ref)
 		sink := obs.NewNDJSONSink(&got)
 		s := &runState{h: hooks.RunHooks{Events: sink}, events: true}
-		s.merge(groups, m)
+		s.merge(bufs, m)
 		if err := errors.Join(ref.Flush(), sink.Flush()); err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != want.String() {
-			t.Fatalf("trial %d (%d groups): merge diverged from the sort:\n%s", trial, len(groups), firstLineDiff(want.String(), got.String()))
+			t.Fatalf("trial %d (%d groups): merge diverged from the sort:\n%s", trial, len(bufs), firstLineDiff(want.String(), got.String()))
 		}
 	}
 }
@@ -504,11 +645,7 @@ func BenchmarkMerge(b *testing.B) {
 		b.Run(fmt.Sprintf("groups=%d", g), func(b *testing.B) {
 			tmpl := make([]epochBuf, g)
 			randomEpoch(rand.New(rand.NewSource(1)), tmpl, 1024, 16, 1, 0.25)
-			groups := make([]group, g)
 			bufs := make([]epochBuf, g)
-			for k := range groups {
-				groups[k].buf = &bufs[k]
-			}
 			s := &runState{h: hooks.RunHooks{Events: obs.Discard}, events: true}
 			m := &merger{}
 			b.ReportAllocs()
@@ -517,7 +654,7 @@ func BenchmarkMerge(b *testing.B) {
 					bufs[k].evs = append(bufs[k].evs[:0], tmpl[k].evs...)
 					bufs[k].ticks = append(bufs[k].ticks[:0], tmpl[k].ticks...)
 				}
-				s.merge(groups, m)
+				s.merge(bufs, m)
 			}
 		})
 	}

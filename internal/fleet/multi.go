@@ -145,12 +145,13 @@ func (s *runState) moveReplicas(t *tenant, now int) {
 		if err != nil {
 			t.res.Deferrals++
 			if s.events {
-				s.emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: []obs.Field{
+				s.fields = append(s.fields[:0],
 					obs.S("tenant", t.spec.Name),
 					obs.S("reason", "scale-out"),
 					obs.I("want_replicas", int64(prop.target.Replicas)),
 					obs.F("severity", prop.severity),
-				}})
+				)
+				s.emit(obs.Event{T: int64(now), Type: "fleet.deferred", Fields: s.fields})
 			}
 			return
 		}

@@ -32,15 +32,20 @@
 //
 // With a sink attached, a split fleet still emits the one-group stream:
 // the groups run in epochs of decision ticks, each buffering its phase-2
-// events, and a serial merge after every epoch emits them in the one
-// group's order and advances the authoritative injector tick by tick
-// (merge.go). Memory is bounded by one epoch's events. A group's wake
-// queue, its next-tick list as much as its heap, carries from one epoch
-// to the next.
+// events, and a merge emits every epoch's events in the one group's
+// order and advances the authoritative injector tick by tick (merge.go).
+// The merge of epoch k runs beside the groups' epoch k+1, on the other of
+// two buffer sets, and no barrier separates the epochs: a group goes on
+// to its next epoch, or its epilogue, as soon as its buffer set is free.
+// Memory is bounded by two epochs' events. A group's wake queue, its
+// next-tick list as much as its heap, carries from one epoch to the
+// next. Without a sink, or as one group, each group runs its whole tick
+// loop and then its epilogue as one task.
 package fleet
 
 import (
 	"context"
+	"time"
 
 	"caasper/internal/parallel"
 )
@@ -153,10 +158,6 @@ func (s *runState) runGroups() error {
 	groups := make([]group, len(offsets)-1)
 	arbs := make([]arbScratch, len(groups))
 	split := len(groups) > 1
-	var bufs []epochBuf
-	if split && s.events {
-		bufs = make([]epochBuf, len(groups))
-	}
 	d0 := s.nextDecisionAt(0)
 	for k := range groups {
 		// Carved three-index slices: a tenant holds at most one pending
@@ -177,9 +178,6 @@ func (s *runState) runGroups() error {
 			g.arb = &arbs[k]
 			g.workers = 1
 		}
-		if bufs != nil {
-			g.buf = &bufs[k]
-		}
 		if d0 >= 0 {
 			// Every tenant's first wake is the first decision tick.
 			for _, i := range g.idxs {
@@ -189,36 +187,24 @@ func (s *runState) runGroups() error {
 		}
 	}
 
-	ctx := context.Background()
-	var m *merger
-	until, span := s.minutes, s.minutes // one pass: nothing to merge
-	if bufs != nil && d0 >= 0 {
-		m = &merger{}
-		span = max(1, epochTenantTicks/n) * s.d
-		until = d0 + span
-	}
-	epochs := 0
-	for {
-		err := parallel.ForEach(ctx, len(groups), s.workers, func(k int) error {
-			return groups[k].run(until)
+	// A split run with a sink runs in merge epochs (merge.go); any other
+	// run is one pass, each group's tick loop followed by its epilogue.
+	var epochs *epochRun
+	if split && s.events && d0 >= 0 {
+		epochs = newEpochRun(s, groups, d0)
+		if err := epochs.run(); err != nil {
+			return err
+		}
+	} else {
+		err := parallel.ForEach(context.Background(), len(groups), s.workers, func(k int) error {
+			if err := groups[k].run(s.minutes); err != nil {
+				return err
+			}
+			return groups[k].epilogue()
 		})
 		if err != nil {
 			return err
 		}
-		if m != nil {
-			s.merge(groups, m)
-			epochs++
-		}
-		if until >= s.minutes {
-			break
-		}
-		until += span
-	}
-	err := parallel.ForEach(ctx, len(groups), s.workers, func(k int) error {
-		return groups[k].epilogue()
-	})
-	if err != nil {
-		return err
 	}
 	if reg := s.h.Metrics; reg != nil {
 		var wakes, heapWakes int64
@@ -226,8 +212,15 @@ func (s *runState) runGroups() error {
 			wakes += groups[k].wakes
 			heapWakes += groups[k].heapWakes
 		}
+		var merged int
+		var mergeTime, tailTime time.Duration
+		if epochs != nil {
+			merged, mergeTime, tailTime = epochs.epochs, epochs.mergeTime, epochs.tailTime
+		}
 		reg.Gauge("fleet.groups").Set(float64(len(groups)))
-		reg.Counter("fleet.merge_epochs").Add(int64(epochs))
+		reg.Counter("fleet.merge_epochs").Add(int64(merged))
+		reg.Gauge("fleet.merge_s").Set(mergeTime.Seconds())
+		reg.Gauge("fleet.merge_tail_s").Set(tailTime.Seconds())
 		reg.Counter("fleet.wakes").Add(wakes)
 		reg.Counter("fleet.heap_wakes").Add(heapWakes)
 	}
@@ -236,8 +229,8 @@ func (s *runState) runGroups() error {
 	switch {
 	case !split:
 		clock = groups[0].clock
-	case m != nil:
-		clock = m.clock
+	case epochs != nil:
+		clock = epochs.m.clock
 	}
 	if s.finj != nil && clock < s.minutes {
 		s.cluster.SetPressure(s.finj.AdvancePressure(int64(clock), int64(s.minutes)))

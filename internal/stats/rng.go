@@ -38,9 +38,6 @@ func (r *RNG) next() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Uint64 returns a uniformly distributed 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.next() }
-
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.next()>>11) / (1 << 53)

@@ -42,10 +42,12 @@ go test -race -run 'Chaos|Fault|Operator|ScalerCursor|ScalerCarries|ScalerHolds|
 
 # The stepped oracle (internal/fleet/stepped_test.go) is the only
 # independent check of the fleet's one catch-up walk, for CPU-only and
-# multi-resource tenants alike: its equivalence tests and the
-# node-disjoint group tests run twice more under -race as a named gate.
+# multi-resource tenants alike: its equivalence tests, the node-disjoint
+# group tests and the split-stream and epoch-merge tests (the merge of
+# one epoch runs beside the groups' next) run twice more under -race as
+# a named gate.
 echo "==> fleet oracle equivalence (-race, count=2)"
-go test -race -count=2 -run 'Equivalence|Sharded' ./internal/fleet
+go test -race -count=2 -run 'Equivalence|Sharded|SplitStream|Merge' ./internal/fleet
 
 # The sim ↔ fleet oracle replays each trace through Simulate (instant
 # resizes) and an uncontended one-tenant RunFleet, and requires bit-equal
