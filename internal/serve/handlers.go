@@ -12,9 +12,7 @@ import (
 	"strconv"
 	"time"
 
-	"caasper/internal/core"
 	"caasper/internal/obs"
-	"caasper/internal/recommend"
 )
 
 // routes builds the HTTP surface:
@@ -110,16 +108,45 @@ func (s *Server) lookup(w http.ResponseWriter, id string, fn func(*tenantState))
 	t.mu.Unlock()
 }
 
+// maxConfigBody caps a tenant, range or policy body in bytes; a config
+// is a few hundred.
+const maxConfigBody = 64 << 10
+
+// decodeConfig reads a config body of at most maxConfigBody bytes and
+// decodes it into v as one JSON value. A longer body answers 413 and a
+// malformed one 400; it reports whether v may be used.
+func decodeConfig(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxConfigBody))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, "%s body over %d bytes", what, tooBig.Limit)
+	case err != nil:
+		httpError(w, http.StatusBadRequest, "reading %s: %v", what, err)
+	default:
+		if err := json.Unmarshal(raw, v); err != nil {
+			httpError(w, http.StatusBadRequest, "%s: %v", what, err)
+			return false
+		}
+		return true
+	}
+	return false
+}
+
 // handleTenantPut registers a tenant (idempotent re-PUT reconfigures it
-// from scratch: fresh window, fresh decision log).
+// from scratch: fresh window, fresh decision log). Its initial grants
+// must lie inside its range: a range retune or a restore clamps them
+// instead, so only registration checks them.
 func (s *Server) handleTenantPut(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var cfg TenantConfig
-	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-		httpError(w, http.StatusBadRequest, "tenant config: %v", err)
+	if !decodeConfig(w, r, "tenant config", &cfg) {
 		return
 	}
 	t, err := s.newTenant(id, cfg)
+	if err == nil {
+		err = t.cfg.checkInitial(t.cur, t.lim)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -163,15 +190,15 @@ func (s *Server) statusOf(t *tenantState) tenantStatus {
 	return tenantStatus{
 		ID:       t.id,
 		Policy:   t.cfg.Policy,
-		Cores:    t.cores,
-		MinCores: t.cfg.MinCores,
-		MaxCores: t.cfg.MaxCores,
+		Cores:    t.cur.CPUCores,
+		MinCores: t.lim.Min.CPUCores,
+		MaxCores: t.lim.Max.CPUCores,
 		Samples:  t.minute,
 		Decision: t.seq,
-		RAMGB:    t.ramGB,
-		MaxRAMGB: t.cfg.MaxRAMGB,
-		DiskGB:   t.diskGB,
-		Replicas: t.replicas,
+		RAMGB:    t.cur.RAMGB,
+		MaxRAMGB: t.lim.Max.RAMGB,
+		DiskGB:   t.cur.DiskGB,
+		Replicas: t.cur.Replicas,
 	}
 }
 
@@ -341,68 +368,42 @@ func (s *Server) lookupQuiet(id string, fn func(*tenantState)) {
 
 // handleAdminRange retunes a tenant's resource ranges (the Zerops
 // scaling-API verb: adjust the autoscaling bounds, let the autoscaler
-// move inside them). The CPU pair is required; the multi-resource fields
-// are optional and, when zero, leave that dimension's bounds untouched —
-// so a CPU-only PUT behaves exactly as it did before the vector API.
+// move inside them). The CPU pair is the tenant PUT's; the multi-resource
+// fields are optional and, when zero, leave that dimension's bounds
+// untouched, so a CPU-only PUT behaves exactly as it did before the
+// vector API. The new config resolves as a registered one does, and the
+// policy is rebuilt at the new MaxCores with its state carried over.
 // Current grants are clamped into the new ranges immediately.
 func (s *Server) handleAdminRange(w http.ResponseWriter, r *http.Request) {
-	var body struct {
-		MinCores    int `json:"min_cores"`
-		MaxCores    int `json:"max_cores"`
-		MinRAMGB    int `json:"min_ram_gb"`
-		MaxRAMGB    int `json:"max_ram_gb"`
-		DiskGB      int `json:"disk_gb"`
-		MaxReplicas int `json:"max_replicas"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, "range: %v", err)
-		return
-	}
-	// The cap is NewByName's, so a retuned tenant still rebuilds from its
-	// config on a policy swap or a restore.
-	if body.MinCores < 1 || body.MaxCores < body.MinCores || body.MaxCores > recommend.CoresLimit {
-		httpError(w, http.StatusBadRequest, "range: need 1 ≤ min_cores ≤ max_cores ≤ %d, got [%d, %d]",
-			recommend.CoresLimit, body.MinCores, body.MaxCores)
-		return
-	}
-	if body.MinRAMGB > 0 && body.MaxRAMGB == 0 {
-		httpError(w, http.StatusBadRequest, "range: min_ram_gb needs max_ram_gb")
-		return
-	}
-	if body.MaxRAMGB > 0 && body.MinRAMGB > body.MaxRAMGB {
-		httpError(w, http.StatusBadRequest, "range: min_ram_gb %d > max_ram_gb %d", body.MinRAMGB, body.MaxRAMGB)
-		return
-	}
-	if body.DiskGB < 0 || body.MaxReplicas < 0 {
-		httpError(w, http.StatusBadRequest, "range: negative disk_gb or max_replicas")
+	var body TenantConfig // only its range fields are read
+	if !decodeConfig(w, r, "range", &body) {
 		return
 	}
 	s.lookup(w, r.PathValue("id"), func(t *tenantState) {
-		t.cfg.MinCores = body.MinCores
-		t.cfg.MaxCores = body.MaxCores
-		if body.MaxRAMGB > 0 {
-			t.cfg.MinRAMGB = max(body.MinRAMGB, 1)
-			t.cfg.MaxRAMGB = body.MaxRAMGB
-			if t.cfg.InitialRAMGB == 0 {
-				t.cfg.InitialRAMGB = t.cfg.MinRAMGB
+		cfg := t.cfg
+		cfg.MinCores, cfg.MaxCores = body.MinCores, body.MaxCores
+		if body.MinRAMGB != 0 || body.MaxRAMGB != 0 {
+			cfg.MinRAMGB, cfg.MaxRAMGB = body.MinRAMGB, body.MaxRAMGB
+		}
+		if body.DiskGB != 0 {
+			cfg.DiskGB = body.DiskGB
+			if cfg.MaxDiskGB > 0 {
+				cfg.MaxDiskGB = max(cfg.MaxDiskGB, body.DiskGB)
 			}
 		}
-		if body.DiskGB > 0 {
-			t.cfg.DiskGB = body.DiskGB
-			if t.cfg.MaxDiskGB > 0 && t.cfg.MaxDiskGB < body.DiskGB {
-				t.cfg.MaxDiskGB = body.DiskGB
-			}
-			// Volumes only grow: an admin can provision ahead of demand but
-			// never shrink under live data.
-			t.diskGB = max(t.diskGB, body.DiskGB)
+		if body.MaxReplicas != 0 {
+			cfg.MaxReplicas = body.MaxReplicas
 		}
-		if body.MaxReplicas > 0 {
-			t.cfg.MaxReplicas = body.MaxReplicas
+		if _, err := s.configure(t, cfg, true); err != nil {
+			httpError(w, http.StatusBadRequest, "range: %v", err)
+			return
 		}
-		// A newly managed RAM or replica dimension starts at its floor; a
-		// volume never exceeds MaxDiskGB, so the clamp never shrinks it.
-		g := t.cfg.limits().Clamp(core.Resources{CPUCores: t.cores, RAMGB: t.ramGB, DiskGB: t.diskGB, Replicas: t.replicas})
-		t.cores, t.ramGB, t.diskGB, t.replicas = g.CPUCores, g.RAMGB, g.DiskGB, g.Replicas
+		// Volumes only grow: an admin can provision ahead of demand but
+		// never shrink under live data. A newly managed RAM or replica
+		// dimension starts at its floor.
+		cur := t.cur
+		cur.DiskGB = max(cur.DiskGB, body.DiskGB)
+		t.cur = t.lim.Clamp(cur)
 		writeJSON(w, http.StatusOK, s.statusOf(t))
 	})
 }
@@ -415,23 +416,20 @@ func (s *Server) handleAdminPolicy(w http.ResponseWriter, r *http.Request) {
 	var body struct {
 		Policy string `json:"policy"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil || body.Policy == "" {
+	if !decodeConfig(w, r, "policy", &body) {
+		return
+	}
+	if body.Policy == "" {
 		httpError(w, http.StatusBadRequest, `policy: body must be {"policy": "<name>"}`)
 		return
 	}
 	s.lookup(w, r.PathValue("id"), func(t *tenantState) {
 		cfg := t.cfg
 		cfg.Policy = body.Policy
-		rec, err := recommend.NewByName(cfg.Policy, cfg.settings())
-		if err != nil {
+		if _, err := s.configure(t, cfg, false); err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if in, ok := rec.(recommend.Instrumentable); ok && s.events.Enabled() {
-			in.SetEventSink(s.events)
-		}
-		t.cfg = cfg
-		t.rec = rec
 		writeJSON(w, http.StatusOK, s.statusOf(t))
 	})
 }

@@ -128,87 +128,61 @@ type TenantConfig struct {
 	MaxReplicas int `json:"max_replicas,omitempty"`
 }
 
-// multi reports whether the tenant manages any non-CPU dimension.
-func (c *TenantConfig) multi() bool {
-	return c.MaxRAMGB > 0 || c.DiskGB > 0 || c.MaxReplicas > 0
-}
-
-func (c *TenantConfig) normalize() error {
+// resolve is the one place serve turns a TenantConfig into a
+// core.ResourceRange: tenant PUT, range retune, policy swap and restore
+// all reach it through Server.configure. Beyond ResourceRange.WithDefaults
+// and Validate it keeps the rules of the wire shape alone: max_cores is
+// required, min_cores defaults to 1, RAM bounds need max_ram_gb, and
+// max_disk_gb needs disk_gb (the initial volume). It writes the defaults
+// back into c, since the stored config, and so the checkpoint, carries
+// them. Initial is clamped into [Min, Max]: initial_* is a
+// registration-time value (handleTenantPut rejects one outside the
+// range), and a later retune may move the range away from it.
+func (c *TenantConfig) resolve() (core.ResourceRange, error) {
 	if c.Policy == "" {
 		c.Policy = "caasper"
 	}
-	if c.MinCores <= 0 {
-		c.MinCores = 1
+	c.MinCores = max(c.MinCores, 1)
+	switch {
+	case c.MaxCores <= 0:
+		return core.ResourceRange{}, fmt.Errorf("serve: max_cores is required: %w", errs.ErrInvalidConfig)
+	case c.MaxRAMGB == 0 && (c.MinRAMGB > 0 || c.InitialRAMGB > 0):
+		return core.ResourceRange{}, fmt.Errorf("serve: RAM bounds need max_ram_gb: %w", errs.ErrInvalidConfig)
+	case c.MaxDiskGB > 0 && c.DiskGB == 0:
+		return core.ResourceRange{}, fmt.Errorf("serve: max_disk_gb needs disk_gb: %w", errs.ErrInvalidConfig)
 	}
-	if c.MaxCores <= 0 {
-		return fmt.Errorf("serve: max_cores is required: %w", errs.ErrInvalidConfig)
+	// Disk has no floor (volumes only grow from DiskGB), and MaxDiskGB 0
+	// leaves it unbounded.
+	rr := core.ResourceRange{
+		Initial: core.Resources{CPUCores: c.InitialCores, RAMGB: c.InitialRAMGB, DiskGB: c.DiskGB},
+		Limits: core.Limits{
+			Min: core.Resources{CPUCores: c.MinCores, RAMGB: c.MinRAMGB},
+			Max: core.Resources{CPUCores: c.MaxCores, RAMGB: c.MaxRAMGB, DiskGB: c.MaxDiskGB, Replicas: c.MaxReplicas},
+		},
+	}.WithDefaults()
+	c.InitialCores, c.MinRAMGB, c.InitialRAMGB = rr.Initial.CPUCores, rr.Min.RAMGB, rr.Initial.RAMGB
+	rr.Initial = rr.Clamp(rr.Initial)
+	if err := rr.Validate(); err != nil {
+		return core.ResourceRange{}, fmt.Errorf("serve: %w", err)
 	}
-	if c.MinCores > c.MaxCores {
-		return fmt.Errorf("serve: min_cores %d > max_cores %d: %w", c.MinCores, c.MaxCores, errs.ErrInvalidConfig)
-	}
-	if c.InitialCores == 0 {
-		c.InitialCores = c.MinCores
-	}
-	if c.InitialCores < c.MinCores || c.InitialCores > c.MaxCores {
+	return rr, nil
+}
+
+// checkInitial reports, as an error, an initial grant of c that resolve
+// clamped to initial inside lim: registration takes initial_* only inside
+// the range.
+func (c *TenantConfig) checkInitial(initial core.Resources, lim core.Limits) error {
+	switch {
+	case c.InitialCores != initial.CPUCores:
 		return fmt.Errorf("serve: initial_cores %d outside [%d, %d]: %w",
-			c.InitialCores, c.MinCores, c.MaxCores, errs.ErrInvalidConfig)
-	}
-	if c.MaxRAMGB > 0 {
-		if c.MinRAMGB <= 0 {
-			c.MinRAMGB = 1
-		}
-		if c.MinRAMGB > c.MaxRAMGB {
-			return fmt.Errorf("serve: min_ram_gb %d > max_ram_gb %d: %w", c.MinRAMGB, c.MaxRAMGB, errs.ErrInvalidConfig)
-		}
-		if c.InitialRAMGB == 0 {
-			c.InitialRAMGB = c.MinRAMGB
-		}
-		if c.InitialRAMGB < c.MinRAMGB || c.InitialRAMGB > c.MaxRAMGB {
-			return fmt.Errorf("serve: initial_ram_gb %d outside [%d, %d]: %w",
-				c.InitialRAMGB, c.MinRAMGB, c.MaxRAMGB, errs.ErrInvalidConfig)
-		}
-	} else if c.MinRAMGB > 0 || c.InitialRAMGB > 0 {
-		return fmt.Errorf("serve: RAM bounds need max_ram_gb: %w", errs.ErrInvalidConfig)
-	}
-	if c.DiskGB < 0 || c.MaxDiskGB < 0 {
-		return fmt.Errorf("serve: negative disk bounds: %w", errs.ErrInvalidConfig)
-	}
-	if c.MaxDiskGB > 0 {
-		if c.DiskGB == 0 {
-			return fmt.Errorf("serve: max_disk_gb needs disk_gb: %w", errs.ErrInvalidConfig)
-		}
-		if c.DiskGB > c.MaxDiskGB {
-			return fmt.Errorf("serve: disk_gb %d > max_disk_gb %d: %w", c.DiskGB, c.MaxDiskGB, errs.ErrInvalidConfig)
-		}
-	}
-	if c.MaxReplicas < 0 {
-		return fmt.Errorf("serve: negative max_replicas: %w", errs.ErrInvalidConfig)
+			c.InitialCores, lim.Min.CPUCores, lim.Max.CPUCores, errs.ErrInvalidConfig)
+	case c.InitialRAMGB != initial.RAMGB:
+		return fmt.Errorf("serve: initial_ram_gb %d outside [%d, %d]: %w",
+			c.InitialRAMGB, lim.Min.RAMGB, lim.Max.RAMGB, errs.ErrInvalidConfig)
+	case c.DiskGB != initial.DiskGB:
+		return fmt.Errorf("serve: disk_gb %d > max_disk_gb %d: %w", c.DiskGB, c.MaxDiskGB, errs.ErrInvalidConfig)
 	}
 	return nil
-}
-
-// limits maps the tenant config onto the bounds of the shared vector
-// rule. Disk has no floor (volumes only grow from DiskGB) and MaxDiskGB 0
-// leaves it unbounded; replicas keep at least one pod.
-func (c *TenantConfig) limits() core.Limits {
-	return core.Limits{
-		Min: core.Resources{CPUCores: c.MinCores, RAMGB: c.MinRAMGB, Replicas: 1},
-		Max: core.Resources{CPUCores: c.MaxCores, RAMGB: c.MaxRAMGB, DiskGB: c.MaxDiskGB, Replicas: c.MaxReplicas},
-	}
-}
-
-// settings maps the tenant config onto the shared constructor knobs. A
-// range retune may leave InitialCores above MaxCores; the control
-// policy's allocation is capped there, as every decision is clamped to
-// the range anyway.
-func (c *TenantConfig) settings() recommend.Settings {
-	return recommend.Settings{
-		MaxCores:     c.MaxCores,
-		Window:       c.Window,
-		Horizon:      c.Horizon,
-		Season:       c.Season,
-		ControlCores: min(c.InitialCores, c.MaxCores),
-	}
 }
 
 // DecisionRecord is one decision as served by the decision stream. Field
@@ -288,26 +262,29 @@ type tenantState struct {
 
 	mu  sync.Mutex
 	cfg TenantConfig
+	// lim is cfg's resolved bounds (TenantConfig.resolve): every
+	// decision moves inside them.
+	lim core.Limits
 	rec recommend.Recommender
-	// cores is the current allocation (decisions move it inside
-	// [MinCores, MaxCores]).
-	cores int
+	// cur is the current grant. CPU-only tenants leave RAM, disk and
+	// replicas at 0.
+	cur core.Resources
+	// peak accumulates a multi-resource tenant's samples between
+	// decisions and resets at each. TotalCPU holds the per-pod CPU peak:
+	// decide scales it by the replicas serving at that moment.
+	peak recommend.WindowPeaks
 	// minute counts samples observed — the tenant's logical clock.
 	minute int
 	// seq counts decisions made.
 	seq int64
 	// log is the bounded decision ring.
 	log decisionLog
+}
 
-	// Multi-resource state, all zero for CPU-only tenants. ramGB/diskGB/
-	// replicas are the current grants; the peaks accumulate between
-	// decisions and reset at each tick.
-	ramGB    int
-	diskGB   int
-	replicas int
-	ramPeak  float64
-	diskHigh float64
-	cpuPeak  float64
+// multi reports whether the tenant manages any non-CPU dimension: a
+// bounded one, or a volume (DiskGB without MaxDiskGB is unbounded).
+func (t *tenantState) multi() bool {
+	return t.lim.Multi() || t.cfg.DiskGB > 0
 }
 
 // shard is one lock domain of the tenant map plus its ingest lane. Its
@@ -415,17 +392,18 @@ func (s *Server) apply(b batch) {
 	t := b.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	multi := t.multi()
 	for _, smp := range b.samples {
 		t.rec.Observe(t.minute, smp.CPU)
-		if t.cfg.multi() {
-			if smp.CPU > t.cpuPeak {
-				t.cpuPeak = smp.CPU
+		if multi {
+			if smp.CPU > t.peak.TotalCPU {
+				t.peak.TotalCPU = smp.CPU
 			}
-			if smp.RAMGB > t.ramPeak {
-				t.ramPeak = smp.RAMGB
+			if smp.RAMGB > t.peak.RAMGB {
+				t.peak.RAMGB = smp.RAMGB
 			}
-			if smp.DiskGB > t.diskHigh {
-				t.diskHigh = smp.DiskGB
+			if smp.DiskGB > t.peak.DiskGB {
+				t.peak.DiskGB = smp.DiskGB
 			}
 		}
 		t.minute++
@@ -436,16 +414,14 @@ func (s *Server) apply(b batch) {
 	s.met.samples.Add(int64(len(b.samples)))
 }
 
-// decide runs the tenant's policy once and appends the decision record.
-// The recommender's CPU target goes through the shared vector rule
-// (recommend.NextResources) with the CPU-only tenant as the vector whose
-// other dimensions are unmanaged. Samples are per pod, so the replica
-// set's peak total CPU is the per-pod peak times the serving replicas.
-// Caller holds the tenant lock.
+// decide runs the tenant's policy once through the shared vector rule
+// (recommend.NextResources) and appends the decision record. Samples are
+// per pod, so the replica set's peak total CPU is the per-pod peak times
+// the serving replicas. Caller holds the tenant lock.
 func (s *Server) decide(t *tenantState, enq time.Time) {
-	cur := core.Resources{CPUCores: t.cores, RAMGB: t.ramGB, DiskGB: t.diskGB, Replicas: t.replicas}
-	peak := recommend.WindowPeaks{RAMGB: t.ramPeak, DiskGB: t.diskHigh, TotalCPU: t.cpuPeak * float64(t.replicas)}
-	next := recommend.NextResources(t.rec.Recommend(t.cores), cur, peak, t.cfg.limits(), t.cfg.MaxReplicas > 0)
+	cur, peak := t.cur, t.peak
+	peak.TotalCPU *= float64(cur.Replicas)
+	next := recommend.NextResources(t.rec.Recommend(cur.CPUCores), cur, peak, t.lim, t.lim.Max.Replicas > 0)
 	t.seq++
 	rec := DecisionRecord{
 		Seq:    t.seq,
@@ -471,8 +447,7 @@ func (s *Server) decide(t *tenantState, enq time.Time) {
 	if next.Replicas != cur.Replicas {
 		rec.Replicas = next.Replicas
 	}
-	t.cores, t.ramGB, t.diskGB, t.replicas = next.CPUCores, next.RAMGB, next.DiskGB, next.Replicas
-	t.ramPeak, t.diskHigh, t.cpuPeak = 0, 0, 0
+	t.cur, t.peak = next, recommend.WindowPeaks{}
 	t.log.add(rec, s.opts.DecisionLogSize)
 	s.met.decisions.Inc()
 	if !enq.IsZero() {
@@ -480,26 +455,52 @@ func (s *Server) decide(t *tenantState, enq time.Time) {
 	}
 }
 
-// newTenant constructs a tenant from its config (the recommender wired
-// to the server's audit sink when one is attached).
+// newTenant constructs a tenant from its config at its initial grants.
 func (s *Server) newTenant(id string, cfg TenantConfig) (*tenantState, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	rec, err := recommend.NewByName(cfg.Policy, cfg.settings())
+	t := &tenantState{id: id}
+	initial, err := s.configure(t, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	if in, ok := rec.(recommend.Instrumentable); ok && obs.Enabled(s.events.sink) {
+	t.cur = initial
+	return t, nil
+}
+
+// configure resolves cfg and builds its recommender into t: the one path
+// that sets or changes a tenant's config (tenant PUT, range retune,
+// policy swap, restore). The recommender's SKU ladder tops out at the
+// range's MaxCores, so a retune rebuilds it. With carry it resumes the
+// old one's state when the policy checkpoints it (recommend.
+// StateSnapshotter); otherwise it starts cold, as on a restore. It is
+// wired to the server's audit sink when one is attached. configure
+// returns the resolved initial grants; on error t is unchanged. Caller
+// holds the tenant lock or owns t.
+func (s *Server) configure(t *tenantState, cfg TenantConfig, carry bool) (core.Resources, error) {
+	rr, err := cfg.resolve()
+	if err != nil {
+		return core.Resources{}, err
+	}
+	rec, err := recommend.NewByName(cfg.Policy, recommend.Settings{
+		MaxCores:     rr.Max.CPUCores,
+		Window:       cfg.Window,
+		Horizon:      cfg.Horizon,
+		Season:       cfg.Season,
+		ControlCores: rr.Initial.CPUCores,
+	})
+	if err != nil {
+		return core.Resources{}, err
+	}
+	from, ok := t.rec.(recommend.StateSnapshotter)
+	if to, can := rec.(recommend.StateSnapshotter); carry && ok && can {
+		if err := to.RestoreState(from.SnapshotState()); err != nil {
+			return core.Resources{}, err
+		}
+	}
+	if in, ok := rec.(recommend.Instrumentable); ok && s.events.Enabled() {
 		in.SetEventSink(s.events)
 	}
-	t := &tenantState{id: id, cfg: cfg, rec: rec, cores: cfg.InitialCores}
-	t.ramGB = cfg.InitialRAMGB
-	t.diskGB = cfg.DiskGB
-	if cfg.MaxReplicas > 0 {
-		t.replicas = 1
-	}
-	return t, nil
+	t.cfg, t.lim, t.rec = cfg, rr.Limits, rec
+	return rr.Initial, nil
 }
 
 // Handler returns the server's HTTP handler (see routes in handlers.go).

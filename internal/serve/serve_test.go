@@ -290,6 +290,26 @@ func TestOversizedBatch413(t *testing.T) {
 	}
 }
 
+// TestOversizedConfig413: a tenant, range or policy body over
+// maxConfigBody answers 413 and changes nothing; the next PUT registers.
+func TestOversizedConfig413(t *testing.T) {
+	_, ts := testServer(t, Options{})
+	register(t, ts.URL, "alpha", `{"max_cores":8}`)
+	big := `{"max_cores":8,"policy":"` + strings.Repeat("a", 1<<20) + `"}`
+	for _, path := range []string{"/v1/tenants/beta", "/v1/admin/tenants/alpha/range", "/v1/admin/tenants/alpha/policy"} {
+		if code, body, _ := do(t, http.MethodPut, ts.URL+path, big); code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("1 MiB body to %s: %d %s", path, code, body)
+		}
+	}
+	if code, body, _ := do(t, http.MethodGet, ts.URL+"/v1/admin/tenants", ""); code != http.StatusOK ||
+		body != `[{"id":"alpha","policy":"caasper","cores":1,"min_cores":1,"max_cores":8,"samples":0,"decisions":0}]`+"\n" {
+		t.Fatalf("after the oversized bodies: %d %s", code, body)
+	}
+	if code, body, _ := do(t, http.MethodPut, ts.URL+"/v1/tenants/beta", `{"max_cores":8}`); code != http.StatusCreated {
+		t.Fatalf("PUT after the oversized one: %d %s", code, body)
+	}
+}
+
 func TestPolicyHotSwapMidStream(t *testing.T) {
 	_, ts := testServer(t, Options{DecisionEveryMinutes: 10})
 	register(t, ts.URL, "alpha", `{"policy":"caasper","max_cores":8,"initial_cores":4}`)

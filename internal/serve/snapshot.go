@@ -169,18 +169,18 @@ func (s *Server) encodeTenant(b []byte, id string) ([]byte, error) {
 		st := snapshotTenant{
 			ID:     t.id,
 			Config: t.cfg,
-			Cores:  t.cores,
+			Cores:  t.cur.CPUCores,
 			Minute: t.minute,
 			Seq:    t.seq,
 			Log:    t.log.oldestFirst(),
 		}
-		if t.cfg.multi() {
-			st.RAMGB = t.ramGB
-			st.DiskGB = t.diskGB
-			st.Replicas = t.replicas
-			st.RAMPeak = t.ramPeak
-			st.DiskHigh = t.diskHigh
-			st.CPUPeak = t.cpuPeak
+		if t.multi() {
+			st.RAMGB = t.cur.RAMGB
+			st.DiskGB = t.cur.DiskGB
+			st.Replicas = t.cur.Replicas
+			st.RAMPeak = t.peak.RAMGB
+			st.DiskHigh = t.peak.DiskGB
+			st.CPUPeak = t.peak.TotalCPU
 		}
 		if snap, can := t.rec.(recommend.StateSnapshotter); can {
 			// The line is encoded under the lock, so the state's
@@ -353,25 +353,23 @@ func (s *Server) restoreTenant(line []byte, no, version int, fallbacks *atomic.I
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore: tenant %q: %w", st.ID, err)
 	}
-	t.cores = st.Cores
+	t.cur.CPUCores = st.Cores
 	t.minute = st.Minute
 	t.seq = st.Seq
 	t.log.restore(st.Log, s.opts.DecisionLogSize)
-	if t.cfg.multi() {
+	if t.multi() {
 		// v1 lines carry no multi fields: zero grants keep the
 		// newTenant config defaults, peaks restart cold.
 		if st.RAMGB > 0 {
-			t.ramGB = st.RAMGB
+			t.cur.RAMGB = st.RAMGB
 		}
 		if st.DiskGB > 0 {
-			t.diskGB = st.DiskGB
+			t.cur.DiskGB = st.DiskGB
 		}
 		if st.Replicas > 0 {
-			t.replicas = st.Replicas
+			t.cur.Replicas = st.Replicas
 		}
-		t.ramPeak = st.RAMPeak
-		t.diskHigh = st.DiskHigh
-		t.cpuPeak = st.CPUPeak
+		t.peak = recommend.WindowPeaks{RAMGB: st.RAMPeak, DiskGB: st.DiskHigh, TotalCPU: st.CPUPeak}
 	}
 	if st.HasState {
 		snap, can := t.rec.(recommend.StateSnapshotter)

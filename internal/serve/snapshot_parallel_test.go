@@ -77,10 +77,10 @@ func serialSnapshot(t testing.TB, s *Server) []byte {
 	for _, id := range ids {
 		ts := s.shardFor(id).tenants[id]
 		log := append(append([]DecisionRecord(nil), ts.log.recs[ts.log.head:]...), ts.log.recs[:ts.log.head]...)
-		st := snapshotTenant{ID: ts.id, Config: ts.cfg, Cores: ts.cores, Minute: ts.minute, Seq: ts.seq, Log: log}
-		if ts.cfg.multi() {
-			st.RAMGB, st.DiskGB, st.Replicas = ts.ramGB, ts.diskGB, ts.replicas
-			st.RAMPeak, st.DiskHigh, st.CPUPeak = ts.ramPeak, ts.diskHigh, ts.cpuPeak
+		st := snapshotTenant{ID: ts.id, Config: ts.cfg, Cores: ts.cur.CPUCores, Minute: ts.minute, Seq: ts.seq, Log: log}
+		if ts.multi() {
+			st.RAMGB, st.DiskGB, st.Replicas = ts.cur.RAMGB, ts.cur.DiskGB, ts.cur.Replicas
+			st.RAMPeak, st.DiskHigh, st.CPUPeak = ts.peak.RAMGB, ts.peak.DiskGB, ts.peak.TotalCPU
 		}
 		if snap, ok := ts.rec.(recommend.StateSnapshotter); ok {
 			st.HasState, st.State = true, snap.SnapshotState()

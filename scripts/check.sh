@@ -163,6 +163,19 @@ go test -run '^$' -fuzz FuzzSnapshotEncode -fuzztime 10s -fuzzminimizetime 100x 
 echo "==> fuzz FuzzParseSampleFast (10s)"
 go test -run '^$' -fuzz FuzzParseSampleFast -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
 
+# Fuzz stage: arbitrary NDJSON sample batches into serve's ingest
+# handler. Each answer is all or nothing: 202 with every line applied
+# (sample clock, serve.samples and the window's newest readings), or 4xx
+# with nothing applied.
+echo "==> fuzz FuzzIngestBatch (10s)"
+go test -run '^$' -fuzz FuzzIngestBatch -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+
+# Fuzz stage: register config × range retune × policy swap × samples,
+# then a restart from the checkpoint. The restart must succeed, and the
+# restored server must answer and decide as one that never stopped.
+echo "==> fuzz FuzzTenantLifecycle (10s)"
+go test -run '^$' -fuzz FuzzTenantLifecycle -fuzztime 10s -fuzzminimizetime 100x ./internal/serve
+
 # Fuzz stage: stats.AddN's binade jump against the plain repeated
 # addition it replaces in the ledger and the fleet's severity sum,
 # compared bit for bit.
@@ -179,10 +192,11 @@ echo "==> fuzz FuzzParseResourceSpec (10s)"
 go test -run '^$' -fuzz FuzzParseResourceSpec -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 
 # The parallel checkpoint encode/decode (worker buffers, batch decode,
-# all-or-nothing publish) and since= polls of a decision ring that wraps
-# under ingest, under the race detector, as a named gate.
-echo "==> race: serve snapshot/restore + decision ring polls"
-go test -race -run 'Snapshot|Restore|TestDecisionLogPollDuringWrap' ./internal/serve
+# all-or-nothing publish), a restart after a range retune, and since=
+# polls of a decision ring that wraps under ingest, under the race
+# detector, as a named gate.
+echo "==> race: serve snapshot/restore + retune restart + decision ring polls"
+go test -race -run 'Snapshot|Restore|TestRetuneThenRestart|TestDecisionLogPollDuringWrap' ./internal/serve
 
 echo "==> benchmark smoke (1x, hot paths + parallel engine)"
 go test -run xxx -bench 'BenchmarkDecide|BenchmarkBuildCurve|BenchmarkSimulateWorkday' -benchtime 1x -benchmem .
