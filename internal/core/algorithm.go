@@ -274,12 +274,12 @@ func (r *Recommender) Decide(currentCores int, usage []float64) (Decision, error
 // enacted resize). A nil scratch is allowed (one is created per call).
 //
 // It counts usage into the PvP exceed histogram itself; a caller that
-// slides one window from decision to decision keeps the counts current
+// slides one window from decision to decision keeps a CountedWindow
 // instead and calls DecideCounted. Both enter the same evaluation.
 func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float64) (Decision, error) {
 	sc = r.own(sc)
 	if sc.counts == nil {
-		c := r.NewWindowCounts()
+		c := r.windowCounts()
 		sc.counts = &c
 	}
 	sc.counts.Recount(usage)
@@ -289,20 +289,19 @@ func (r *Recommender) DecideScratch(sc *Scratch, currentCores int, usage []float
 	return sc.dec, nil
 }
 
-// DecideCounted is DecideScratch for a caller that keeps the exceed
-// counts of its window current as the window slides: w must count
-// exactly the samples of usage (a WindowCounts from NewWindowCounts,
-// updated with Slide or Recount). No sample is slotted, and the decision
-// and the audit event are bit-identical to DecideScratch's on the same
-// scratch. It returns the scratch's result slot, valid until the
-// scratch's next decision, so a decision is not copied out.
-func (r *Recommender) DecideCounted(sc *Scratch, currentCores int, usage []float64, w *WindowCounts) (*Decision, error) {
-	if w.skus != r.cfg.SKUs {
+// DecideCounted is DecideScratch on w's samples, from the exceed counts w
+// keeps as it slides (w from NewCountedWindow, on a recommender with the
+// same ladder). No sample is slotted, and the decision and the audit
+// event are bit-identical to DecideScratch's on the same scratch. It
+// returns the scratch's result slot, valid until the scratch's next
+// decision, so a decision is not copied out.
+func (r *Recommender) DecideCounted(sc *Scratch, currentCores int, w *CountedWindow) (*Decision, error) {
+	if w.counts.skus != r.cfg.SKUs {
 		return nil, fmt.Errorf("core: window counts for %d–%d cores, ladder is %d–%d: %w",
-			w.skus.MinCores, w.skus.MaxCores, r.cfg.SKUs.MinCores, r.cfg.SKUs.MaxCores, errs.ErrInvalidConfig)
+			w.counts.skus.MinCores, w.counts.skus.MaxCores, r.cfg.SKUs.MinCores, r.cfg.SKUs.MaxCores, errs.ErrInvalidConfig)
 	}
 	sc = r.own(sc)
-	if err := r.evaluate(sc, currentCores, usage, w); err != nil {
+	if err := r.evaluate(sc, currentCores, w.View(), &w.counts); err != nil {
 		return nil, err
 	}
 	return &sc.dec, nil

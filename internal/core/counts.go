@@ -1,23 +1,21 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
+	"caasper/internal/errs"
 	"caasper/internal/pvp"
+	win "caasper/internal/window"
 )
 
-// WindowCounts is a sliding usage window's PvP exceed histogram, kept
-// current sample by sample: one count per pvp slot of the window's valid
-// samples, then one count of the samples line 2 drops (NaN, ±Inf,
-// negative). Algorithm 1 runs every few minutes on a window that shares
-// most of its samples with the previous decision's, so a caller that
-// slides its window through Slide pays at most one slot lookup for each
-// sample entering and one for each leaving, instead of one per sample
-// per decision, and decides with DecideCounted.
-//
-// It holds no samples: an evicted one is re-slotted from its value,
-// which the caller still holds when it slides. The zero value is unusable;
-// NewWindowCounts sizes one for a recommender's ladder.
+// WindowCounts is a usage window's PvP exceed histogram: one count per
+// pvp slot of the window's valid samples, then one count of the samples
+// line 2 drops (NaN, ±Inf, negative). A decision builds the PvP curve and
+// the top-m bound from it instead of from the samples. Raw-slice callers
+// Recount their slice; a CountedWindow keeps its own current as it
+// slides. The zero value is unusable; windowCounts sizes one for a
+// recommender's ladder.
 type WindowCounts struct {
 	skus pvp.SKURange
 	// slots holds the ladder's Count()+1 slot counts, then the invalid
@@ -25,8 +23,8 @@ type WindowCounts struct {
 	slots []int32
 }
 
-// NewWindowCounts returns the empty counts of a window decided by r.
-func (r *Recommender) NewWindowCounts() WindowCounts {
+// windowCounts returns the empty counts of a window decided by r.
+func (r *Recommender) windowCounts() WindowCounts {
 	return WindowCounts{skus: r.cfg.SKUs, slots: make([]int32, r.cfg.SKUs.Count()+2)}
 }
 
@@ -44,31 +42,6 @@ func (w *WindowCounts) ladder() []int32 { return w.slots[:len(w.slots)-1] }
 // invalid returns the number of samples line 2 drops.
 func (w *WindowCounts) invalid() int { return int(w.slots[len(w.slots)-1]) }
 
-// Slide counts n ≥ 1 samples of value u entering a window of the given
-// capacity that holds view, oldest first, before they enter, and
-// uncounts the samples they push out. A run at least as long as the
-// window replaces it, so the counts are reset outright. An evicted
-// sample equal to u, or to the sample evicted before it, reuses that
-// one's slot: a plateau's runs leave a slot lookup at a time.
-func (w *WindowCounts) Slide(view []float64, capacity int, u float64, n int) {
-	s := w.slot(u)
-	if n >= capacity {
-		clear(w.slots)
-		w.slots[s] = int32(capacity)
-		return
-	}
-	w.slots[s] += int32(n)
-	prev, ps, run := u, s, int32(0) // the run of evicted samples equal to prev, in slot ps
-	for _, x := range view[:max(len(view)+n-capacity, 0)] {
-		if x != prev {
-			w.slots[ps] -= run
-			prev, ps, run = x, w.slot(x), 0
-		}
-		run++
-	}
-	w.slots[ps] -= run
-}
-
 // Recount rebuilds the counts from the window's samples. A sample equal
 // to the one before it reuses that one's slot, so a window of runs costs
 // a slot lookup per run.
@@ -81,4 +54,120 @@ func (w *WindowCounts) Recount(window []float64) {
 		}
 		w.slots[s]++
 	}
+}
+
+// maxSlots bounds the slot indices a CountedWindow stores per sample:
+// a ladder's Count()+1 slots and the invalid one must fit a uint16.
+const maxSlots = math.MaxUint16 + 1
+
+// CountedWindow is the bounded sliding usage window Algorithm 1 decides
+// on, with its exceed counts kept current as it slides. Algorithm 1 runs
+// every few minutes on a window that shares most of its samples with the
+// previous decision's, so a push slots each entering value once and a
+// decision (DecideCounted) slots nothing.
+//
+// Each retained sample's slot is stored beside it, at the sample's ring
+// position (slotOf[i] is the slot of the sample in ring slot i), so a
+// push uncounts the sample it evicts by that stored slot: no evicted
+// value is re-slotted or even read. The slots are derived from the
+// samples, so Restore and Reset rebuild them, and a checkpoint carries
+// only the samples. The zero value is unusable; NewCountedWindow sizes
+// one.
+type CountedWindow struct {
+	ring   win.Ring
+	slotOf []uint16
+	counts WindowCounts
+}
+
+// NewCountedWindow returns an empty window of capacity samples, counted
+// for r's ladder; the caller checks capacity ≥ 1. A ladder with more than
+// 65,534 SKUs has slots a uint16 cannot hold: it fails with
+// errs.ErrInvalidConfig.
+func (r *Recommender) NewCountedWindow(capacity int) (CountedWindow, error) {
+	if r.cfg.SKUs.Count()+2 > maxSlots {
+		return CountedWindow{}, fmt.Errorf("core: a counted window holds at most %d SKUs, ladder has %d: %w",
+			maxSlots-2, r.cfg.SKUs.Count(), errs.ErrInvalidConfig)
+	}
+	return CountedWindow{ring: *win.New(capacity), slotOf: make([]uint16, capacity), counts: r.windowCounts()}, nil
+}
+
+// put appends n copies of u, of slot s, n below the capacity: it counts
+// them, stores each one's slot at its ring slot, and uncounts the samples
+// they evict by their stored slots.
+func (w *CountedWindow) put(u float64, s, n int) {
+	w.counts.slots[s] += int32(n)
+	for ; n > 0; n-- {
+		i := w.ring.Head()
+		if w.ring.Total() >= len(w.slotOf) {
+			w.counts.slots[w.slotOf[i]]--
+		}
+		w.slotOf[i] = uint16(s)
+		w.ring.Push(u)
+	}
+}
+
+// Push appends one sample.
+func (w *CountedWindow) Push(u float64) { w.put(u, w.counts.slot(u), 1) }
+
+// PushRun appends n copies of u, the same end state as n Push(u) calls.
+// A run at least as long as the window replaces it outright.
+func (w *CountedWindow) PushRun(u float64, n int) {
+	if n <= 0 {
+		return
+	}
+	s := w.counts.slot(u)
+	if n < len(w.slotOf) {
+		w.put(u, s, n)
+		return
+	}
+	clear(w.counts.slots)
+	w.counts.slots[s] = int32(len(w.slotOf))
+	for i := range w.slotOf {
+		w.slotOf[i] = uint16(s)
+	}
+	w.ring.PushRun(u, n)
+}
+
+// View returns the retained samples, oldest to newest, in place: valid
+// until the next push, and not to be mutated.
+func (w *CountedWindow) View() []float64 { return w.ring.View() }
+
+// Total returns the number of samples ever pushed.
+func (w *CountedWindow) Total() int { return w.ring.Total() }
+
+// Saturated reports whether the window is full and holds nothing but u.
+func (w *CountedWindow) Saturated(u float64) bool {
+	return w.ring.Total() >= len(w.slotOf) && w.ring.AllEqual(u)
+}
+
+// Reset empties the window.
+func (w *CountedWindow) Reset() {
+	w.ring.Reset()
+	clear(w.counts.slots)
+}
+
+// Restore rebuilds the window from another one's View and Total (see
+// window.Ring.Restore), then its slots and counts from the samples.
+func (w *CountedWindow) Restore(values []float64, total int) error {
+	if err := w.ring.Restore(values, total); err != nil {
+		return err
+	}
+	clear(w.counts.slots)
+	v := w.ring.View()
+	i := w.ring.Head() - len(v) // the oldest sample's ring slot
+	if i < 0 {
+		i += len(w.slotOf)
+	}
+	prev, s := math.NaN(), 0 // NaN equals nothing, so the first sample is slotted
+	for _, u := range v {
+		if u != prev {
+			prev, s = u, w.counts.slot(u)
+		}
+		w.counts.slots[s]++
+		w.slotOf[i] = uint16(s)
+		if i++; i == len(w.slotOf) {
+			i = 0
+		}
+	}
+	return nil
 }

@@ -128,12 +128,14 @@ func TestSkewTableAllocs(t *testing.T) {
 	r := mustRecommender(t, 16)
 	a := []float64{2, 2, 2, 2, 3, 3, 3, 3}
 	b := []float64{2, 2, 2, 3, 3, 3, 3, 3}
-	wa, wb := r.NewWindowCounts(), r.NewWindowCounts()
-	wa.Recount(a)
-	wb.Recount(b)
+	wa, wb := mustCountedWindow(t, r, len(a)), mustCountedWindow(t, r, len(b))
+	for i := range a {
+		wa.Push(a[i])
+		wb.Push(b[i])
+	}
 	var sc Scratch
-	decide := func(u []float64, w *WindowCounts) {
-		if _, err := r.DecideCounted(&sc, 3, u, w); err != nil {
+	decide := func(w *CountedWindow) {
+		if _, err := r.DecideCounted(&sc, 3, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,23 +144,23 @@ func TestSkewTableAllocs(t *testing.T) {
 		run    func()
 		allocs float64
 	}{
-		{"first", func() { sc = Scratch{}; decide(a, &wa) }, 2},
-		{"first two", func() { sc = Scratch{}; decide(a, &wa); decide(b, &wb) }, 3},
+		{"first", func() { sc = Scratch{}; decide(&wa) }, 2},
+		{"first two", func() { sc = Scratch{}; decide(&wa); decide(&wb) }, 3},
 	} {
 		if got := testing.AllocsPerRun(50, c.run); got != c.allocs {
 			t.Errorf("%s evaluation(s) of a fresh scratch: %v allocations, want %v", c.name, got, c.allocs)
 		}
 	}
 	sc = Scratch{}
-	decide(a, &wa)
+	decide(&wa)
 	if sc.skews != nil {
 		t.Fatal("the first evaluation made the skew table")
 	}
-	decide(b, &wb)
+	decide(&wb)
 	if sc.skews == nil {
 		t.Fatal("the second evaluation made no skew table")
 	}
-	decide(a, &wa)
+	decide(&wa)
 	if sc.evals != 2 || sc.skews.keys[0] == 0 || sc.skews.keys[1] == 0 {
 		t.Fatalf("evaluations %d, table keys %#x", sc.evals, sc.skews.keys)
 	}

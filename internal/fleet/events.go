@@ -286,8 +286,9 @@ func (t *tenant) runEnd(m, limit int) int {
 	return min(e, limit)
 }
 
-// computeWake sets the tenant's next wake minute after deciding at tick d.
-// The default is the next decision tick. The tenant may sleep past it only
+// computeWake sets the tenant's next wake minute after deciding at tick d,
+// a decision tick. The default is the next decision tick, d + cadence, or
+// −1 past the horizon. The tenant may sleep past it only
 // when every skipped tick provably replays "hold": it filed no proposal at
 // d (so the limit stays put), its recommender asserts SteadyObserving(u)
 // for the current usage u (pure Recommend over a saturated all-u window),
@@ -297,7 +298,9 @@ func (t *tenant) runEnd(m, limit int) int {
 // at which anything can differ is the first one at or after the next
 // inflection.
 func (t *tenant) computeWake(s *runState, d int) {
-	t.wakeAt = s.nextDecisionAt(d + 1)
+	if t.wakeAt = d + s.d; t.wakeAt >= s.minutes {
+		t.wakeAt = -1
+	}
 	if t.wakeAt < 0 || t.hasProp || t.steady == nil {
 		return
 	}

@@ -110,28 +110,33 @@ func (e Event) AppendNDJSON(dst []byte) []byte {
 
 // appendJSONString appends a JSON-escaped quoted string. Printable
 // characters (including multi-byte UTF-8, which the decision explanations
-// use) pass through untouched; quotes, backslashes and control characters
-// are escaped per RFC 8259.
+// use) pass through untouched, each run of them in one append; quotes,
+// backslashes and control characters are escaped per RFC 8259.
 func appendJSONString(dst []byte, s string) []byte {
 	dst = append(dst, '"')
+	from := 0 // start of the run of bytes not yet appended
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
+		if c >= 0x20 && c != '"' && c != '\\' {
+			continue
+		}
+		dst = append(dst, s[from:i]...)
+		from = i + 1
+		switch c {
+		case '"', '\\':
 			dst = append(dst, '\\', c)
-		case c == '\n':
+		case '\n':
 			dst = append(dst, '\\', 'n')
-		case c == '\t':
+		case '\t':
 			dst = append(dst, '\\', 't')
-		case c == '\r':
+		case '\r':
 			dst = append(dst, '\\', 'r')
-		case c < 0x20:
+		default:
 			const hex = "0123456789abcdef"
 			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		default:
-			dst = append(dst, c)
 		}
 	}
+	dst = append(dst, s[from:]...)
 	return append(dst, '"')
 }
 

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 )
 
 func TestEventNDJSONEncoding(t *testing.T) {
@@ -38,6 +39,54 @@ func TestEventNDJSONEncoding(t *testing.T) {
 	}
 	if m["t"].(float64) != 42 || m["branch"] != "scale-up" || m["memo"] != true {
 		t.Errorf("decoded fields wrong: %v", m)
+	}
+}
+
+// byteLoopJSONString is appendJSONString as one append per byte, the
+// oracle of TestAppendJSONStringMatchesByteLoop.
+func byteLoopJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c == '"' || c == '\\':
+			dst = append(dst, '\\', c)
+		case c == '\n':
+			dst = append(dst, '\\', 'n')
+		case c == '\t':
+			dst = append(dst, '\\', 't')
+		case c == '\r':
+			dst = append(dst, '\\', 'r')
+		case c < 0x20:
+			const hex = "0123456789abcdef"
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return append(dst, '"')
+}
+
+// TestAppendJSONStringMatchesByteLoop checks the run-at-a-time escape
+// against the byte loop on every byte 0x00–0xFF alone, leading, trailing
+// and between runs, and on multi-byte UTF-8 (the explanations' ≥, ×, ·),
+// invalid UTF-8 and runs of escapes. The JSON-valid outputs must also
+// decode back to the input.
+func TestAppendJSONStringMatchesByteLoop(t *testing.T) {
+	inputs := []string{"", "plain", "≥ 2 cores × 0.95 · walk-down", "\xff\xfe", "\"\\\n\t\r\x00\x1f", "a\"\"b", "€\n€"}
+	for c := 0; c < 256; c++ {
+		b := string([]byte{byte(c)})
+		inputs = append(inputs, b, b+"tail", "head"+b, "run "+b+" run "+b+b+" ≥")
+	}
+	for _, s := range inputs {
+		got, want := appendJSONString([]byte("x"), s), byteLoopJSONString([]byte("x"), s)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%q: got %q, byte loop %q", s, got, want)
+		}
+		var back string
+		if err := json.Unmarshal(got[1:], &back); err == nil && utf8.ValidString(s) && back != s {
+			t.Fatalf("%q decodes back to %q", s, back)
+		}
 	}
 }
 

@@ -46,9 +46,10 @@ func fuzzSample(kind, x byte, maxCores int, prev float64) float64 {
 }
 
 // FuzzCountedWindow is a differential check of the reactive adapter's
-// counted window — the exceed counts Observe and ObserveRun slide, and
-// Reset and RestoreState rebuild — against DecideScratch, which counts
-// the same history.View() from scratch at every decision. One adapter is
+// counted window — the slot stored with each sample and the exceed counts
+// that Observe and ObserveRun update, and that Reset and RestoreState
+// rebuild from the samples — against DecideScratch, which counts the same
+// window.View() from scratch at every decision. One adapter is
 // driven through a random stream of operations, three bytes each (op,
 // kind, x):
 //
@@ -107,7 +108,7 @@ func FuzzCountedWindow(f *testing.F) {
 				minute += n
 			case 4, 5:
 				cur := 1 + int(x)%(maxCores+2)
-				view := c.history.View()
+				view := c.window.View()
 				before := c.LastFullDecision()
 				rs.Now = c.scratch.Now
 				want, werr := ref.DecideScratch(&rs, cur, view)

@@ -101,15 +101,12 @@ type Instrumentable interface {
 // it keeps a sliding usage window (the paper's "last 40 minutes of CPU
 // usage") and evaluates Algorithm 1 on it at each decision tick.
 type CaaSPERReactive struct {
-	algo   *core.Recommender
-	window int
-	// history retains exactly the window samples Algorithm 1 reads:
-	// memory stays O(window) over a month-long replay, and the
-	// steady-state Observe path is allocation-free.
-	history *win.Ring
-	// counts is history's PvP exceed histogram, slid with every observed
-	// sample, so a decision does not re-slot the whole window.
-	counts core.WindowCounts
+	algo *core.Recommender
+	// window retains exactly the samples Algorithm 1 reads, each with its
+	// PvP slot, and keeps their exceed counts as it slides, so a decision
+	// slots nothing: memory stays O(window) over a month-long replay,
+	// and the steady-state Observe path is allocation-free.
+	window core.CountedWindow
 	// scratch reuses the Algorithm 1 evaluation buffers across decision
 	// ticks (an adapter is single-stream state already), and holds the
 	// most recent decision (LastFullDecision, Explain).
@@ -126,31 +123,31 @@ func NewCaaSPERReactive(cfg core.Config, window int) (*CaaSPERReactive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CaaSPERReactive{algo: algo, window: window, history: win.New(window), counts: algo.NewWindowCounts()}, nil
+	w, err := algo.NewCountedWindow(window)
+	if err != nil {
+		return nil, err
+	}
+	return &CaaSPERReactive{algo: algo, window: w}, nil
 }
 
 // Name implements Recommender.
 func (c *CaaSPERReactive) Name() string { return "caasper-reactive" }
 
-// Observe implements Recommender. The counts slide before the push: the
-// sample it evicts is still in the ring.
+// Observe implements Recommender.
 func (c *CaaSPERReactive) Observe(minute int, usageCores float64) {
 	c.scratch.Now = int64(minute) // timestamp for the next decision audit
-	c.counts.Slide(c.history.View(), c.window, usageCores, 1)
-	c.history.Push(usageCores)
+	c.window.Push(usageCores)
 }
 
 // ObserveRun implements RunObserver: the per-minute Observe only stamps
-// the audit clock, slides the counts and pushes into the ring, so the
-// bulk form is a single clock stamp, one slide by n and a bulk ring
-// append — bit-identical end state.
+// the audit clock and pushes into the window, so the bulk form is a
+// single clock stamp and a bulk window append — bit-identical end state.
 func (c *CaaSPERReactive) ObserveRun(minute int, usageCores float64, n int) {
 	if n <= 0 {
 		return
 	}
 	c.scratch.Now = int64(minute + n - 1)
-	c.counts.Slide(c.history.View(), c.window, usageCores, n)
-	c.history.PushRun(usageCores, n)
+	c.window.PushRun(usageCores, n)
 }
 
 // SteadyObserving implements SteadyObserver. Algorithm 1 is a pure
@@ -158,17 +155,14 @@ func (c *CaaSPERReactive) ObserveRun(minute int, usageCores float64, n int) {
 // is saturated and holds nothing but the current usage level, further
 // equal observations cannot move any future recommendation.
 func (c *CaaSPERReactive) SteadyObserving(usageCores float64) bool {
-	return c.history.Bounded() &&
-		c.history.Total() >= c.history.Cap() &&
-		c.history.AllEqual(usageCores)
+	return c.window.Saturated(usageCores)
 }
 
 // Recommend implements Recommender.
 func (c *CaaSPERReactive) Recommend(currentCores int) int {
-	// The ring retains exactly the window tail the unbounded adapter
-	// used to slice off, already contiguous — no copy, no allocation —
-	// and counts holds its exceed histogram.
-	d, err := c.algo.DecideCounted(&c.scratch, currentCores, c.history.View(), &c.counts)
+	// The window is read in place, already contiguous — no copy, no
+	// allocation — with its exceed counts.
+	d, err := c.algo.DecideCounted(&c.scratch, currentCores, &c.window)
 	if err != nil {
 		return currentCores // no usable signal: hold
 	}
@@ -178,8 +172,7 @@ func (c *CaaSPERReactive) Recommend(currentCores int) int {
 // Reset implements Recommender. The attached event sink survives: a reset
 // starts a new decision stream, not a new telemetry configuration.
 func (c *CaaSPERReactive) Reset() {
-	c.history.Reset()
-	c.counts.Recount(c.history.View())
+	c.window.Reset()
 	c.scratch = core.Scratch{Sink: c.scratch.Sink}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"caasper/internal/core"
-	win "caasper/internal/window"
 )
 
 // State is the serialisable form of a recommender adapter's mutable
@@ -65,26 +64,27 @@ type DecisionReporter interface {
 }
 
 // viewState returns sc's half of a State, the decision and its audit
-// clock, with the window half set from h in place: a nil window when
-// empty, so the encoded line omits it.
-func viewState(sc *core.Scratch, h *win.Ring) State {
+// clock, with the window half set from a window's View (read in place)
+// and Total: a nil window when empty, so the encoded line omits it.
+func viewState(sc *core.Scratch, view []float64, total int) State {
 	d, kind, peak := sc.Last()
-	s := State{Total: h.Total(), LastDecision: *d, ExpKind: kind, ExpPeak: peak, Now: sc.Now}
-	if v := h.View(); len(v) > 0 {
-		s.Window = v
+	s := State{Total: total, LastDecision: *d, ExpKind: kind, ExpPeak: peak, Now: sc.Now}
+	if len(view) > 0 {
+		s.Window = view
 	}
 	return s
 }
 
 // SnapshotState implements StateSnapshotter.
-func (c *CaaSPERReactive) SnapshotState() State { return viewState(&c.scratch, c.history) }
+func (c *CaaSPERReactive) SnapshotState() State {
+	return viewState(&c.scratch, c.window.View(), c.window.Total())
+}
 
 // RestoreState implements StateSnapshotter.
 func (c *CaaSPERReactive) RestoreState(s State) error {
-	if err := c.history.Restore(s.Window, s.Total); err != nil {
+	if err := c.window.Restore(s.Window, s.Total); err != nil {
 		return fmt.Errorf("recommend: reactive restore: %w", err)
 	}
-	c.counts.Recount(c.history.View())
 	c.algo.Resume(&c.scratch, s.LastDecision, s.ExpKind, s.ExpPeak, s.Now)
 	return nil
 }
@@ -98,7 +98,7 @@ func (c *CaaSPERReactive) LastFullDecision() core.Decision {
 // SnapshotState implements StateSnapshotter. LastDecision is the
 // scratch's decision plus its eager explanation, so it stands for both.
 func (c *CaaSPERProactive) SnapshotState() State {
-	s := viewState(&c.scratch, c.history)
+	s := viewState(&c.scratch, c.history.View(), c.history.Total())
 	s.LastDecision, s.LastUsedForecast = c.LastDecision, c.LastUsedForecast
 	return s
 }

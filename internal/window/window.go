@@ -37,6 +37,11 @@ type Ring struct {
 	// total counts samples ever pushed (the logical history length,
 	// which can exceed the retained length in bounded mode).
 	total int
+	// head is total mod capacity in bounded mode, kept as the ring moves
+	// so that a view, and a push shorter than the window, do not divide:
+	// the slot the next Push writes, and where View starts once the
+	// window is full. 0 when unbounded.
+	head int
 }
 
 // New returns a Ring retaining the last capacity samples. capacity ≤ 0
@@ -57,9 +62,13 @@ func (r *Ring) Push(v float64) {
 		r.total++
 		return
 	}
-	i := r.total % r.capacity
+	i := r.head
 	r.buf[i] = v
 	r.buf[i+r.capacity] = v
+	if i++; i == r.capacity {
+		i = 0
+	}
+	r.head = i
 	r.total++
 }
 
@@ -86,9 +95,10 @@ func (r *Ring) PushRun(v float64, n int) {
 			r.buf[i] = v
 		}
 		r.total += n
+		r.head = (r.head + n) % r.capacity
 		return
 	}
-	i := r.total % r.capacity
+	i := r.head
 	for k := 0; k < n; k++ {
 		r.buf[i] = v
 		r.buf[i+r.capacity] = v
@@ -96,6 +106,7 @@ func (r *Ring) PushRun(v float64, n int) {
 			i = 0
 		}
 	}
+	r.head = i
 	r.total += n
 }
 
@@ -124,6 +135,12 @@ func (r *Ring) Cap() int { return r.capacity }
 // Bounded reports whether the window retains a fixed number of samples.
 func (r *Ring) Bounded() bool { return r.capacity > 0 }
 
+// Head returns the slot of a bounded window that the next Push writes,
+// Total mod Cap: the newest sample's slot plus one, and the oldest
+// sample's slot once the window is full. A caller that keeps a value per
+// retained sample aligns it with these slots. 0 when unbounded.
+func (r *Ring) Head() int { return r.head }
+
 // View returns the retained samples, oldest to newest, as one contiguous
 // slice into the mirrored buffer. The slice is valid until the next Push
 // and must not be mutated or retained across pushes. Zero allocations.
@@ -134,13 +151,12 @@ func (r *Ring) View() []float64 {
 	if r.total <= r.capacity {
 		return r.buf[:r.total]
 	}
-	start := r.total % r.capacity
-	return r.buf[start : start+r.capacity]
+	return r.buf[r.head : r.head+r.capacity]
 }
 
 // Reset clears the window for reuse, keeping the backing storage.
 func (r *Ring) Reset() {
-	r.total = 0
+	r.total, r.head = 0, 0
 	if r.capacity == 0 {
 		r.buf = r.buf[:0]
 	}
@@ -171,6 +187,9 @@ func (r *Ring) Restore(values []float64, total int) error {
 	// the slot (total mod capacity) it originally occupied, so View reads
 	// from the same offset as the snapshotted ring.
 	r.total = total - len(values)
+	if r.capacity > 0 {
+		r.head = r.total % r.capacity
+	}
 	for _, v := range values {
 		r.Push(v)
 	}

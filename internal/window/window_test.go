@@ -1,6 +1,7 @@
 package window
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -178,4 +179,69 @@ func TestRingRestoreRejectsBadSnapshots(t *testing.T) {
 	if err := New(0).Restore([]float64{1, 2}, 3); err == nil {
 		t.Fatal("unbounded snapshot with total != len must be rejected")
 	}
+}
+
+// FuzzRing checks a ring against a plain slice of every sample pushed,
+// through a random stream of operations, two bytes each (op, x):
+//
+//	op%4 == 0  Push(v)
+//	op%4 == 1  PushRun(v, n = 1 + x mod 3·capacity), so runs wrap the
+//	           window up to three times
+//	op%4 == 2  Reset
+//	op%4 == 3  Restore(View, Total) onto a fresh ring of the capacity,
+//	           which then stands in for the old one
+//
+// where v = step + x/256, distinct at every step. After each operation
+// View must be the slice's last min(Total, capacity) samples, Total its
+// length, and the head offset Total mod capacity (0 when unbounded). The
+// capacity is 0 (unbounded) to 64. The seeds under testdata/fuzz/FuzzRing
+// cover capacities 0, 1, 7 and 40, runs longer than the window, and
+// resets and restores of empty, partial and saturated windows.
+func FuzzRing(f *testing.F) {
+	f.Fuzz(func(t *testing.T, cb uint8, ops []byte) {
+		capacity := int(cb) % 65
+		r := New(capacity)
+		var model []float64
+		for step := 0; len(ops) >= 2 && step < 1<<12; ops, step = ops[2:], step+1 {
+			op, x := ops[0], ops[1]
+			v := float64(step) + float64(x)/256
+			switch op % 4 {
+			case 0:
+				r.Push(v)
+				model = append(model, v)
+			case 1:
+				n := 1 + int(x)%(3*max(capacity, 1))
+				r.PushRun(v, n)
+				for k := 0; k < n; k++ {
+					model = append(model, v)
+				}
+			case 2:
+				r.Reset()
+				model = model[:0]
+			case 3:
+				fresh := New(capacity)
+				if err := fresh.Restore(r.View(), r.Total()); err != nil {
+					t.Fatalf("step %d: restore of a %d-sample window: %v", step, r.Total(), err)
+				}
+				r = fresh
+			}
+			want := model
+			if capacity > 0 && len(want) > capacity {
+				want = want[len(want)-capacity:]
+			}
+			if got := r.View(); !slices.Equal(got, want) {
+				t.Fatalf("step %d (op %d): View %v, want %v", step, op%4, got, want)
+			}
+			if r.Total() != len(model) {
+				t.Fatalf("step %d: Total %d, want %d", step, r.Total(), len(model))
+			}
+			head := 0
+			if capacity > 0 {
+				head = len(model) % capacity
+			}
+			if r.Head() != head {
+				t.Fatalf("step %d: head %d, want %d (total %d, capacity %d)", step, r.Head(), head, len(model), capacity)
+			}
+		}
+	})
 }

@@ -125,8 +125,15 @@ go test -run '^$' -fuzz FuzzQuantileMax -fuzztime 10s -fuzzminimizetime 100x ./i
 echo "==> fuzz FuzzDecideScratch (10s)"
 go test -run '^$' -fuzz FuzzDecideScratch -fuzztime 10s -fuzzminimizetime 100x ./internal/core
 
-# Fuzz stage: the reactive adapter's counted window (slot counts slid at
-# Observe/ObserveRun, rebuilt at Reset/RestoreState) against
+# Fuzz stage: the mirrored ring under Push, PushRun (runs up to three
+# windows long), Reset and Restore against a plain slice of every sample:
+# View, Total and the head offset after each operation.
+echo "==> fuzz FuzzRing (10s)"
+go test -run '^$' -fuzz FuzzRing -fuzztime 10s -fuzzminimizetime 100x ./internal/window
+
+# Fuzz stage: the reactive adapter's counted window (each sample's slot
+# stored beside it and the slot counts updated at Observe/ObserveRun,
+# both rebuilt from the samples at Reset/RestoreState) against
 # DecideScratch on the same window: decisions bit for bit and audit
 # events, and a restored adapter's last decision and explanation.
 echo "==> fuzz FuzzCountedWindow (10s)"
